@@ -20,7 +20,7 @@ from .documents import (
     serialize_xmod,
 )
 from .errors import PreconditionFailed, XModError
-from .groups import FiniteGroup, conjugacy_classes, image, kernel
+from .groups import DEFAULT_MAX_ISO_ORDER, FiniteGroup, conjugacy_classes, image, kernel
 from .xmod import CrossedModule, check_axioms, homotopy
 
 
@@ -252,8 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
-    common.add_argument("--max-order", type=int, default=512,
-                        help="order bound for the isomorphism search (default: 512)")
+    common.add_argument("--max-order", type=int, default=DEFAULT_MAX_ISO_ORDER,
+                        help="order bound for the isomorphism search "
+                             f"(default: {DEFAULT_MAX_ISO_ORDER})")
     parser = argparse.ArgumentParser(
         prog="xmodloop",
         description="Homotopy 2-types of free loop spaces of finite crossed modules.")

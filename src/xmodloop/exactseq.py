@@ -25,6 +25,7 @@ from .errors import (
     Violation,
 )
 from .groups import (
+    DEFAULT_MAX_ISO_ORDER,
     FiniteGroup,
     Homomorphism,
     Subgroup,
@@ -38,7 +39,6 @@ from .groups import (
     pair_name,
     quotient,
     semidirect_product,
-    split_composite,
     subgroup,
     triple_name,
 )
@@ -53,8 +53,6 @@ from .groupoids import (
 )
 from .loop import loop_data, loop_gpd_xmod, pi_loop
 from .xmod import CrossedModule, homotopy
-
-DEFAULT_MAX_ISO_ORDER = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,16 +168,17 @@ def exact_sequence(x: CrossedModule, a: str) -> ExactSequence:
     j = homomorphism(pi, loop_h.pi1,
                      {k: pa_projection(pair_name(k, x.P.identity)) for k in pi})
     cent = centralizer(data.pi1, abar).as_group(name=f"C_{abar}")
+    pairs = loop_data(x, a).pairs
     q_mapping = {}
     for rep in loop_h.pi1:
-        _, p = split_composite(rep)
+        _, p = pairs[rep]
         value = data.projection(p)
         if value not in cent:
             raise InternalInvariantBroken(
                 f"q({rep}) = {value} misses the centralizer of {abar}", (rep, value))
         q_mapping[rep] = value
     q = homomorphism(loop_h.pi1, cent, q_mapping)
-    for name, (m, p) in loop_data(x, a).pairs.items():
+    for name, (m, p) in pairs.items():
         if q(pa_projection(name)) != data.projection(p):
             raise InternalInvariantBroken(
                 f"q is not representative-independent at {name}", (name,))

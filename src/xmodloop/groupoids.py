@@ -4,6 +4,13 @@ Composition is additive and reads left to right: for p: x -> y and
 q: y -> z the composite p + q: x -> z is defined exactly when
 target(p) = source(q).  Morphisms are stored as full tables so that
 every law can be checked by enumeration.
+
+Cost.  Each groupoid indexes its morphisms by source once, at
+construction (``out_of``, in input order), and every law is checked by
+walking that index, so only composable pairs and triples are visited.
+The loop groupoid of delta: M -> P has |M||P|^2 morphisms,
+|M|^2|P|^3 composable pairs and |M|^3|P|^4 associativity triples; a
+one-object groupoid on a group P checks |P|^2 pairs and |P|^3 triples.
 """
 
 from __future__ import annotations
@@ -44,17 +51,18 @@ class FiniteGroupoid:
     compose: dict  # (u: x->y, v: y->z) -> u + v : x->z
     identities: dict
     inverses: dict
+    out_of: dict  # x -> the morphisms with source x, in the order of `morphisms`
 
     def star(self, x: str) -> list[str]:
         """Morphisms whose source is x."""
         if x not in self.objects:
             raise UnknownObject(x)
-        return [u for u in self.morphisms if self.source[u] == x]
+        return list(self.out_of[x])
 
     def vertex_morphisms(self, x: str) -> list[str]:
         if x not in self.objects:
             raise UnknownObject(x)
-        return [u for u in self.morphisms if self.source[u] == x and self.target[u] == x]
+        return [u for u in self.out_of[x] if self.target[u] == x]
 
     def compose2(self, u: str, v: str) -> str:
         value = self.compose.get((u, v))
@@ -67,7 +75,7 @@ class FiniteGroupoid:
 
 
 def make_groupoid(objects, morphisms, source, target, compose, identities) -> FiniteGroupoid:
-    """Build a groupoid, checking every law exhaustively."""
+    """Build a groupoid, checking every law exhaustively over composable tuples."""
     objects = tuple(objects)
     morphisms = tuple(morphisms)
     if len(set(objects)) != len(objects):
@@ -85,7 +93,10 @@ def make_groupoid(objects, morphisms, source, target, compose, identities) -> Fi
         e = identities.get(x)
         if e not in morphism_set or source[e] != x or target[e] != x:
             raise InvalidGroupoid("identity-missing", (x,))
-    composable = {(u, v) for u in morphisms for v in morphisms if target[u] == source[v]}
+    out_of: dict[str, list[str]] = {x: [] for x in objects}
+    for u in morphisms:
+        out_of[source[u]].append(u)
+    composable = {(u, v) for u in morphisms for v in out_of[target[u]]}
     if set(compose) != composable:
         extra = set(compose) - composable
         missing = composable - set(compose)
@@ -98,20 +109,16 @@ def make_groupoid(objects, morphisms, source, target, compose, identities) -> Fi
         if compose[(identities[source[u]], u)] != u or compose[(u, identities[target[u]])] != u:
             raise InvalidGroupoid("identity-law", (u,))
     for u in morphisms:
-        for v in morphisms:
-            if target[u] != source[v]:
-                continue
+        for v in out_of[target[u]]:
             uv = compose[(u, v)]
-            for w in morphisms:
-                if target[v] != source[w]:
-                    continue
+            for w in out_of[target[v]]:
                 if compose[(uv, w)] != compose[(u, compose[(v, w)])]:
                     raise InvalidGroupoid("associativity", (u, v, w))
     inverses = {}
     for u in morphisms:
         found = None
-        for v in morphisms:
-            if source[v] != target[u] or target[v] != source[u]:
+        for v in out_of[target[u]]:
+            if target[v] != source[u]:
                 continue
             if (compose[(u, v)] == identities[source[u]]
                     and compose[(v, u)] == identities[target[u]]):
@@ -121,7 +128,8 @@ def make_groupoid(objects, morphisms, source, target, compose, identities) -> Fi
             raise InvalidGroupoid("inverse", (u,))
         inverses[u] = found
     return FiniteGroupoid(objects, morphisms, dict(source), dict(target),
-                          dict(compose), dict(identities), inverses)
+                          dict(compose), dict(identities), inverses,
+                          {x: tuple(us) for x, us in out_of.items()})
 
 
 def vertex_group(groupoid: FiniteGroupoid, x: str) -> FiniteGroup:
@@ -223,9 +231,7 @@ def make_gxm(base: FiniteGroupoid, fibres: dict, boundary: dict, action: dict) -
                 raise InvalidAction("identity", (m, x))
     for u in base.morphisms:
         x = base.source[u]
-        for v in base.morphisms:
-            if base.target[u] != base.source[v]:
-                continue
+        for v in base.out_of[base.target[u]]:
             uv = base.compose[(u, v)]
             for m in fibres[x]:
                 if action[(action[(m, u)], v)] != action[(m, uv)]:
@@ -347,9 +353,7 @@ def check_morphism(source: GroupoidXMod, target: GroupoidXMod,
         if mor_map[src_base.identities[x]] != tgt_base.identities[obj_map[x]]:
             report.append(Violation("identity", f"identity at {x} is not preserved", (x,)))
     for u in src_base.morphisms:
-        for v in src_base.morphisms:
-            if src_base.target[u] != src_base.source[v]:
-                continue
+        for v in src_base.out_of[src_base.target[u]]:
             lhs = mor_map[src_base.compose[(u, v)]]
             rhs = tgt_base.compose[(mor_map[u], mor_map[v])]
             if lhs != rhs:

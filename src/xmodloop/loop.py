@@ -178,11 +178,12 @@ def loop_gpd_xmod(x: CrossedModule) -> GroupoidXMod:
     names = [t.name for t in triples]
     source = {t.name: t.source for t in triples}
     target = {t.name: t.target for t in triples}
+    leaving = {a: [] for a in P}
+    for t in triples:
+        leaving[t.source].append(t)
     compose = {}
     for u in triples:
-        for v in triples:
-            if u.target != v.source:
-                continue
+        for v in leaving[u.target]:
             w = triple_name(M.add(v.m, x.act(u.m, v.p)), P.add(u.p, v.p), v.a)
             compose[(u.name, v.name)] = w
     identities = {a: triple_name(M.identity, P.identity, a) for a in P}

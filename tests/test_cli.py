@@ -167,3 +167,28 @@ def test_output_is_deterministic(capsys, fixture_path):
                     "--format", "json")
     assert first == second
     json.loads(first[1])
+
+
+def test_bar_in_element_names_never_crashes(tmp_path, capsys):
+    # "a|b" makes every pair name of P(a) contain two bars
+    doc = {
+        "name": "bar",
+        "P": {"elements": ["e", "c"], "table": [["e", "c"], ["c", "e"]], "identity": "e"},
+        "M": {"elements": ["0", "a|b"], "table": [["0", "a|b"], ["a|b", "0"]],
+              "identity": "0"},
+        "delta": {"0": "e", "a|b": "e"},
+        "action": {p: {"0": "0", "a|b": "a|b"} for p in ("e", "c")},
+    }
+    path = tmp_path / "bar.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    runs = [["check"], ["pi", "--space", "base"], ["components"],
+            ["nerve", "--dim", "2", "--list"], ["nerve", "--dim", "3"]]
+    for base in ("e", "c"):
+        runs += [["pi", "--space", "loop", "--base", base], ["loop", "--base", base],
+                 ["loop", "--base", base, "--emit"], ["exact", "--base", base],
+                 ["examples", "--base", base]]
+    for argv in runs:
+        for fmt in ("text", "json"):
+            code, _, err = invoke(capsys, argv[0], str(path), *argv[1:], "--format", fmt)
+            assert code in (0, 1), (argv, fmt, err)
+            assert "Traceback" not in err

@@ -1,0 +1,170 @@
+"""The source-indexed law checks report the same first witness as a full scan.
+
+Each reference below is the plain definition: it walks every pair or
+triple of morphisms and filters for composability.  The library walks
+only the source index, so on hand-broken inputs with several objects
+both must stop at the same tuple.
+"""
+
+import pytest
+
+from xmodloop import fixtures
+from xmodloop.errors import InvalidAction, InvalidGroupoid
+from xmodloop.groupoids import check_morphism, make_groupoid, make_gxm
+from xmodloop.loop import loop_gpd_xmod
+
+
+def multi_object_loop_gxm():
+    """The loop groupoid of C2 -> C4: 4 objects, 32 morphisms, 2 components."""
+    gxm = loop_gpd_xmod(fixtures.inc24())
+    assert len(gxm.base.objects) == 4
+    assert any(gxm.base.source[u] != gxm.base.target[u] for u in gxm.base.morphisms)
+    return gxm
+
+
+def rebuild(base, compose):
+    return make_groupoid(base.objects, base.morphisms, base.source, base.target,
+                         compose, base.identities)
+
+
+def parallel_other(base, w):
+    """The first morphism other than w with the same source and target."""
+    return next(u for u in base.morphisms if u != w
+                and base.source[u] == base.source[w] and base.target[u] == base.target[w])
+
+
+def full_scan_associativity(base, compose):
+    ms = base.morphisms
+    for u in ms:
+        for v in ms:
+            if base.target[u] != base.source[v]:
+                continue
+            for w in ms:
+                if base.target[v] != base.source[w]:
+                    continue
+                if compose[(compose[(u, v)], w)] != compose[(u, compose[(v, w)])]:
+                    return (u, v, w)
+    return None
+
+
+def full_scan_identity_law(base, compose):
+    for u in base.morphisms:
+        if (compose[(base.identities[base.source[u]], u)] != u
+                or compose[(u, base.identities[base.target[u]])] != u):
+            return (u,)
+    return None
+
+
+def full_scan_action_composition(base, fibres, action):
+    for u in base.morphisms:
+        for v in base.morphisms:
+            if base.target[u] != base.source[v]:
+                continue
+            for m in fibres[base.source[u]]:
+                if action[(action[(m, u)], v)] != action[(m, base.compose[(u, v)])]:
+                    return (m, u, v)
+    return None
+
+
+def full_scan_morphism_composition(base, mor_map):
+    """Every failing pair of an endomorphism of `base`, in scan order."""
+    witnesses = []
+    for u in base.morphisms:
+        for v in base.morphisms:
+            if base.target[u] != base.source[v]:
+                continue
+            if mor_map[base.compose[(u, v)]] != base.compose[(mor_map[u], mor_map[v])]:
+                witnesses.append((u, v))
+    return witnesses
+
+
+def test_associativity_witness_matches_full_scan():
+    base = multi_object_loop_gxm().base
+    identities = set(base.identities.values())
+    u, v = next((u, v) for (u, v) in base.compose
+                if u not in identities and v not in identities
+                and base.source[u] != base.target[u])
+    compose = dict(base.compose)
+    compose[(u, v)] = parallel_other(base, compose[(u, v)])
+    expected = full_scan_associativity(base, compose)
+    assert expected is not None
+    with pytest.raises(InvalidGroupoid) as info:
+        rebuild(base, compose)
+    assert info.value.law == "associativity"
+    assert info.value.witness == expected
+
+
+def test_identity_law_witness_matches_full_scan():
+    base = multi_object_loop_gxm().base
+    identities = set(base.identities.values())
+    # break the left identity law at the last non-identity morphism, so the
+    # witness is not simply the first morphism
+    u = [u for u in base.morphisms if u not in identities][-1]
+    compose = dict(base.compose)
+    compose[(base.identities[base.source[u]], u)] = parallel_other(base, u)
+    expected = full_scan_identity_law(base, compose)
+    assert expected == (u,)
+    with pytest.raises(InvalidGroupoid) as info:
+        rebuild(base, compose)
+    assert info.value.law == "identity-law"
+    assert info.value.witness == expected
+
+
+def test_missing_inverse_witness_on_two_objects():
+    # the arrow category x -> y: every groupoid law but inverses holds
+    objects = ("x", "y")
+    morphisms = ("ex", "f", "ey")
+    source = {"ex": "x", "f": "x", "ey": "y"}
+    target = {"ex": "x", "f": "y", "ey": "y"}
+    compose = {("ex", "ex"): "ex", ("ex", "f"): "f", ("f", "ey"): "f", ("ey", "ey"): "ey"}
+    with pytest.raises(InvalidGroupoid) as info:
+        make_groupoid(objects, morphisms, source, target, compose, {"x": "ex", "y": "ey"})
+    assert info.value.law == "inverse"
+    assert info.value.witness == ("f",)
+
+
+def test_action_composition_witness_matches_full_scan():
+    gxm = multi_object_loop_gxm()
+    base = gxm.base
+    identities = set(base.identities.values())
+    u = next(u for u in base.morphisms
+             if u not in identities and base.source[u] != base.target[u])
+    m = gxm.fibres[base.source[u]].elements[0]
+    action = dict(gxm.action)
+    image = action[(m, u)]
+    action[(m, u)] = next(n for n in gxm.fibres[base.target[u]] if n != image)
+    expected = full_scan_action_composition(base, gxm.fibres, action)
+    assert expected is not None
+    with pytest.raises(InvalidAction) as info:
+        make_gxm(base, gxm.fibres, gxm.boundary, action)
+    assert info.value.law == "composition"
+    assert info.value.witness == expected
+
+
+def test_check_morphism_composition_report_matches_full_scan():
+    gxm = multi_object_loop_gxm()
+    base = gxm.base
+    identities = set(base.identities.values())
+    boundary_values = set(gxm.boundary.values())
+    u = next(u for u in base.morphisms if u not in identities
+             and u not in boundary_values and base.source[u] != base.target[u])
+    mor_map = {w: w for w in base.morphisms}
+    mor_map[u] = parallel_other(base, u)
+    dim2_map = {m: m for m in gxm.all_fibre_elements()}
+    report = check_morphism(gxm, gxm, {x: x for x in base.objects}, mor_map, dim2_map)
+    expected = full_scan_morphism_composition(base, mor_map)
+    assert len(expected) > 1
+    assert [v.kind for v in report] == ["composition"] * len(expected)
+    assert [v.witness for v in report] == expected
+
+
+def test_source_index_partitions_morphisms_in_order(any_xmod):
+    base = loop_gpd_xmod(any_xmod).base
+    assert set(base.out_of) == set(base.objects)
+    indexed = [u for x in base.objects for u in base.out_of[x]]
+    assert sorted(indexed) == sorted(base.morphisms)
+    for x in base.objects:
+        leaving = [u for u in base.morphisms if base.source[u] == x]
+        assert list(base.out_of[x]) == leaving
+        assert base.star(x) == leaving
+        assert base.vertex_morphisms(x) == [u for u in leaving if base.target[u] == x]
