@@ -49,7 +49,6 @@ from .groupoids import (
 from .nerve import (
     Simplex2,
     Simplex3,
-    faces3,
     is_simplex2,
     is_simplex3,
     k2_count_formula,
@@ -61,8 +60,6 @@ from .loop import (
     LoopHomotopy,
     LoopMorphism,
     components,
-    delta_a,
-    group_Pa,
     loop_data,
     loop_gpd_xmod,
     loop_morphism,
@@ -81,9 +78,7 @@ from .exactseq import (
     fixed_points,
 )
 from .documents import (
-    XModDocument,
     build_xmod,
-    document_of,
     load_document,
     parse_xmod,
     serialize_document,

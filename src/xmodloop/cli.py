@@ -13,12 +13,7 @@ import sys
 from pathlib import Path
 
 from . import exactseq, loop, nerve
-from .documents import (
-    candidate_of_document,
-    load_document,
-    parse_xmod,
-    serialize_xmod,
-)
+from .documents import load_document, parse_xmod, serialize_xmod
 from .errors import PreconditionFailed, XModError
 from .groups import DEFAULT_MAX_ISO_ORDER, FiniteGroup, conjugacy_classes, image, kernel
 from .xmod import CrossedModule, check_axioms, homotopy
@@ -66,8 +61,7 @@ def _require_base(x: CrossedModule, base: str | None) -> str:
 
 def _cmd_check(args) -> int:
     text = Path(args.file).read_text(encoding="utf-8")
-    doc = load_document(text)
-    report = check_axioms(candidate_of_document(doc))
+    report = check_axioms(load_document(text))
     payload = {
         "command": "check",
         "valid": not report,
@@ -278,9 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nerve", parents=[common], help="nerve counts or listings")
     p.add_argument("file")
     p.add_argument("--dim", type=int, choices=(2, 3), required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--count", action="store_true", default=True)
-    group.add_argument("--list", action="store_true")
+    p.add_argument("--list", action="store_true")
     p.set_defaults(handler=_cmd_nerve)
 
     p = sub.add_parser("loop", parents=[common], help="the loop crossed module at a base element")

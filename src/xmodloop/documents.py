@@ -5,12 +5,16 @@ boundary map keyed by M-element, and the action keyed by P-element then
 M-element.  Serialization is canonical: fixed key order, two-space
 indent, trailing newline; parse and serialize are mutually inverse on
 canonical documents, byte for byte.
+
+A loaded document is an ``XModCandidate``: structurally sound (every
+identifier known, every entry present) but not yet checked against any
+law.  ``build_xmod`` validates it strictly; ``check_axioms`` reports on
+it in full.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import (
     AxiomViolation,
@@ -21,28 +25,12 @@ from .errors import (
 from .xmod import CrossedModule, XModCandidate, xmod_from_candidate
 
 
-@dataclass(frozen=True)
-class GroupBlock:
-    elements: tuple
-    table: tuple
-    identity: str
-
-
-@dataclass(frozen=True, eq=False)
-class XModDocument:
-    name: str | None
-    p_block: GroupBlock
-    m_block: GroupBlock
-    delta: dict
-    action: dict  # p -> {m -> m^p}
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise DocumentSyntaxError(message)
 
 
-def _read_group_block(data, label: str) -> GroupBlock:
+def _read_group_block(data, label: str) -> tuple[list, list, str]:
     _require(isinstance(data, dict), f"{label} must be an object")
     _require(set(data) == {"elements", "table", "identity"},
              f"{label} must have exactly the keys elements, table, identity")
@@ -64,10 +52,10 @@ def _read_group_block(data, label: str) -> GroupBlock:
     _require(isinstance(identity, str), f"{label}.identity must be a string")
     if identity not in known:
         raise UnknownIdentifier(identity, f"{label}.identity")
-    return GroupBlock(tuple(elements), tuple(tuple(row) for row in table), identity)
+    return elements, table, identity
 
 
-def load_document(text: str) -> XModDocument:
+def load_document(text: str) -> XModCandidate:
     """Parse and structurally validate one document."""
     try:
         data = json.loads(text)
@@ -80,19 +68,19 @@ def load_document(text: str) -> XModDocument:
     name = data.get("name")
     if name is not None:
         _require(isinstance(name, str), "name must be a string")
-    p_block = _read_group_block(data["P"], "P")
-    m_block = _read_group_block(data["M"], "M")
+    p_elements, p_table, p_identity = _read_group_block(data["P"], "P")
+    m_elements, m_table, m_identity = _read_group_block(data["M"], "M")
 
     delta = data["delta"]
     _require(isinstance(delta, dict), "delta must be an object")
-    m_set, p_set = set(m_block.elements), set(p_block.elements)
+    m_set, p_set = set(m_elements), set(p_elements)
     for key, value in delta.items():
         if key not in m_set:
             raise UnknownIdentifier(key, "delta")
         _require(isinstance(value, str), f"delta[{key!r}] must be a string")
         if value not in p_set:
             raise UnknownIdentifier(value, f"delta[{key!r}]")
-    for m in m_block.elements:
+    for m in m_elements:
         _require(m in delta, f"delta is missing an entry for {m!r}")
 
     action = data["action"]
@@ -107,35 +95,28 @@ def load_document(text: str) -> XModDocument:
             _require(isinstance(value, str), f"action[{p!r}][{m!r}] must be a string")
             if value not in m_set:
                 raise UnknownIdentifier(value, f"action[{p!r}][{m!r}]")
-    for p in p_block.elements:
+    for p in p_elements:
         _require(p in action, f"action is missing entries for {p!r}")
-        for m in m_block.elements:
+        for m in m_elements:
             _require(m in action[p], f"action[{p!r}] is missing an entry for {m!r}")
 
-    return XModDocument(name, p_block, m_block,
-                        {m: delta[m] for m in m_block.elements},
-                        {p: {m: action[p][m] for m in m_block.elements}
-                         for p in p_block.elements})
-
-
-def candidate_of_document(doc: XModDocument) -> XModCandidate:
     return XModCandidate(
-        m_elements=list(doc.m_block.elements),
-        m_table=[list(row) for row in doc.m_block.table],
-        m_identity=doc.m_block.identity,
-        p_elements=list(doc.p_block.elements),
-        p_table=[list(row) for row in doc.p_block.table],
-        p_identity=doc.p_block.identity,
-        delta=dict(doc.delta),
-        action={p: dict(row) for p, row in doc.action.items()},
-        name=doc.name,
+        m_elements=m_elements,
+        m_table=m_table,
+        m_identity=m_identity,
+        p_elements=p_elements,
+        p_table=p_table,
+        p_identity=p_identity,
+        delta={m: delta[m] for m in m_elements},
+        action={p: {m: action[p][m] for m in m_elements} for p in p_elements},
+        name=name,
     )
 
 
-def build_xmod(doc: XModDocument) -> CrossedModule:
+def build_xmod(candidate: XModCandidate) -> CrossedModule:
     """Validate the document's content as a crossed module."""
     try:
-        return xmod_from_candidate(candidate_of_document(doc))
+        return xmod_from_candidate(candidate)
     except XModError as exc:
         raise AxiomViolation(f"document is not a valid crossed module: {exc}",
                              exc.witness) from exc
@@ -145,41 +126,23 @@ def parse_xmod(text: str) -> CrossedModule:
     return build_xmod(load_document(text))
 
 
-def document_of(x: CrossedModule, name: str | None = None) -> XModDocument:
-    candidate = x.to_candidate()
-    return XModDocument(
-        name if name is not None else x.name,
-        GroupBlock(tuple(candidate.p_elements),
-                   tuple(tuple(row) for row in candidate.p_table),
-                   candidate.p_identity),
-        GroupBlock(tuple(candidate.m_elements),
-                   tuple(tuple(row) for row in candidate.m_table),
-                   candidate.m_identity),
-        dict(candidate.delta),
-        {p: dict(row) for p, row in candidate.action.items()},
-    )
-
-
-def serialize_document(doc: XModDocument) -> str:
+def serialize_document(candidate: XModCandidate) -> str:
     """Canonical text: fixed key order, canonical element order throughout."""
     payload: dict = {}
-    if doc.name is not None:
-        payload["name"] = doc.name
-    payload["P"] = {
-        "elements": list(doc.p_block.elements),
-        "table": [list(row) for row in doc.p_block.table],
-        "identity": doc.p_block.identity,
-    }
-    payload["M"] = {
-        "elements": list(doc.m_block.elements),
-        "table": [list(row) for row in doc.m_block.table],
-        "identity": doc.m_block.identity,
-    }
-    payload["delta"] = {m: doc.delta[m] for m in doc.m_block.elements}
-    payload["action"] = {p: {m: doc.action[p][m] for m in doc.m_block.elements}
-                         for p in doc.p_block.elements}
+    if candidate.name is not None:
+        payload["name"] = candidate.name
+    payload["P"] = {"elements": candidate.p_elements, "table": candidate.p_table,
+                    "identity": candidate.p_identity}
+    payload["M"] = {"elements": candidate.m_elements, "table": candidate.m_table,
+                    "identity": candidate.m_identity}
+    payload["delta"] = {m: candidate.delta[m] for m in candidate.m_elements}
+    payload["action"] = {p: {m: candidate.action[p][m] for m in candidate.m_elements}
+                         for p in candidate.p_elements}
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
 def serialize_xmod(x: CrossedModule, name: str | None = None) -> str:
-    return serialize_document(document_of(x, name=name))
+    candidate = x.to_candidate()
+    if name is not None:
+        candidate.name = name
+    return serialize_document(candidate)

@@ -52,6 +52,13 @@ class NoInverse(XModError):
         super().__init__(f"element {x} has no two-sided inverse", (x,))
 
 
+class MalformedGroup(XModError):
+    """Group data that cannot even be read as a table: empty, repeated or ragged."""
+
+    def __init__(self, message: str, witness: tuple = ()):
+        super().__init__(message, witness)
+
+
 class UnknownElement(XModError):
     def __init__(self, name):
         super().__init__(f"unknown element {name!r}", (name,))

@@ -97,10 +97,11 @@ def make_groupoid(objects, morphisms, source, target, compose, identities) -> Fi
     for u in morphisms:
         out_of[source[u]].append(u)
     composable = {(u, v) for u in morphisms for v in out_of[target[u]]}
-    if set(compose) != composable:
-        extra = set(compose) - composable
-        missing = composable - set(compose)
-        witness = next(iter(extra or missing))
+    if compose.keys() != composable:
+        # first extra key in compose order, else first missing pair: never set order,
+        # which would make the witness depend on the hash seed
+        witness = next((key for key in compose if key not in composable), None) or next(
+            (u, v) for u in morphisms for v in out_of[target[u]] if (u, v) not in compose)
         raise InvalidGroupoid("composition-domain", witness)
     for (u, v), w in compose.items():
         if w not in morphism_set or source[w] != source[u] or target[w] != target[v]:
@@ -218,10 +219,12 @@ def make_gxm(base: FiniteGroupoid, fibres: dict, boundary: dict, action: dict) -
                 if boundary[group.add(m, n)] != base.compose[(boundary[m], boundary[n])]:
                     raise InvalidGroupoidXMod("boundary-hom", (m, n))
     expected_keys = {(m, u) for u in base.morphisms for m in fibres[base.source[u]]}
-    if set(action) != expected_keys:
-        extra = set(action) - expected_keys
-        missing = expected_keys - set(action)
-        raise InvalidGroupoidXMod("action-domain", next(iter(extra or missing)))
+    if action.keys() != expected_keys:
+        # first extra key in action order, else first missing pair (see make_groupoid)
+        witness = next((key for key in action if key not in expected_keys), None) or next(
+            (m, u) for u in base.morphisms for m in fibres[base.source[u]]
+            if (m, u) not in action)
+        raise InvalidGroupoidXMod("action-domain", witness)
     for (m, u), value in action.items():
         if value not in fibres[base.target[u]]:
             raise InvalidGroupoidXMod("action-codomain", (m, u, value))

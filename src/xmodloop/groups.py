@@ -13,8 +13,10 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
+    CodomainViolation,
     InvalidAction,
     InvalidHomomorphism,
+    MalformedGroup,
     NoIdentity,
     NoInverse,
     NotAssociative,
@@ -67,17 +69,24 @@ class FiniteGroup:
     def __init__(self, elements, table, identity, name=None):
         elements = [str(e) for e in elements]
         if not elements:
-            raise ValueError("a group needs at least one element")
-        if len(set(elements)) != len(elements):
-            raise ValueError("element identifiers must be distinct")
+            raise MalformedGroup("a group needs at least one element")
         self.elements: list[str] = elements
         self.name = name
         self._index: dict[str, int] = {e: i for i, e in enumerate(elements)}
         n = len(elements)
+        if len(self._index) != n:
+            repeated = next(e for i, e in enumerate(elements) if self._index[e] != i)
+            raise MalformedGroup(f"element identifier {repeated!r} occurs more than once",
+                                 (repeated,))
         if identity not in self._index:
             raise UnknownElement(identity)
-        if len(table) != n or any(len(row) != n for row in table):
-            raise ValueError("composition table must be |G| x |G|")
+        if len(table) != n:
+            raise MalformedGroup(f"composition table has {len(table)} rows, not {n}",
+                                 (len(table),))
+        for x, row in zip(elements, table):
+            if len(row) != n:
+                raise MalformedGroup(f"table row of {x} has {len(row)} entries, not {n}",
+                                     (x, len(row)))
         idx_table: list[list[int]] = []
         for i, row in enumerate(table):
             idx_row = []
@@ -313,16 +322,33 @@ class Homomorphism:
         return self.is_injective() and self.is_surjective()
 
 
+def _homomorphism_failures(source: FiniteGroup, target: FiniteGroup, mapping: dict):
+    """Yield each broken law of a candidate map; return whether it is total into target.
+
+    Totality and codomain come first, in source order; additivity is
+    checked over every pair only when the map is total.
+    """
+    total = True
+    for x in source:
+        value = mapping.get(x)
+        if value is None:
+            total = False
+            yield UnknownElement(x)
+        elif value not in target:
+            total = False
+            yield CodomainViolation(x, value)
+    if total:
+        for x in source:
+            for y in source:
+                if mapping[source.add(x, y)] != target.add(mapping[x], mapping[y]):
+                    yield InvalidHomomorphism(x, y)
+    return total
+
+
 def homomorphism(source: FiniteGroup, target: FiniteGroup, mapping: dict) -> Homomorphism:
     """Validate totality, codomain and additivity of a candidate map."""
-    for x in source:
-        if x not in mapping:
-            raise UnknownElement(x)
-        target.index(mapping[x])
-    for x in source:
-        for y in source:
-            if mapping[source.add(x, y)] != target.add(mapping[x], mapping[y]):
-                raise InvalidHomomorphism(x, y)
+    for failure in _homomorphism_failures(source, target, mapping):
+        raise failure
     return Homomorphism(source, target, dict(mapping))
 
 
@@ -341,28 +367,49 @@ class GroupAction:
         return value
 
 
-def group_action(actor: FiniteGroup, space: FiniteGroup, table: dict) -> GroupAction:
-    """Validate an action table: m^0 = m, (m^p)^q = m^(p+q), (m+n)^p = m^p + n^p."""
-    for m in space:
-        for p in actor:
-            value = table.get((m, p))
+def _action_failures(actor: FiniteGroup, space: FiniteGroup, table: dict):
+    """Yield each broken law of an action table; return whether it is total into space.
+
+    Totality and codomain come first, actor-major; the laws m^0 = m,
+    (m^p)^q = m^(p+q) and (m+n)^p = m^p + n^p are checked over every
+    tuple only when the table is total.
+    """
+    total = True
+    rows: dict = {}  # p -> {m -> m^p}, so the laws below look up by element
+    for p in actor:
+        row = rows[p] = {}
+        for m in space:
+            value = row[m] = table.get((m, p))
             if value is None:
-                raise InvalidAction("totality", (m, p))
-            if value not in space:
-                raise InvalidAction("codomain", (m, p, value))
-    for m in space:
-        if table[(m, actor.identity)] != m:
-            raise InvalidAction("identity", (m,))
-    for m in space:
-        for p in actor:
-            for q in actor:
-                if table[(table[(m, p)], q)] != table[(m, actor.add(p, q))]:
-                    raise InvalidAction("composition", (m, p, q))
-    for m in space:
-        for n in space:
+                total = False
+                yield InvalidAction("totality", (m, p))
+            elif value not in space:
+                total = False
+                yield InvalidAction("codomain", (m, p, value))
+    if total:
+        for m in space:
+            if rows[actor.identity][m] != m:
+                yield InvalidAction("identity", (m,))
+        for m in space:
             for p in actor:
-                if table[(space.add(m, n), p)] != space.add(table[(m, p)], table[(n, p)]):
-                    raise InvalidAction("additivity", (m, n, p))
+                mp = rows[p][m]
+                for q in actor:
+                    if rows[q][mp] != rows[actor.add(p, q)][m]:
+                        yield InvalidAction("composition", (m, p, q))
+        for m in space:
+            for n in space:
+                mn = space.add(m, n)
+                for p in actor:
+                    row = rows[p]
+                    if row[mn] != space.add(row[m], row[n]):
+                        yield InvalidAction("additivity", (m, n, p))
+    return total
+
+
+def group_action(actor: FiniteGroup, space: FiniteGroup, table: dict) -> GroupAction:
+    """Validate an action table: totality, codomain and the three action laws."""
+    for failure in _action_failures(actor, space, table):
+        raise failure
     return GroupAction(actor, space, dict(table))
 
 

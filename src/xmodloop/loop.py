@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .errors import CodomainViolation, InternalInvariantBroken, XModError
+from .errors import InternalInvariantBroken, XModError
 from .groups import (
     FiniteGroup,
     GroupAction,
@@ -95,12 +95,7 @@ def loop_data(x: CrossedModule, a: str) -> LoopData:
         table.append(row)
     identity = pair_name(M.identity, P.identity)
     Pa = make_group(names, table, identity, name=f"P({a})")
-    mapping = {}
-    for m in M:
-        value = pair_name(M.add(M.neg(x.act(m, a)), m), x.delta(m))
-        if value not in Pa:
-            raise CodomainViolation(m, value)
-        mapping[m] = value
+    mapping = {m: pair_name(M.add(M.neg(x.act(m, a)), m), x.delta(m)) for m in M}
     delta_a = homomorphism(M, Pa, mapping)
     act_table = {(n, pair_name(m, p)): x.act(n, p) for n in M for m, p in pairs}
     action = group_action(Pa, M, act_table)
@@ -141,16 +136,6 @@ def components(x: CrossedModule) -> list[list[str]]:
             f"{len(classes)} components but {expected} conjugacy classes in pi1",
             (len(classes), expected))
     return classes
-
-
-def group_Pa(x: CrossedModule, a: str) -> FiniteGroup:
-    """The vertex group P(a) as an explicit table group on pair elements."""
-    return loop_data(x, a).Pa
-
-
-def delta_a(x: CrossedModule, a: str) -> Homomorphism:
-    """The boundary m |-> (-m^a + m, delta m) into P(a)."""
-    return loop_data(x, a).delta_a
 
 
 def loop_xmod_at(x: CrossedModule, a: str) -> CrossedModule:

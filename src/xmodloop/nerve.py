@@ -133,7 +133,3 @@ def nerve_k3(x: CrossedModule) -> list[Simplex3]:
                                   index_p(s.e), index_p(s.f), index_m(s.m0), index_m(s.m1),
                                   index_m(s.m2), index_m(s.m3)))
     return simplices
-
-
-def faces3(s: Simplex3, i: int) -> Simplex2:
-    return s.face(i)

@@ -7,6 +7,13 @@ P-action on M satisfying
     CM2:  -n + m + n = m^delta(n)
 
 Both rules are checked over all pairs; nothing is sampled.
+
+Each law is stated once, as a generator of the errors that name its
+failures (``_homomorphism_failures`` and ``_action_failures`` in
+``groups``, ``_crossed_module_failures`` here).  The strict constructors
+raise the first failure; ``check_axioms`` lists them all, in the same
+order, as ``Violation`` records.  Unvalidated data has one shape,
+``XModCandidate``, which is also what a JSON document loads into.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ from .groups import (
     GroupAction,
     Homomorphism,
     Subgroup,
+    _action_failures,
+    _homomorphism_failures,
     group_action,
     homomorphism,
     image,
@@ -53,6 +62,21 @@ class CrossedModule:
         return XModCandidate.from_xmod(self)
 
 
+def _crossed_module_failures(M: FiniteGroup, P: FiniteGroup, delta: dict, act: dict):
+    """Yield every CM1 failure, then every CM2 failure, over total plain tables.
+
+    ``delta`` maps m -> delta(m) and ``act`` maps (m, p) -> m^p.
+    """
+    for m in M:
+        for p in P:
+            if delta[act[(m, p)]] != P.conj(delta[m], p):
+                yield CM1Violation(m, p)
+    for m in M:
+        for n in M:
+            if M.conj(m, n) != act[(m, delta[n])]:
+                yield CM2Violation(m, n)
+
+
 def make_xmod(M: FiniteGroup, P: FiniteGroup, delta: Homomorphism,
               action: GroupAction, name=None) -> CrossedModule:
     """Assemble a crossed module, checking CM1 and CM2 exhaustively."""
@@ -60,14 +84,8 @@ def make_xmod(M: FiniteGroup, P: FiniteGroup, delta: Homomorphism,
         raise ValueError("delta must map M into P")
     if action.actor is not P or action.space is not M:
         raise ValueError("action must let P act on M")
-    for m in M:
-        for p in P:
-            if delta(action.act(m, p)) != P.conj(delta(m), p):
-                raise CM1Violation(m, p)
-    for m in M:
-        for n in M:
-            if M.conj(m, n) != action.act(m, delta(n)):
-                raise CM2Violation(m, n)
+    for failure in _crossed_module_failures(M, P, delta.mapping, action.table):
+        raise failure
     return CrossedModule(M, P, delta, action, name=name)
 
 
@@ -75,8 +93,9 @@ def make_xmod(M: FiniteGroup, P: FiniteGroup, delta: Homomorphism,
 class XModCandidate:
     """Unvalidated crossed-module data, in the same shape as the file format.
 
-    Used by the report-valued checker and by mutation tests; nothing here
-    is trusted, including the group tables.
+    ``load_document`` returns one and ``serialize_document`` writes one;
+    the report-valued checker and the mutation tests read it too.
+    Nothing here is trusted, including the group tables.
     """
 
     m_elements: list
@@ -119,21 +138,36 @@ class XModCandidate:
             name=self.name,
         )
 
+    def action_table(self) -> dict:
+        """The action as (m, p) -> m^p, the shape the action laws are checked on."""
+        return {(m, p): value for p, row in self.action.items() for m, value in row.items()}
+
 
 def _try_group(elements, table, identity, label: str, report: list[Violation]):
     try:
         return make_group(elements, table, identity)
-    except (XModError, ValueError) as exc:
-        witness = getattr(exc, "witness", ())
-        report.append(Violation(f"group:{label}", str(exc), witness))
+    except XModError as exc:
+        report.append(Violation(f"group:{label}", str(exc), exc.witness))
         return None
+
+
+def _collect(kind: str, failures, report: list[Violation]):
+    """Record every failure the generator yields; return what it returns."""
+    while True:
+        try:
+            exc = next(failures)
+        except StopIteration as done:
+            return done.value
+        report.append(Violation(kind, str(exc), exc.witness))
 
 
 def check_axioms(candidate: XModCandidate | CrossedModule) -> list[Violation]:
     """Full list of broken laws in the candidate; empty iff it is valid.
 
     Accepts unvalidated data: group tables, the boundary map and the
-    action table are all re-checked from scratch.
+    action table are all re-checked from scratch, by the same law
+    generators the strict constructors raise from.  CM1 and CM2 are
+    checked only when the boundary and the action are total.
     """
     if isinstance(candidate, CrossedModule):
         candidate = candidate.to_candidate()
@@ -142,69 +176,13 @@ def check_axioms(candidate: XModCandidate | CrossedModule) -> list[Violation]:
     P = _try_group(candidate.p_elements, candidate.p_table, candidate.p_identity, "P", report)
     if M is None or P is None:
         return report
-
-    delta = candidate.delta
-    delta_ok = True
-    for m in M:
-        value = delta.get(m)
-        if value is None:
-            report.append(Violation("delta", f"no image for {m}", (m,)))
-            delta_ok = False
-        elif value not in P:
-            report.append(Violation("delta", f"image {value!r} of {m} is not in P", (m, value)))
-            delta_ok = False
-    if delta_ok:
-        for m in M:
-            for n in M:
-                if delta[M.add(m, n)] != P.add(delta[m], delta[n]):
-                    report.append(Violation(
-                        "delta", f"delta({m} + {n}) != delta({m}) + delta({n})", (m, n)))
-
-    act = candidate.action
-    action_ok = True
-    for p in P:
-        row = act.get(p)
-        if row is None:
-            report.append(Violation("action", f"no entries for actor {p}", (p,)))
-            action_ok = False
-            continue
-        for m in M:
-            value = row.get(m)
-            if value is None:
-                report.append(Violation("action", f"no entry for ({m})^{p}", (m, p)))
-                action_ok = False
-            elif value not in M:
-                report.append(Violation(
-                    "action", f"({m})^{p} = {value!r} is not in M", (m, p, value)))
-                action_ok = False
-    if action_ok:
-        for m in M:
-            if act[P.identity][m] != m:
-                report.append(Violation("action", f"({m})^0 != {m}", (m,)))
-        for m in M:
-            for p in P:
-                for q in P:
-                    if act[q][act[p][m]] != act[P.add(p, q)][m]:
-                        report.append(Violation(
-                            "action", f"(({m})^{p})^{q} != ({m})^({p}+{q})", (m, p, q)))
-        for m in M:
-            for n in M:
-                for p in P:
-                    if act[p][M.add(m, n)] != M.add(act[p][m], act[p][n]):
-                        report.append(Violation(
-                            "action", f"({m}+{n})^{p} != ({m})^{p} + ({n})^{p}", (m, n, p)))
-
-    if delta_ok and action_ok:
-        for m in M:
-            for p in P:
-                if delta[act[p][m]] != P.conj(delta[m], p):
-                    report.append(Violation(
-                        "cm1", f"delta(({m})^{p}) != -{p} + delta({m}) + {p}", (m, p)))
-        for m in M:
-            for n in M:
-                if M.conj(m, n) != act[delta[n]][m]:
-                    report.append(Violation(
-                        "cm2", f"-{n} + {m} + {n} != ({m})^delta({n})", (m, n)))
+    act = candidate.action_table()
+    delta_total = _collect("delta", _homomorphism_failures(M, P, candidate.delta), report)
+    action_total = _collect("action", _action_failures(P, M, act), report)
+    if delta_total and action_total:
+        for exc in _crossed_module_failures(M, P, candidate.delta, act):
+            kind = "cm1" if isinstance(exc, CM1Violation) else "cm2"
+            report.append(Violation(kind, str(exc), exc.witness))
     return report
 
 
@@ -213,8 +191,7 @@ def xmod_from_candidate(candidate: XModCandidate) -> CrossedModule:
     M = make_group(candidate.m_elements, candidate.m_table, candidate.m_identity)
     P = make_group(candidate.p_elements, candidate.p_table, candidate.p_identity)
     delta = homomorphism(M, P, candidate.delta)
-    table = {(m, p): candidate.action[p][m] for p in P for m in M}
-    action = group_action(P, M, table)
+    action = group_action(P, M, candidate.action_table())
     return make_xmod(M, P, delta, action, name=candidate.name)
 
 

@@ -169,9 +169,15 @@ def test_output_is_deterministic(capsys, fixture_path):
     json.loads(first[1])
 
 
+def _cyclic_block(elements):
+    n = len(elements)
+    table = [[elements[(i + j) % n] for j in range(n)] for i in range(n)]
+    return {"elements": elements, "table": table, "identity": elements[0]}
+
+
 def test_bar_in_element_names_never_crashes(tmp_path, capsys):
     # "a|b" makes every pair name of P(a) contain two bars
-    doc = {
+    bar = {
         "name": "bar",
         "P": {"elements": ["e", "c"], "table": [["e", "c"], ["c", "e"]], "identity": "e"},
         "M": {"elements": ["0", "a|b"], "table": [["0", "a|b"], ["a|b", "0"]],
@@ -179,16 +185,26 @@ def test_bar_in_element_names_never_crashes(tmp_path, capsys):
         "delta": {"0": "e", "a|b": "e"},
         "action": {p: {"0": "0", "a|b": "a|b"} for p in ("e", "c")},
     }
-    path = tmp_path / "bar.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    runs = [["check"], ["pi", "--space", "base"], ["components"],
-            ["nerve", "--dim", "2", "--list"], ["nerve", "--dim", "3"]]
-    for base in ("e", "c"):
-        runs += [["pi", "--space", "loop", "--base", base], ["loop", "--base", base],
-                 ["loop", "--base", base, "--emit"], ["exact", "--base", base],
-                 ["examples", "--base", base]]
-    for argv in runs:
-        for fmt in ("text", "json"):
-            code, _, err = invoke(capsys, argv[0], str(path), *argv[1:], "--format", fmt)
-            assert code in (0, 1), (argv, fmt, err)
-            assert "Traceback" not in err
+    # the pairs ("a|b", "c") and ("a", "b|c") of P(a) share the name "(a|b|c)"
+    m_elements, p_elements = ["0", "a", "a|b"], ["0", "c", "b|c"]
+    collision = {
+        "name": "collision",
+        "P": _cyclic_block(p_elements),
+        "M": _cyclic_block(m_elements),
+        "delta": {m: "0" for m in m_elements},
+        "action": {p: {m: m for m in m_elements} for p in p_elements},
+    }
+    for doc in (bar, collision):
+        path = tmp_path / f"{doc['name']}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        runs = [["check"], ["pi", "--space", "base"], ["components"],
+                ["nerve", "--dim", "2", "--list"], ["nerve", "--dim", "3"]]
+        for base in doc["P"]["elements"]:
+            runs += [["pi", "--space", "loop", "--base", base], ["loop", "--base", base],
+                     ["loop", "--base", base, "--emit"], ["exact", "--base", base],
+                     ["examples", "--base", base]]
+        for argv in runs:
+            for fmt in ("text", "json"):
+                code, _, err = invoke(capsys, argv[0], str(path), *argv[1:], "--format", fmt)
+                assert code in (0, 1), (doc["name"], argv, fmt, err)
+                assert "Traceback" not in err

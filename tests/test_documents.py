@@ -5,8 +5,6 @@ import pytest
 from xmodloop import fixtures
 from xmodloop.documents import (
     build_xmod,
-    candidate_of_document,
-    document_of,
     load_document,
     parse_xmod,
     serialize_document,
@@ -97,7 +95,7 @@ def test_broken_action_law_carries_witness():
 def test_broken_action_law_located_by_checker():
     doc = json.loads(serialize_xmod(fixtures.mod32()))
     doc["action"]["1"]["1"] = "1"
-    report = check_axioms(candidate_of_document(load_document(json.dumps(doc))))
+    report = check_axioms(load_document(json.dumps(doc)))
     assert any(v.kind in ("action", "cm1", "cm2") for v in report)
 
 
@@ -109,6 +107,6 @@ def test_unexpected_top_level_key_rejected():
 
 
 def test_document_of_preserves_name():
-    doc = document_of(fixtures.mod32())
+    doc = fixtures.mod32().to_candidate()
     assert doc.name == "mod32"
-    assert doc.p_block.identity == "0"
+    assert doc.p_identity == "0"

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import xmodloop
 from xmodloop import fixtures
 from xmodloop.errors import InvalidGroupoid, UnknownObject
 from xmodloop.groups import are_isomorphic, make_group
@@ -86,6 +92,43 @@ def test_groupoid_rejects_broken_composition_domain():
     compose[("ex", "ey")] = "ex"  # not composable
     with pytest.raises(InvalidGroupoid):
         make_groupoid(g.objects, g.morphisms, g.source, g.target, compose, g.identities)
+
+
+DOMAIN_WITNESSES = """
+from xmodloop.errors import XModError
+from xmodloop.groups import make_group
+from xmodloop.groupoids import make_groupoid, make_gxm
+
+c3 = make_group("abc", ["abc", "bca", "cab"], "a")
+c2 = make_group("01", ["01", "10"], "0")
+ends = {u: "*" for u in c3}
+compose = {(u, v): c3.add(u, v) for u in c3 for v in c3}
+for pair in (("a", "b"), ("c", "a"), ("b", "c")):
+    del compose[pair]
+try:
+    make_groupoid(("*",), "abc", ends, ends, compose, {"*": "a"})
+except XModError as exc:
+    print(exc.witness)
+compose = {(u, v): c3.add(u, v) for u in c3 for v in c3}
+base = make_groupoid(("*",), "abc", ends, ends, compose, {"*": "a"})
+action = {(m, u): m for u in c3 for m in c2}
+for pair in (("1", "c"), ("0", "b"), ("1", "b")):
+    del action[pair]
+try:
+    make_gxm(base, {"*": c2}, {m: "a" for m in c2}, action)
+except XModError as exc:
+    print(exc.witness)
+"""
+
+
+def test_domain_witnesses_do_not_depend_on_the_hash_seed():
+    # the first missing pair in morphism order, whatever order the sets iterate in
+    src = str(Path(xmodloop.__file__).resolve().parents[1])
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", DOMAIN_WITNESSES], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines() == ["('a', 'b')", "('0', 'b')"], seed
 
 
 def test_groupoid_rejects_missing_inverse():

@@ -15,8 +15,6 @@ from xmodloop.groups import (
 from xmodloop.groupoids import vertex_group
 from xmodloop.loop import (
     components,
-    delta_a,
-    group_Pa,
     loop_data,
     loop_gpd_xmod,
     loop_morphism,
@@ -54,14 +52,14 @@ def test_pa_set_matches_brute_filter():
 
 
 def test_pa_of_inc24_is_cyclic_four():
-    pa = group_Pa(fixtures.inc24(), "1")
+    pa = loop_data(fixtures.inc24(), "1").Pa
     assert len(pa) == 4
     assert {split_composite(e)[0] for e in pa.elements} == {"0"}
     assert are_isomorphic(pa, fixtures.cyclic(4)) is not None
 
 
 def test_pa_of_mod32_at_generator_is_s3():
-    pa = group_Pa(fixtures.mod32(), "1")
+    pa = loop_data(fixtures.mod32(), "1").Pa
     assert len(pa) == 6
     assert are_isomorphic(pa, fixtures.sym3()) is not None
 
@@ -79,11 +77,11 @@ def test_pa_identity_and_inverse_formula():
 
 def test_delta_a_values():
     mod32, inc24 = fixtures.mod32(), fixtures.inc24()
-    assert delta_a(mod32, "1")("1") == "(2|0)"
-    assert delta_a(inc24, "1")("1") == "(0|2)"
+    assert loop_data(mod32, "1").delta_a("1") == "(2|0)"
+    assert loop_data(inc24, "1").delta_a("1") == "(0|2)"
     for name, a in all_base_pairs():
         x = fixtures.all_fixtures()[name]
-        assert delta_a(x, a)(x.M.identity) == group_Pa(x, a).identity
+        assert loop_data(x, a).delta_a(x.M.identity) == loop_data(x, a).Pa.identity
 
 
 def test_loop_xmod_axioms_hold_at_every_base_point():
@@ -172,7 +170,7 @@ def test_theta_matches_vertex_group_with_pa():
         x = fixtures.all_fixtures()[name]
         gxm = loop_gpd_xmod(x)
         vertex = vertex_group(gxm.base, a)
-        pa = group_Pa(x, a)
+        pa = loop_data(x, a).Pa
         mor_map = theta(x, a).mor_map
         assert {mor_map[u] for u in vertex.elements} == set(pa.elements)
         for u in vertex:
@@ -182,7 +180,7 @@ def test_theta_matches_vertex_group_with_pa():
 
 def test_unknown_base_point_is_rejected():
     with pytest.raises(UnknownElement):
-        group_Pa(fixtures.mod32(), "7")
+        loop_data(fixtures.mod32(), "7")
 
 
 def test_delta_a_image_is_normal_in_pa():

@@ -5,7 +5,6 @@ from xmodloop import fixtures
 from xmodloop.errors import IndexOutOfRange
 from xmodloop.nerve import (
     Simplex2,
-    faces3,
     is_simplex2,
     is_simplex3,
     k2_count_formula,
@@ -75,7 +74,7 @@ def test_faces3_boundary_recomputation_on_inc24():
     x = fixtures.inc24()
     for s in nerve_k3(x)[:40]:
         for i, m in enumerate((s.m0, s.m1, s.m2, s.m3)):
-            face = faces3(s, i)
+            face = s.face(i)
             assert face.m == m
             assert x.delta(face.m) == x.P.add(x.P.add(x.P.neg(face.c), face.a), face.b)
 
@@ -83,9 +82,9 @@ def test_faces3_boundary_recomputation_on_inc24():
 def test_faces3_index_range():
     s = nerve_k3(fixtures.triv())[0]
     with pytest.raises(IndexOutOfRange):
-        faces3(s, 4)
+        s.face(4)
     with pytest.raises(IndexOutOfRange):
-        faces3(s, -1)
+        s.face(-1)
 
 
 def test_trivial_crossed_module_has_single_simplices():
