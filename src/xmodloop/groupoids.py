@@ -30,6 +30,7 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     Homomorphism,
+    _partition,
     group_action,
     homomorphism,
     image,
@@ -63,12 +64,6 @@ class FiniteGroupoid:
         if x not in self.objects:
             raise UnknownObject(x)
         return [u for u in self.out_of[x] if self.target[u] == x]
-
-    def compose2(self, u: str, v: str) -> str:
-        value = self.compose.get((u, v))
-        if value is None:
-            raise InvalidGroupoid("composition-undefined", (u, v))
-        return value
 
     def inverse(self, u: str) -> str:
         return self.inverses[u]
@@ -140,30 +135,6 @@ def vertex_group(groupoid: FiniteGroupoid, x: str) -> FiniteGroup:
     return make_group(vertex, table, groupoid.identities[x], name=f"vertex@{x}")
 
 
-def _base_components(groupoid: FiniteGroupoid) -> list[list[str]]:
-    neighbours: dict[str, set[str]] = {x: set() for x in groupoid.objects}
-    for u in groupoid.morphisms:
-        a, b = groupoid.source[u], groupoid.target[u]
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-    order = {x: i for i, x in enumerate(groupoid.objects)}
-    seen: set[str] = set()
-    components: list[list[str]] = []
-    for x in groupoid.objects:
-        if x in seen:
-            continue
-        stack, block = [x], {x}
-        while stack:
-            y = stack.pop()
-            for z in neighbours[y]:
-                if z not in block:
-                    block.add(z)
-                    stack.append(z)
-        seen |= block
-        components.append(sorted(block, key=order.get))
-    return components
-
-
 @dataclass(frozen=True, eq=False)
 class GroupoidXMod:
     """A crossed module over a groupoid: per-object fibres, boundary, action.
@@ -183,12 +154,6 @@ class GroupoidXMod:
         if group is None:
             raise UnknownObject(x)
         return group
-
-    def act(self, m: str, u: str) -> str:
-        return self.action[(m, u)]
-
-    def boundary_of(self, m: str) -> str:
-        return self.boundary[m]
 
     def all_fibre_elements(self) -> list[str]:
         return [m for x in self.base.objects for m in self.fibres[x]]
@@ -264,8 +229,15 @@ def make_gxm(base: FiniteGroupoid, fibres: dict, boundary: dict, action: dict) -
 
 
 def pi0(gxm: GroupoidXMod) -> list[list[str]]:
-    """Connected components of the base groupoid, least representative first."""
-    return _base_components(gxm.base)
+    """Connected components of the base groupoid, least representative first.
+
+    The component of x is the set of targets of the morphisms leaving x:
+    a validated groupoid is closed under composites and inverses, so
+    every object joined to x by a path is joined to it by one morphism.
+    One pass over each star suffices.
+    """
+    base = gxm.base
+    return _partition(base.objects, lambda x: {base.target[u] for u in base.out_of[x]})
 
 
 def _boundary_hom(gxm: GroupoidXMod, x: str) -> Homomorphism:
@@ -365,12 +337,9 @@ def check_morphism(source: GroupoidXMod, target: GroupoidXMod,
     for x in src_base.objects:
         fibre = source.fibres[x]
         target_fibre = target.fibres[obj_map[x]]
-        for m in fibre:
-            fm = dim2_map.get(m)
-            if fm is None or fm not in target_fibre:
-                report.append(Violation("dim2-map", f"no valid image for {m}", (m,)))
-                continue
-        if any(v.kind == "dim2-map" for v in report):
+        unmapped = [m for m in fibre if dim2_map.get(m) not in target_fibre]
+        report += [Violation("dim2-map", f"no valid image for {m}", (m,)) for m in unmapped]
+        if unmapped:
             continue
         for m in fibre:
             for n in fibre:

@@ -149,12 +149,6 @@ class FiniteGroup:
     def sub(self, x: str, y: str) -> str:
         return self.add(x, self.neg(y))
 
-    def add_all(self, xs) -> str:
-        total = self.identity
-        for x in xs:
-            total = self.add(total, x)
-        return total
-
     def conj(self, x: str, p: str) -> str:
         """Conjugate x^p = -p + x + p."""
         return self.add(self.add(self.neg(p), x), p)
@@ -233,21 +227,24 @@ def centralizer(group: FiniteGroup, a: str) -> Subgroup:
 
 
 def subgroup_generated(group: FiniteGroup, generators) -> Subgroup:
-    """Least subgroup containing the generators, by closure iteration."""
-    current = {group.identity}
+    """Least subgroup containing the generators, by breadth-first closure.
+
+    The elements reached from 0 by right multiplication with generators
+    form the submonoid they generate, which in a finite group is already
+    the subgroup: -g is a positive power of g.
+    """
+    generators = list(generators)
     for g in generators:
         group.index(g)
-        current.add(g)
-    while True:
-        new = set(current)
-        for x in current:
-            new.add(group.neg(x))
-            for y in current:
-                new.add(group.add(x, y))
-        if new == current:
-            break
-        current = new
-    return subgroup(group, current)
+    reached = [group.identity]
+    seen = {group.identity}
+    for x in reached:  # grows while it is walked: each element is expanded once
+        for g in generators:
+            y = group.add(x, g)
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+    return subgroup(group, reached)
 
 
 def kernel(f: Homomorphism) -> Subgroup:
@@ -259,17 +256,26 @@ def image(f: Homomorphism) -> Subgroup:
     return subgroup(f.target, {f(x) for x in f.source})
 
 
+def _partition(points, orbit) -> list[list]:
+    """Split the points (a sequence, walked twice) into blocks, in input order.
+
+    orbit(x) must return the set of the whole block of x, so each block is
+    computed once, from its first point, and is listed in input order.
+    """
+    order = {x: i for i, x in enumerate(points)}
+    placed: set = set()
+    blocks: list[list] = []
+    for x in points:
+        if x not in placed:
+            block = sorted(orbit(x), key=order.__getitem__)
+            blocks.append(block)
+            placed.update(block)
+    return blocks
+
+
 def conjugacy_classes(group: FiniteGroup) -> list[list[str]]:
     """The partition of the group into conjugacy classes, least element first."""
-    seen: set[str] = set()
-    classes: list[list[str]] = []
-    for a in group:
-        if a in seen:
-            continue
-        cls = group.sorted_elements(group.conj(a, p) for p in group)
-        classes.append(cls)
-        seen.update(cls)
-    return classes
+    return _partition(group, lambda a: {group.conj(a, p) for p in group})
 
 
 def quotient(group: FiniteGroup, normal: Subgroup, name=None) -> tuple[FiniteGroup, Homomorphism]:
@@ -284,14 +290,9 @@ def quotient(group: FiniteGroup, normal: Subgroup, name=None) -> tuple[FiniteGro
         for x in normal:
             if group.conj(x, g) not in member_set:
                 raise NotNormal(g, x)
-    rep_of: dict[str, str] = {}
-    reps: list[str] = []
-    for g in group:
-        if g in rep_of:
-            continue
-        reps.append(g)
-        for x in normal:
-            rep_of[group.add(g, x)] = g
+    cosets = _partition(group, lambda g: {group.add(g, x) for x in normal})
+    reps = [coset[0] for coset in cosets]
+    rep_of = {g: coset[0] for coset in cosets for g in coset}
     table = [[rep_of[group.add(a, b)] for b in reps] for a in reps]
     quo = FiniteGroup(reps, table, rep_of[group.identity], name=name)
     proj = homomorphism(group, quo, {g: rep_of[g] for g in group})
@@ -470,7 +471,7 @@ def _generating_sequence(group: FiniteGroup) -> list[str]:
     while len(generated) < len(group):
         g = next(x for x in group if x not in generated)
         gens.append(g)
-        generated = set(subgroup_generated(group, list(generated) + [g]).members)
+        generated = set(subgroup_generated(group, gens).members)
     return gens
 
 

@@ -22,6 +22,7 @@ from .groups import (
     FiniteGroup,
     GroupAction,
     Homomorphism,
+    _partition,
     conjugacy_classes,
     group_action,
     homomorphism,
@@ -103,33 +104,19 @@ def loop_data(x: CrossedModule, a: str) -> LoopData:
 
 
 def components(x: CrossedModule) -> list[list[str]]:
-    """Equivalence classes of P under b ~ p + a + delta(m) - p, by orbit closure.
+    """Equivalence classes of P under b ~ p + b + delta(m) - p, one orbit sweep each.
 
-    The number of classes is cross-checked against the count of conjugacy
-    classes of Cok(delta), computed independently.
+    The moves b -> p + b + d - p (p in P, d in im delta) are closed under
+    composition: by CM1, the move for (m, p) followed by the move for
+    (m', p') is the move for (m + m'^p, p' + p).  So the moves applied
+    once to b already give the whole class of b, at |P| |im delta| moves
+    per class.  The number of classes is cross-checked against the count
+    of conjugacy classes of Cok(delta), computed independently.
     """
     P = x.P
-    reachable: dict[str, set[str]] = {}
-    for a in P:
-        block = {a}
-        while True:
-            grown = set(block)
-            for b in block:
-                for m in x.M:
-                    for p in P:
-                        grown.add(P.sub(P.add(P.add(p, b), x.delta(m)), p))
-            if grown == block:
-                break
-            block = grown
-        reachable[a] = block
-    seen: set[str] = set()
-    classes: list[list[str]] = []
-    for a in P:
-        if a in seen:
-            continue
-        block = P.sorted_elements(reachable[a])
-        classes.append(block)
-        seen.update(block)
+    boundaries = {x.delta(m) for m in x.M}
+    classes = _partition(P, lambda b: {P.sub(P.add(P.add(p, b), d), p)
+                                       for p in P for d in boundaries})
     expected = len(conjugacy_classes(homotopy(x).pi1))
     if len(classes) != expected:
         raise InternalInvariantBroken(
@@ -159,18 +146,17 @@ def loop_gpd_xmod(x: CrossedModule) -> GroupoidXMod:
     """
     M, P = x.M, x.P
     triples = [loop_morphism(x, m, p, a) for m, p, a in product(M, P, P)]
-    by_name = {t.name: t for t in triples}
     names = [t.name for t in triples]
-    source = {t.name: t.source for t in triples}
-    target = {t.name: t.target for t in triples}
+    source = {name: t.source for t, name in zip(triples, names)}
+    target = {name: t.target for t, name in zip(triples, names)}
     leaving = {a: [] for a in P}
-    for t in triples:
-        leaving[t.source].append(t)
+    for t, name in zip(triples, names):
+        leaving[t.source].append((t, name))
     compose = {}
-    for u in triples:
-        for v in leaving[u.target]:
+    for u, u_name in zip(triples, names):
+        for v, v_name in leaving[u.target]:
             w = triple_name(M.add(v.m, x.act(u.m, v.p)), P.add(u.p, v.p), v.a)
-            compose[(u.name, v.name)] = w
+            compose[(u_name, v_name)] = w
     identities = {a: triple_name(M.identity, P.identity, a) for a in P}
     base = make_groupoid(tuple(P.elements), names, source, target, compose, identities)
     fibres = {}
@@ -181,9 +167,9 @@ def loop_gpd_xmod(x: CrossedModule) -> GroupoidXMod:
     boundary = {pair_name(m, a): triple_name(M.add(M.neg(x.act(m, a)), m), x.delta(m), a)
                 for a in P for m in M}
     action = {}
-    for t in triples:
+    for t, name in zip(triples, names):
         for n in M:
-            action[(pair_name(n, t.source), t.name)] = pair_name(x.act(n, t.p), t.a)
+            action[(pair_name(n, t.source), name)] = pair_name(x.act(n, t.p), t.a)
     return make_gxm(base, fibres, boundary, action)
 
 
