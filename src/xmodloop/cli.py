@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import exactseq, loop, nerve
-from .documents import load_document, parse_xmod, serialize_xmod
+from .documents import _render, load_document, parse_xmod, serialize_xmod
 from .errors import PreconditionFailed, XModError
 from .groups import DEFAULT_MAX_ISO_ORDER, FiniteGroup, conjugacy_classes, image, kernel
 from .xmod import CrossedModule, check_axioms, homotopy
@@ -34,7 +34,7 @@ def _group_summary(group: FiniteGroup) -> dict:
     return {
         "order": len(group),
         "structure": describe_group(group),
-        "elements": list(group.elements),
+        "elements": [_render(e) for e in group],
     }
 
 
@@ -307,8 +307,11 @@ def run_cli(argv) -> int:
         return 2
     try:
         return args.handler(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.file} is not UTF-8 text: {exc}", file=sys.stderr)
         return 1
     except PreconditionFailed as exc:
         print(f"error: {exc}", file=sys.stderr)

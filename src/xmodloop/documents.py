@@ -10,6 +10,10 @@ A loaded document is an ``XModCandidate``: structurally sound (every
 identifier known, every entry present) but not yet checked against any
 law.  ``build_xmod`` validates it strictly; ``check_axioms`` reports on
 it in full.
+
+Inside the library an element is any hashable label, and the composite
+elements of derived groups are tuples.  Names exist only here and in the
+CLI listings: ``_render`` writes a tuple as "(x|y|...)", recursively.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import json
 from .errors import (
     AxiomViolation,
     DocumentSyntaxError,
+    MalformedGroup,
     UnknownIdentifier,
     XModError,
 )
@@ -141,8 +146,34 @@ def serialize_document(candidate: XModCandidate) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
+def _render(label) -> str:
+    """The name of an element label: a tuple becomes "(x|y|...)" of its parts' names."""
+    if isinstance(label, tuple):
+        return "(" + "|".join(map(_render, label)) + ")"
+    return str(label)
+
+
 def serialize_xmod(x: CrossedModule, name: str | None = None) -> str:
-    candidate = x.to_candidate()
-    if name is not None:
-        candidate.name = name
-    return serialize_document(candidate)
+    """Canonical text of a crossed module, every element label written as its name.
+
+    Distinct labels can render alike, e.g. ("a|b", "c") and ("a", "b|c")
+    are both "(a|b|c)"; such a module has no document, and the first
+    repeated name is raised as ``MalformedGroup``.
+    """
+    c = x.to_candidate()
+    for label, elements in (("P", c.p_elements), ("M", c.m_elements)):
+        seen: set[str] = set()
+        for rendered in map(_render, elements):
+            if rendered in seen:
+                raise MalformedGroup(
+                    f"element name {rendered!r} occurs more than once in {label}", (rendered,))
+            seen.add(rendered)
+    r = _render
+    return serialize_document(XModCandidate(
+        [r(m) for m in c.m_elements], [[r(v) for v in row] for row in c.m_table],
+        r(c.m_identity),
+        [r(p) for p in c.p_elements], [[r(v) for v in row] for row in c.p_table],
+        r(c.p_identity),
+        {r(m): r(v) for m, v in c.delta.items()},
+        {r(p): {r(m): r(v) for m, v in row.items()} for p, row in c.action.items()},
+        c.name if name is None else name))

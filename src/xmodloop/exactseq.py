@@ -36,11 +36,9 @@ from .groups import (
     homomorphism,
     image,
     kernel,
-    pair_name,
     quotient,
     semidirect_product,
     subgroup,
-    triple_name,
 )
 from .groupoids import (
     GroupoidXMod,
@@ -68,8 +66,8 @@ def fibration_psi(x: CrossedModule) -> FibrationData:
     M, P = x.M, x.P
     gxm = loop_gpd_xmod(x)
     target = as_groupoid_xmod(x)
-    mor_map = {triple_name(m, p, a): p for m, p, a in product(M, P, P)}
-    dim2_map = {pair_name(m, a): m for a in P for m in M}
+    mor_map = {(m, p, a): p for m, p, a in product(M, P, P)}
+    dim2_map = {(m, a): m for a in P for m in M}
     obj_map = {a: "*" for a in P}
     psi = make_gxm_morphism(gxm, target, obj_map, mor_map, dim2_map)
     report = is_fibration(psi)
@@ -78,7 +76,7 @@ def fibration_psi(x: CrossedModule) -> FibrationData:
                                       report[0].witness)
 
     fibre_morphisms = [u for u in gxm.base.morphisms if psi.mor_map[u] == P.identity]
-    shape = {triple_name(m, P.identity, a) for m in M for a in P}
+    shape = {(m, P.identity, a) for m in M for a in P}
     if set(fibre_morphisms) != shape:
         raise InternalInvariantBroken("fibre morphisms are not the p = 0 triples",
                                       tuple(sorted(set(fibre_morphisms) ^ shape)))
@@ -91,14 +89,14 @@ def fibration_psi(x: CrossedModule) -> FibrationData:
                          compose, dict(gxm.base.identities))
     fibre_elements = {a: [m for m in gxm.fibres[a] if psi.dim2_map[m] == M.identity]
                       for a in P}
-    dim2_shape = {pair_name(M.identity, a) for a in P}
+    dim2_shape = {(M.identity, a) for a in P}
     if {m for elems in fibre_elements.values() for m in elems} != dim2_shape:
         raise InternalInvariantBroken("fibre dim-2 part is not the m = 0 pairs", ())
     fibres = {}
     for a in P:
         elems = fibre_elements[a]
         table = [[gxm.fibres[a].add(m, n) for n in elems] for m in elems]
-        fibres[a] = FiniteGroup(elems, table, pair_name(M.identity, a), name=f"F2@{a}")
+        fibres[a] = FiniteGroup(elems, table, (M.identity, a), name=f"F2@{a}")
     boundary = {m: gxm.boundary[m] for elems in fibre_elements.values() for m in elems}
     action = {(m, u): gxm.action[(m, u)] for u in fibre_morphisms
               for m in fibre_elements[gxm.base.source[u]]}
@@ -166,22 +164,21 @@ def exact_sequence(x: CrossedModule, a: str) -> ExactSequence:
     loop_h = pi_loop(x, a)
     pa_projection = loop_h.projection
     j = homomorphism(pi, loop_h.pi1,
-                     {k: pa_projection(pair_name(k, x.P.identity)) for k in pi})
+                     {k: pa_projection((k, x.P.identity)) for k in pi})
     cent = centralizer(data.pi1, abar).as_group(name=f"C_{abar}")
-    pairs = loop_data(x, a).pairs
     q_mapping = {}
     for rep in loop_h.pi1:
-        _, p = pairs[rep]
+        _, p = rep
         value = data.projection(p)
         if value not in cent:
             raise InternalInvariantBroken(
                 f"q({rep}) = {value} misses the centralizer of {abar}", (rep, value))
         q_mapping[rep] = value
     q = homomorphism(loop_h.pi1, cent, q_mapping)
-    for name, (m, p) in pairs.items():
-        if q(pa_projection(name)) != data.projection(p):
+    for u in loop_data(x, a).Pa:
+        if q(pa_projection(u)) != data.projection(u[1]):
             raise InternalInvariantBroken(
-                f"q is not representative-independent at {name}", (name,))
+                f"q is not representative-independent at {u}", (u,))
 
     _set_equal("pi2-head", loop_h.pi2.elements, head.elements)
     _set_equal("pi", kernel(connecting).members, image(inclusion).members)
@@ -265,7 +262,7 @@ def example2_check(x: CrossedModule, a: str,
     data = homotopy(x)
     pi = data.pi2
     pa = loop_data(x, a).Pa
-    expected = {pair_name(k, p) for k in pi for p in x.P}
+    expected = set(product(pi, x.P))
     if set(pa.elements) != expected:
         report.append(Violation("pa-elements", f"P({a}) is not pi x P as a set",
                                 tuple(sorted(set(pa.elements) ^ expected))))
@@ -279,8 +276,7 @@ def example2_check(x: CrossedModule, a: str,
                     "pa-table", f"P({a}) and pi x P disagree at {u} + {v}", (u, v)))
     if report:
         return report
-    relator_names = {pair_name(x.M.add(x.M.neg(x.act(m, a)), m), x.delta(m)) for m in x.M}
-    relators = subgroup(model, relator_names)
+    relators = subgroup(model, {(x.M.add(x.M.neg(x.act(m, a)), m), x.delta(m)) for m in x.M})
     presented, _ = quotient(model, relators, name="(pi x P)/delta_a(M)")
     pi1 = pi_loop(x, a).pi1
     if are_isomorphic(presented, pi1, max_order=max_order) is None:

@@ -101,28 +101,30 @@ def make_groupoid(objects, morphisms, source, target, compose, identities) -> Fi
     for (u, v), w in compose.items():
         if w not in morphism_set or source[w] != source[u] or target[w] != target[v]:
             raise InvalidGroupoid("composition-endpoints", (u, v, w))
-    for u in morphisms:
-        if compose[(identities[source[u]], u)] != u or compose[(u, identities[target[u]])] != u:
+    # The laws below compare positions in `morphisms`, which hash faster than
+    # tuple labels: after[i] maps j to the position of u_i + u_j, in out_of order.
+    pos = {u: i for i, u in enumerate(morphisms)}
+    after = [{pos[v]: pos[compose[(u, v)]] for v in out_of[target[u]]} for u in morphisms]
+    units = [(pos[identities[source[u]]], pos[identities[target[u]]]) for u in morphisms]
+    for i, u in enumerate(morphisms):
+        e_source, e_target = units[i]
+        if after[e_source][i] != i or after[i][e_target] != i:
             raise InvalidGroupoid("identity-law", (u,))
-    for u in morphisms:
-        for v in out_of[target[u]]:
-            uv = compose[(u, v)]
-            for w in out_of[target[v]]:
-                if compose[(uv, w)] != compose[(u, compose[(v, w)])]:
-                    raise InvalidGroupoid("associativity", (u, v, w))
+    for i, u in enumerate(morphisms):
+        u_then = after[i]
+        for j, ij in u_then.items():
+            ij_then, j_then = after[ij], after[j]
+            for k, jk in j_then.items():
+                if ij_then[k] != u_then[jk]:
+                    raise InvalidGroupoid("associativity", (u, morphisms[j], morphisms[k]))
     inverses = {}
-    for u in morphisms:
-        found = None
-        for v in out_of[target[u]]:
-            if target[v] != source[u]:
-                continue
-            if (compose[(u, v)] == identities[source[u]]
-                    and compose[(v, u)] == identities[target[u]]):
-                found = v
-                break
+    for i, u in enumerate(morphisms):
+        e_source, e_target = units[i]
+        found = next((j for j, ij in after[i].items()
+                      if ij == e_source and after[j].get(i) == e_target), None)
         if found is None:
             raise InvalidGroupoid("inverse", (u,))
-        inverses[u] = found
+        inverses[u] = morphisms[found]
     return FiniteGroupoid(objects, morphisms, dict(source), dict(target),
                           dict(compose), dict(identities), inverses,
                           {x: tuple(us) for x, us in out_of.items()})
@@ -139,7 +141,7 @@ def vertex_group(groupoid: FiniteGroupoid, x: str) -> FiniteGroup:
 class GroupoidXMod:
     """A crossed module over a groupoid: per-object fibres, boundary, action.
 
-    Fibre element names are globally distinct, so the boundary and the
+    Fibre element labels are globally distinct, so the boundary and the
     action can be stored as flat tables.
     """
 

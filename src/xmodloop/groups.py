@@ -30,44 +30,15 @@ from .errors import (
 DEFAULT_MAX_ISO_ORDER = 512
 
 
-def pair_name(x: str, y: str) -> str:
-    return f"({x}|{y})"
-
-
-def triple_name(x: str, y: str, z: str) -> str:
-    return f"({x}|{y}|{z})"
-
-
-def split_composite(name: str) -> tuple[str, ...]:
-    """Split "(x|y|...)" at top-level bars, respecting nested parentheses."""
-    if len(name) < 2 or name[0] != "(" or name[-1] != ")":
-        raise ValueError(f"not a composite element name: {name!r}")
-    parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for ch in name[1:-1]:
-        if ch == "|" and depth == 0:
-            parts.append("".join(current))
-            current = []
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        current.append(ch)
-    parts.append("".join(current))
-    return tuple(parts)
-
-
 class FiniteGroup:
-    """A finite group on named elements, defined by its composition table.
+    """A finite group on hashable element labels, defined by its composition table.
 
     Construction validates closure, associativity, the declared identity
     and two-sided inverses, raising with a witness on the first failure.
     """
 
     def __init__(self, elements, table, identity, name=None):
-        elements = [str(e) for e in elements]
+        elements = list(elements)
         if not elements:
             raise MalformedGroup("a group needs at least one element")
         self.elements: list[str] = elements
@@ -428,25 +399,17 @@ def semidirect_product(n_group: FiniteGroup, h_group: FiniteGroup,
     if act.actor is not h_group or act.space is not n_group:
         raise InvalidAction("wiring", (act.actor.name, act.space.name))
     pairs = [(n, h) for n in n_group for h in h_group]
-    names = [pair_name(n, h) for n, h in pairs]
-    table = []
-    for n, h in pairs:
-        row = []
-        for n2, h2 in pairs:
-            row.append(pair_name(n_group.add(act.act(n, h2), n2), h_group.add(h, h2)))
-        table.append(row)
-    identity = pair_name(n_group.identity, h_group.identity)
-    return FiniteGroup(names, table, identity, name=name)
+    table = [[(n_group.add(act.act(n, h2), n2), h_group.add(h, h2)) for n2, h2 in pairs]
+             for n, h in pairs]
+    return FiniteGroup(pairs, table, (n_group.identity, h_group.identity), name=name)
 
 
 def direct_product(g_group: FiniteGroup, h_group: FiniteGroup, name=None) -> FiniteGroup:
     """Componentwise product on pairs, used as an oracle for trivial twists."""
     pairs = [(g, h) for g in g_group for h in h_group]
-    names = [pair_name(g, h) for g, h in pairs]
-    table = [[pair_name(g_group.add(g1, g2), h_group.add(h1, h2)) for g2, h2 in pairs]
+    table = [[(g_group.add(g1, g2), h_group.add(h1, h2)) for g2, h2 in pairs]
              for g1, h1 in pairs]
-    identity = pair_name(g_group.identity, h_group.identity)
-    return FiniteGroup(names, table, identity, name=name)
+    return FiniteGroup(pairs, table, (g_group.identity, h_group.identity), name=name)
 
 
 def displacement_subgroup(act: GroupAction, a: str) -> Subgroup:

@@ -29,9 +29,7 @@ from .groups import (
     image,
     kernel,
     make_group,
-    pair_name,
     quotient,
-    triple_name,
 )
 from .groupoids import (
     GroupoidXMod,
@@ -47,17 +45,13 @@ from .xmod import CrossedModule, homotopy, make_xmod
 
 @dataclass(frozen=True)
 class LoopMorphism:
-    """A triple (m, p, a): a morphism of the loop groupoid with target a."""
+    """The endpoints of the loop groupoid's morphism (m, p, a), which has target a."""
 
     m: str
     p: str
     a: str
     source: str
     target: str
-
-    @property
-    def name(self) -> str:
-        return triple_name(self.m, self.p, self.a)
 
 
 def loop_morphism(x: CrossedModule, m: str, p: str, a: str) -> LoopMorphism:
@@ -73,7 +67,6 @@ class LoopData:
     Pa: FiniteGroup
     delta_a: Homomorphism
     action: GroupAction
-    pairs: dict  # element name -> (m, p)
 
 
 @lru_cache(maxsize=None)
@@ -81,26 +74,23 @@ def loop_data(x: CrossedModule, a: str) -> LoopData:
     M, P = x.M, x.P
     P.index(a)
     pairs = [(m, p) for m in M for p in P if x.delta(m) == P.commutator(a, p)]
-    names = [pair_name(m, p) for m, p in pairs]
-    by_pair = {pair: name for pair, name in zip(pairs, names)}
+    members = set(pairs)
     table = []
     for n, q in pairs:
         row = []
         for m, p in pairs:
             composite = (M.add(m, x.act(n, p)), P.add(q, p))
-            value = by_pair.get(composite)
-            if value is None:
+            if composite not in members:
                 raise InternalInvariantBroken(
                     f"P({a}) is not closed under composition", (n, q, m, p))
-            row.append(value)
+            row.append(composite)
         table.append(row)
-    identity = pair_name(M.identity, P.identity)
-    Pa = make_group(names, table, identity, name=f"P({a})")
-    mapping = {m: pair_name(M.add(M.neg(x.act(m, a)), m), x.delta(m)) for m in M}
+    Pa = make_group(pairs, table, (M.identity, P.identity), name=f"P({a})")
+    mapping = {m: (M.add(M.neg(x.act(m, a)), m), x.delta(m)) for m in M}
     delta_a = homomorphism(M, Pa, mapping)
-    act_table = {(n, pair_name(m, p)): x.act(n, p) for n in M for m, p in pairs}
+    act_table = {(n, (m, p)): x.act(n, p) for n in M for m, p in pairs}
     action = group_action(Pa, M, act_table)
-    return LoopData(a, Pa, delta_a, action, {name: pair for pair, name in by_pair.items()})
+    return LoopData(a, Pa, delta_a, action)
 
 
 def components(x: CrossedModule) -> list[list[str]]:
@@ -140,36 +130,34 @@ def loop_xmod_at(x: CrossedModule, a: str) -> CrossedModule:
 def loop_gpd_xmod(x: CrossedModule) -> GroupoidXMod:
     """The full loop crossed module over a groupoid.
 
-    Objects are the elements of P.  The composite of u = (n, q, b) followed
+    Objects are the elements of P and morphisms the tuples (m, p, a); the
+    fibre at a holds the tuples (m, a).  The composite of u = (n, q, b) followed
     by v = (m, p, a) is (m + n^p, q + p, a), defined exactly when b is the
     source of v, equivalently b^p = a + delta(m).
     """
     M, P = x.M, x.P
-    triples = [loop_morphism(x, m, p, a) for m, p, a in product(M, P, P)]
-    names = [t.name for t in triples]
-    source = {name: t.source for t, name in zip(triples, names)}
-    target = {name: t.target for t, name in zip(triples, names)}
+    morphisms = list(product(M, P, P))
+    source = {u: loop_morphism(x, *u).source for u in morphisms}
+    target = {u: u[2] for u in morphisms}
     leaving = {a: [] for a in P}
-    for t, name in zip(triples, names):
-        leaving[t.source].append((t, name))
+    for u in morphisms:
+        leaving[source[u]].append(u)
     compose = {}
-    for u, u_name in zip(triples, names):
-        for v, v_name in leaving[u.target]:
-            w = triple_name(M.add(v.m, x.act(u.m, v.p)), P.add(u.p, v.p), v.a)
-            compose[(u_name, v_name)] = w
-    identities = {a: triple_name(M.identity, P.identity, a) for a in P}
-    base = make_groupoid(tuple(P.elements), names, source, target, compose, identities)
+    for u in morphisms:
+        n, q, b = u
+        for v in leaving[b]:
+            m, p, a = v
+            compose[(u, v)] = (M.add(m, x.act(n, p)), P.add(q, p), a)
+    identities = {a: (M.identity, P.identity, a) for a in P}
+    base = make_groupoid(tuple(P.elements), morphisms, source, target, compose, identities)
     fibres = {}
     for a in P:
-        elems = [pair_name(m, a) for m in M]
-        table = [[pair_name(M.add(m, n), a) for n in M] for m in M]
-        fibres[a] = make_group(elems, table, pair_name(M.identity, a), name=f"M@{a}")
-    boundary = {pair_name(m, a): triple_name(M.add(M.neg(x.act(m, a)), m), x.delta(m), a)
+        elems = [(m, a) for m in M]
+        table = [[(M.add(m, n), a) for n in M] for m in M]
+        fibres[a] = make_group(elems, table, (M.identity, a), name=f"M@{a}")
+    boundary = {(m, a): (M.add(M.neg(x.act(m, a)), m), x.delta(m), a)
                 for a in P for m in M}
-    action = {}
-    for t, name in zip(triples, names):
-        for n in M:
-            action[(pair_name(n, t.source), name)] = pair_name(x.act(n, t.p), t.a)
+    action = {((n, source[u]), u): (x.act(n, u[1]), u[2]) for u in morphisms for n in M}
     return make_gxm(base, fibres, boundary, action)
 
 
@@ -186,8 +174,8 @@ def theta(x: CrossedModule, a: str) -> GXModMorphism:
     data = loop_data(x, a)
     src = as_groupoid_xmod(restricted)
     tgt = as_groupoid_xmod(target_cm)
-    mor_map = {triple_name(m, p, a): pair_name(m, p) for m, p in data.pairs.values()}
-    dim2_map = {pair_name(m, a): m for m in x.M}
+    mor_map = {(m, p, a): (m, p) for m, p in data.Pa}
+    dim2_map = {(m, a): m for m in x.M}
     f = make_gxm_morphism(src, tgt, {"*": "*"}, mor_map, dim2_map)
     if not f.is_isomorphism():
         raise InternalInvariantBroken(f"theta at {a} is not bijective", (a,))

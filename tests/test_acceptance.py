@@ -23,9 +23,6 @@ from xmodloop.groups import (
     conjugacy_classes,
     image,
     kernel,
-    pair_name,
-    split_composite,
-    triple_name,
 )
 from xmodloop.groupoids import is_fibration, make_gxm
 from xmodloop.loop import (
@@ -167,9 +164,9 @@ def test_criterion_6_loop_groupoid_structure():
         for x in (fixtures.mod32(), fixtures.inc24()):
             base = loop_gpd_xmod(x).base
             for u in base.morphisms:
-                _, _, b = split_composite(u)
+                _, _, b = u
                 for v in base.morphisms:
-                    m, p, a = split_composite(v)
+                    m, p, a = v
                     defined = (u, v) in base.compose
                     assert defined == (x.P.conj(b, p) == x.P.add(a, x.delta(m)))
         for name, a in all_base_pairs():
@@ -182,10 +179,10 @@ def test_criterion_7_evaluation_fibration():
         for name, x in fixtures.all_fixtures().items():
             data = fibration_psi(x)
             assert is_fibration(data.psi) == [], name
-            expected_morphisms = {triple_name(m, x.P.identity, a)
+            expected_morphisms = {(m, x.P.identity, a)
                                   for m in x.M for a in x.P}
             assert set(data.fibre.base.morphisms) == expected_morphisms, name
-            expected_dim2 = {pair_name(x.M.identity, a) for a in x.P}
+            expected_dim2 = {(x.M.identity, a) for a in x.P}
             actual_dim2 = {m for a in x.P for m in data.fibre.fibres[a]}
             assert actual_dim2 == expected_dim2, name
 

@@ -1,5 +1,6 @@
 import json
 
+from bruteforce import brute_pa
 from xmodloop import fixtures
 from xmodloop.cli import run_cli
 from xmodloop.documents import parse_xmod
@@ -208,3 +209,47 @@ def test_bar_in_element_names_never_crashes(tmp_path, capsys):
                 code, _, err = invoke(capsys, argv[0], str(path), *argv[1:], "--format", fmt)
                 assert code in (0, 1), (doc["name"], argv, fmt, err)
                 assert "Traceback" not in err
+
+
+def test_colliding_composite_names_are_answered(tmp_path, capsys):
+    # the pairs ("a|b", "c") and ("a", "b|c") of P(a) both render as "(a|b|c)"
+    m_elements, p_elements = ["0", "a", "a|b"], ["0", "c", "b|c"]
+    doc = {
+        "P": _cyclic_block(p_elements),
+        "M": _cyclic_block(m_elements),
+        "delta": {m: "0" for m in m_elements},
+        "action": {p: {m: m for m in m_elements} for p in p_elements},
+    }
+    path = tmp_path / "collision.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    x = parse_xmod(path.read_text(encoding="utf-8"))
+    M = x.M
+    for a in p_elements:
+        pa_order = len(brute_pa(x, a))
+        boundaries = {(M.add(M.neg(x.act(m, a)), m), x.delta(m)) for m in M}
+        for argv in (["pi", "--space", "loop"], ["loop"], ["exact"], ["examples"]):
+            for fmt in ("text", "json"):
+                code, _, err = invoke(capsys, argv[0], str(path), *argv[1:], "--base", a,
+                                      "--format", fmt)
+                assert code == 0, (argv, a, fmt, err)
+        code, out, _ = invoke(capsys, "loop", str(path), "--base", a, "--format", "json")
+        payload = json.loads(out)
+        assert payload["Pa"]["order"] == pa_order
+        assert payload["pi1"]["order"] == pa_order // len(boundaries)
+        code, out, _ = invoke(capsys, "pi", str(path), "--space", "loop", "--base", a,
+                              "--format", "json")
+        assert json.loads(out)["pi1"]["order"] == pa_order // len(boundaries)
+        code, out, err = invoke(capsys, "loop", str(path), "--base", a, "--emit")
+        assert code == 1
+        assert "'(a|b|c)'" in err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unreadable_files_are_validation_failures(tmp_path, capsys):
+    not_utf8 = tmp_path / "utf16.json"
+    not_utf8.write_bytes(b"\xff\xfe{\x00}\x00")
+    for path in (tmp_path, not_utf8):
+        for argv in (["check", str(path)], ["pi", str(path), "--space", "base"]):
+            code, _, err = invoke(capsys, *argv)
+            assert code == 1, (argv, err)
+            assert err.startswith("error: ") and "Traceback" not in err

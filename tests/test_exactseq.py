@@ -15,9 +15,6 @@ from xmodloop.groups import (
     are_isomorphic,
     image,
     kernel,
-    pair_name,
-    split_composite,
-    triple_name,
 )
 from xmodloop.groupoids import is_fibration, pi0, pi1_at, pi2_at
 from xmodloop.loop import components, loop_gpd_xmod, pi_loop
@@ -32,9 +29,9 @@ def test_psi_is_a_fibration_on_every_fixture(any_xmod):
 def test_fibre_shapes(any_xmod):
     x = any_xmod
     data = fibration_psi(x)
-    expected_morphisms = {triple_name(m, x.P.identity, a) for m in x.M for a in x.P}
+    expected_morphisms = {(m, x.P.identity, a) for m in x.M for a in x.P}
     assert set(data.fibre.base.morphisms) == expected_morphisms
-    expected_dim2 = {pair_name(x.M.identity, a) for a in x.P}
+    expected_dim2 = {(x.M.identity, a) for a in x.P}
     actual_dim2 = {m for a in x.P for m in data.fibre.fibres[a]}
     assert actual_dim2 == expected_dim2
 
@@ -125,7 +122,7 @@ def test_pi2_three_routes_coincide():
         from_loop = set(pi_loop(x, a).pi2.elements)
         from_fixed = set(fixed_points(x, a))
         gxm = loop_gpd_xmod(x)
-        from_gpd = {split_composite(e)[0] for e in pi2_at(gxm, a).elements}
+        from_gpd = {e[0] for e in pi2_at(gxm, a).elements}
         assert from_loop == from_fixed == from_gpd
 
 

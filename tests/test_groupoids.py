@@ -198,18 +198,18 @@ def test_bad_dim2_image_does_not_hide_later_fibres():
     gxm = loop_gpd_xmod(fixtures.inc24())
     base = gxm.base
     dim2_map = {m: m for m in gxm.all_fibre_elements()}
-    dim2_map["(1|0)"] = "(1|1)"
-    dim2_map["(0|3)"], dim2_map["(1|3)"] = "(1|3)", "(0|3)"
+    dim2_map[("1", "0")] = ("1", "1")
+    dim2_map[("0", "3")], dim2_map[("1", "3")] = ("1", "3"), ("0", "3")
     report = check_morphism(gxm, gxm, {x: x for x in base.objects},
                             {u: u for u in base.morphisms}, dim2_map)
     assert [(v.kind, v.witness) for v in report] == [
-        ("dim2-map", ("(1|0)",)),
-        ("dim2-hom", ("(0|3)", "(0|3)")),
-        ("dim2-hom", ("(0|3)", "(1|3)")),
-        ("dim2-hom", ("(1|3)", "(0|3)")),
-        ("dim2-hom", ("(1|3)", "(1|3)")),
-        ("boundary-square", ("(0|3)",)),
-        ("boundary-square", ("(1|3)",)),
+        ("dim2-map", (("1", "0"),)),
+        ("dim2-hom", (("0", "3"), ("0", "3"))),
+        ("dim2-hom", (("0", "3"), ("1", "3"))),
+        ("dim2-hom", (("1", "3"), ("0", "3"))),
+        ("dim2-hom", (("1", "3"), ("1", "3"))),
+        ("boundary-square", (("0", "3"),)),
+        ("boundary-square", (("1", "3"),)),
     ]
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from xmodloop import fixtures
+from xmodloop.documents import _render
 from xmodloop.errors import (
     NoInverse,
     NotAssociative,
@@ -23,7 +24,6 @@ from xmodloop.groups import (
     make_group,
     quotient,
     semidirect_product,
-    split_composite,
     subgroup,
     subgroup_generated,
     trivial_action,
@@ -269,8 +269,8 @@ def test_conjugacy_classes_of_s3():
     assert [len(c) for c in classes] == [1, 2, 3]
 
 
-def test_split_composite_handles_nesting():
-    assert split_composite("(0|1)") == ("0", "1")
-    assert split_composite("((0|1)|2)") == ("(0|1)", "2")
-    assert split_composite("(a|b|c)") == ("a", "b", "c")
-    assert split_composite("((m|p)|(x|y))") == ("(m|p)", "(x|y)")
+def test_render_handles_nesting():
+    assert _render(("0", "1")) == "(0|1)"
+    assert _render((("0", "1"), "2")) == "((0|1)|2)"
+    assert _render(("a", "b", "c")) == "(a|b|c)"
+    assert _render((("m", "p"), ("x", "y"))) == "((m|p)|(x|y))"

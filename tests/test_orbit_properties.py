@@ -5,15 +5,19 @@ inclusions N -> G and zero-boundary modules C_n -> G (trivial action, or
 inversion through the sign of G's permutations), with G among C2-C6, S3
 and D4.  Every group is built from permutations here, without the
 library's subgroup code, then relabelled with random names listed in a
-random input order.
+random input order.  The loop-space properties at the end check P(a)
+against its defining filter and the paper's order identity for pi1 at
+every base.
 """
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from bruteforce import brute_components
+from bruteforce import brute_components, brute_pa
+from xmodloop.exactseq import coinvariants
 from xmodloop.groupoids import pi0
 from xmodloop.groups import (
+    centralizer,
     conjugacy_classes,
     group_action,
     homomorphism,
@@ -22,8 +26,8 @@ from xmodloop.groups import (
     subgroup,
     subgroup_generated,
 )
-from xmodloop.loop import components, loop_gpd_xmod
-from xmodloop.xmod import make_xmod
+from xmodloop.loop import components, loop_data, loop_gpd_xmod, pi_loop
+from xmodloop.xmod import homotopy, make_xmod
 
 PERMUTATION_GENERATORS = {
     "C2": [(1, 0)],
@@ -133,7 +137,7 @@ def test_components_equal_brute_force(x):
 
 
 @PROPERTY_SETTINGS
-@given(crossed_modules(alphabet="ab01()é"))
+@given(crossed_modules())
 def test_pi0_of_loop_groupoid_equals_components(x):
     assume(len(x.M) * len(x.P) ** 2 <= 300)
     assert pi0(loop_gpd_xmod(x)) == components(x)
@@ -175,3 +179,15 @@ def test_subgroup_generated_equals_naive_closure(data):
     expected = naive_closure(group, generators)
     assert subgroup_generated(group, generators).members == tuple(
         x for x in group if x in expected)
+
+
+@PROPERTY_SETTINGS
+@given(crossed_modules())
+def test_loop_groups_at_every_base_match_filter_and_order_identity(x):
+    assume(len(x.M) * len(x.P) ** 2 <= 300)
+    base = homotopy(x)
+    for a in x.P:
+        assert set(loop_data(x, a).Pa.elements) == brute_pa(x, a)
+        abar = base.projection(a)
+        assert len(pi_loop(x, a).pi1) == (len(coinvariants(x, a))
+                                          * len(centralizer(base.pi1, abar)))
