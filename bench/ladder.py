@@ -1,0 +1,150 @@
+"""Size ladder: time each stage on a fixed list of growing inputs.
+
+    python bench/ladder.py                      # every rung, writes BENCH_6.json
+    python bench/ladder.py --out ladder.json    # somewhere else
+
+Each rung runs in a fresh child process, so no rung inherits another's
+caches or memory.  The child builds its input, times only the stage call
+with ``time.perf_counter`` and reads its own peak RSS with
+``resource.getrusage(RUSAGE_SELF)``.  Every record holds the stage, the
+rung, the predicted size, ``wall_s`` and ``peak_rss_mb``; a rung that is
+too large to run is listed as "not run" with its predicted size.  The
+script exits 1 if any rung that runs fails.  Only the standard library
+and ``xmodloop`` from this checkout's ``src`` are used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import resource
+import subprocess
+import sys
+import time
+from itertools import permutations
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (stage, rung, run it?).  id: S4 needs several GB for its |M|^2|P|^3
+# composition table, so it is listed with its size only.
+RUNGS = [
+    ("make_group", "S5", True),
+    ("make_group", "A6", True),
+    ("make_group", "S6", True),
+    ("loop_gpd_xmod", "id: C4", True),
+    ("loop_gpd_xmod", "id: S3", True),
+    ("loop_gpd_xmod", "id: D4", True),
+    ("loop_gpd_xmod", "id: C10", True),
+    ("loop_gpd_xmod", "id: A4", True),
+    ("loop_gpd_xmod", "id: S4", False),
+]
+
+
+def _closure(gens: list[tuple]) -> list[tuple]:
+    """The permutation group generated by gens, sorted."""
+    identity = tuple(range(len(gens[0])))
+    reached, seen = [identity], {identity}
+    for x in reached:  # grows while it is walked
+        for g in gens:
+            y = tuple(g[i] for i in x)
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+    return sorted(reached)
+
+
+def _sign(perm: tuple) -> int:
+    return sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm))) % 2
+
+
+def permutation_group(label: str) -> list[tuple]:
+    """The elements of C<n>, S<n>, A<n> or D4 as permutations, identity first."""
+    kind, n = label[0], int(label[1:])
+    if kind == "C":
+        return _closure([tuple((i + 1) % n for i in range(n))])
+    if label == "D4":
+        return _closure([(1, 2, 3, 0), (0, 3, 2, 1)])
+    if kind in ("S", "A"):
+        return [p for p in sorted(permutations(range(n))) if kind == "S" or _sign(p) == 0]
+    raise ValueError(f"no permutation group named {label!r}")
+
+
+def group_table(label: str) -> tuple[list, list, str]:
+    """Elements, table and identity, with x + y meaning "x, then y"."""
+    perms = permutation_group(label)
+    names = {p: "".join(map(str, p)) if len(p) < 10 else ",".join(map(str, p)) for p in perms}
+    table = [[names[tuple(y[i] for i in x)] for y in perms] for x in perms]
+    return [names[p] for p in perms], table, names[perms[0]]
+
+
+def predicted(stage: str, rung: str) -> dict:
+    n = len(permutation_group(rung.removeprefix("id: ")))
+    if stage == "make_group":
+        return {"order": n, "table_entries": n ** 2, "full_scan_assoc_triples": n ** 3}
+    # id: G has |M| = |P| = n
+    return {"morphisms": n ** 3, "composable_pairs": n ** 5, "full_scan_assoc_triples": n ** 7}
+
+
+def run_stage(stage: str, rung: str) -> float:
+    """Build the rung's input, then time the stage alone."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from xmodloop.groups import group_action, homomorphism, make_group
+    from xmodloop.loop import loop_gpd_xmod
+    from xmodloop.xmod import make_xmod
+
+    elements, table, identity = group_table(rung.removeprefix("id: "))
+    if stage == "make_group":
+        start = time.perf_counter()
+        make_group(elements, table, identity, name=rung)
+        return time.perf_counter() - start
+    G = make_group(elements, table, identity, name=rung)
+    delta = homomorphism(G, G, {g: g for g in G})
+    action = group_action(G, G, {(m, p): G.conj(m, p) for m in G for p in G})
+    x = make_xmod(G, G, delta, action, name=rung)
+    start = time.perf_counter()
+    loop_gpd_xmod(x)
+    return time.perf_counter() - start
+
+
+def child(stage: str, rung: str) -> None:
+    wall = run_stage(stage, rung)
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # kilobytes on Linux
+    print(json.dumps({"wall_s": round(wall, 4), "peak_rss_mb": round(peak_kb / 1024, 1)}))
+
+
+def ladder() -> tuple[list[dict], bool]:
+    records, ok = [], True
+    for stage, rung, runs in RUNGS:
+        record = {"stage": stage, "rung": rung, "predicted": predicted(stage, rung)}
+        if not runs:
+            record["status"] = "not run"
+        else:
+            done = subprocess.run([sys.executable, __file__, "--child", stage, rung],
+                                  capture_output=True, text=True)
+            if done.returncode == 0:
+                record.update(json.loads(done.stdout.splitlines()[-1]))
+            else:
+                ok = False
+                record["status"] = "failed"
+                record["error"] = (done.stderr.strip().splitlines() or [""])[-1]
+        print(f"{stage:14} {rung:8} {record.get('wall_s', record.get('status'))}", flush=True)
+        records.append(record)
+    return records, ok
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default=str(ROOT / "BENCH_6.json"))
+    parser.add_argument("--child", nargs=2, metavar=("STAGE", "RUNG"), help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        child(*args.child)
+        return 0
+    records, ok = ladder()
+    Path(args.out).write_text(json.dumps(records, indent=2) + "\n")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,15 +2,21 @@
 
 Composition is additive and reads left to right: for p: x -> y and
 q: y -> z the composite p + q: x -> z is defined exactly when
-target(p) = source(q).  Morphisms are stored as full tables so that
-every law can be checked by enumeration.
+target(p) = source(q).  Morphisms are stored as full tables, and every
+law holds over every composable tuple.
 
 Cost.  Each groupoid indexes its morphisms by source once, at
-construction (``out_of``, in input order), and every law is checked by
-walking that index, so only composable pairs and triples are visited.
-The loop groupoid of delta: M -> P has |M||P|^2 morphisms,
-|M|^2|P|^3 composable pairs and |M|^3|P|^4 associativity triples; a
-one-object groupoid on a group P checks |P|^2 pairs and |P|^3 triples.
+construction (``out_of``, in input order), and keeps a set of
+generators S: closing the identities under x -> x + s reaches every
+morphism (``groups._right_generators``).  Laws closed under composition
+are proved from S by Light's test: associativity checks
+(x + s) + y = x + (s + y) for s in S only, visiting the in(s) * out(s)
+morphisms x into and y out of s; the action and homomorphism laws check
+|S| (or |S| + 1) generators per element.  Only when a certificate fails
+does the full scan of every composable tuple run, to report the same
+first witness, or the same report, as before.  The loop groupoid of
+delta: M -> P has |M||P|^2 morphisms, |M|^2|P|^3 composable pairs and
+|M|^3|P|^4 associativity triples in a full scan.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .groups import (
     FiniteGroup,
     Homomorphism,
     _partition,
+    _right_generators,
     group_action,
     homomorphism,
     image,
@@ -53,6 +60,7 @@ class FiniteGroupoid:
     identities: dict
     inverses: dict
     out_of: dict  # x -> the morphisms with source x, in the order of `morphisms`
+    generators: tuple  # closing the identities under x -> x + s reaches every morphism
 
     def star(self, x: str) -> list[str]:
         """Morphisms whose source is x."""
@@ -70,7 +78,11 @@ class FiniteGroupoid:
 
 
 def make_groupoid(objects, morphisms, source, target, compose, identities) -> FiniteGroupoid:
-    """Build a groupoid, checking every law exhaustively over composable tuples."""
+    """Build a groupoid, checking every law over every composable tuple.
+
+    Associativity is proved by Light's test on the generators (see
+    ``groups._right_generators``) and scanned in full only when that fails.
+    """
     objects = tuple(objects)
     morphisms = tuple(morphisms)
     if len(set(objects)) != len(objects):
@@ -110,13 +122,27 @@ def make_groupoid(objects, morphisms, source, target, compose, identities) -> Fi
         e_source, e_target = units[i]
         if after[e_source][i] != i or after[i][e_target] != i:
             raise InvalidGroupoid("identity-law", (u,))
+    gens = _right_generators(range(len(morphisms)), [pos[identities[x]] for x in objects],
+                             lambda i, j: after[i].get(j))
+    into: dict = {x: [] for x in objects}  # x -> positions of the morphisms with target x
     for i, u in enumerate(morphisms):
-        u_then = after[i]
-        for j, ij in u_then.items():
-            ij_then, j_then = after[ij], after[j]
-            for k, jk in j_then.items():
-                if ij_then[k] != u_then[jk]:
-                    raise InvalidGroupoid("associativity", (u, morphisms[j], morphisms[k]))
+        into[target[u]].append(i)
+
+    def light_holds(s: int) -> bool:
+        """(i + s) + k = i + (s + k) for every i into s and k out of s."""
+        ks, sks = list(after[s]), list(after[s].values())
+        return all(list(map(after[after[i][s]].__getitem__, ks))
+                   == list(map(after[i].__getitem__, sks))
+                   for i in into[source[morphisms[s]]])
+
+    if not all(map(light_holds, gens)):
+        for i, u in enumerate(morphisms):
+            u_then = after[i]
+            for j, ij in u_then.items():
+                ij_then, j_then = after[ij], after[j]
+                for k, jk in j_then.items():
+                    if ij_then[k] != u_then[jk]:
+                        raise InvalidGroupoid("associativity", (u, morphisms[j], morphisms[k]))
     inverses = {}
     for i, u in enumerate(morphisms):
         e_source, e_target = units[i]
@@ -127,7 +153,13 @@ def make_groupoid(objects, morphisms, source, target, compose, identities) -> Fi
         inverses[u] = morphisms[found]
     return FiniteGroupoid(objects, morphisms, dict(source), dict(target),
                           dict(compose), dict(identities), inverses,
-                          {x: tuple(us) for x, us in out_of.items()})
+                          {x: tuple(us) for x, us in out_of.items()},
+                          tuple(morphisms[s] for s in gens))
+
+
+def _into(base: FiniteGroupoid, y) -> list:
+    """The morphisms with target y: in a groupoid, the inverses of those leaving y."""
+    return [base.inverses[u] for u in base.out_of[y]]
 
 
 def vertex_group(groupoid: FiniteGroupoid, x: str) -> FiniteGroup:
@@ -162,7 +194,15 @@ class GroupoidXMod:
 
 
 def make_gxm(base: FiniteGroupoid, fibres: dict, boundary: dict, action: dict) -> GroupoidXMod:
-    """Assemble a crossed module over a groupoid, checking every law."""
+    """Assemble a crossed module over a groupoid, checking every law.
+
+    The boundary and each u-action are homomorphisms once they respect
+    every generator of the fibre and 0; action composition holds once it
+    holds for v in the base's generators, and additivity (given
+    composition) once it holds at those generators (see
+    ``groups._right_generators``).  A failed certificate runs the full
+    scan of its law, which raises the same first witness as before.
+    """
     if set(fibres) != set(base.objects):
         raise InvalidGroupoidXMod("fibre-per-object", (tuple(fibres),))
     object_of: dict[str, str] = {}
@@ -172,6 +212,21 @@ def make_gxm(base: FiniteGroupoid, fibres: dict, boundary: dict, action: dict) -
                 raise InvalidGroupoidXMod("fibre-name-clash", (m, object_of[m], x))
             object_of[m] = x
     morphism_set = set(base.morphisms)
+
+    def boundary_additive(group, m, n) -> bool:
+        return boundary[group.add(m, n)] == base.compose[(boundary[m], boundary[n])]
+
+    def composes(m, u, v) -> bool:
+        return action[(action[(m, u)], v)] == action[(m, base.compose[(u, v)])]
+
+    def additive(m, n, u) -> bool:
+        group, image = fibres[base.source[u]], fibres[base.target[u]]
+        return action[(group.add(m, n), u)] == image.add(action[(m, u)], action[(n, u)])
+
+    def additive_at(u) -> bool:
+        group = fibres[base.source[u]]
+        return all(additive(m, n, u) for n in (group.identity, *group.generators) for m in group)
+
     for x in base.objects:
         group = fibres[x]
         for m in group:
@@ -181,10 +236,12 @@ def make_gxm(base: FiniteGroupoid, fibres: dict, boundary: dict, action: dict) -
             if (value not in morphism_set or base.source[value] != x
                     or base.target[value] != x):
                 raise InvalidGroupoidXMod("boundary-vertex", (m, value))
-        for m in group:
-            for n in group:
-                if boundary[group.add(m, n)] != base.compose[(boundary[m], boundary[n])]:
-                    raise InvalidGroupoidXMod("boundary-hom", (m, n))
+        if not all(boundary_additive(group, m, n)
+                   for n in (group.identity, *group.generators) for m in group):
+            for m in group:
+                for n in group:
+                    if not boundary_additive(group, m, n):
+                        raise InvalidGroupoidXMod("boundary-hom", (m, n))
     expected_keys = {(m, u) for u in base.morphisms for m in fibres[base.source[u]]}
     if action.keys() != expected_keys:
         # first extra key in action order, else first missing pair (see make_groupoid)
@@ -199,21 +256,20 @@ def make_gxm(base: FiniteGroupoid, fibres: dict, boundary: dict, action: dict) -
         for m in fibres[x]:
             if action[(m, base.identities[x])] != m:
                 raise InvalidAction("identity", (m, x))
-    for u in base.morphisms:
-        x = base.source[u]
-        for v in base.out_of[base.target[u]]:
-            uv = base.compose[(u, v)]
-            for m in fibres[x]:
-                if action[(action[(m, u)], v)] != action[(m, uv)]:
-                    raise InvalidAction("composition", (m, u, v))
-    for u in base.morphisms:
-        group = fibres[base.source[u]]
-        target_group = fibres[base.target[u]]
-        for m in group:
-            for n in group:
-                if action[(group.add(m, n), u)] != target_group.add(
-                        action[(m, u)], action[(n, u)]):
-                    raise InvalidAction("additivity", (m, n, u))
+    if not all(composes(m, u, v) for v in base.generators
+               for u in _into(base, base.source[v]) for m in fibres[base.source[u]]):
+        for u in base.morphisms:
+            for v in base.out_of[base.target[u]]:
+                for m in fibres[base.source[u]]:
+                    if not composes(m, u, v):
+                        raise InvalidAction("composition", (m, u, v))
+    if not all(map(additive_at, base.generators)):
+        for u in base.morphisms:
+            group = fibres[base.source[u]]
+            for m in group:
+                for n in group:
+                    if not additive(m, n, u):
+                        raise InvalidAction("additivity", (m, n, u))
     for u in base.morphisms:
         x = base.source[u]
         for m in fibres[x]:
@@ -306,7 +362,13 @@ class GXModMorphism:
 
 def check_morphism(source: GroupoidXMod, target: GroupoidXMod,
                    obj_map: dict, mor_map: dict, dim2_map: dict) -> list[Violation]:
-    """Report-valued check of the morphism laws."""
+    """Report-valued check of the morphism laws.
+
+    With identities preserved, ``composition`` is proved for v in the
+    source's generators, and ``dim2-hom`` for n in each fibre's generators
+    and 0 (see ``groups._right_generators``); a failed certificate, or a
+    broken identity, runs the full scan, which reports every failure.
+    """
     report: list[Violation] = []
     src_base, tgt_base = source.base, target.base
     tgt_objects = set(tgt_base.objects)
@@ -326,16 +388,25 @@ def check_morphism(source: GroupoidXMod, target: GroupoidXMod,
             report.append(Violation("endpoints", f"image of {u} has wrong endpoints", (u,)))
     if report:
         return report
+
+    def preserves(u, v) -> bool:
+        return mor_map[src_base.compose[(u, v)]] == tgt_base.compose[(mor_map[u], mor_map[v])]
+
+    def dim2_additive(fibre, image, m, n) -> bool:
+        return dim2_map[fibre.add(m, n)] == image.add(dim2_map[m], dim2_map[n])
+
+    identities_kept = True
     for x in src_base.objects:
         if mor_map[src_base.identities[x]] != tgt_base.identities[obj_map[x]]:
+            identities_kept = False
             report.append(Violation("identity", f"identity at {x} is not preserved", (x,)))
-    for u in src_base.morphisms:
-        for v in src_base.out_of[src_base.target[u]]:
-            lhs = mor_map[src_base.compose[(u, v)]]
-            rhs = tgt_base.compose[(mor_map[u], mor_map[v])]
-            if lhs != rhs:
-                report.append(Violation("composition", f"f({u} + {v}) != f({u}) + f({v})",
-                                        (u, v)))
+    if not (identities_kept and all(preserves(u, v) for v in src_base.generators
+                                    for u in _into(src_base, src_base.source[v]))):
+        for u in src_base.morphisms:
+            for v in src_base.out_of[src_base.target[u]]:
+                if not preserves(u, v):
+                    report.append(Violation("composition", f"f({u} + {v}) != f({u}) + f({v})",
+                                            (u, v)))
     for x in src_base.objects:
         fibre = source.fibres[x]
         target_fibre = target.fibres[obj_map[x]]
@@ -343,11 +414,13 @@ def check_morphism(source: GroupoidXMod, target: GroupoidXMod,
         report += [Violation("dim2-map", f"no valid image for {m}", (m,)) for m in unmapped]
         if unmapped:
             continue
-        for m in fibre:
-            for n in fibre:
-                if dim2_map[fibre.add(m, n)] != target_fibre.add(dim2_map[m], dim2_map[n]):
-                    report.append(Violation("dim2-hom", f"f2({m} + {n}) != f2({m}) + f2({n})",
-                                            (m, n)))
+        if not all(dim2_additive(fibre, target_fibre, m, n)
+                   for n in (fibre.identity, *fibre.generators) for m in fibre):
+            for m in fibre:
+                for n in fibre:
+                    if not dim2_additive(fibre, target_fibre, m, n):
+                        report.append(Violation("dim2-hom", f"f2({m} + {n}) != f2({m}) + f2({n})",
+                                                (m, n)))
         for m in fibre:
             if mor_map[source.boundary[m]] != target.boundary[dim2_map[m]]:
                 report.append(Violation("boundary-square",

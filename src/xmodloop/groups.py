@@ -1,10 +1,17 @@
 """Finite group arithmetic on explicit composition tables.
 
 A group is its validated table; nothing is presented by generators and
-relations, so every law can be checked exhaustively.  Composition is
-written additively (x + y, -x, 0) even for nonabelian groups.  Element
-order is the input order and all derived listings follow it, which makes
-every result deterministic.
+relations, so every law holds over every tuple.  Composition is written
+additively (x + y, -x, 0) even for nonabelian groups.  Element order is
+the input order and all derived listings follow it, which makes every
+result deterministic.
+
+Cost.  Laws that are closed under composition are proved from a few
+generators instead of being enumerated (see ``_right_generators``):
+associativity costs n^2 |S| for a group of order n with |S| <= log2 n
+generators, and a homomorphism or an action law costs |S| + 1 checks
+per element.  When a certificate fails, the full scan runs and reports
+exactly what it always reported.
 """
 
 from __future__ import annotations
@@ -30,11 +37,57 @@ from .errors import (
 DEFAULT_MAX_ISO_ORDER = 512
 
 
+def _right_generators(points, starts, after) -> list:
+    """Points S such that closing ``starts`` under x -> x + s (s in S) reaches every point.
+
+    ``after(x, s)`` is x + s, or None where the pair is not composable.
+    The points are walked in input order, and each one not yet reached
+    becomes the next generator.  In a group the reached set is the
+    subgroup generated so far, and each new generator at least doubles
+    it, so |S| <= log2 |G|.
+
+    Light's test.  Let A be the set of a with (x + a) + y = x + (a + y)
+    for all composable x, y.  Identities are in A by the identity law,
+    and for a, b in A (using a, b, a, b in A in turn):
+        (x + (a + b)) + y = ((x + a) + b) + y = (x + a) + (b + y)
+                          = x + (a + (b + y)) = x + ((a + b) + y).
+    So A is closed under composition, and associativity holds everywhere
+    once it holds for s in S.  The same induction on words proves that a
+    map respecting f(x + s) = f(x) + f(s) for all x and s in S + {0} is a
+    homomorphism, and that an action with m^0 = m and (m^u)^s = m^(u+s)
+    for s in S satisfies (m^u)^v = m^(u+v) for every v.
+    """
+    gens: list = []
+    reached = list(starts)
+    seen = set(reached)
+    for p in points:
+        if p in seen:
+            continue
+        gens.append(p)
+        closed = len(reached)  # reached[:closed] is closed under the earlier generators
+        for x in reached[:closed]:
+            y = after(x, p)
+            if y is not None and y not in seen:
+                seen.add(y)
+                reached.append(y)
+        i = closed
+        while i < len(reached):  # each newly reached point meets every generator once
+            for s in gens:
+                y = after(reached[i], s)
+                if y is not None and y not in seen:
+                    seen.add(y)
+                    reached.append(y)
+            i += 1
+    return gens
+
+
 class FiniteGroup:
     """A finite group on hashable element labels, defined by its composition table.
 
-    Construction validates closure, associativity, the declared identity
-    and two-sided inverses, raising with a witness on the first failure.
+    Construction validates closure, the declared identity, two-sided
+    inverses and associativity, raising with a witness on the first
+    failure.  ``generators`` is the greedy generating set of
+    ``_right_generators``, in input order; associativity is proved from it.
     """
 
     def __init__(self, elements, table, identity, name=None):
@@ -84,13 +137,18 @@ class FiniteGroup:
                 raise NoInverse(elements[i])
             inv.append(found)
         self._inv = inv
-        for i in range(n):
-            for j in range(n):
-                ij = idx_table[i][j]
-                row_j = idx_table[j]
-                for k in range(n):
-                    if idx_table[ij][k] != idx_table[i][row_j[k]]:
-                        raise NotAssociative(elements[i], elements[j], elements[k])
+        gens = _right_generators(range(n), (e,), lambda i, j: idx_table[i][j])
+        self.generators: tuple = tuple(elements[s] for s in gens)
+        # Light's test: (i + s) + k = i + (s + k) for the generators s only
+        if not all([row_i[k] for k in idx_table[s]] == idx_table[row_i[s]]
+                   for s in gens for row_i in idx_table):
+            for i in range(n):
+                for j in range(n):
+                    ij = idx_table[i][j]
+                    row_j = idx_table[j]
+                    for k in range(n):
+                        if idx_table[ij][k] != idx_table[i][row_j[k]]:
+                            raise NotAssociative(elements[i], elements[j], elements[k])
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -297,8 +355,10 @@ class Homomorphism:
 def _homomorphism_failures(source: FiniteGroup, target: FiniteGroup, mapping: dict):
     """Yield each broken law of a candidate map; return whether it is total into target.
 
-    Totality and codomain come first, in source order; additivity is
-    checked over every pair only when the map is total.
+    Totality and codomain come first, in source order.  Additivity is
+    checked only when the map is total: proved from f(x + s) = f(x) + f(s)
+    for s in the generators and 0 (see ``_right_generators``), and
+    scanned over every pair only when that certificate fails.
     """
     total = True
     for x in source:
@@ -309,10 +369,15 @@ def _homomorphism_failures(source: FiniteGroup, target: FiniteGroup, mapping: di
         elif value not in target:
             total = False
             yield CodomainViolation(x, value)
-    if total:
+
+    def additive(x, y) -> bool:
+        return mapping[source.add(x, y)] == target.add(mapping[x], mapping[y])
+
+    if total and not all(additive(x, s) for s in (source.identity, *source.generators)
+                         for x in source):
         for x in source:
             for y in source:
-                if mapping[source.add(x, y)] != target.add(mapping[x], mapping[y]):
+                if not additive(x, y):
                     yield InvalidHomomorphism(x, y)
     return total
 
@@ -343,8 +408,12 @@ def _action_failures(actor: FiniteGroup, space: FiniteGroup, table: dict):
     """Yield each broken law of an action table; return whether it is total into space.
 
     Totality and codomain come first, actor-major; the laws m^0 = m,
-    (m^p)^q = m^(p+q) and (m+n)^p = m^p + n^p are checked over every
-    tuple only when the table is total.
+    (m^p)^q = m^(p+q) and (m+n)^p = m^p + n^p are checked only when the
+    table is total.  Given m^0 = m, composition is proved for q in the
+    actor's generators; given composition, additivity is proved for p in
+    those generators and n in the space's generators and 0 (see
+    ``_right_generators``).  Each law whose certificate fails, or whose
+    premise does, is scanned over every tuple.
     """
     total = True
     rows: dict = {}  # p -> {m -> m^p}, so the laws below look up by element
@@ -358,22 +427,36 @@ def _action_failures(actor: FiniteGroup, space: FiniteGroup, table: dict):
             elif value not in space:
                 total = False
                 yield InvalidAction("codomain", (m, p, value))
-    if total:
-        for m in space:
-            if rows[actor.identity][m] != m:
-                yield InvalidAction("identity", (m,))
+    if not total:
+        return total
+
+    def composes(m, p, q) -> bool:
+        return rows[q][rows[p][m]] == rows[actor.add(p, q)][m]
+
+    def additive(m, n, p) -> bool:
+        row = rows[p]
+        return row[space.add(m, n)] == space.add(row[m], row[n])
+
+    identity_holds = True
+    for m in space:
+        if rows[actor.identity][m] != m:
+            identity_holds = False
+            yield InvalidAction("identity", (m,))
+    composition_holds = identity_holds and all(
+        composes(m, p, s) for s in actor.generators for p in actor for m in space)
+    if not composition_holds:
         for m in space:
             for p in actor:
-                mp = rows[p][m]
                 for q in actor:
-                    if rows[q][mp] != rows[actor.add(p, q)][m]:
+                    if not composes(m, p, q):
                         yield InvalidAction("composition", (m, p, q))
+    if not (composition_holds and all(additive(m, n, p) for p in actor.generators
+                                      for n in (space.identity, *space.generators)
+                                      for m in space)):
         for m in space:
             for n in space:
-                mn = space.add(m, n)
                 for p in actor:
-                    row = rows[p]
-                    if row[mn] != space.add(row[m], row[n]):
+                    if not additive(m, n, p):
                         yield InvalidAction("additivity", (m, n, p))
     return total
 
@@ -428,16 +511,6 @@ def _order_profile(group: FiniteGroup) -> Counter:
     return Counter(group.element_order(x) for x in group)
 
 
-def _generating_sequence(group: FiniteGroup) -> list[str]:
-    generated = {group.identity}
-    gens: list[str] = []
-    while len(generated) < len(group):
-        g = next(x for x in group if x not in generated)
-        gens.append(g)
-        generated = set(subgroup_generated(group, gens).members)
-    return gens
-
-
 def _close_partial(g_group: FiniteGroup, h_group: FiniteGroup, seed: dict) -> dict | None:
     """Close a partial map under products; None on conflict or collision."""
     known = dict(seed)
@@ -478,7 +551,7 @@ def are_isomorphic(g_group: FiniteGroup, h_group: FiniteGroup,
         return None
     if _order_profile(g_group) != _order_profile(h_group):
         return None
-    gens = _generating_sequence(g_group)
+    gens = g_group.generators
     gen_orders = {g: g_group.element_order(g) for g in gens}
     by_order: dict[int, list[str]] = {}
     for h in h_group:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
+from .documents import _render
 from .errors import InternalInvariantBroken, XModError
 from .groups import (
     FiniteGroup,
@@ -116,11 +117,14 @@ def components(x: CrossedModule) -> list[list[str]]:
 
 
 def loop_xmod_at(x: CrossedModule, a: str) -> CrossedModule:
-    """The loop crossed module at a; its axioms are re-verified on assembly."""
+    """The loop crossed module at a; its axioms are re-verified on assembly.
+
+    It is named "<name>-loop[<a>]", with a written as its document name.
+    """
     data = loop_data(x, a)
     try:
         return make_xmod(x.M, data.Pa, data.delta_a, data.action,
-                         name=f"{x.name or 'xmod'}-loop[{a}]")
+                         name=f"{x.name or 'xmod'}-loop[{_render(a)}]")
     except XModError as exc:
         raise InternalInvariantBroken(
             f"loop crossed module at {a} fails an axiom: {exc}", exc.witness) from exc

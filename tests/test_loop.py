@@ -1,8 +1,11 @@
+import json
+
 import pytest
 
 from bruteforce import brute_components, brute_pa
 from conftest import all_base_pairs
 from xmodloop import fixtures
+from xmodloop.documents import serialize_xmod
 from xmodloop.errors import UnknownElement
 from xmodloop.groups import (
     are_isomorphic,
@@ -190,3 +193,12 @@ def test_delta_a_image_is_normal_in_pa():
         for g in data.Pa:
             for d in img:
                 assert data.Pa.conj(d, g) in img
+
+
+def test_loop_of_a_loop_is_named_by_rendered_base():
+    first = loop_xmod_at(fixtures.mod32(), "0")
+    base = first.P.identity
+    assert base == ("0", "0")
+    second = loop_xmod_at(first, base)
+    assert second.name == "mod32-loop[0]-loop[(0|0)]"
+    assert json.loads(serialize_xmod(second))["name"] == "mod32-loop[0]-loop[(0|0)]"
