@@ -11,17 +11,20 @@ generators S: closing the identities under x -> x + s reaches every
 morphism (``groups._right_generators``).  Laws closed under composition
 are proved from S by Light's test: associativity checks
 (x + s) + y = x + (s + y) for s in S only, visiting the in(s) * out(s)
-morphisms x into and y out of s; the action and homomorphism laws check
-|S| (or |S| + 1) generators per element.  Only when a certificate fails
-does the full scan of every composable tuple run, to report the same
-first witness, or the same report, as before.  The loop groupoid of
-delta: M -> P has |M||P|^2 morphisms, |M|^2|P|^3 composable pairs and
-|M|^3|P|^4 associativity triples in a full scan.
+morphisms x into and y out of s; the action, homomorphism, CM1 and CM2
+laws check |S| (or |S| + 1) generators per element.  Every such proof
+goes through ``groups._failures``: only when it fails does the full scan
+of every composable tuple run, to report the same first witness, or the
+same report, as before.  The domain checks count the composable pairs
+instead of building their set.  The loop groupoid of delta: M -> P has
+|M||P|^2 morphisms, |M|^2|P|^3 composable pairs and |M|^3|P|^4
+associativity triples in a full scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import (
     CM1Violation,
@@ -36,6 +39,8 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     Homomorphism,
+    _additive_failures,
+    _failures,
     _partition,
     _right_generators,
     group_action,
@@ -73,9 +78,6 @@ class FiniteGroupoid:
             raise UnknownObject(x)
         return [u for u in self.out_of[x] if self.target[u] == x]
 
-    def inverse(self, u: str) -> str:
-        return self.inverses[u]
-
 
 def make_groupoid(objects, morphisms, source, target, compose, identities) -> FiniteGroupoid:
     """Build a groupoid, checking every law over every composable tuple.
@@ -103,13 +105,20 @@ def make_groupoid(objects, morphisms, source, target, compose, identities) -> Fi
     out_of: dict[str, list[str]] = {x: [] for x in objects}
     for u in morphisms:
         out_of[source[u]].append(u)
-    composable = {(u, v) for u in morphisms for v in out_of[target[u]]}
-    if compose.keys() != composable:
-        # first extra key in compose order, else first missing pair: never set order,
-        # which would make the witness depend on the hash seed
-        witness = next((key for key in compose if key not in composable), None) or next(
-            (u, v) for u in morphisms for v in out_of[target[u]] if (u, v) not in compose)
-        raise InvalidGroupoid("composition-domain", witness)
+
+    def pairs():
+        return ((u, v) for u in morphisms for v in out_of[target[u]])
+
+    # The keys are the composable pairs iff there are as many and each pair is a
+    # key, so only a failing table builds their set.  The witness is the first
+    # extra key in compose order, else the first missing pair: never set order,
+    # which would make the witness depend on the hash seed.
+    if (len(compose) != sum(len(out_of[target[u]]) for u in morphisms)
+            or not all(map(compose.__contains__, pairs()))):
+        composable = set(pairs())
+        extra = [key for key in compose if key not in composable][:1]
+        raise InvalidGroupoid("composition-domain", extra[0] if extra else
+                              next(pair for pair in pairs() if pair not in compose))
     for (u, v), w in compose.items():
         if w not in morphism_set or source[w] != source[u] or target[w] != target[v]:
             raise InvalidGroupoid("composition-endpoints", (u, v, w))
@@ -128,21 +137,19 @@ def make_groupoid(objects, morphisms, source, target, compose, identities) -> Fi
     for i, u in enumerate(morphisms):
         into[target[u]].append(i)
 
-    def light_holds(s: int) -> bool:
-        """(i + s) + k = i + (s + k) for every i into s and k out of s."""
-        ks, sks = list(after[s]), list(after[s].values())
-        return all(list(map(after[after[i][s]].__getitem__, ks))
-                   == list(map(after[i].__getitem__, sks))
-                   for i in into[source[morphisms[s]]])
+    def associates(i: int, j: int) -> bool:
+        """(i + j) + k = i + (j + k) for every k out of j, one whole row at a time."""
+        j_then = after[j]
+        return (list(map(after[after[i][j]].__getitem__, j_then))
+                == list(map(after[i].__getitem__, j_then.values())))
 
-    if not all(map(light_holds, gens)):
-        for i, u in enumerate(morphisms):
-            u_then = after[i]
-            for j, ij in u_then.items():
-                ij_then, j_then = after[ij], after[j]
-                for k, jk in j_then.items():
-                    if ij_then[k] != u_then[jk]:
-                        raise InvalidGroupoid("associativity", (u, morphisms[j], morphisms[k]))
+    # Light's test: the pairs (i, s) for the generators s prove every pair
+    scan = ((i, j) for i in range(len(morphisms)) for j in after[i])
+    proof = ((i, s) for s in gens for i in into[source[morphisms[s]]])
+    for i, j in _failures(associates, scan, proof):
+        ij_then, i_then = after[after[i][j]], after[i]
+        k = next(k for k, jk in after[j].items() if ij_then[k] != i_then[jk])
+        raise InvalidGroupoid("associativity", (morphisms[i], morphisms[j], morphisms[k]))
     inverses = {}
     for i, u in enumerate(morphisms):
         e_source, e_target = units[i]
@@ -196,12 +203,20 @@ class GroupoidXMod:
 def make_gxm(base: FiniteGroupoid, fibres: dict, boundary: dict, action: dict) -> GroupoidXMod:
     """Assemble a crossed module over a groupoid, checking every law.
 
+    Each law closed under composition is proved from generators (see
+    ``groups._right_generators``) and scanned in full, to raise the same
+    first witness as before, only when that proof fails (``_failures``).
     The boundary and each u-action are homomorphisms once they respect
-    every generator of the fibre and 0; action composition holds once it
-    holds for v in the base's generators, and additivity (given
-    composition) once it holds at those generators (see
-    ``groups._right_generators``).  A failed certificate runs the full
-    scan of its law, which raises the same first witness as before.
+    every generator of the fibre and 0.  Action composition holds once it
+    holds for v in the base's generators, and then additivity once it
+    holds at those generators.  CM1 and CM2 come last, after every premise
+    of their proofs (the identity laws, boundary-hom and composition):
+
+    - CM1 holds at identities, and at u + s if it holds at u and s:
+      d(m^(u+s)) = -s + d(m^u) + s = -s - u + d(m) + u + s = -(u+s) + d(m) + (u+s).
+    - CM2 holds for n = 0, and for n + s if it holds for n and s:
+      m^d(n+s) = (m^d(n))^d(s) = -s + (-n + m + n) + s = -(n+s) + m + (n+s).
+    So s runs over the base's generators for CM1 and each fibre's for CM2.
     """
     if set(fibres) != set(base.objects):
         raise InvalidGroupoidXMod("fibre-per-object", (tuple(fibres),))
@@ -212,20 +227,23 @@ def make_gxm(base: FiniteGroupoid, fibres: dict, boundary: dict, action: dict) -
                 raise InvalidGroupoidXMod("fibre-name-clash", (m, object_of[m], x))
             object_of[m] = x
     morphism_set = set(base.morphisms)
-
-    def boundary_additive(group, m, n) -> bool:
-        return boundary[group.add(m, n)] == base.compose[(boundary[m], boundary[n])]
+    compose, source, target = base.compose, base.source, base.target
 
     def composes(m, u, v) -> bool:
-        return action[(action[(m, u)], v)] == action[(m, base.compose[(u, v)])]
+        return action[(action[(m, u)], v)] == action[(m, compose[(u, v)])]
 
     def additive(m, n, u) -> bool:
-        group, image = fibres[base.source[u]], fibres[base.target[u]]
+        group, image = fibres[source[u]], fibres[target[u]]
         return action[(group.add(m, n), u)] == image.add(action[(m, u)], action[(n, u)])
 
-    def additive_at(u) -> bool:
-        group = fibres[base.source[u]]
-        return all(additive(m, n, u) for n in (group.identity, *group.generators) for m in group)
+    def cm1(m, u) -> bool:
+        return boundary[action[(m, u)]] == compose[(compose[(base.inverses[u], boundary[m])], u)]
+
+    def cm2(m, n) -> bool:
+        return fibres[object_of[m]].conj(m, n) == action[(m, boundary[n])]
+
+    def keys():
+        return ((m, u) for u in base.morphisms for m in fibres[source[u]])
 
     for x in base.objects:
         group = fibres[x]
@@ -233,56 +251,43 @@ def make_gxm(base: FiniteGroupoid, fibres: dict, boundary: dict, action: dict) -
             value = boundary.get(m)
             if value is None:
                 raise InvalidGroupoidXMod("boundary-missing", (m,))
-            if (value not in morphism_set or base.source[value] != x
-                    or base.target[value] != x):
+            if value not in morphism_set or source[value] != x or target[value] != x:
                 raise InvalidGroupoidXMod("boundary-vertex", (m, value))
-        if not all(boundary_additive(group, m, n)
-                   for n in (group.identity, *group.generators) for m in group):
-            for m in group:
-                for n in group:
-                    if not boundary_additive(group, m, n):
-                        raise InvalidGroupoidXMod("boundary-hom", (m, n))
-    expected_keys = {(m, u) for u in base.morphisms for m in fibres[base.source[u]]}
-    if action.keys() != expected_keys:
-        # first extra key in action order, else first missing pair (see make_groupoid)
-        witness = next((key for key in action if key not in expected_keys), None) or next(
-            (m, u) for u in base.morphisms for m in fibres[base.source[u]]
-            if (m, u) not in action)
-        raise InvalidGroupoidXMod("action-domain", witness)
+        for m, n in _additive_failures(group, boundary, lambda p, q: compose[(p, q)]):
+            raise InvalidGroupoidXMod("boundary-hom", (m, n))
+    # as the composition domain in make_groupoid
+    if (len(action) != sum(len(fibres[source[u]]) for u in base.morphisms)
+            or not all(map(action.__contains__, keys()))):
+        expected = set(keys())
+        extra = [key for key in action if key not in expected][:1]
+        raise InvalidGroupoidXMod("action-domain", extra[0] if extra else
+                                  next(key for key in keys() if key not in action))
     for (m, u), value in action.items():
-        if value not in fibres[base.target[u]]:
+        if value not in fibres[target[u]]:
             raise InvalidGroupoidXMod("action-codomain", (m, u, value))
     for x in base.objects:
         for m in fibres[x]:
             if action[(m, base.identities[x])] != m:
                 raise InvalidAction("identity", (m, x))
-    if not all(composes(m, u, v) for v in base.generators
-               for u in _into(base, base.source[v]) for m in fibres[base.source[u]]):
-        for u in base.morphisms:
-            for v in base.out_of[base.target[u]]:
-                for m in fibres[base.source[u]]:
-                    if not composes(m, u, v):
-                        raise InvalidAction("composition", (m, u, v))
-    if not all(map(additive_at, base.generators)):
-        for u in base.morphisms:
-            group = fibres[base.source[u]]
-            for m in group:
-                for n in group:
-                    if not additive(m, n, u):
-                        raise InvalidAction("additivity", (m, n, u))
-    for u in base.morphisms:
-        x = base.source[u]
-        for m in fibres[x]:
-            lhs = boundary[action[(m, u)]]
-            rhs = base.compose[(base.compose[(base.inverses[u], boundary[m])], u)]
-            if lhs != rhs:
-                raise CM1Violation(m, u)
-    for x in base.objects:
-        group = fibres[x]
-        for m in group:
-            for n in group:
-                if group.conj(m, n) != action[(m, boundary[n])]:
-                    raise CM2Violation(m, n)
+    scan = ((m, u, v) for u in base.morphisms for v in base.out_of[target[u]]
+            for m in fibres[source[u]])
+    proof = ((m, u, v) for v in base.generators for u in _into(base, source[v])
+             for m in fibres[source[u]])
+    for witness in _failures(composes, scan, proof):
+        raise InvalidAction("composition", witness)
+    scan = ((m, n, u) for u in base.morphisms for m, n in product(fibres[source[u]], repeat=2))
+    proof = ((m, n, s) for s in base.generators for m in fibres[source[s]]
+             for n in (fibres[source[s]].identity, *fibres[source[s]].generators))
+    for witness in _failures(additive, scan, proof):
+        raise InvalidAction("additivity", witness)
+    scan = ((m, u) for u in base.morphisms for m in fibres[source[u]])
+    proof = ((m, s) for s in base.generators for m in fibres[source[s]])
+    for m, u in _failures(cm1, scan, proof):
+        raise CM1Violation(m, u)
+    scan = ((m, n) for x in base.objects for m, n in product(fibres[x], repeat=2))
+    proof = ((m, s) for x in base.objects for m, s in product(fibres[x], fibres[x].generators))
+    for m, n in _failures(cm2, scan, proof):
+        raise CM2Violation(m, n)
     return GroupoidXMod(base, dict(fibres), dict(boundary), dict(action), object_of)
 
 
@@ -392,21 +397,15 @@ def check_morphism(source: GroupoidXMod, target: GroupoidXMod,
     def preserves(u, v) -> bool:
         return mor_map[src_base.compose[(u, v)]] == tgt_base.compose[(mor_map[u], mor_map[v])]
 
-    def dim2_additive(fibre, image, m, n) -> bool:
-        return dim2_map[fibre.add(m, n)] == image.add(dim2_map[m], dim2_map[n])
-
     identities_kept = True
     for x in src_base.objects:
         if mor_map[src_base.identities[x]] != tgt_base.identities[obj_map[x]]:
             identities_kept = False
             report.append(Violation("identity", f"identity at {x} is not preserved", (x,)))
-    if not (identities_kept and all(preserves(u, v) for v in src_base.generators
-                                    for u in _into(src_base, src_base.source[v]))):
-        for u in src_base.morphisms:
-            for v in src_base.out_of[src_base.target[u]]:
-                if not preserves(u, v):
-                    report.append(Violation("composition", f"f({u} + {v}) != f({u}) + f({v})",
-                                            (u, v)))
+    scan = ((u, v) for u in src_base.morphisms for v in src_base.out_of[src_base.target[u]])
+    proof = ((u, v) for v in src_base.generators for u in _into(src_base, src_base.source[v]))
+    report += [Violation("composition", f"f({u} + {v}) != f({u}) + f({v})", (u, v))
+               for u, v in _failures(preserves, scan, proof if identities_kept else None)]
     for x in src_base.objects:
         fibre = source.fibres[x]
         target_fibre = target.fibres[obj_map[x]]
@@ -414,13 +413,8 @@ def check_morphism(source: GroupoidXMod, target: GroupoidXMod,
         report += [Violation("dim2-map", f"no valid image for {m}", (m,)) for m in unmapped]
         if unmapped:
             continue
-        if not all(dim2_additive(fibre, target_fibre, m, n)
-                   for n in (fibre.identity, *fibre.generators) for m in fibre):
-            for m in fibre:
-                for n in fibre:
-                    if not dim2_additive(fibre, target_fibre, m, n):
-                        report.append(Violation("dim2-hom", f"f2({m} + {n}) != f2({m}) + f2({n})",
-                                                (m, n)))
+        report += [Violation("dim2-hom", f"f2({m} + {n}) != f2({m}) + f2({n})", (m, n))
+                   for m, n in _additive_failures(fibre, dim2_map, target_fibre.add)]
         for m in fibre:
             if mor_map[source.boundary[m]] != target.boundary[dim2_map[m]]:
                 report.append(Violation("boundary-square",

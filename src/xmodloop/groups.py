@@ -10,14 +10,16 @@ Cost.  Laws that are closed under composition are proved from a few
 generators instead of being enumerated (see ``_right_generators``):
 associativity costs n^2 |S| for a group of order n with |S| <= log2 n
 generators, and a homomorphism or an action law costs |S| + 1 checks
-per element.  When a certificate fails, the full scan runs and reports
-exactly what it always reported.
+per element.  ``_failures`` is the one place where such a proof gates
+a scan: when the proof fails, the full scan runs and reports exactly
+what it always reported.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product, starmap
 
 from .errors import (
     CodomainViolation,
@@ -81,6 +83,34 @@ def _right_generators(points, starts, after) -> list:
     return gens
 
 
+def _failures(law, scan, proof=None):
+    """The tuples of ``scan`` at which ``law`` fails, in scan order, as an iterator.
+
+    ``proof`` lists the tuples from which a generator argument (see
+    ``_right_generators``) proves the law everywhere: when the law holds
+    at each of them, nothing is scanned and nothing returned.  ``None``
+    means a premise of that argument failed, so the scan always runs.
+    """
+    if proof is not None and all(starmap(law, proof)):
+        return iter(())
+    return (t for t in scan if not law(*t))
+
+
+def _additive_failures(source: FiniteGroup, mapping, add):
+    """The pairs (x, y) of source, x-major, with mapping[x + y] != add(mapping[x], mapping[y]).
+
+    ``add`` composes in an associative target.  Proved from y in the
+    generators and 0: f(x + 0) = f(x) + f(0) forces f(0) = 0, and
+    f(x + w + s) = f(x + w) + f(s) = f(x) + f(w) + f(s) = f(x) + f(w + s).
+    """
+    def additive(x, y) -> bool:
+        return mapping[source.add(x, y)] == add(mapping[x], mapping[y])
+
+    elements = source.elements
+    return _failures(additive, ((x, y) for x in elements for y in elements),
+                     product(elements, (source.identity, *source.generators)))
+
+
 class FiniteGroup:
     """A finite group on hashable element labels, defined by its composition table.
 
@@ -139,16 +169,17 @@ class FiniteGroup:
         self._inv = inv
         gens = _right_generators(range(n), (e,), lambda i, j: idx_table[i][j])
         self.generators: tuple = tuple(elements[s] for s in gens)
-        # Light's test: (i + s) + k = i + (s + k) for the generators s only
-        if not all([row_i[k] for k in idx_table[s]] == idx_table[row_i[s]]
-                   for s in gens for row_i in idx_table):
-            for i in range(n):
-                for j in range(n):
-                    ij = idx_table[i][j]
-                    row_j = idx_table[j]
-                    for k in range(n):
-                        if idx_table[ij][k] != idx_table[i][row_j[k]]:
-                            raise NotAssociative(elements[i], elements[j], elements[k])
+
+        def associates(i, j) -> bool:
+            """(i + j) + k = i + (j + k) for every k, one whole row at a time."""
+            row_i = idx_table[i]
+            return [row_i[k] for k in idx_table[j]] == idx_table[row_i[j]]
+
+        # Light's test: the pairs (i, s) for the generators s prove every pair
+        for i, j in _failures(associates, product(range(n), range(n)), product(range(n), gens)):
+            ij, row_i = idx_table[i][j], idx_table[i]
+            k = next(k for k, jk in enumerate(idx_table[j]) if idx_table[ij][k] != row_i[jk])
+            raise NotAssociative(elements[i], elements[j], elements[k])
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -356,9 +387,7 @@ def _homomorphism_failures(source: FiniteGroup, target: FiniteGroup, mapping: di
     """Yield each broken law of a candidate map; return whether it is total into target.
 
     Totality and codomain come first, in source order.  Additivity is
-    checked only when the map is total: proved from f(x + s) = f(x) + f(s)
-    for s in the generators and 0 (see ``_right_generators``), and
-    scanned over every pair only when that certificate fails.
+    checked only when the map is total (``_additive_failures``).
     """
     total = True
     for x in source:
@@ -369,16 +398,9 @@ def _homomorphism_failures(source: FiniteGroup, target: FiniteGroup, mapping: di
         elif value not in target:
             total = False
             yield CodomainViolation(x, value)
-
-    def additive(x, y) -> bool:
-        return mapping[source.add(x, y)] == target.add(mapping[x], mapping[y])
-
-    if total and not all(additive(x, s) for s in (source.identity, *source.generators)
-                         for x in source):
-        for x in source:
-            for y in source:
-                if not additive(x, y):
-                    yield InvalidHomomorphism(x, y)
+    if total:
+        for x, y in _additive_failures(source, mapping, target.add):
+            yield InvalidHomomorphism(x, y)
     return total
 
 
@@ -413,7 +435,7 @@ def _action_failures(actor: FiniteGroup, space: FiniteGroup, table: dict):
     actor's generators; given composition, additivity is proved for p in
     those generators and n in the space's generators and 0 (see
     ``_right_generators``).  Each law whose certificate fails, or whose
-    premise does, is scanned over every tuple.
+    premise does, is scanned over every tuple (``_failures``).
     """
     total = True
     rows: dict = {}  # p -> {m -> m^p}, so the laws below look up by element
@@ -442,22 +464,15 @@ def _action_failures(actor: FiniteGroup, space: FiniteGroup, table: dict):
         if rows[actor.identity][m] != m:
             identity_holds = False
             yield InvalidAction("identity", (m,))
-    composition_holds = identity_holds and all(
-        composes(m, p, s) for s in actor.generators for p in actor for m in space)
-    if not composition_holds:
-        for m in space:
-            for p in actor:
-                for q in actor:
-                    if not composes(m, p, q):
-                        yield InvalidAction("composition", (m, p, q))
-    if not (composition_holds and all(additive(m, n, p) for p in actor.generators
-                                      for n in (space.identity, *space.generators)
-                                      for m in space)):
-        for m in space:
-            for n in space:
-                for p in actor:
-                    if not additive(m, n, p):
-                        yield InvalidAction("additivity", (m, n, p))
+    composition_holds = identity_holds
+    for witness in _failures(composes, product(space, actor, actor),
+                             product(space, actor, actor.generators) if identity_holds else None):
+        composition_holds = False
+        yield InvalidAction("composition", witness)
+    additivity_proof = product(space, (space.identity, *space.generators), actor.generators)
+    for witness in _failures(additive, product(space, space, actor),
+                             additivity_proof if composition_holds else None):
+        yield InvalidAction("additivity", witness)
     return total
 
 

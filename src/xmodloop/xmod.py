@@ -125,19 +125,6 @@ class XModCandidate:
             name=x.name,
         )
 
-    def clone(self) -> XModCandidate:
-        return XModCandidate(
-            m_elements=list(self.m_elements),
-            m_table=[list(row) for row in self.m_table],
-            m_identity=self.m_identity,
-            p_elements=list(self.p_elements),
-            p_table=[list(row) for row in self.p_table],
-            p_identity=self.p_identity,
-            delta=dict(self.delta),
-            action={p: dict(row) for p, row in self.action.items()},
-            name=self.name,
-        )
-
     def action_table(self) -> dict:
         """The action as (m, p) -> m^p, the shape the action laws are checked on."""
         return {(m, p): value for p, row in self.action.items() for m, value in row.items()}

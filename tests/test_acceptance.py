@@ -5,6 +5,7 @@ isomorphisms); there are no tolerances anywhere.  Run with ``-s`` to see
 the verdict lines on passing runs.
 """
 
+import copy
 from contextlib import contextmanager
 
 from bruteforce import brute_k3
@@ -72,7 +73,7 @@ MUTATIONS = [
 
 
 def apply_mutation(candidate, kind, location, value):
-    mutated = candidate.clone()
+    mutated = copy.deepcopy(candidate)
     if kind == "p_table":
         i, j = location
         assert mutated.p_table[i][j] != value

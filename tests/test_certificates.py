@@ -1,12 +1,13 @@
 """Laws proved from generators give the same verdicts as plain full scans.
 
-Associativity, the action laws and the homomorphism laws are certified
-on generators (Light's test) and scanned in full only when a
-certificate fails.  On generated valid modules and on single-entry
-mutants of group tables, groupoid composition, groupoid and group
-action tables, homomorphism maps and morphism maps, the library must
-give the verdict and the first witness, or the whole report list, of the
-plain definitions below.
+Associativity, the action laws, the homomorphism laws and CM1 and CM2
+over a groupoid are certified on generators (Light's test) and scanned
+in full only when a certificate fails (``groups._failures``).  On
+generated valid modules, on single-entry mutants of group tables,
+groupoid composition, groupoid and group action tables, homomorphism
+maps and morphism maps, and on boundaries that break only CM1 or CM2,
+the library must give the verdict and the first witness, or the whole
+report list, of the plain definitions below.
 """
 
 import math
@@ -19,12 +20,14 @@ from test_orbit_properties import (
     PROPERTY_SETTINGS,
     crossed_modules,
     permutation_groups,
+    sign,
 )
 from xmodloop import fixtures
 from xmodloop.errors import XModError
 from xmodloop.groupoids import as_groupoid_xmod, check_morphism, make_groupoid, make_gxm
 from xmodloop.groups import (
     _action_failures,
+    _failures,
     _homomorphism_failures,
     group_action,
     homomorphism,
@@ -421,3 +424,93 @@ def test_identity_broken_at_an_object_without_generators_reports_composition():
     report = [(v.kind, v.witness) for v in check_morphism(source, target, *maps)]
     assert ("composition", ("0", "0")) in report
     assert report == scan_morphism(source, target, *maps)
+
+
+# -- the one place a proof gates a scan --------------------------------------
+
+
+def untouchable():
+    raise AssertionError("the scan was iterated")
+    yield
+
+
+def test_failures_with_a_passing_proof_never_scans():
+    def law(x):
+        return x % 3 != 0
+
+    assert list(_failures(law, untouchable(), [(1,), (2,), (4,)])) == []
+
+
+def test_failures_with_a_failing_or_missing_proof_reports_every_failure_in_scan_order():
+    def law(x, y):
+        return (x + y) % 3 != 0
+
+    scan = [(x, y) for x in range(4) for y in range(4)]
+    expected = [(0, 0), (0, 3), (1, 2), (2, 1), (3, 0), (3, 3)]
+    assert list(_failures(law, iter(scan), [(1, 1), (1, 2)])) == expected
+    assert list(_failures(law, iter(scan), None)) == expected
+    assert list(_failures(law, iter(scan))) == expected
+
+
+# -- boundaries that keep boundary-hom and the action laws -------------------
+# Composing the boundary at one object with an inner automorphism of its
+# vertex group, or replacing it by the zero boundary there, leaves a
+# homomorphism into the vertex group and the action untouched, so only
+# the CM1 and CM2 proofs stand between such an input and acceptance.
+
+
+def reboundary(gxm, a, g):
+    """gxm's boundary with -g + d(m) + g at object a, or 0 there when g is None."""
+    base = gxm.base
+    boundary = dict(gxm.boundary)
+    for m in gxm.fibres[a]:
+        boundary[m] = base.identities[a] if g is None else base.compose[
+            (base.compose[(base.inverses[g], boundary[m])], g)]
+    return boundary
+
+
+def assert_cm_verdict_matches_full_scan(gxm, boundary):
+    base = gxm.base
+    expected = scan_gxm(base, gxm.fibres, boundary, gxm.action)
+    assert expected is None or expected[0] in ("CM1Violation", "CM2Violation")
+    assert outcome(lambda: make_gxm(base, gxm.fibres, boundary, gxm.action)) == expected
+
+
+@PROPERTY_SETTINGS
+@given(GROUPS)
+def test_conjugation_module_with_every_twisted_or_zero_boundary_matches_full_scan(drawn):
+    # over one object of a nonabelian group, twisting by a generator s keeps
+    # CM1 at s and breaks it at the generators that do not commute with s
+    group, _ = drawn
+    identity = homomorphism(group, group, {g: g for g in group})
+    conjugation = group_action(group, group, {(m, p): group.conj(m, p)
+                                              for m in group for p in group})
+    gxm = as_groupoid_xmod(make_xmod(group, group, identity, conjugation))
+    for g in (None, *group):
+        assert_cm_verdict_matches_full_scan(gxm, reboundary(gxm, "*", g))
+
+
+@MUTANT_SETTINGS
+@given(crossed_modules(), st.data(), st.booleans())
+def test_boundary_that_breaks_only_cm1_or_cm2_matches_full_scan(x, data, one_object):
+    gxm = some_gxm(x, one_object)
+    a = data.draw(st.sampled_from(gxm.base.objects))
+    g = data.draw(st.sampled_from([None, *gxm.base.vertex_morphisms(a)]))
+    assert_cm_verdict_matches_full_scan(gxm, reboundary(gxm, a, g))
+
+
+@PROPERTY_SETTINGS
+@given(permutation_groups(st.sampled_from(["C4", "C6"]), "ab01(|)é"))
+def test_parity_boundary_under_inversion_breaks_only_cm2_like_full_scan(drawn):
+    # C2 inverts the even cyclic group M; the zero boundary makes a crossed
+    # module, the parity map M -> C2 keeps CM1 and breaks CM2 at odd n, so
+    # the failure can sit at a single fibre generator
+    group, perm_of = drawn
+    c2 = fixtures.cyclic(2)
+    inversion = group_action(c2, group, {(m, p): group.neg(m) if p != c2.identity else m
+                                         for m in group for p in c2})
+    zero = homomorphism(group, c2, {m: c2.identity for m in group})
+    gxm = as_groupoid_xmod(make_xmod(group, c2, zero, inversion))
+    parity = {m: c2.elements[sign(perm_of[m])] for m in group}
+    assert scan_gxm(gxm.base, gxm.fibres, parity, gxm.action)[0] == "CM2Violation"
+    assert_cm_verdict_matches_full_scan(gxm, parity)

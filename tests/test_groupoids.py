@@ -7,7 +7,7 @@ import pytest
 
 import xmodloop
 from xmodloop import fixtures
-from xmodloop.errors import InvalidGroupoid, UnknownObject
+from xmodloop.errors import InvalidGroupoid, InvalidGroupoidXMod, UnknownObject
 from xmodloop.groups import are_isomorphic, make_group
 from xmodloop.groupoids import (
     as_groupoid_xmod,
@@ -129,6 +129,24 @@ def test_domain_witnesses_do_not_depend_on_the_hash_seed():
         result = subprocess.run([sys.executable, "-c", DOMAIN_WITNESSES], env=env,
                                 capture_output=True, text=True, check=True)
         assert result.stdout.splitlines() == ["('a', 'b')", "('0', 'b')"], seed
+
+
+def test_domain_witness_is_the_first_extra_key_when_the_key_count_is_right():
+    # one pair swapped for a key that is not composable: as many keys as pairs
+    g = two_component_groupoid()
+    compose = dict(g.compose)
+    del compose[("tx", "tx")]
+    compose[("ex", "ey")] = "ex"
+    with pytest.raises(InvalidGroupoid) as info:
+        make_groupoid(g.objects, g.morphisms, g.source, g.target, compose, g.identities)
+    assert info.value.witness == ("ex", "ey")
+    gxm = as_groupoid_xmod(fixtures.inc24())
+    action = dict(gxm.action)
+    del action[next(iter(action))]
+    action[("2", "0")] = "0"
+    with pytest.raises(InvalidGroupoidXMod) as info:
+        make_gxm(gxm.base, gxm.fibres, gxm.boundary, action)
+    assert info.value.witness == ("2", "0")
 
 
 def test_groupoid_rejects_missing_inverse():
