@@ -1,16 +1,19 @@
 """Size ladder: time each stage on a fixed list of growing inputs.
 
-    python bench/ladder.py                      # every rung, writes BENCH_6.json
-    python bench/ladder.py --out ladder.json    # somewhere else
+    python bench/ladder.py --out BENCH_8.json
 
 Each rung runs in a fresh child process, so no rung inherits another's
 caches or memory.  The child builds its input, times only the stage call
 with ``time.perf_counter`` and reads its own peak RSS with
-``resource.getrusage(RUSAGE_SELF)``.  Every record holds the stage, the
-rung, the predicted size, ``wall_s`` and ``peak_rss_mb``; a rung that is
-too large to run is listed as "not run" with its predicted size.  The
-script exits 1 if any rung that runs fails.  Only the standard library
-and ``xmodloop`` from this checkout's ``src`` are used.
+``resource.getrusage(RUSAGE_SELF)``.  The ``theta`` (at every base) and
+``fibration_psi`` rungs build the loop groupoid first, as the cached
+``loop_gpd_xmod`` they start from, and time only their own work.  Every
+record holds the stage, the rung, the predicted size, ``wall_s`` and
+``peak_rss_mb``; a rung that is too large to run is listed as "not run"
+with its predicted size.  ``--out`` is required, so that no run
+overwrites a committed record by default.  The script exits 1 if any
+rung that runs fails.  Only the standard library and ``xmodloop`` from
+this checkout's ``src`` are used.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ RUNGS = [
     ("loop_gpd_xmod", "id: C10", True),
     ("loop_gpd_xmod", "id: A4", True),
     ("loop_gpd_xmod", "id: S4", False),
+    *((stage, f"id: {g}", True) for stage in ("theta", "fibration_psi")
+      for g in ("C4", "S3", "D4", "C10", "A4")),
 ]
 
 
@@ -82,15 +87,20 @@ def predicted(stage: str, rung: str) -> dict:
     n = len(permutation_group(rung.removeprefix("id: ")))
     if stage == "make_group":
         return {"order": n, "table_entries": n ** 2, "full_scan_assoc_triples": n ** 3}
-    # id: G has |M| = |P| = n
+    # id: G has |M| = |P| = n, and the loop groupoid has n vertex morphisms at each base
+    if stage == "theta":
+        return {"bases": n, "vertex_morphisms_per_base": n}
+    if stage == "fibration_psi":
+        return {"morphisms": n ** 3, "fibre_morphisms": n ** 2}
     return {"morphisms": n ** 3, "composable_pairs": n ** 5, "full_scan_assoc_triples": n ** 7}
 
 
 def run_stage(stage: str, rung: str) -> float:
     """Build the rung's input, then time the stage alone."""
     sys.path.insert(0, str(ROOT / "src"))
+    from xmodloop.exactseq import fibration_psi
     from xmodloop.groups import group_action, homomorphism, make_group
-    from xmodloop.loop import loop_gpd_xmod
+    from xmodloop.loop import loop_gpd_xmod, theta
     from xmodloop.xmod import make_xmod
 
     elements, table, identity = group_table(rung.removeprefix("id: "))
@@ -102,8 +112,12 @@ def run_stage(stage: str, rung: str) -> float:
     delta = homomorphism(G, G, {g: g for g in G})
     action = group_action(G, G, {(m, p): G.conj(m, p) for m in G for p in G})
     x = make_xmod(G, G, delta, action, name=rung)
+    if stage != "loop_gpd_xmod":
+        loop_gpd_xmod(x)
+    call = {"loop_gpd_xmod": loop_gpd_xmod, "fibration_psi": fibration_psi,
+            "theta": lambda x: [theta(x, a) for a in x.P]}[stage]
     start = time.perf_counter()
-    loop_gpd_xmod(x)
+    call(x)
     return time.perf_counter() - start
 
 
@@ -135,12 +149,14 @@ def ladder() -> tuple[list[dict], bool]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=str(ROOT / "BENCH_6.json"))
+    parser.add_argument("--out", help="where to write the JSON records (required)")
     parser.add_argument("--child", nargs=2, metavar=("STAGE", "RUNG"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         child(*args.child)
         return 0
+    if args.out is None:
+        parser.error("the following arguments are required: --out")
     records, ok = ladder()
     Path(args.out).write_text(json.dumps(records, indent=2) + "\n")
     return 0 if ok else 1

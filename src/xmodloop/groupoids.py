@@ -15,10 +15,13 @@ morphisms x into and y out of s; the action, homomorphism, CM1 and CM2
 laws check |S| (or |S| + 1) generators per element.  Every such proof
 goes through ``groups._failures``: only when it fails does the full scan
 of every composable tuple run, to report the same first witness, or the
-same report, as before.  The domain checks count the composable pairs
-instead of building their set.  The loop groupoid of delta: M -> P has
-|M||P|^2 morphisms, |M|^2|P|^3 composable pairs and |M|^3|P|^4
-associativity triples in a full scan.
+same report, as before.  The composition table of ``make_groupoid`` and
+the action table of ``make_gxm`` are each checked in one pass over the
+expected keys (domain, values and endpoints together), which also builds
+the rows of positions the laws read; only a table that fails it runs
+the ordered searches that pick the witness in the table's own order.
+The loop groupoid of delta: M -> P has |M||P|^2 morphisms, |M|^2|P|^3
+composable pairs and |M|^3|P|^4 associativity triples in a full scan.
 """
 
 from __future__ import annotations
@@ -79,11 +82,21 @@ class FiniteGroupoid:
         return [u for u in self.out_of[x] if self.target[u] == x]
 
 
+_MISSING = object()  # what a table gives for a key it lacks; no label equals it
+
+
 def make_groupoid(objects, morphisms, source, target, compose, identities) -> FiniteGroupoid:
     """Build a groupoid, checking every law over every composable tuple.
 
-    Associativity is proved by Light's test on the generators (see
-    ``groups._right_generators``) and scanned in full only when that fails.
+    One pass over the composable pairs reads each composite, checks that
+    it is a morphism with the right endpoints and builds the ``after``
+    rows of positions that the laws use; a table with as many keys as
+    composable pairs that passes it is exactly right.  Only a failing
+    table runs the ordered searches that pick its witness: the first
+    extra key in ``compose`` order, else the first missing pair, else the
+    first bad composite in ``compose`` order.  Associativity is proved by
+    Light's test on the generators (see ``groups._right_generators``) and
+    scanned in full only when that fails.
     """
     objects = tuple(objects)
     morphisms = tuple(morphisms)
@@ -92,40 +105,54 @@ def make_groupoid(objects, morphisms, source, target, compose, identities) -> Fi
     if len(set(morphisms)) != len(morphisms):
         raise InvalidGroupoid("morphisms-distinct", (morphisms,))
     object_set = set(objects)
-    morphism_set = set(morphisms)
+    out_of: dict[str, list[str]] = {x: [] for x in objects}
     for u in morphisms:
-        if source.get(u) not in object_set:
+        x = source.get(u)
+        if x not in object_set:
             raise InvalidGroupoid("source", (u,))
         if target.get(u) not in object_set:
             raise InvalidGroupoid("target", (u,))
+        out_of[x].append(u)
+    pos = {u: i for i, u in enumerate(morphisms)}
     for x in objects:
         e = identities.get(x)
-        if e not in morphism_set or source[e] != x or target[e] != x:
+        if e not in pos or source[e] != x or target[e] != x:
             raise InvalidGroupoid("identity-missing", (x,))
-    out_of: dict[str, list[str]] = {x: [] for x in objects}
-    for u in morphisms:
-        out_of[source[u]].append(u)
 
-    def pairs():
-        return ((u, v) for u in morphisms for v in out_of[target[u]])
+    def composition_error() -> InvalidGroupoid:
+        # The witness is never taken in set order, which would make it
+        # depend on the hash seed.
+        def pairs():
+            return ((u, v) for u in morphisms for v in out_of[target[u]])
 
-    # The keys are the composable pairs iff there are as many and each pair is a
-    # key, so only a failing table builds their set.  The witness is the first
-    # extra key in compose order, else the first missing pair: never set order,
-    # which would make the witness depend on the hash seed.
-    if (len(compose) != sum(len(out_of[target[u]]) for u in morphisms)
-            or not all(map(compose.__contains__, pairs()))):
-        composable = set(pairs())
-        extra = [key for key in compose if key not in composable][:1]
-        raise InvalidGroupoid("composition-domain", extra[0] if extra else
-                              next(pair for pair in pairs() if pair not in compose))
-    for (u, v), w in compose.items():
-        if w not in morphism_set or source[w] != source[u] or target[w] != target[v]:
-            raise InvalidGroupoid("composition-endpoints", (u, v, w))
-    # The laws below compare positions in `morphisms`, which hash faster than
-    # tuple labels: after[i] maps j to the position of u_i + u_j, in out_of order.
-    pos = {u: i for i, u in enumerate(morphisms)}
-    after = [{pos[v]: pos[compose[(u, v)]] for v in out_of[target[u]]} for u in morphisms]
+        if (len(compose) != sum(len(out_of[target[u]]) for u in morphisms)
+                or not all(map(compose.__contains__, pairs()))):
+            composable = set(pairs())
+            extra = [key for key in compose if key not in composable][:1]
+            return InvalidGroupoid("composition-domain", extra[0] if extra else
+                                   next(pair for pair in pairs() if pair not in compose))
+        return next(InvalidGroupoid("composition-endpoints", (u, v, w))
+                    for (u, v), w in compose.items()
+                    if w not in pos or source[w] != source[u] or target[w] != target[v])
+
+    # after[i] maps j to the position of u_i + u_j, in out_of order: the laws
+    # below compare positions, which hash faster than tuple labels.
+    starts = [source[u] for u in morphisms]
+    ends = [target[u] for u in morphisms]
+    leaving = {x: [pos[v] for v in vs] for x, vs in out_of.items()}
+    ends_leaving = {x: [ends[j] for j in js] for x, js in leaving.items()}
+    after = []
+    pairs_seen = 0
+    for i, u in enumerate(morphisms):
+        y = ends[i]
+        row = [pos.get(compose.get((u, v), _MISSING)) for v in out_of[y]]
+        if (None in row or [ends[k] for k in row] != ends_leaving[y]
+                or [starts[k] for k in row].count(starts[i]) != len(row)):
+            raise composition_error()
+        after.append(dict(zip(leaving[y], row)))
+        pairs_seen += len(row)
+    if len(compose) != pairs_seen:
+        raise composition_error()
     units = [(pos[identities[source[u]]], pos[identities[target[u]]]) for u in morphisms]
     for i, u in enumerate(morphisms):
         e_source, e_target = units[i]
@@ -242,9 +269,6 @@ def make_gxm(base: FiniteGroupoid, fibres: dict, boundary: dict, action: dict) -
     def cm2(m, n) -> bool:
         return fibres[object_of[m]].conj(m, n) == action[(m, boundary[n])]
 
-    def keys():
-        return ((m, u) for u in base.morphisms for m in fibres[source[u]])
-
     for x in base.objects:
         group = fibres[x]
         for m in group:
@@ -255,16 +279,30 @@ def make_gxm(base: FiniteGroupoid, fibres: dict, boundary: dict, action: dict) -
                 raise InvalidGroupoidXMod("boundary-vertex", (m, value))
         for m, n in _additive_failures(group, boundary, lambda p, q: compose[(p, q)]):
             raise InvalidGroupoidXMod("boundary-hom", (m, n))
-    # as the composition domain in make_groupoid
-    if (len(action) != sum(len(fibres[source[u]]) for u in base.morphisms)
-            or not all(map(action.__contains__, keys()))):
-        expected = set(keys())
-        extra = [key for key in action if key not in expected][:1]
-        raise InvalidGroupoidXMod("action-domain", extra[0] if extra else
-                                  next(key for key in keys() if key not in action))
-    for (m, u), value in action.items():
-        if value not in fibres[target[u]]:
-            raise InvalidGroupoidXMod("action-codomain", (m, u, value))
+
+    def action_error() -> InvalidGroupoidXMod:
+        # as composition_error in make_groupoid
+        def keys():
+            return ((m, u) for u in base.morphisms for m in fibres[source[u]])
+
+        if (len(action) != sum(len(fibres[source[u]]) for u in base.morphisms)
+                or not all(map(action.__contains__, keys()))):
+            expected = set(keys())
+            extra = [key for key in action if key not in expected][:1]
+            return InvalidGroupoidXMod("action-domain", extra[0] if extra else
+                                       next(key for key in keys() if key not in action))
+        return next(InvalidGroupoidXMod("action-codomain", (m, u, value))
+                    for (m, u), value in action.items() if value not in fibres[target[u]])
+
+    # one pass over the expected keys; only a failing table runs action_error
+    keys_seen = 0
+    for u in base.morphisms:
+        values = [action.get((m, u), _MISSING) for m in fibres[source[u]]]
+        if not all(map(fibres[target[u]].__contains__, values)):
+            raise action_error()
+        keys_seen += len(values)
+    if len(action) != keys_seen:
+        raise action_error()
     for x in base.objects:
         for m in fibres[x]:
             if action[(m, base.identities[x])] != m:
@@ -334,7 +372,9 @@ def restrict_to_object(gxm: GroupoidXMod, x: str) -> CrossedModule:
 
 def as_groupoid_xmod(x: CrossedModule, obj: str = "*") -> GroupoidXMod:
     """A crossed module of groups, viewed over the one-object groupoid."""
-    compose = {(u, v): x.P.add(u, v) for u in x.P for v in x.P}
+    elements = x.P.elements
+    compose = {(u, v): elements[k] for u, row in zip(elements, x.P._table)
+               for v, k in zip(elements, row)}
     base = make_groupoid((obj,), tuple(x.P.elements),
                          {u: obj for u in x.P}, {u: obj for u in x.P},
                          compose, {obj: x.P.identity})

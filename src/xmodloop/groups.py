@@ -201,10 +201,17 @@ class FiniteGroup:
         return i
 
     def add(self, x: str, y: str) -> str:
-        return self.elements[self._table[self.index(x)][self.index(y)]]
+        index = self._index
+        try:
+            return self.elements[self._table[index[x]][index[y]]]
+        except KeyError:
+            raise UnknownElement(y if x in index else x) from None
 
     def neg(self, x: str) -> str:
-        return self.elements[self._inv[self.index(x)]]
+        try:
+            return self.elements[self._inv[self._index[x]]]
+        except KeyError:
+            raise UnknownElement(x) from None
 
     def sub(self, x: str, y: str) -> str:
         return self.add(x, self.neg(y))

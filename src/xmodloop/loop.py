@@ -9,6 +9,11 @@ For a base element a of P, the vertex group P(a) consists of the pairs
 The groupoid-level model has objects P, morphisms all triples (m, p, a)
 with source p + a + delta(m) - p and target a, and fibre at a a copy of
 M written as pairs (m, a).
+
+Both constructions compute on positions: the group tables of M and P
+(``_table``, ``_inv``) and the action and boundary read once per (m, p)
+(``_positions``).  Each morphism or element label is built once, and
+every composite in a table is one of those shared tuples.
 """
 
 from __future__ import annotations
@@ -70,26 +75,43 @@ class LoopData:
     action: GroupAction
 
 
+def _positions(x: CrossedModule) -> tuple[list[list[int]], list[int]]:
+    """The action and the boundary on positions, one lookup per (m, p).
+
+    act[i][j] is the position of m_i^p_j in M and d[i] that of delta(m_i) in P.
+    """
+    M, P = x.M, x.P
+    act = [[M._index[x.act(m, p)] for p in P] for m in M]
+    return act, [P._index[x.delta(m)] for m in M]
+
+
 @lru_cache(maxsize=None)
 def loop_data(x: CrossedModule, a: str) -> LoopData:
     M, P = x.M, x.P
-    P.index(a)
-    pairs = [(m, p) for m in M for p in P if x.delta(m) == P.commutator(a, p)]
-    members = set(pairs)
+    ia = P.index(a)
+    Me, Pe, mt, pt, minv, pinv = M.elements, P.elements, M._table, P._table, M._inv, P._inv
+    act, d = _positions(x)
+    nP = len(P)
+    # [a, p] = -a - p + a + p
+    commutator = [pt[pt[pt[pinv[ia]][pinv[j]]][ia]][j] for j in range(nP)]
+    found = [(i, j) for i in range(len(M)) for j in range(nP) if d[i] == commutator[j]]
+    pairs = [(Me[i], Pe[j]) for i, j in found]
+    position = {i * nP + j: r for r, (i, j) in enumerate(found)}
     table = []
-    for n, q in pairs:
-        row = []
-        for m, p in pairs:
-            composite = (M.add(m, x.act(n, p)), P.add(q, p))
-            if composite not in members:
+    for n, q in found:
+        row_n, row_q, row = act[n], pt[q], []
+        for m, p in found:
+            r = position.get(mt[m][row_n[p]] * nP + row_q[p])
+            if r is None:
                 raise InternalInvariantBroken(
-                    f"P({a}) is not closed under composition", (n, q, m, p))
-            row.append(composite)
+                    f"P({a}) is not closed under composition", (Me[n], Pe[q], Me[m], Pe[p]))
+            row.append(pairs[r])
         table.append(row)
     Pa = make_group(pairs, table, (M.identity, P.identity), name=f"P({a})")
-    mapping = {m: (M.add(M.neg(x.act(m, a)), m), x.delta(m)) for m in M}
+    mapping = {Me[i]: (Me[mt[minv[act[i][ia]]][i]], Pe[d[i]]) for i in range(len(M))}
     delta_a = homomorphism(M, Pa, mapping)
-    act_table = {(n, (m, p)): x.act(n, p) for n in M for m, p in pairs}
+    act_table = {(Me[n], pair): Me[act[n][p]] for n in range(len(M))
+                 for pair, (_, p) in zip(pairs, found)}
     action = group_action(Pa, M, act_table)
     return LoopData(a, Pa, delta_a, action)
 
@@ -138,30 +160,43 @@ def loop_gpd_xmod(x: CrossedModule) -> GroupoidXMod:
     fibre at a holds the tuples (m, a).  The composite of u = (n, q, b) followed
     by v = (m, p, a) is (m + n^p, q + p, a), defined exactly when b is the
     source of v, equivalently b^p = a + delta(m).
+
+    Every table is computed on positions, from the group tables of M and
+    P and one lookup of m^p and delta(m) per (m, p): the morphism
+    (m_i, p_j, a_k) sits at position (i |P| + j) |P| + k, and each value
+    of a table is the shared label of the position it computes.
     """
     M, P = x.M, x.P
-    morphisms = list(product(M, P, P))
-    source = {u: loop_morphism(x, *u).source for u in morphisms}
+    Me, Pe, mt, pt, minv, pinv = M.elements, P.elements, M._table, P._table, M._inv, P._inv
+    act, d = _positions(x)
+    nM, nP = len(M), len(P)
+    cells = list(product(range(nM), range(nP), range(nP)))
+    morphisms = [(Me[i], Pe[j], Pe[k]) for i, j, k in cells]
+    # the source of (m, p, a) is p + a + delta(m) - p
+    starts = [pt[pt[pt[j][k]][d[i]]][pinv[j]] for i, j, k in cells]
+    source = {u: Pe[s] for u, s in zip(morphisms, starts)}
     target = {u: u[2] for u in morphisms}
-    leaving = {a: [] for a in P}
-    for u in morphisms:
-        leaving[source[u]].append(u)
+    leaving = [[] for _ in P]
+    for u, cell, s in zip(morphisms, cells, starts):
+        leaving[s].append((u, *cell))
     compose = {}
-    for u in morphisms:
-        n, q, b = u
-        for v in leaving[b]:
-            m, p, a = v
-            compose[(u, v)] = (M.add(m, x.act(n, p)), P.add(q, p), a)
-    identities = {a: (M.identity, P.identity, a) for a in P}
-    base = make_groupoid(tuple(P.elements), morphisms, source, target, compose, identities)
+    for u, (n, q, b) in zip(morphisms, cells):
+        row_n, row_q = act[n], pt[q]
+        for v, m, p, a in leaving[b]:
+            compose[(u, v)] = morphisms[(mt[m][row_n[p]] * nP + row_q[p]) * nP + a]
+    zero = (M._index[M.identity] * nP + P._index[P.identity]) * nP
+    identities = {a: morphisms[zero + k] for k, a in enumerate(Pe)}
+    base = make_groupoid(tuple(Pe), morphisms, source, target, compose, identities)
+    elements = [[(m, a) for m in Me] for a in Pe]  # the fibre at a_k is elements[k]
     fibres = {}
-    for a in P:
-        elems = [(m, a) for m in M]
-        table = [[(M.add(m, n), a) for n in M] for m in M]
-        fibres[a] = make_group(elems, table, (M.identity, a), name=f"M@{a}")
-    boundary = {(m, a): (M.add(M.neg(x.act(m, a)), m), x.delta(m), a)
-                for a in P for m in M}
-    action = {((n, source[u]), u): (x.act(n, u[1]), u[2]) for u in morphisms for n in M}
+    for a, elems in zip(Pe, elements):
+        table = [[elems[k] for k in row] for row in mt]
+        fibres[a] = make_group(elems, table, elems[M._index[M.identity]], name=f"M@{a}")
+    # delta_a(m) = (-m^a + m, delta m, a)
+    boundary = {elements[k][i]: morphisms[(mt[minv[act[i][k]]][i] * nP + d[i]) * nP + k]
+                for k in range(nP) for i in range(nM)}
+    action = {(elements[s][n], u): elements[k][act[n][j]]
+              for u, (i, j, k), s in zip(morphisms, cells, starts) for n in range(nM)}
     return make_gxm(base, fibres, boundary, action)
 
 

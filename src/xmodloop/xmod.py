@@ -6,7 +6,8 @@ P-action on M satisfying
     CM1:  delta(m^p) = -p + delta(m) + p
     CM2:  -n + m + n = m^delta(n)
 
-Both rules are checked over all pairs; nothing is sampled.
+Both rules hold over all pairs, proved from generators or scanned in
+full; nothing is sampled.
 
 Each law is stated once, as a generator of the errors that name its
 failures (``_homomorphism_failures`` and ``_action_failures`` in
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .errors import (
     CM1Violation,
@@ -35,6 +37,7 @@ from .groups import (
     Homomorphism,
     Subgroup,
     _action_failures,
+    _failures,
     _homomorphism_failures,
     group_action,
     homomorphism,
@@ -62,24 +65,41 @@ class CrossedModule:
         return XModCandidate.from_xmod(self)
 
 
-def _crossed_module_failures(M: FiniteGroup, P: FiniteGroup, delta: dict, act: dict):
+def _crossed_module_failures(M: FiniteGroup, P: FiniteGroup, delta: dict, act: dict,
+                             premises: bool = True):
     """Yield every CM1 failure, then every CM2 failure, over total plain tables.
 
-    ``delta`` maps m -> delta(m) and ``act`` maps (m, p) -> m^p.
+    ``delta`` maps m -> delta(m) and ``act`` maps (m, p) -> m^p.  When
+    ``premises`` holds (delta is a homomorphism and the action satisfies
+    every action law), each law is proved from generators and scanned in
+    full only when that proof fails (``groups._failures``):
+
+    - CM1 holds at p = 0 (m^0 = m), and at p + s if it holds at p and s:
+      delta(m^(p+s)) = delta((m^p)^s) = -s + delta(m^p) + s = -(p+s) + delta(m) + (p+s).
+    - CM2 holds for n = 0 (delta(0) = 0 and m^0 = m), and for n + s if it
+      holds for n and s: m^delta(n+s) = (m^delta(n))^delta(s)
+      = -s + (-n + m + n) + s = -(n+s) + m + (n+s).
+    So s runs over P's generators for CM1 and M's for CM2.  Without the
+    premises both laws are scanned in full.
     """
-    for m in M:
-        for p in P:
-            if delta[act[(m, p)]] != P.conj(delta[m], p):
-                yield CM1Violation(m, p)
-    for m in M:
-        for n in M:
-            if M.conj(m, n) != act[(m, delta[n])]:
-                yield CM2Violation(m, n)
+    def cm1(m, p) -> bool:
+        return delta[act[(m, p)]] == P.conj(delta[m], p)
+
+    def cm2(m, n) -> bool:
+        return M.conj(m, n) == act[(m, delta[n])]
+
+    for m, p in _failures(cm1, product(M, P), product(M, P.generators) if premises else None):
+        yield CM1Violation(m, p)
+    for m, n in _failures(cm2, product(M, M), product(M, M.generators) if premises else None):
+        yield CM2Violation(m, n)
 
 
 def make_xmod(M: FiniteGroup, P: FiniteGroup, delta: Homomorphism,
               action: GroupAction, name=None) -> CrossedModule:
-    """Assemble a crossed module, checking CM1 and CM2 exhaustively."""
+    """Assemble a crossed module; CM1 and CM2 are proved from generators.
+
+    ``delta`` and ``action`` are validated, so the proofs' premises hold.
+    """
     if delta.source is not M or delta.target is not P:
         raise ValueError("delta must map M into P")
     if action.actor is not P or action.space is not M:
@@ -167,7 +187,8 @@ def check_axioms(candidate: XModCandidate | CrossedModule) -> list[Violation]:
     delta_total = _collect("delta", _homomorphism_failures(M, P, candidate.delta), report)
     action_total = _collect("action", _action_failures(P, M, act), report)
     if delta_total and action_total:
-        for exc in _crossed_module_failures(M, P, candidate.delta, act):
+        # any delta or action violation so far voids the proofs' premises
+        for exc in _crossed_module_failures(M, P, candidate.delta, act, premises=not report):
             kind = "cm1" if isinstance(exc, CM1Violation) else "cm2"
             report.append(Violation(kind, str(exc), exc.witness))
     return report

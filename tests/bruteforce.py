@@ -78,3 +78,59 @@ def brute_pa(x, a):
             if x.delta(m) == commutator:
                 target[(m, p)] = True
     return set(target)
+
+
+def brute_loop_gpd_tables(x):
+    """The tables of the loop groupoid crossed module, by label arithmetic.
+
+    Morphisms are (m, p, a) with source p + a + delta(m) - p and target a,
+    the composite of (n, q, b) then (m, p, a) is (m + n^p, q + p, a), the
+    fibre at a is M written as pairs (m, a), the boundary of (m, a) is
+    (-m^a + m, delta m, a) and (n, b)^(m, p, a) = (n^p, a).  Each dict is
+    filled in the order the library lists its keys.
+    """
+    M, P = x.M, x.P
+    morphisms = list(product(M, P, P))
+    source = {u: P.sub(P.add(P.add(u[1], u[2]), x.delta(u[0])), u[1]) for u in morphisms}
+    target = {u: u[2] for u in morphisms}
+    leaving = {a: [] for a in P}
+    for u in morphisms:
+        leaving[source[u]].append(u)
+    compose = {}
+    for u in morphisms:
+        n, q, b = u
+        for v in leaving[b]:
+            m, p, a = v
+            compose[(u, v)] = (M.add(m, x.act(n, p)), P.add(q, p), a)
+    fibres = {a: ([(m, a) for m in M], [[(M.add(m, n), a) for n in M] for m in M])
+              for a in P}
+    return {
+        "morphisms": morphisms,
+        "source": source,
+        "target": target,
+        "compose": compose,
+        "identities": {a: (M.identity, P.identity, a) for a in P},
+        "fibres": fibres,
+        "boundary": {(m, a): (M.add(M.neg(x.act(m, a)), m), x.delta(m), a)
+                     for a in P for m in M},
+        "action": {((n, source[u]), u): (x.act(n, u[1]), u[2])
+                   for u in morphisms for n in M},
+    }
+
+
+def brute_loop_group(x, a):
+    """P(a), delta_a and the P(a)-action on M at base a, by label arithmetic.
+
+    P(a) is the pairs (m, p) with delta(m) = [a, p], in (m, p) order, under
+    (n, q) + (m, p) = (m + n^p, q + p); delta_a(m) = (-m^a + m, delta m) and
+    n^(m, p) = n^p.
+    """
+    M, P = x.M, x.P
+    pairs = [(m, p) for m in M for p in P if x.delta(m) == P.commutator(a, p)]
+    table = [[(M.add(m, x.act(n, p)), P.add(q, p)) for m, p in pairs] for n, q in pairs]
+    return {
+        "elements": pairs,
+        "table": table,
+        "delta_a": {m: (M.add(M.neg(x.act(m, a)), m), x.delta(m)) for m in M},
+        "action": {(n, (m, p)): x.act(n, p) for n in M for m, p in pairs},
+    }

@@ -4,12 +4,18 @@ Each reference below is the plain definition: it walks every pair or
 triple of morphisms and filters for composability.  The library walks
 only the source index, so on hand-broken inputs with several objects
 both must stop at the same tuple.
+
+The table checks of make_groupoid and make_gxm walk the composable pairs
+(or the expected action keys) once, but their witness is the first bad
+entry in the order of the given table.  The tables below list their
+entries in reverse, so that the first failure met by a walk over the
+pairs is not the one reported.
 """
 
 import pytest
 
 from xmodloop import fixtures
-from xmodloop.errors import InvalidAction, InvalidGroupoid
+from xmodloop.errors import InvalidAction, InvalidGroupoid, InvalidGroupoidXMod
 from xmodloop.groupoids import check_morphism, make_groupoid, make_gxm
 from xmodloop.loop import loop_gpd_xmod
 
@@ -168,3 +174,96 @@ def test_source_index_partitions_morphisms_in_order(any_xmod):
         assert list(base.out_of[x]) == leaving
         assert base.star(x) == leaving
         assert base.vertex_morphisms(x) == [u for u in leaving if base.target[u] == x]
+
+
+def broken_twice(table, early, late, early_value, late_value):
+    """A copy of the table listed in reverse, with two entries replaced."""
+    table = dict(table)
+    table[early], table[late] = early_value, late_value
+    return dict(reversed(list(table.items())))
+
+
+def two_pairs(base):
+    """An early and a late composable pair, in the order of the composable pairs."""
+    pairs = list(base.compose)
+    return pairs[1], pairs[-2]
+
+
+def test_composition_endpoints_witness_is_first_in_compose_order():
+    base = multi_object_loop_gxm().base
+    early, late = two_pairs(base)
+
+    def wrong_source(pair):
+        w = base.compose[pair]
+        return next(u for u in base.morphisms if base.source[u] != base.source[w]
+                    and base.target[u] == base.target[w])
+
+    compose = broken_twice(base.compose, early, late, wrong_source(early), wrong_source(late))
+    with pytest.raises(InvalidGroupoid) as info:
+        rebuild(base, compose)
+    assert info.value.law == "composition-endpoints"
+    assert info.value.witness == (*late, compose[late])
+
+
+def test_composite_outside_the_morphisms_is_first_in_compose_order():
+    base = multi_object_loop_gxm().base
+    early, late = two_pairs(base)
+    compose = broken_twice(base.compose, early, late, "early", "late")
+    with pytest.raises(InvalidGroupoid) as info:
+        rebuild(base, compose)
+    assert info.value.law == "composition-endpoints"
+    assert info.value.witness == (*late, "late")
+
+
+def test_missing_pair_with_the_right_key_count_reports_the_extra_key():
+    base = multi_object_loop_gxm().base
+    early, late = two_pairs(base)
+    compose = dict(base.compose)
+    del compose[early]
+    extra = next((v, u) for u in base.morphisms for v in base.morphisms
+                 if (v, u) not in base.compose)
+    compose[extra] = base.compose[late]
+    assert len(compose) == len(base.compose)
+    with pytest.raises(InvalidGroupoid) as info:
+        rebuild(base, compose)
+    assert info.value.law == "composition-domain"
+    assert info.value.witness == extra
+
+
+def action_keys(gxm):
+    """An early and a late key of the action, in the order of the action table."""
+    keys = list(gxm.action)
+    return keys[1], keys[-2]
+
+
+def outside_fibre(gxm, key):
+    """A fibre element that is not in the fibre of the target of key's morphism."""
+    m, u = key
+    return next(n for n in gxm.all_fibre_elements()
+                if n not in gxm.fibres[gxm.base.target[u]])
+
+
+def test_action_value_outside_its_fibre_is_first_in_action_order():
+    gxm = multi_object_loop_gxm()
+    early, late = action_keys(gxm)
+    action = broken_twice(gxm.action, early, late,
+                          outside_fibre(gxm, early), outside_fibre(gxm, late))
+    with pytest.raises(InvalidGroupoidXMod) as info:
+        make_gxm(gxm.base, gxm.fibres, gxm.boundary, action)
+    assert info.value.law == "action-codomain"
+    assert info.value.witness == (*late, action[late])
+
+
+def test_missing_action_key_with_the_right_key_count_reports_the_extra_key():
+    gxm = multi_object_loop_gxm()
+    early, late = action_keys(gxm)
+    action = dict(gxm.action)
+    del action[early]
+    extra = (outside_fibre(gxm, late), late[1])
+    assert extra not in gxm.action
+    action[extra] = gxm.action[late]
+    assert len(action) == len(gxm.action)
+    with pytest.raises(InvalidGroupoidXMod) as info:
+        make_gxm(gxm.base, gxm.fibres, gxm.boundary, action)
+    assert info.value.law == "action-domain"
+    assert info.value.witness == extra

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from bruteforce import brute_components, brute_pa
-from conftest import all_base_pairs
+from conftest import all_base_pairs, assert_loop_tables_match_brute_force
 from xmodloop import fixtures
 from xmodloop.documents import serialize_xmod
 from xmodloop.errors import UnknownElement
@@ -34,6 +34,10 @@ def test_component_counts_and_oracle(any_xmod):
     assert len(classes) == COMPONENT_COUNTS[x.name]
     assert {frozenset(c) for c in classes} == brute_components(x)
     assert len(classes) == len(conjugacy_classes(homotopy(x).pi1))
+
+
+def test_loop_tables_equal_label_arithmetic(any_xmod):
+    assert_loop_tables_match_brute_force(any_xmod)
 
 
 def test_conj_s3_components_are_conjugacy_classes():

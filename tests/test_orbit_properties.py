@@ -5,7 +5,8 @@ inclusions N -> G and zero-boundary modules C_n -> G (trivial action, or
 inversion through the sign of G's permutations), with G among C2-C6, S3
 and D4.  Every group is built from permutations here, without the
 library's subgroup code, then relabelled with random names listed in a
-random input order.  The loop-space properties at the end check P(a)
+random input order.  The loop-space properties check every table of the
+loop groupoid and of P(a) against label arithmetic, in order, and P(a)
 against its defining filter and the paper's order identity for pi1 at
 every base.
 """
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bruteforce import brute_components, brute_pa
+from conftest import assert_loop_tables_match_brute_force
 from xmodloop.exactseq import coinvariants
 from xmodloop.groupoids import pi0
 from xmodloop.groups import (
@@ -141,6 +143,13 @@ def test_components_equal_brute_force(x):
 def test_pi0_of_loop_groupoid_equals_components(x):
     assume(len(x.M) * len(x.P) ** 2 <= 300)
     assert pi0(loop_gpd_xmod(x)) == components(x)
+
+
+@PROPERTY_SETTINGS
+@given(crossed_modules())
+def test_loop_tables_equal_label_arithmetic(x):
+    assume(len(x.M) * len(x.P) ** 2 <= 300)
+    assert_loop_tables_match_brute_force(x)
 
 
 @PROPERTY_SETTINGS
