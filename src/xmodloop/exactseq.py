@@ -45,9 +45,8 @@ from .groupoids import (
     GXModMorphism,
     as_groupoid_xmod,
     is_fibration,
-    make_groupoid,
-    make_gxm,
     make_gxm_morphism,
+    restrict,
 )
 from .loop import loop_data, loop_gpd_xmod, pi_loop
 from .xmod import CrossedModule, homotopy
@@ -62,7 +61,7 @@ class FibrationData:
 
 
 def fibration_psi(x: CrossedModule) -> FibrationData:
-    """Build psi and its fibre; the fibration report must come back empty."""
+    """Build psi, which must be a fibration, and its fibre, cut out by ``restrict``."""
     M, P = x.M, x.P
     gxm = loop_gpd_xmod(x)
     target = as_groupoid_xmod(x)
@@ -80,28 +79,14 @@ def fibration_psi(x: CrossedModule) -> FibrationData:
     if set(fibre_morphisms) != shape:
         raise InternalInvariantBroken("fibre morphisms are not the p = 0 triples",
                                       tuple(sorted(set(fibre_morphisms) ^ shape)))
-    morphism_set = set(fibre_morphisms)
-    compose = {(u, v): w for (u, v), w in gxm.base.compose.items()
-               if u in morphism_set and v in morphism_set}
-    base = make_groupoid(gxm.base.objects, fibre_morphisms,
-                         {u: gxm.base.source[u] for u in fibre_morphisms},
-                         {u: gxm.base.target[u] for u in fibre_morphisms},
-                         compose, dict(gxm.base.identities))
     fibre_elements = {a: [m for m in gxm.fibres[a] if psi.dim2_map[m] == M.identity]
                       for a in P}
     dim2_shape = {(M.identity, a) for a in P}
     if {m for elems in fibre_elements.values() for m in elems} != dim2_shape:
         raise InternalInvariantBroken("fibre dim-2 part is not the m = 0 pairs", ())
-    fibres = {}
-    for a in P:
-        elems = fibre_elements[a]
-        table = [[gxm.fibres[a].add(m, n) for n in elems] for m in elems]
-        fibres[a] = FiniteGroup(elems, table, (M.identity, a), name=f"F2@{a}")
-    boundary = {m: gxm.boundary[m] for elems in fibre_elements.values() for m in elems}
-    action = {(m, u): gxm.action[(m, u)] for u in fibre_morphisms
-              for m in fibre_elements[gxm.base.source[u]]}
-    fibre = make_gxm(base, fibres, boundary, action)
-    return FibrationData(psi, fibre)
+    fibres = {a: subgroup(gxm.fibres[a], elems).as_group(name=f"F2@{a}")
+              for a, elems in fibre_elements.items()}
+    return FibrationData(psi, restrict(gxm, fibre_morphisms, fibres))
 
 
 def fixed_points(x: CrossedModule, a: str) -> Subgroup:

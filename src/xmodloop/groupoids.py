@@ -3,7 +3,9 @@
 Composition is additive and reads left to right: for p: x -> y and
 q: y -> z the composite p + q: x -> z is defined exactly when
 target(p) = source(q).  Morphisms are stored as full tables, and every
-law holds over every composable tuple.
+law holds over every composable tuple.  Only this module reads those
+tables: ``restrict`` cuts out a sub-crossed-module, such as the source of
+``loop.theta`` or the fibre of ``exactseq.fibration_psi``, validated once.
 
 Cost.  Each groupoid indexes its morphisms by source once, at
 construction (``out_of``, in input order), and keeps a set of
@@ -14,14 +16,14 @@ are proved from S by Light's test: associativity checks
 morphisms x into and y out of s; the action, homomorphism, CM1 and CM2
 laws check |S| (or |S| + 1) generators per element.  Every such proof
 goes through ``groups._failures``: only when it fails does the full scan
-of every composable tuple run, to report the same first witness, or the
-same report, as before.  The composition table of ``make_groupoid`` and
-the action table of ``make_gxm`` are each checked in one pass over the
-expected keys (domain, values and endpoints together), which also builds
-the rows of positions the laws read; only a table that fails it runs
-the ordered searches that pick the witness in the table's own order.
-The loop groupoid of delta: M -> P has |M||P|^2 morphisms, |M|^2|P|^3
-composable pairs and |M|^3|P|^4 associativity triples in a full scan.
+of every composable tuple run, to report the same first witness.  The
+composition table of ``make_groupoid`` and the action table of
+``make_gxm`` are each checked in one pass over the expected keys
+(domain, values and endpoints together), which also builds the rows of
+positions the laws read; only a table that fails it runs the ordered
+searches that pick the witness in the table's own order.  The loop
+groupoid of delta: M -> P has |M||P|^2 morphisms, |M|^2|P|^3 composable
+pairs and |M|^3|P|^4 associativity triples in a full scan.
 """
 
 from __future__ import annotations
@@ -362,12 +364,33 @@ def pi2_at(gxm: GroupoidXMod, x: str) -> FiniteGroup:
 
 def restrict_to_object(gxm: GroupoidXMod, x: str) -> CrossedModule:
     """The crossed module of groups sitting over a single object."""
-    fibre = gxm.fibre_at(x)
-    vertex = vertex_group(gxm.base, x)
-    delta = homomorphism(fibre, vertex, {m: gxm.boundary[m] for m in fibre})
+    delta = _boundary_hom(gxm, x)
+    fibre, vertex = delta.source, delta.target
     table = {(m, u): gxm.action[(m, u)] for m in fibre for u in vertex}
     action = group_action(vertex, fibre, table)
     return make_xmod(fibre, vertex, delta, action, name=f"restriction@{x}")
+
+
+def restrict(gxm: GroupoidXMod, morphisms, fibres: dict) -> GroupoidXMod:
+    """The piece of gxm on the given morphisms, with fibres[x] at each object x.
+
+    Each fibres[x] is a subgroup of gxm's fibre at x; orders are kept as
+    given.  ``compose`` is sliced along the morphisms out of each kept
+    target, not the whole table; ``make_groupoid`` and ``make_gxm`` then
+    check each law of the piece once, so a piece that is not closed raises.
+    """
+    base = gxm.base
+    morphisms = tuple(morphisms)
+    kept = set(morphisms)
+    source = {u: base.source.get(u) for u in morphisms}
+    target = {u: base.target.get(u) for u in morphisms}
+    compose = {(u, v): base.compose[(u, v)] for u in morphisms
+               for v in base.out_of.get(target[u], ()) if v in kept}
+    piece = make_groupoid(tuple(fibres), morphisms, source, target, compose,
+                          {x: base.identities.get(x) for x in fibres})
+    boundary = {m: gxm.boundary.get(m) for group in fibres.values() for m in group}
+    action = {(m, u): gxm.action.get((m, u)) for u in morphisms for m in fibres[source[u]]}
+    return make_gxm(piece, fibres, boundary, action)
 
 
 def as_groupoid_xmod(x: CrossedModule, obj: str = "*") -> GroupoidXMod:

@@ -236,10 +236,6 @@ class FiniteGroup:
         return all(self.add(x, y) == self.add(y, x)
                    for x in self.elements for y in self.elements)
 
-    def sorted_elements(self, xs) -> list[str]:
-        """Deduplicate and sort by canonical (input) order."""
-        return sorted(set(xs), key=self.index)
-
 
 def make_group(elements, table, identity, name=None) -> FiniteGroup:
     """Build and fully validate a finite group from its table."""
@@ -271,10 +267,9 @@ class Subgroup:
 
 def subgroup(parent: FiniteGroup, members) -> Subgroup:
     """Validate a subset as a subgroup (contains 0, closed under + and -)."""
-    ordered = parent.sorted_elements(list(members) + [parent.identity])
+    found = {parent.index(x) for x in members}  # in input order: the first unknown is the witness
+    ordered = [parent.elements[i] for i in sorted(found | {parent.index(parent.identity)})]
     member_set = set(ordered)
-    for x in ordered:
-        parent.index(x)
     for x in ordered:
         y = parent.neg(x)
         if y not in member_set:

@@ -44,7 +44,7 @@ from .groupoids import (
     make_groupoid,
     make_gxm,
     make_gxm_morphism,
-    restrict_to_object,
+    restrict,
 )
 from .xmod import CrossedModule, homotopy, make_xmod
 
@@ -203,19 +203,16 @@ def loop_gpd_xmod(x: CrossedModule) -> GroupoidXMod:
 def theta(x: CrossedModule, a: str) -> GXModMorphism:
     """The isomorphism from the loop groupoid restricted at a onto L[a].
 
-    theta sends the triple (m, p, a) to the pair (m, p) and the fibre
-    element (m, a) to m; it is validated as a structure-preserving
-    bijection in every dimension.
+    Its source is ``restrict`` to the vertex morphisms and the fibre at a.
+    theta sends a to *, (m, p, a) to (m, p) and (m, a) to m; it is
+    validated as a structure-preserving bijection in every dimension.
     """
     gxm = loop_gpd_xmod(x)
-    restricted = restrict_to_object(gxm, a)
-    target_cm = loop_xmod_at(x, a)
-    data = loop_data(x, a)
-    src = as_groupoid_xmod(restricted)
-    tgt = as_groupoid_xmod(target_cm)
-    mor_map = {(m, p, a): (m, p) for m, p in data.Pa}
-    dim2_map = {(m, a): m for m in x.M}
-    f = make_gxm_morphism(src, tgt, {"*": "*"}, mor_map, dim2_map)
+    src = restrict(gxm, gxm.base.vertex_morphisms(a), {a: gxm.fibres[a]})
+    tgt = as_groupoid_xmod(loop_xmod_at(x, a))
+    mor_map = {u: u[:2] for u in src.base.morphisms}
+    dim2_map = {e: e[0] for e in src.fibres[a]}
+    f = make_gxm_morphism(src, tgt, {a: "*"}, mor_map, dim2_map)
     if not f.is_isomorphism():
         raise InternalInvariantBroken(f"theta at {a} is not bijective", (a,))
     return f

@@ -1,5 +1,6 @@
 import pytest
 
+from bruteforce import brute_loop_gpd_tables
 from conftest import all_base_pairs
 from xmodloop import fixtures
 from xmodloop.errors import PreconditionFailed
@@ -34,6 +35,21 @@ def test_fibre_shapes(any_xmod):
     expected_dim2 = {(x.M.identity, a) for a in x.P}
     actual_dim2 = {m for a in x.P for m in data.fibre.fibres[a]}
     assert actual_dim2 == expected_dim2
+
+
+def test_fibre_tables_are_the_p0_slice_of_label_arithmetic(any_xmod):
+    x = any_xmod
+    fibre, expected = fibration_psi(x).fibre, brute_loop_gpd_tables(x)
+    kept = [u for u in expected["morphisms"] if u[1] == x.P.identity]
+    elements = {(x.M.identity, a) for a in x.P}
+    assert list(fibre.base.morphisms) == kept
+    kept = set(kept)
+    assert list(fibre.base.compose.items()) == [
+        (pair, w) for pair, w in expected["compose"].items() if set(pair) <= kept]
+    assert list(fibre.boundary.items()) == [
+        (m, d) for m, d in expected["boundary"].items() if m in elements]
+    assert list(fibre.action.items()) == [
+        ((m, u), n) for (m, u), n in expected["action"].items() if m in elements and u in kept]
 
 
 def test_inc24_fibre_components_are_cosets():

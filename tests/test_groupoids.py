@@ -19,6 +19,7 @@ from xmodloop.groupoids import (
     pi0,
     pi1_at,
     pi2_at,
+    restrict,
     restrict_to_object,
     vertex_group,
 )
@@ -246,3 +247,30 @@ def test_restrict_to_object_is_always_a_valid_crossed_module(any_xmod):
     for a in gxm.base.objects:
         restricted = restrict_to_object(gxm, a)
         assert check_axioms(restricted) == []
+
+
+def test_restrict_rejects_a_morphism_set_not_closed_under_composition():
+    gxm = loop_gpd_xmod(fixtures.inc24())
+    kept = [("0", "0", "0"), ("0", "1", "0")]
+    with pytest.raises(InvalidGroupoid) as info:
+        restrict(gxm, kept, {"0": gxm.fibres["0"]})
+    assert info.value.law == "composition-endpoints"
+    assert info.value.witness == (("0", "1", "0"), ("0", "1", "0"), ("0", "2", "0"))
+
+
+def test_restrict_rejects_a_piece_without_an_identity():
+    gxm = loop_gpd_xmod(fixtures.inc24())
+    kept = [u for u in gxm.base.vertex_morphisms("1") if u != gxm.base.identities["1"]]
+    with pytest.raises(InvalidGroupoid) as info:
+        restrict(gxm, kept, {"1": gxm.fibres["1"]})
+    assert info.value.law == "identity-missing"
+    assert info.value.witness == ("1",)
+
+
+def test_restrict_rejects_a_morphism_the_groupoid_lacks():
+    gxm = loop_gpd_xmod(fixtures.inc24())
+    kept = [gxm.base.identities["0"], "zz"]
+    with pytest.raises(InvalidGroupoid) as info:
+        restrict(gxm, kept, {"0": gxm.fibres["0"]})
+    assert info.value.law == "source"
+    assert info.value.witness == ("zz",)

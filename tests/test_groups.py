@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import xmodloop
 from xmodloop import fixtures
 from xmodloop.documents import _render
 from xmodloop.errors import (
@@ -101,6 +107,28 @@ def test_centralizer_in_abelian_group_is_everything():
 def test_centralizer_unknown_element():
     with pytest.raises(UnknownElement):
         centralizer(fixtures.cyclic(4), "9")
+
+
+UNKNOWN_MEMBERS = """
+from xmodloop import fixtures
+from xmodloop.errors import UnknownElement
+from xmodloop.groups import subgroup
+
+try:
+    subgroup(fixtures.cyclic(4), ["zz", "qq", "aa", "1"])
+except UnknownElement as exc:
+    print(exc.witness)
+"""
+
+
+def test_subgroup_unknown_member_witness_does_not_depend_on_the_hash_seed():
+    # the first unknown member in input order, whatever order a set iterates in
+    src = str(Path(xmodloop.__file__).resolve().parents[1])
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", UNKNOWN_MEMBERS], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines() == ["('zz',)"], seed
 
 
 def test_subgroup_generated_empty_is_trivial():

@@ -6,7 +6,7 @@ from bruteforce import brute_components, brute_pa
 from conftest import all_base_pairs, assert_loop_tables_match_brute_force
 from xmodloop import fixtures
 from xmodloop.documents import serialize_xmod
-from xmodloop.errors import UnknownElement
+from xmodloop.errors import UnknownElement, UnknownObject
 from xmodloop.groups import (
     are_isomorphic,
     conjugacy_classes,
@@ -182,6 +182,28 @@ def test_theta_matches_vertex_group_with_pa():
         for u in vertex:
             for v in vertex:
                 assert mor_map[vertex.add(u, v)] == pa.add(mor_map[u], mor_map[v])
+
+
+def test_theta_source_is_the_vertex_slice_of_the_loop_groupoid():
+    for name, a in all_base_pairs():
+        x = fixtures.all_fixtures()[name]
+        gxm, src = loop_gpd_xmod(x), theta(x, a).source
+        vertex = gxm.base.vertex_morphisms(a)
+        kept = set(vertex)
+        assert src.base.objects == (a,)
+        assert list(src.base.morphisms) == vertex
+        assert list(src.base.compose.items()) == [
+            (pair, w) for pair, w in gxm.base.compose.items() if set(pair) <= kept]
+        assert src.fibres == {a: gxm.fibres[a]}
+        assert list(src.boundary.items()) == [(m, gxm.boundary[m]) for m in gxm.fibres[a]]
+        assert list(src.action.items()) == [
+            (key, n) for key, n in gxm.action.items() if key[1] in kept]
+
+
+def test_theta_at_an_unknown_base_point_is_an_unknown_object():
+    with pytest.raises(UnknownObject) as info:
+        theta(fixtures.mod32(), "zz")
+    assert info.value.witness == ("zz",)
 
 
 def test_unknown_base_point_is_rejected():
