@@ -58,11 +58,9 @@ from .nerve import (
 from .loop import (
     LoopData,
     LoopHomotopy,
-    LoopMorphism,
     components,
     loop_data,
     loop_gpd_xmod,
-    loop_morphism,
     loop_xmod_at,
     pi_loop,
     theta,

@@ -67,7 +67,7 @@ def fibration_psi(x: CrossedModule) -> FibrationData:
     target = as_groupoid_xmod(x)
     mor_map = {(m, p, a): p for m, p, a in product(M, P, P)}
     dim2_map = {(m, a): m for a in P for m in M}
-    obj_map = {a: "*" for a in P}
+    obj_map = {a: target.base.objects[0] for a in P}
     psi = make_gxm_morphism(gxm, target, obj_map, mor_map, dim2_map)
     report = is_fibration(psi)
     if report:

@@ -16,9 +16,12 @@ are proved from S by Light's test: associativity checks
 morphisms x into and y out of s; the action, homomorphism, CM1 and CM2
 laws check |S| (or |S| + 1) generators per element.  Every such proof
 goes through ``groups._failures``: only when it fails does the full scan
-of every composable tuple run, to report the same first witness.  The
-composition table of ``make_groupoid`` and the action table of
-``make_gxm`` are each checked in one pass over the expected keys
+of every composable tuple run, to report the same first witness.
+``check_morphism`` proves its ``composition``, ``dim2-hom`` and
+``action-square`` laws so too, and only ``make_gxm_morphism`` builds a
+``GXModMorphism``, after they hold: ``is_fibration`` does not recheck
+them.  The composition table of ``make_groupoid`` and the action table
+of ``make_gxm`` are each checked in one pass over the expected keys
 (domain, values and endpoints together), which also builds the rows of
 positions the laws read; only a table that fails it runs the ordered
 searches that pick the witness in the table's own order.  The loop
@@ -393,8 +396,9 @@ def restrict(gxm: GroupoidXMod, morphisms, fibres: dict) -> GroupoidXMod:
     return make_gxm(piece, fibres, boundary, action)
 
 
-def as_groupoid_xmod(x: CrossedModule, obj: str = "*") -> GroupoidXMod:
+def as_groupoid_xmod(x: CrossedModule) -> GroupoidXMod:
     """A crossed module of groups, viewed over the one-object groupoid."""
+    obj = "*"
     elements = x.P.elements
     compose = {(u, v): elements[k] for u, row in zip(elements, x.P._table)
                for v, k in zip(elements, row)}
@@ -436,6 +440,12 @@ def check_morphism(source: GroupoidXMod, target: GroupoidXMod,
     source's generators, and ``dim2-hom`` for n in each fibre's generators
     and 0 (see ``groups._right_generators``); a failed certificate, or a
     broken identity, runs the full scan, which reports every failure.
+    ``action-square`` runs only on an empty report, so identities and
+    composition are kept and both actions are validated; it holds at
+    identities, and at u + s if it holds at u and s:
+    f2(m^(u+s)) = f2(m^u)^f1(s) = (f2(m)^f1(u))^f1(s) = f2(m)^f1(u+s).
+    So it is proved for s in the source's generators and scanned over
+    every (m, u) only when that proof fails.
     """
     report: list[Violation] = []
     src_base, tgt_base = source.base, target.base
@@ -484,12 +494,14 @@ def check_morphism(source: GroupoidXMod, target: GroupoidXMod,
                                         f"f1(delta {m}) != delta(f2 {m})", (m,)))
     if report:
         return report
-    for u in src_base.morphisms:
-        for m in source.fibres[src_base.source[u]]:
-            if dim2_map[source.action[(m, u)]] != target.action[(dim2_map[m], mor_map[u])]:
-                report.append(Violation("action-square",
-                                        f"f2({m}^{u}) != f2({m})^f1({u})", (m, u)))
-    return report
+
+    def squares(m, u) -> bool:
+        return dim2_map[source.action[(m, u)]] == target.action[(dim2_map[m], mor_map[u])]
+
+    scan = ((m, u) for u in src_base.morphisms for m in source.fibres[src_base.source[u]])
+    proof = ((m, s) for s in src_base.generators for m in source.fibres[src_base.source[s]])
+    return [Violation("action-square", f"f2({m}^{u}) != f2({m})^f1({u})", (m, u))
+            for m, u in _failures(squares, scan, proof)]
 
 
 def make_gxm_morphism(source: GroupoidXMod, target: GroupoidXMod,
@@ -502,15 +514,15 @@ def make_gxm_morphism(source: GroupoidXMod, target: GroupoidXMod,
 
 
 def is_fibration(f: GXModMorphism) -> list[Violation]:
-    """Fibration report: morphism laws, star-surjectivity, fibrewise dim-2 surjectivity.
+    """Fibration report: star-surjectivity, then fibrewise dim-2 surjectivity.
 
-    The star at an object collects the morphisms with that source; with
-    groupoid inverses, surjectivity on target-stars is equivalent and is
-    not checked separately.
+    f was built by ``make_gxm_morphism``, which checked every morphism
+    law, so only surjectivity is checked here.  The star at an object
+    collects the morphisms with that source; with groupoid inverses,
+    surjectivity on target-stars is equivalent and is not checked
+    separately.
     """
-    report = check_morphism(f.source, f.target, f.obj_map, f.mor_map, f.dim2_map)
-    if report:
-        return report
+    report: list[Violation] = []
     src_base, tgt_base = f.source.base, f.target.base
     for a in src_base.objects:
         down = f.obj_map[a]

@@ -49,22 +49,6 @@ from .groupoids import (
 from .xmod import CrossedModule, homotopy, make_xmod
 
 
-@dataclass(frozen=True)
-class LoopMorphism:
-    """The endpoints of the loop groupoid's morphism (m, p, a), which has target a."""
-
-    m: str
-    p: str
-    a: str
-    source: str
-    target: str
-
-
-def loop_morphism(x: CrossedModule, m: str, p: str, a: str) -> LoopMorphism:
-    source = x.P.sub(x.P.add(x.P.add(p, a), x.delta(m)), p)
-    return LoopMorphism(m, p, a, source, a)
-
-
 @dataclass(frozen=True, eq=False)
 class LoopData:
     """P(a), delta_a and the P(a)-action on M for one base element a."""
@@ -204,15 +188,16 @@ def theta(x: CrossedModule, a: str) -> GXModMorphism:
     """The isomorphism from the loop groupoid restricted at a onto L[a].
 
     Its source is ``restrict`` to the vertex morphisms and the fibre at a.
-    theta sends a to *, (m, p, a) to (m, p) and (m, a) to m; it is
-    validated as a structure-preserving bijection in every dimension.
+    theta sends a to the object of L[a], (m, p, a) to (m, p) and (m, a)
+    to m; it is validated as a structure-preserving bijection in every
+    dimension.
     """
     gxm = loop_gpd_xmod(x)
     src = restrict(gxm, gxm.base.vertex_morphisms(a), {a: gxm.fibres[a]})
     tgt = as_groupoid_xmod(loop_xmod_at(x, a))
     mor_map = {u: u[:2] for u in src.base.morphisms}
     dim2_map = {e: e[0] for e in src.fibres[a]}
-    f = make_gxm_morphism(src, tgt, {a: "*"}, mor_map, dim2_map)
+    f = make_gxm_morphism(src, tgt, {a: tgt.base.objects[0]}, mor_map, dim2_map)
     if not f.is_isomorphism():
         raise InternalInvariantBroken(f"theta at {a} is not bijective", (a,))
     return f

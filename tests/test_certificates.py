@@ -32,6 +32,7 @@ from xmodloop.groups import (
     group_action,
     homomorphism,
     make_group,
+    trivial_action,
 )
 from xmodloop.loop import loop_gpd_xmod
 from xmodloop.xmod import make_xmod
@@ -423,6 +424,19 @@ def test_identity_broken_at_an_object_without_generators_reports_composition():
     maps = ({"*": "*"}, {"0": "1"}, {"0": "0"})
     report = [(v.kind, v.witness) for v in check_morphism(source, target, *maps)]
     assert ("composition", ("0", "0")) in report
+    assert report == scan_morphism(source, target, *maps)
+
+
+def test_morphism_breaking_only_action_square_reports_each_failing_pair():
+    # identities onto the same groups with the trivial action: delta = 0 and
+    # C3 is abelian, so the target is a crossed module, and only the action
+    # of "1" (inversion on C3) fails to square
+    x = fixtures.mod32()
+    source = as_groupoid_xmod(x)
+    target = as_groupoid_xmod(make_xmod(x.M, x.P, x.delta, trivial_action(x.P, x.M)))
+    maps = ({"*": "*"}, {u: u for u in x.P}, {m: m for m in x.M})
+    report = [(v.kind, v.witness) for v in check_morphism(source, target, *maps)]
+    assert report == [("action-square", ("1", "1")), ("action-square", ("2", "1"))]
     assert report == scan_morphism(source, target, *maps)
 
 

@@ -27,6 +27,17 @@ def test_psi_is_a_fibration_on_every_fixture(any_xmod):
     assert is_fibration(data.psi) == []
 
 
+def test_is_fibration_reads_a_validated_morphism_without_rechecking_its_laws(
+        any_xmod, monkeypatch):
+    psi = fibration_psi(any_xmod).psi
+
+    def refuse(*args):
+        raise AssertionError("check_morphism was called")
+
+    monkeypatch.setattr("xmodloop.groupoids.check_morphism", refuse)
+    assert is_fibration(psi) == []
+
+
 def test_fibre_shapes(any_xmod):
     x = any_xmod
     data = fibration_psi(x)

@@ -18,7 +18,6 @@ from xmodloop.loop import (
     components,
     loop_data,
     loop_gpd_xmod,
-    loop_morphism,
     loop_xmod_at,
     pi_loop,
     theta,
@@ -128,9 +127,9 @@ def test_pi2_equals_fixed_points_elementwise():
 
 def test_loop_morphism_source_target():
     x = fixtures.mod32()
-    t = loop_morphism(x, "1", "1", "0")
-    assert t.target == "0"
-    assert t.source == x.P.sub(x.P.add(x.P.add("1", "0"), x.delta("1")), "1")
+    base = loop_gpd_xmod(x).base
+    assert base.target[("1", "1", "0")] == "0"
+    assert base.source[("1", "1", "0")] == x.P.sub(x.P.add(x.P.add("1", "0"), x.delta("1")), "1")
 
 
 def test_loop_groupoid_shape_of_inc24():
