@@ -1,9 +1,12 @@
 """Size ladder: time each stage on a fixed list of growing inputs.
 
-    python bench/ladder.py --out BENCH_8.json
+    python bench/ladder.py --out BENCH_11.json
 
-Each rung runs in a fresh child process, so no rung inherits another's
-caches or memory.  The child builds its input, times only the stage call
+A rung names a group (``S5``) or a crossed module: ``id: G``, ``1 -> G``
+or ``N -> G``, the inclusion of a normal subgroup N of G with G acting
+by conjugation.  Each rung runs in a fresh child process, so no rung
+inherits another's caches or memory.  The child builds its input, times
+only the stage call
 with ``time.perf_counter`` and reads its own peak RSS with
 ``resource.getrusage(RUSAGE_SELF)``.  The ``theta`` (at every base) and
 ``fibration_psi`` rungs build the loop groupoid first, as the cached
@@ -29,20 +32,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# (stage, rung, run it?).  id: S4 needs several GB for its |M|^2|P|^3
-# composition table, so it is listed with its size only.
+# (stage, rung, run it?)
 RUNGS = [
     ("make_group", "S5", True),
     ("make_group", "A6", True),
     ("make_group", "S6", True),
-    ("loop_gpd_xmod", "id: C4", True),
-    ("loop_gpd_xmod", "id: S3", True),
-    ("loop_gpd_xmod", "id: D4", True),
-    ("loop_gpd_xmod", "id: C10", True),
-    ("loop_gpd_xmod", "id: A4", True),
-    ("loop_gpd_xmod", "id: S4", False),
-    *((stage, f"id: {g}", True) for stage in ("theta", "fibration_psi")
-      for g in ("C4", "S3", "D4", "C10", "A4")),
+    *((stage, rung, True) for stage in ("loop_gpd_xmod", "theta", "fibration_psi")
+      for rung in ("id: C4", "id: S3", "id: D4", "id: C10", "id: A4", "id: S4",
+                   "1 -> S5", "A4 -> S4")),
 ]
 
 
@@ -75,43 +72,62 @@ def permutation_group(label: str) -> list[tuple]:
     raise ValueError(f"no permutation group named {label!r}")
 
 
+def _name(perm: tuple) -> str:
+    return "".join(map(str, perm)) if len(perm) < 10 else ",".join(map(str, perm))
+
+
 def group_table(label: str) -> tuple[list, list, str]:
     """Elements, table and identity, with x + y meaning "x, then y"."""
     perms = permutation_group(label)
-    names = {p: "".join(map(str, p)) if len(p) < 10 else ",".join(map(str, p)) for p in perms}
+    names = {p: _name(p) for p in perms}
     table = [[names[tuple(y[i] for i in x)] for y in perms] for x in perms]
     return [names[p] for p in perms], table, names[perms[0]]
 
 
+def module_labels(rung: str) -> tuple[str, str]:
+    """(N, G) for the rung "N -> G"; "id: G" is "G -> G"."""
+    if rung.startswith("id: "):
+        return rung[4:], rung[4:]
+    sub, top = rung.split(" -> ")
+    return sub, top
+
+
 def predicted(stage: str, rung: str) -> dict:
-    n = len(permutation_group(rung.removeprefix("id: ")))
     if stage == "make_group":
+        n = len(permutation_group(rung))
         return {"order": n, "table_entries": n ** 2, "full_scan_assoc_triples": n ** 3}
-    # id: G has |M| = |P| = n, and the loop groupoid has n vertex morphisms at each base
+    sub, top = module_labels(rung)
+    p = len(permutation_group(top))
+    m = 1 if sub == "1" else len(permutation_group(sub))
+    # the loop groupoid is the group of the |M||P| pairs (m, p) acting on P
     if stage == "theta":
-        return {"bases": n, "vertex_morphisms_per_base": n}
+        return {"bases": p, "group_order": m * p}
     if stage == "fibration_psi":
-        return {"morphisms": n ** 3, "fibre_morphisms": n ** 2}
-    return {"morphisms": n ** 3, "composable_pairs": n ** 5, "full_scan_assoc_triples": n ** 7}
+        return {"morphisms": m * p * p, "fibre_morphisms": m * p}
+    return {"morphisms": m * p * p, "group_order": m * p, "fibre_action_entries": m * m * p * p}
 
 
 def run_stage(stage: str, rung: str) -> float:
     """Build the rung's input, then time the stage alone."""
     sys.path.insert(0, str(ROOT / "src"))
     from xmodloop.exactseq import fibration_psi
-    from xmodloop.groups import group_action, homomorphism, make_group
+    from xmodloop.groups import group_action, homomorphism, make_group, subgroup
     from xmodloop.loop import loop_gpd_xmod, theta
     from xmodloop.xmod import make_xmod
 
-    elements, table, identity = group_table(rung.removeprefix("id: "))
     if stage == "make_group":
+        elements, table, identity = group_table(rung)
         start = time.perf_counter()
         make_group(elements, table, identity, name=rung)
         return time.perf_counter() - start
-    G = make_group(elements, table, identity, name=rung)
-    delta = homomorphism(G, G, {g: g for g in G})
-    action = group_action(G, G, {(m, p): G.conj(m, p) for m in G for p in G})
-    x = make_xmod(G, G, delta, action, name=rung)
+    sub, top = module_labels(rung)
+    elements, table, identity = group_table(top)
+    G = make_group(elements, table, identity, name=top)
+    members = [identity] if sub == "1" else [_name(q) for q in permutation_group(sub)]
+    N = subgroup(G, members).as_group(name=sub)
+    delta = homomorphism(N, G, {n: n for n in N})
+    action = group_action(G, N, {(n, p): G.conj(n, p) for n in N for p in G})
+    x = make_xmod(N, G, delta, action, name=rung)
     if stage != "loop_gpd_xmod":
         loop_gpd_xmod(x)
     call = {"loop_gpd_xmod": loop_gpd_xmod, "fibration_psi": fibration_psi,
@@ -142,7 +158,7 @@ def ladder() -> tuple[list[dict], bool]:
                 ok = False
                 record["status"] = "failed"
                 record["error"] = (done.stderr.strip().splitlines() or [""])[-1]
-        print(f"{stage:14} {rung:8} {record.get('wall_s', record.get('status'))}", flush=True)
+        print(f"{stage:14} {rung:9} {record.get('wall_s', record.get('status'))}", flush=True)
         records.append(record)
     return records, ok
 

@@ -35,6 +35,7 @@ from .groupoids import (
     FiniteGroupoid,
     GroupoidXMod,
     GXModMorphism,
+    action_groupoid,
     as_groupoid_xmod,
     is_fibration,
     make_groupoid,

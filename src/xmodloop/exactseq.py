@@ -61,7 +61,11 @@ class FibrationData:
 
 
 def fibration_psi(x: CrossedModule) -> FibrationData:
-    """Build psi, which must be a fibration, and its fibre, cut out by ``restrict``."""
+    """Build psi, which must be a fibration, and its fibre, cut out by ``restrict``.
+
+    The fibre is the action groupoid of the pairs (m, 0) on P, with the
+    m = 0 pairs over each object.
+    """
     M, P = x.M, x.P
     gxm = loop_gpd_xmod(x)
     target = as_groupoid_xmod(x)
@@ -86,7 +90,9 @@ def fibration_psi(x: CrossedModule) -> FibrationData:
         raise InternalInvariantBroken("fibre dim-2 part is not the m = 0 pairs", ())
     fibres = {a: subgroup(gxm.fibres[a], elems).as_group(name=f"F2@{a}")
               for a, elems in fibre_elements.items()}
-    return FibrationData(psi, restrict(gxm, fibre_morphisms, fibres))
+    # the p = 0 morphisms are the arrows of the pairs (m, 0), acting by a -> a + delta(m)
+    kernel_pairs = [(m, P.identity) for m in M]
+    return FibrationData(psi, restrict(gxm, kernel_pairs, fibres))
 
 
 def fixed_points(x: CrossedModule, a: str) -> Subgroup:

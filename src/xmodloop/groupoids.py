@@ -2,36 +2,51 @@
 
 Composition is additive and reads left to right: for p: x -> y and
 q: y -> z the composite p + q: x -> z is defined exactly when
-target(p) = source(q).  Morphisms are stored as full tables, and every
-law holds over every composable tuple.  Only this module reads those
-tables: ``restrict`` cuts out a sub-crossed-module, such as the source of
-``loop.theta`` or the fibre of ``exactseq.fibration_psi``, validated once.
+target(p) = source(q).  Every groupoid the library builds is an action
+groupoid, and every law holds over every composable tuple.
 
-Cost.  Each groupoid indexes its morphisms by source once, at
-construction (``out_of``, in input order), and keeps a set of
-generators S: closing the identities under x -> x + s reaches every
-morphism (``groups._right_generators``).  Laws closed under composition
-are proved from S by Light's test: associativity checks
-(x + s) + y = x + (s + y) for s in S only, visiting the in(s) * out(s)
-morphisms x into and y out of s; the action, homomorphism, CM1 and CM2
-laws check |S| (or |S| + 1) generators per element.  Every such proof
-goes through ``groups._failures``: only when it fails does the full scan
-of every composable tuple run, to report the same first witness.
-``check_morphism`` proves its ``composition``, ``dim2-hom`` and
-``action-square`` laws so too, and only ``make_gxm_morphism`` builds a
-``GXModMorphism``, after they hold: ``is_fibration`` does not recheck
-them.  The composition table of ``make_groupoid`` and the action table
-of ``make_gxm`` are each checked in one pass over the expected keys
-(domain, values and endpoints together), which also builds the rows of
-positions the laws read; only a table that fails it runs the ordered
-searches that pick the witness in the table's own order.  The loop
-groupoid of delta: M -> P has |M||P|^2 morphisms, |M|^2|P|^3 composable
-pairs and |M|^3|P|^4 associativity triples in a full scan.
+Representation.  A ``FiniteGroupoid`` is a validated ``FiniteGroup`` G,
+its objects X and an integer table of |G| x |X| entries: ``act[i][k]``
+is the position of g_i . x_k.  The morphism at position i |X| + k is the
+arrow (g_i, x_k): g_i . x_k -> x_k.  Source, target, composite, identity
+and inverse are lookups in G's tables and in ``act``:
+
+    (g, y) + (h, z) = (g + h, z)  when h . z = y,
+    identity(x) = (0, x),  -(g, x) = (-g, g . x).
+
+The identity, inverse and associativity laws follow from G's group laws.
+What is left is the action law (h + g) . x = h . (g . x), which makes
+each composite start where its first factor does, and 0 . x = x.
+``action_groupoid`` checks 0 . x = x at every object and proves the
+action law from G's generators through ``groups._failures``; only when
+that proof fails does it scan every (h, g, x).  So the verdict covers
+every tuple.  ``restrict`` cuts out a subgroup of G together with a set
+of objects it leaves invariant, such as the source of ``loop.theta`` or
+the fibre of ``exactseq.fibration_psi``.  ``make_groupoid`` validates a
+groupoid written out as a full composition table; the library never
+builds one, and tests use it as an oracle.
+
+Cost.  The action law costs |S_G| |G| rows of |X| entries, for G's
+generators S_G.  Closing the identities under x -> x + s for the arrows
+s = (t, y), t in S_G, reaches every morphism, so these |S_G| |X| arrows
+are the groupoid's ``generators``.  ``make_gxm`` and ``check_morphism``
+prove each law closed under composition from them, through
+``groups._failures``: action composition and the ``composition`` law
+of a morphism at the |G| arrows into each generator (``before``),
+additivity at every pair of fibre elements and CM1 and
+``action-square`` at every fibre element, for each generator; CM2,
+``boundary-hom`` and ``dim2-hom`` at each fibre's generators and 0.
+``make_gxm`` checks its action table in one pass over the expected
+keys, which also builds the rows of fibre positions that the
+composition and additivity laws compare; only a table that fails it
+runs the ordered searches that pick the witness in the table's own
+order.  Only ``make_gxm_morphism`` builds a ``GXModMorphism``, after the
+laws hold: ``is_fibration`` does not recheck them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import (
@@ -41,6 +56,7 @@ from .errors import (
     InvalidGroupoid,
     InvalidGroupoidXMod,
     InvalidMorphism,
+    UnknownElement,
     UnknownObject,
     Violation,
 )
@@ -57,51 +73,165 @@ from .groups import (
     kernel,
     make_group,
     quotient,
+    subgroup,
 )
 from .xmod import CrossedModule, make_xmod
 
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroupoid:
-    """A finite groupoid with an explicit partial composition table."""
+    """The action groupoid of a finite group on a finite set of objects.
 
-    objects: tuple[str, ...]
-    morphisms: tuple[str, ...]
-    source: dict
-    target: dict
-    compose: dict  # (u: x->y, v: y->z) -> u + v : x->z
-    identities: dict
-    inverses: dict
-    out_of: dict  # x -> the morphisms with source x, in the order of `morphisms`
+    The morphism at position i |objects| + k is the arrow (g_i, x_k) from
+    g_i . x_k to x_k, where act[i][k] is the position of g_i . x_k.
+    Build one with ``action_groupoid``, which checks every law.
+    """
+
+    group: FiniteGroup
+    objects: tuple
+    morphisms: tuple
+    act: list  # act[i][k] = position of g_i . x_k in objects
     generators: tuple  # closing the identities under x -> x + s reaches every morphism
+    _arrows: dict = field(repr=False)  # morphism (g_i, x_k) -> (i, k)
+    _object_position: dict = field(repr=False)  # object -> position
 
-    def star(self, x: str) -> list[str]:
-        """Morphisms whose source is x."""
-        if x not in self.objects:
-            raise UnknownObject(x)
-        return list(self.out_of[x])
+    def __contains__(self, u) -> bool:
+        return u in self._arrows
 
-    def vertex_morphisms(self, x: str) -> list[str]:
-        if x not in self.objects:
+    def _arrow(self, u) -> tuple[int, int]:
+        """(i, k) for the morphism u = (g_i, x_k)."""
+        arrow = self._arrows.get(u)
+        if arrow is None:
+            raise UnknownElement(u)
+        return arrow
+
+    def _object(self, x) -> int:
+        k = self._object_position.get(x)
+        if k is None:
             raise UnknownObject(x)
-        return [u for u in self.out_of[x] if self.target[u] == x]
+        return k
+
+    def source(self, u):
+        i, k = self._arrow(u)
+        return self.objects[self.act[i][k]]
+
+    def target(self, u):
+        return self.objects[self._arrow(u)[1]]
+
+    def compose(self, u, v):
+        """u + v, or None when target(u) != source(v)."""
+        arrows = self._arrows
+        if u not in arrows or v not in arrows:
+            raise UnknownElement(v if u in arrows else u)
+        (i, k), (j, z) = arrows[u], arrows[v]
+        if self.act[j][z] != k:
+            return None
+        return self.morphisms[self.group._table[i][j] * len(self.objects) + z]
+
+    def identity(self, x):
+        e = self.group._index[self.group.identity]
+        return self.morphisms[e * len(self.objects) + self._object(x)]
+
+    def inverse(self, u):
+        i, k = self._arrow(u)
+        return self.morphisms[self.group._inv[i] * len(self.objects) + self.act[i][k]]
+
+    def star(self, x) -> list:
+        """The morphisms with source x, in morphism order: the inverses of those into x."""
+        k, n, inv = self._object(x), len(self.objects), self.group._inv
+        return [self.morphisms[p] for p in sorted(inv[i] * n + row[k]
+                                                  for i, row in enumerate(self.act))]
+
+    def before(self, v) -> list:
+        """The pairs (u, u + v) for every u with target source(v), in morphism order.
+
+        For v = (h, z) these are u = (g, h . z) and u + v = (g + h, z), g in G.
+        """
+        j, z = self._arrow(v)
+        n, y, ms = len(self.objects), self.act[j][z], self.morphisms
+        return [(ms[i * n + y], ms[row[j] * n + z]) for i, row in enumerate(self.group._table)]
+
+    def stabiliser(self, x) -> list:
+        """The elements g of the group with g . x = x, in group order."""
+        k = self._object(x)
+        return [g for g, row in zip(self.group.elements, self.act) if row[k] == k]
+
+    def vertex_morphisms(self, x) -> list:
+        """The morphisms x -> x, in morphism order: (g, x) for g in the stabiliser of x."""
+        k, n = self._object(x), len(self.objects)
+        return [self.morphisms[i * n + k] for i, row in enumerate(self.act) if row[k] == k]
+
+
+def action_groupoid(group: FiniteGroup, objects, act, morphisms) -> FiniteGroupoid:
+    """The action groupoid of a validated group on objects, checking every law.
+
+    ``act[i][k]`` is the position in ``objects`` of g_i . x_k, and
+    ``morphisms`` labels the arrows (g_i, x_k) at positions i |objects| + k.
+    Each entry of ``act`` must be an object (law ``source``) and the
+    identity must fix every object (``identity-missing``).  The action law
+    (h + g) . x = h . (g . x) holds for h = 0, and for h1 + h2 once it
+    holds for h1 and h2 (G is associative); so it is proved for h in G's
+    generators and scanned over every (h, g, x), in that order, only
+    when that proof fails.  A failure at (h, g, x) is the composite w of
+    u = (h, g . x) and v = (g, x) starting elsewhere than u:
+    ``composition-endpoints`` with witness (u, v, w), as in
+    ``make_groupoid``.
+    """
+    objects = tuple(objects)
+    morphisms = tuple(morphisms)
+    n, nx = len(group), len(objects)
+    if len(set(objects)) != nx:
+        raise InvalidGroupoid("objects-distinct", (objects,))
+    if len(morphisms) != n * nx or len(set(morphisms)) != n * nx:
+        raise InvalidGroupoid("morphisms-distinct", (morphisms,))
+    act = [list(row) for row in act]
+    if len(act) != n or any(len(row) != nx for row in act):
+        raise InvalidGroupoid("action-shape", (len(act), n, nx))
+    points = set(range(nx))
+    for i, row in enumerate(act):
+        if not points.issuperset(row):
+            j = next(j for j, s in enumerate(row) if s not in points)
+            raise InvalidGroupoid("source", (morphisms[i * nx + j],))
+    table = group._table
+    e = group._index[group.identity]
+    for j, s in enumerate(act[e]):
+        if s != j:
+            raise InvalidGroupoid("identity-missing", (objects[j],))
+
+    def acts(h: int, g: int) -> bool:
+        """(h + g) . x = h . (g . x) for every x, one whole row at a time."""
+        row_h = act[h]
+        return [row_h[s] for s in act[g]] == act[table[h][g]]
+
+    gens = [group._index[s] for s in group.generators]
+    for h, g in _failures(acts, product(range(n), range(n)), product(gens, range(n))):
+        row_h, row_hg = act[h], act[table[h][g]]
+        z = next(z for z, y in enumerate(act[g]) if row_h[y] != row_hg[z])
+        raise InvalidGroupoid("composition-endpoints", (morphisms[h * nx + act[g][z]],
+                              morphisms[g * nx + z], morphisms[table[h][g] * nx + z]))
+    return FiniteGroupoid(group, objects, morphisms, act,
+                          tuple(morphisms[s * nx + z] for s in gens for z in range(nx)),
+                          dict(zip(morphisms, product(range(n), range(nx)))),
+                          {x: i for i, x in enumerate(objects)})
 
 
 _MISSING = object()  # what a table gives for a key it lacks; no label equals it
 
 
-def make_groupoid(objects, morphisms, source, target, compose, identities) -> FiniteGroupoid:
-    """Build a groupoid, checking every law over every composable tuple.
+def make_groupoid(objects, morphisms, source, target, compose, identities) -> None:
+    """Validate a groupoid written out as a full composition table.
 
-    One pass over the composable pairs reads each composite, checks that
-    it is a morphism with the right endpoints and builds the ``after``
-    rows of positions that the laws use; a table with as many keys as
-    composable pairs that passes it is exactly right.  Only a failing
-    table runs the ordered searches that pick its witness: the first
-    extra key in ``compose`` order, else the first missing pair, else the
-    first bad composite in ``compose`` order.  Associativity is proved by
-    Light's test on the generators (see ``groups._right_generators``) and
-    scanned in full only when that fails.
+    Raises ``InvalidGroupoid`` at the first broken law; returns nothing.
+    The library builds action groupoids only; this checks written-out
+    tables, such as an action groupoid's own, against every law.
+
+    A broken composition table is reported at the first extra key in
+    ``compose`` order, else at the first missing composable pair, else at
+    the first composite in ``compose`` order that is not a morphism with
+    the right endpoints; never in set order, which would make the witness
+    depend on the hash seed.  Associativity is proved by Light's test on
+    the generators (see ``groups._right_generators``) and scanned in full
+    only when that fails.
     """
     objects = tuple(objects)
     morphisms = tuple(morphisms)
@@ -123,41 +253,20 @@ def make_groupoid(objects, morphisms, source, target, compose, identities) -> Fi
         e = identities.get(x)
         if e not in pos or source[e] != x or target[e] != x:
             raise InvalidGroupoid("identity-missing", (x,))
-
-    def composition_error() -> InvalidGroupoid:
-        # The witness is never taken in set order, which would make it
-        # depend on the hash seed.
-        def pairs():
-            return ((u, v) for u in morphisms for v in out_of[target[u]])
-
-        if (len(compose) != sum(len(out_of[target[u]]) for u in morphisms)
-                or not all(map(compose.__contains__, pairs()))):
-            composable = set(pairs())
-            extra = [key for key in compose if key not in composable][:1]
-            return InvalidGroupoid("composition-domain", extra[0] if extra else
-                                   next(pair for pair in pairs() if pair not in compose))
-        return next(InvalidGroupoid("composition-endpoints", (u, v, w))
-                    for (u, v), w in compose.items()
-                    if w not in pos or source[w] != source[u] or target[w] != target[v])
-
+    pairs = [(u, v) for u in morphisms for v in out_of[target[u]]]
+    composable = set(pairs)
+    for key in compose:
+        if key not in composable:
+            raise InvalidGroupoid("composition-domain", key)
+    for pair in pairs:
+        if pair not in compose:
+            raise InvalidGroupoid("composition-domain", pair)
+    for (u, v), w in compose.items():
+        if w not in pos or source[w] != source[u] or target[w] != target[v]:
+            raise InvalidGroupoid("composition-endpoints", (u, v, w))
     # after[i] maps j to the position of u_i + u_j, in out_of order: the laws
     # below compare positions, which hash faster than tuple labels.
-    starts = [source[u] for u in morphisms]
-    ends = [target[u] for u in morphisms]
-    leaving = {x: [pos[v] for v in vs] for x, vs in out_of.items()}
-    ends_leaving = {x: [ends[j] for j in js] for x, js in leaving.items()}
-    after = []
-    pairs_seen = 0
-    for i, u in enumerate(morphisms):
-        y = ends[i]
-        row = [pos.get(compose.get((u, v), _MISSING)) for v in out_of[y]]
-        if (None in row or [ends[k] for k in row] != ends_leaving[y]
-                or [starts[k] for k in row].count(starts[i]) != len(row)):
-            raise composition_error()
-        after.append(dict(zip(leaving[y], row)))
-        pairs_seen += len(row)
-    if len(compose) != pairs_seen:
-        raise composition_error()
+    after = [{pos[v]: pos[compose[(u, v)]] for v in out_of[target[u]]} for u in morphisms]
     units = [(pos[identities[source[u]]], pos[identities[target[u]]]) for u in morphisms]
     for i, u in enumerate(morphisms):
         e_source, e_target = units[i]
@@ -182,30 +291,30 @@ def make_groupoid(objects, morphisms, source, target, compose, identities) -> Fi
         ij_then, i_then = after[after[i][j]], after[i]
         k = next(k for k, jk in after[j].items() if ij_then[k] != i_then[jk])
         raise InvalidGroupoid("associativity", (morphisms[i], morphisms[j], morphisms[k]))
-    inverses = {}
     for i, u in enumerate(morphisms):
         e_source, e_target = units[i]
-        found = next((j for j, ij in after[i].items()
-                      if ij == e_source and after[j].get(i) == e_target), None)
-        if found is None:
+        if not any(ij == e_source and after[j].get(i) == e_target for j, ij in after[i].items()):
             raise InvalidGroupoid("inverse", (u,))
-        inverses[u] = morphisms[found]
-    return FiniteGroupoid(objects, morphisms, dict(source), dict(target),
-                          dict(compose), dict(identities), inverses,
-                          {x: tuple(us) for x, us in out_of.items()},
-                          tuple(morphisms[s] for s in gens))
 
 
-def _into(base: FiniteGroupoid, y) -> list:
-    """The morphisms with target y: in a groupoid, the inverses of those leaving y."""
-    return [base.inverses[u] for u in base.out_of[y]]
+def _composable(base: FiniteGroupoid):
+    """Every composable (u, v, u + v): u in morphism order, then v in star order."""
+    stars = {x: base.star(x) for x in base.objects}
+    for u in base.morphisms:
+        for v in stars[base.target(u)]:
+            yield u, v, base.compose(u, v)
+
+
+def _composites_of_generators(base: FiniteGroupoid):
+    """(u, s, u + s) for each generator s and each u ending where s starts."""
+    return ((u, s, w) for s in base.generators for u, w in base.before(s))
 
 
 def vertex_group(groupoid: FiniteGroupoid, x: str) -> FiniteGroup:
-    """The group of morphisms x -> x under groupoid composition."""
+    """The group of morphisms x -> x under groupoid composition: the stabiliser of x."""
     vertex = groupoid.vertex_morphisms(x)
-    table = [[groupoid.compose[(u, v)] for v in vertex] for u in vertex]
-    return make_group(vertex, table, groupoid.identities[x], name=f"vertex@{x}")
+    table = [[groupoid.compose(u, v) for v in vertex] for u in vertex]
+    return make_group(vertex, table, groupoid.identity(x), name=f"vertex@{x}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,11 +347,12 @@ def make_gxm(base: FiniteGroupoid, fibres: dict, boundary: dict, action: dict) -
     Each law closed under composition is proved from generators (see
     ``groups._right_generators``) and scanned in full, to raise the same
     first witness as before, only when that proof fails (``_failures``).
-    The boundary and each u-action are homomorphisms once they respect
-    every generator of the fibre and 0.  Action composition holds once it
-    holds for v in the base's generators, and then additivity once it
-    holds at those generators.  CM1 and CM2 come last, after every premise
-    of their proofs (the identity laws, boundary-hom and composition):
+    The boundary is a homomorphism once it respects every generator of
+    the fibre and 0.  Action composition holds once it holds for v in the
+    base's generators, and then additivity once each generator acts
+    additively; both compare whole rows of fibre positions.  CM1 and CM2
+    come last, after every premise of their proofs (the identity laws,
+    boundary-hom and composition):
 
     - CM1 holds at identities, and at u + s if it holds at u and s:
       d(m^(u+s)) = -s + d(m^u) + s = -s - u + d(m) + u + s = -(u+s) + d(m) + (u+s).
@@ -258,18 +368,10 @@ def make_gxm(base: FiniteGroupoid, fibres: dict, boundary: dict, action: dict) -
             if m in object_of:
                 raise InvalidGroupoidXMod("fibre-name-clash", (m, object_of[m], x))
             object_of[m] = x
-    morphism_set = set(base.morphisms)
-    compose, source, target = base.compose, base.source, base.target
-
-    def composes(m, u, v) -> bool:
-        return action[(action[(m, u)], v)] == action[(m, compose[(u, v)])]
-
-    def additive(m, n, u) -> bool:
-        group, image = fibres[source[u]], fibres[target[u]]
-        return action[(group.add(m, n), u)] == image.add(action[(m, u)], action[(n, u)])
+    source, target, compose = base.source, base.target, base.compose
 
     def cm1(m, u) -> bool:
-        return boundary[action[(m, u)]] == compose[(compose[(base.inverses[u], boundary[m])], u)]
+        return boundary[action[(m, u)]] == compose(compose(base.inverse(u), boundary[m]), u)
 
     def cm2(m, n) -> bool:
         return fibres[object_of[m]].conj(m, n) == action[(m, boundary[n])]
@@ -280,51 +382,71 @@ def make_gxm(base: FiniteGroupoid, fibres: dict, boundary: dict, action: dict) -
             value = boundary.get(m)
             if value is None:
                 raise InvalidGroupoidXMod("boundary-missing", (m,))
-            if value not in morphism_set or source[value] != x or target[value] != x:
+            if value not in base or source(value) != x or target(value) != x:
                 raise InvalidGroupoidXMod("boundary-vertex", (m, value))
-        for m, n in _additive_failures(group, boundary, lambda p, q: compose[(p, q)]):
+        for m, n in _additive_failures(group, boundary, compose):
             raise InvalidGroupoidXMod("boundary-hom", (m, n))
 
     def action_error() -> InvalidGroupoidXMod:
-        # as composition_error in make_groupoid
+        # The witness is never taken in set order, which would make it
+        # depend on the hash seed.
         def keys():
-            return ((m, u) for u in base.morphisms for m in fibres[source[u]])
+            return ((m, u) for u in base.morphisms for m in fibres[source(u)])
 
-        if (len(action) != sum(len(fibres[source[u]]) for u in base.morphisms)
+        if (len(action) != sum(len(fibres[source(u)]) for u in base.morphisms)
                 or not all(map(action.__contains__, keys()))):
             expected = set(keys())
             extra = [key for key in action if key not in expected][:1]
             return InvalidGroupoidXMod("action-domain", extra[0] if extra else
                                        next(key for key in keys() if key not in action))
         return next(InvalidGroupoidXMod("action-codomain", (m, u, value))
-                    for (m, u), value in action.items() if value not in fibres[target[u]])
+                    for (m, u), value in action.items() if value not in fibres[target(u)])
 
-    # one pass over the expected keys; only a failing table runs action_error
-    keys_seen = 0
+    # One pass over the expected keys; only a failing table runs action_error.
+    # rows[u][i] is the position of m_i^u in the fibre at target(u), for the
+    # i-th element m_i of the fibre at source(u): the action laws below
+    # compare whole rows of positions.
+    rows = {}
     for u in base.morphisms:
-        values = [action.get((m, u), _MISSING) for m in fibres[source[u]]]
-        if not all(map(fibres[target[u]].__contains__, values)):
+        index = fibres[target(u)]._index
+        row = [index.get(action.get((m, u), _MISSING)) for m in fibres[source(u)]]
+        if None in row:
             raise action_error()
-        keys_seen += len(values)
-    if len(action) != keys_seen:
+        rows[u] = row
+    if len(action) != sum(map(len, rows.values())):
         raise action_error()
     for x in base.objects:
-        for m in fibres[x]:
-            if action[(m, base.identities[x])] != m:
-                raise InvalidAction("identity", (m, x))
-    scan = ((m, u, v) for u in base.morphisms for v in base.out_of[target[u]]
-            for m in fibres[source[u]])
-    proof = ((m, u, v) for v in base.generators for u in _into(base, source[v])
-             for m in fibres[source[u]])
-    for witness in _failures(composes, scan, proof):
-        raise InvalidAction("composition", witness)
-    scan = ((m, n, u) for u in base.morphisms for m, n in product(fibres[source[u]], repeat=2))
-    proof = ((m, n, s) for s in base.generators for m in fibres[source[s]]
-             for n in (fibres[source[s]].identity, *fibres[source[s]].generators))
-    for witness in _failures(additive, scan, proof):
-        raise InvalidAction("additivity", witness)
-    scan = ((m, u) for u in base.morphisms for m in fibres[source[u]])
-    proof = ((m, s) for s in base.generators for m in fibres[source[s]])
+        row = rows[base.identity(x)]
+        for i in range(len(row)):
+            if row[i] != i:
+                raise InvalidAction("identity", (fibres[x].elements[i], x))
+
+    def composes(u, v, w) -> bool:
+        """(m^u)^v = m^w for every m, where w = u + v."""
+        row_v = rows[v]
+        return [row_v[i] for i in rows[u]] == rows[w]
+
+    for u, v, w in _failures(composes, _composable(base), _composites_of_generators(base)):
+        row_v, row_uv = rows[v], rows[w]
+        i = next(i for i, j in enumerate(rows[u]) if row_v[j] != row_uv[i])
+        raise InvalidAction("composition", (fibres[source(u)].elements[i], u, v))
+
+    def additive(u, i) -> bool:
+        """(m_i + n)^u = m_i^u + n^u for every n."""
+        row = rows[u]
+        image = fibres[target(u)]._table[row[i]]
+        return [row[k] for k in fibres[source(u)]._table[i]] == [image[j] for j in row]
+
+    # given composition, additivity at each generator s gives it at u + s
+    scan = ((u, i) for u in base.morphisms for i in range(len(rows[u])))
+    proof = ((s, i) for s in base.generators for i in range(len(rows[s])))
+    for u, i in _failures(additive, scan, proof):
+        row, group = rows[u], fibres[source(u)]
+        image = fibres[target(u)]._table[row[i]]
+        j = next(j for j, k in enumerate(group._table[i]) if row[k] != image[row[j]])
+        raise InvalidAction("additivity", (group.elements[i], group.elements[j], u))
+    scan = ((m, u) for u in base.morphisms for m in fibres[source(u)])
+    proof = ((m, s) for s in base.generators for m in fibres[source(s)])
     for m, u in _failures(cm1, scan, proof):
         raise CM1Violation(m, u)
     scan = ((m, n) for x in base.objects for m, n in product(fibres[x], repeat=2))
@@ -337,13 +459,13 @@ def make_gxm(base: FiniteGroupoid, fibres: dict, boundary: dict, action: dict) -
 def pi0(gxm: GroupoidXMod) -> list[list[str]]:
     """Connected components of the base groupoid, least representative first.
 
-    The component of x is the set of targets of the morphisms leaving x:
-    a validated groupoid is closed under composites and inverses, so
-    every object joined to x by a path is joined to it by one morphism.
-    One pass over each star suffices.
+    The component of x is the set of targets of the morphisms leaving x,
+    its orbit: a validated groupoid is closed under composites and
+    inverses, so every object joined to x by a path is joined to it by
+    one morphism.  One pass over each star suffices.
     """
     base = gxm.base
-    return _partition(base.objects, lambda x: {base.target[u] for u in base.out_of[x]})
+    return _partition(base.objects, lambda x: set(map(base.target, base.star(x))))
 
 
 def _boundary_hom(gxm: GroupoidXMod, x: str) -> Homomorphism:
@@ -374,40 +496,49 @@ def restrict_to_object(gxm: GroupoidXMod, x: str) -> CrossedModule:
     return make_xmod(fibre, vertex, delta, action, name=f"restriction@{x}")
 
 
-def restrict(gxm: GroupoidXMod, morphisms, fibres: dict) -> GroupoidXMod:
-    """The piece of gxm on the given morphisms, with fibres[x] at each object x.
+def restrict(gxm: GroupoidXMod, elements, fibres: dict) -> GroupoidXMod:
+    """The piece of gxm on a subgroup of its base group and the objects of fibres.
 
-    Each fibres[x] is a subgroup of gxm's fibre at x; orders are kept as
-    given.  ``compose`` is sliced along the morphisms out of each kept
-    target, not the whole table; ``make_groupoid`` and ``make_gxm`` then
-    check each law of the piece once, so a piece that is not closed raises.
+    ``elements`` must form a subgroup H of ``gxm.base.group`` (``subgroup``
+    checks it, and keeps H in the group's order), and H must map the
+    objects of ``fibres`` into themselves (law ``objects-invariant``).
+    The piece is the action groupoid of H on those objects, in the order
+    of ``fibres``, with fibres[x], a subgroup of gxm's fibre at x, over
+    each x.  Its morphisms keep their labels, in gxm's order.  The boundary
+    and the action are sliced per kept morphism and fibre element, and
+    ``make_gxm`` checks each law of the piece once.
     """
     base = gxm.base
-    morphisms = tuple(morphisms)
-    kept = set(morphisms)
-    source = {u: base.source.get(u) for u in morphisms}
-    target = {u: base.target.get(u) for u in morphisms}
-    compose = {(u, v): base.compose[(u, v)] for u in morphisms
-               for v in base.out_of.get(target[u], ()) if v in kept}
-    piece = make_groupoid(tuple(fibres), morphisms, source, target, compose,
-                          {x: base.identities.get(x) for x in fibres})
-    boundary = {m: gxm.boundary.get(m) for group in fibres.values() for m in group}
-    action = {(m, u): gxm.action.get((m, u)) for u in morphisms for m in fibres[source[u]]}
+    group = subgroup(base.group, elements).as_group()
+    objects = tuple(fibres)
+    kept = [base._object(x) for x in objects]
+    position = {k: r for r, k in enumerate(kept)}
+    n, parent = len(base.objects), [base.group.index(g) for g in group]
+    act = []
+    for g, i in zip(group, parent):
+        moved = [position.get(base.act[i][k]) for k in kept]
+        if None in moved:
+            raise InvalidGroupoid("objects-invariant", (g, objects[moved.index(None)]))
+        act.append(moved)
+    morphisms = [base.morphisms[i * n + k] for i in parent for k in kept]
+    piece = action_groupoid(group, objects, act, morphisms)
+    boundary = {m: gxm.boundary.get(m) for fibre in fibres.values() for m in fibre}
+    action = {(m, u): gxm.action.get((m, u)) for u in morphisms for m in fibres[piece.source(u)]}
     return make_gxm(piece, fibres, boundary, action)
 
 
 def as_groupoid_xmod(x: CrossedModule) -> GroupoidXMod:
-    """A crossed module of groups, viewed over the one-object groupoid."""
+    """A crossed module of groups, viewed over the one-object groupoid of P.
+
+    The base is P acting on one point, the boundary is delta and the
+    action is x's.  Each law of the result is then a law of x, which
+    ``make_xmod`` validated, so only the base's own check runs.
+    """
     obj = "*"
-    elements = x.P.elements
-    compose = {(u, v): elements[k] for u, row in zip(elements, x.P._table)
-               for v, k in zip(elements, row)}
-    base = make_groupoid((obj,), tuple(x.P.elements),
-                         {u: obj for u in x.P}, {u: obj for u in x.P},
-                         compose, {obj: x.P.identity})
+    base = action_groupoid(x.P, (obj,), [[0] for _ in x.P], x.P.elements)
     boundary = {m: x.delta(m) for m in x.M}
     action = {(m, p): x.act(m, p) for m in x.M for p in x.P}
-    return make_gxm(base, {obj: x.M}, boundary, action)
+    return GroupoidXMod(base, {obj: x.M}, boundary, action, {m: obj for m in x.M})
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,7 +581,6 @@ def check_morphism(source: GroupoidXMod, target: GroupoidXMod,
     report: list[Violation] = []
     src_base, tgt_base = source.base, target.base
     tgt_objects = set(tgt_base.objects)
-    tgt_morphisms = set(tgt_base.morphisms)
     for x in src_base.objects:
         if obj_map.get(x) not in tgt_objects:
             report.append(Violation("object-map", f"no valid image for object {x}", (x,)))
@@ -458,27 +588,26 @@ def check_morphism(source: GroupoidXMod, target: GroupoidXMod,
         return report
     for u in src_base.morphisms:
         fu = mor_map.get(u)
-        if fu not in tgt_morphisms:
+        if fu not in tgt_base:
             report.append(Violation("morphism-map", f"no valid image for {u}", (u,)))
             continue
-        if (tgt_base.source[fu] != obj_map[src_base.source[u]]
-                or tgt_base.target[fu] != obj_map[src_base.target[u]]):
+        if (tgt_base.source(fu) != obj_map[src_base.source(u)]
+                or tgt_base.target(fu) != obj_map[src_base.target(u)]):
             report.append(Violation("endpoints", f"image of {u} has wrong endpoints", (u,)))
     if report:
         return report
 
-    def preserves(u, v) -> bool:
-        return mor_map[src_base.compose[(u, v)]] == tgt_base.compose[(mor_map[u], mor_map[v])]
+    def preserves(u, v, w) -> bool:
+        return mor_map[w] == tgt_base.compose(mor_map[u], mor_map[v])
 
     identities_kept = True
     for x in src_base.objects:
-        if mor_map[src_base.identities[x]] != tgt_base.identities[obj_map[x]]:
+        if mor_map[src_base.identity(x)] != tgt_base.identity(obj_map[x]):
             identities_kept = False
             report.append(Violation("identity", f"identity at {x} is not preserved", (x,)))
-    scan = ((u, v) for u in src_base.morphisms for v in src_base.out_of[src_base.target[u]])
-    proof = ((u, v) for v in src_base.generators for u in _into(src_base, src_base.source[v]))
+    proof = _composites_of_generators(src_base) if identities_kept else None
     report += [Violation("composition", f"f({u} + {v}) != f({u}) + f({v})", (u, v))
-               for u, v in _failures(preserves, scan, proof if identities_kept else None)]
+               for u, v, _ in _failures(preserves, _composable(src_base), proof)]
     for x in src_base.objects:
         fibre = source.fibres[x]
         target_fibre = target.fibres[obj_map[x]]
@@ -498,8 +627,8 @@ def check_morphism(source: GroupoidXMod, target: GroupoidXMod,
     def squares(m, u) -> bool:
         return dim2_map[source.action[(m, u)]] == target.action[(dim2_map[m], mor_map[u])]
 
-    scan = ((m, u) for u in src_base.morphisms for m in source.fibres[src_base.source[u]])
-    proof = ((m, s) for s in src_base.generators for m in source.fibres[src_base.source[s]])
+    scan = ((m, u) for u in src_base.morphisms for m in source.fibres[src_base.source(u)])
+    proof = ((m, s) for s in src_base.generators for m in source.fibres[src_base.source(s)])
     return [Violation("action-square", f"f2({m}^{u}) != f2({m})^f1({u})", (m, u))
             for m, u in _failures(squares, scan, proof)]
 

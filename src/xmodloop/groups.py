@@ -495,6 +495,7 @@ def semidirect_product(n_group: FiniteGroup, h_group: FiniteGroup,
 
     The twist sits on the left factor so that, for abelian N, the table
     agrees entrywise with the loop vertex group built from the same data.
+    For nonabelian N it is not the group G of ``loop.loop_gpd_xmod``, whose N part is m + n^p.
     """
     if act.actor is not h_group or act.space is not n_group:
         raise InvalidAction("wiring", (act.actor.name, act.space.name))

@@ -40,8 +40,8 @@ from .groups import (
 from .groupoids import (
     GroupoidXMod,
     GXModMorphism,
+    action_groupoid,
     as_groupoid_xmod,
-    make_groupoid,
     make_gxm,
     make_gxm_morphism,
     restrict,
@@ -138,39 +138,44 @@ def loop_xmod_at(x: CrossedModule, a: str) -> CrossedModule:
 
 @lru_cache(maxsize=None)
 def loop_gpd_xmod(x: CrossedModule) -> GroupoidXMod:
-    """The full loop crossed module over a groupoid.
+    """The full loop crossed module over a groupoid, as an action groupoid.
 
-    Objects are the elements of P and morphisms the tuples (m, p, a); the
-    fibre at a holds the tuples (m, a).  The composite of u = (n, q, b) followed
-    by v = (m, p, a) is (m + n^p, q + p, a), defined exactly when b is the
-    source of v, equivalently b^p = a + delta(m).
+    Objects are the elements of P and morphisms the tuples (m, p, a) from
+    p + a + delta(m) - p to a; the fibre at a holds the tuples (m, a).  The
+    base is the action groupoid of one group G on P.  G is the pairs
+    (m, p) under the law of P(a),
+
+        (n, q) + (m, p) = (m + n^p, q + p),
+
+    and (m, p) sends a to p + a + delta(m) - p, the source of (m, p, a).
+    So the composite of u = (n, q, b) followed by v = (m, p, a) is
+    (m + n^p, q + p, a), defined exactly when b is the source of v.  This
+    is not ``groups.semidirect_product``, which adds the M parts the other
+    way round.  G is validated as a group, and ``action_groupoid`` proves
+    the action law (h + g) . a = h . (g . a), which holds by CM1, from G's
+    generators; the groupoid laws follow.
 
     Every table is computed on positions, from the group tables of M and
-    P and one lookup of m^p and delta(m) per (m, p): the morphism
-    (m_i, p_j, a_k) sits at position (i |P| + j) |P| + k, and each value
-    of a table is the shared label of the position it computes.
+    P and one lookup of m^p and delta(m) per (m, p): the pair (m_i, p_j)
+    sits at position i |P| + j of G, so the morphism (m_i, p_j, a_k) sits
+    at position (i |P| + j) |P| + k, and each value of a table is the
+    shared label of the position it computes.
     """
     M, P = x.M, x.P
     Me, Pe, mt, pt, minv, pinv = M.elements, P.elements, M._table, P._table, M._inv, P._inv
     act, d = _positions(x)
     nM, nP = len(M), len(P)
-    cells = list(product(range(nM), range(nP), range(nP)))
-    morphisms = [(Me[i], Pe[j], Pe[k]) for i, j, k in cells]
-    # the source of (m, p, a) is p + a + delta(m) - p
-    starts = [pt[pt[pt[j][k]][d[i]]][pinv[j]] for i, j, k in cells]
-    source = {u: Pe[s] for u, s in zip(morphisms, starts)}
-    target = {u: u[2] for u in morphisms}
-    leaving = [[] for _ in P]
-    for u, cell, s in zip(morphisms, cells, starts):
-        leaving[s].append((u, *cell))
-    compose = {}
-    for u, (n, q, b) in zip(morphisms, cells):
+    pairs = [(m, p) for m in Me for p in Pe]
+    cells = list(product(range(nM), range(nP)))
+    table = []
+    for n, q in cells:  # (n, q) + (m, p) = (m + n^p, q + p), on positions
         row_n, row_q = act[n], pt[q]
-        for v, m, p, a in leaving[b]:
-            compose[(u, v)] = morphisms[(mt[m][row_n[p]] * nP + row_q[p]) * nP + a]
-    zero = (M._index[M.identity] * nP + P._index[P.identity]) * nP
-    identities = {a: morphisms[zero + k] for k, a in enumerate(Pe)}
-    base = make_groupoid(tuple(Pe), morphisms, source, target, compose, identities)
+        table.append([pairs[mt[m][row_n[p]] * nP + row_q[p]] for m, p in cells])
+    G = make_group(pairs, table, (M.identity, P.identity), name="G")
+    # (m, p) . a = p + a + delta(m) - p
+    moves = [[pt[pt[pt[j][k]][d[i]]][pinv[j]] for k in range(nP)] for i, j in cells]
+    morphisms = [(m, p, a) for m, p in pairs for a in Pe]
+    base = action_groupoid(G, Pe, moves, morphisms)
     elements = [[(m, a) for m in Me] for a in Pe]  # the fibre at a_k is elements[k]
     fibres = {}
     for a, elems in zip(Pe, elements):
@@ -179,21 +184,25 @@ def loop_gpd_xmod(x: CrossedModule) -> GroupoidXMod:
     # delta_a(m) = (-m^a + m, delta m, a)
     boundary = {elements[k][i]: morphisms[(mt[minv[act[i][k]]][i] * nP + d[i]) * nP + k]
                 for k in range(nP) for i in range(nM)}
+    # (n, s)^(m, p, a) = (n^p, a), where s is the source of (m, p, a)
+    starts = [s for row in moves for s in row]
     action = {(elements[s][n], u): elements[k][act[n][j]]
-              for u, (i, j, k), s in zip(morphisms, cells, starts) for n in range(nM)}
+              for u, (i, j, k), s in zip(morphisms, product(range(nM), range(nP), range(nP)),
+                                         starts)
+              for n in range(nM)}
     return make_gxm(base, fibres, boundary, action)
 
 
 def theta(x: CrossedModule, a: str) -> GXModMorphism:
     """The isomorphism from the loop groupoid restricted at a onto L[a].
 
-    Its source is ``restrict`` to the vertex morphisms and the fibre at a.
-    theta sends a to the object of L[a], (m, p, a) to (m, p) and (m, a)
-    to m; it is validated as a structure-preserving bijection in every
-    dimension.
+    Its source is ``restrict`` to the stabiliser of a, which is P(a), and
+    the fibre at a.  theta sends a to the object of L[a], (m, p, a) to
+    (m, p) and (m, a) to m; it is validated as a structure-preserving
+    bijection in every dimension.
     """
     gxm = loop_gpd_xmod(x)
-    src = restrict(gxm, gxm.base.vertex_morphisms(a), {a: gxm.fibres[a]})
+    src = restrict(gxm, gxm.base.stabiliser(a), {a: gxm.fibres[a]})
     tgt = as_groupoid_xmod(loop_xmod_at(x, a))
     mor_map = {u: u[:2] for u in src.base.morphisms}
     dim2_map = {e: e[0] for e in src.fibres[a]}

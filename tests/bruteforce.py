@@ -85,6 +85,7 @@ def brute_loop_gpd_tables(x):
 
     Morphisms are (m, p, a) with source p + a + delta(m) - p and target a,
     the composite of (n, q, b) then (m, p, a) is (m + n^p, q + p, a), the
+    inverse of (m, p, a) is (-(m^-p), -p, its source), the
     fibre at a is M written as pairs (m, a), the boundary of (m, a) is
     (-m^a + m, delta m, a) and (n, b)^(m, p, a) = (n^p, a).  Each dict is
     filled in the order the library lists its keys.
@@ -110,6 +111,9 @@ def brute_loop_gpd_tables(x):
         "target": target,
         "compose": compose,
         "identities": {a: (M.identity, P.identity, a) for a in P},
+        # (m, p) + (-(m^-p), -p) = (-(m^-p) + m^-p, p - p) = (0, 0)
+        "inverses": {u: (M.neg(x.act(u[0], P.neg(u[1]))), P.neg(u[1]), source[u])
+                     for u in morphisms},
         "fibres": fibres,
         "boundary": {(m, a): (M.add(M.neg(x.act(m, a)), m), x.delta(m), a)
                      for a in P for m in M},

@@ -168,7 +168,7 @@ def test_criterion_6_loop_groupoid_structure():
                 _, _, b = u
                 for v in base.morphisms:
                     m, p, a = v
-                    defined = (u, v) in base.compose
+                    defined = base.compose(u, v) is not None
                     assert defined == (x.P.conj(b, p) == x.P.add(a, x.delta(m)))
         for name, a in all_base_pairs():
             x = fixtures.all_fixtures()[name]

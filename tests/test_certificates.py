@@ -15,6 +15,7 @@ import math
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import written_out
 from test_orbit_properties import (
     PERMUTATION_GENERATORS,
     PROPERTY_SETTINGS,
@@ -119,6 +120,7 @@ def scan_group(elements, table, identity):
 
 
 def scan_groupoid(base, compose):
+    """The first broken groupoid law of a written-out base with this composition table."""
     ms, src, tgt, ids = base.morphisms, base.source, base.target, base.identities
     for u in ms:
         if compose[(ids[src[u]], u)] != u or compose[(u, ids[tgt[u]])] != u:
@@ -137,6 +139,7 @@ def scan_groupoid(base, compose):
 
 
 def scan_gxm(base, fibres, boundary, action):
+    base = written_out(base)
     ms, src, tgt, comp = base.morphisms, base.source, base.target, base.compose
     for x in base.objects:
         for m in fibres[x]:
@@ -190,7 +193,8 @@ def scan_homomorphism(source, target, mapping):
 
 def scan_morphism(source, target, obj_map, mor_map, dim2_map):
     """check_morphism's report, for maps that are total and keep endpoints."""
-    sb, tb, ms = source.base, target.base, source.base.morphisms
+    sb, tb = written_out(source.base), written_out(target.base)
+    ms = sb.morphisms
     report = [("identity", (x,)) for x in sb.objects
               if mor_map[sb.identities[x]] != tb.identities[obj_map[x]]]
     report += [("composition", (u, v)) for u in ms for v in ms
@@ -224,8 +228,7 @@ def test_group_generators_reach_every_element_and_at_most_log2_many(drawn):
 @given(crossed_modules())
 def test_groupoid_generators_reach_every_morphism(x):
     base = small_loop_gxm(x).base
-    reached = closure(base.identities.values(), base.generators,
-                      lambda u, s: base.compose.get((u, s)))
+    reached = closure(map(base.identity, base.objects), base.generators, base.compose)
     assert set(reached) == set(base.morphisms)
 
 
@@ -237,7 +240,8 @@ def test_groupoid_generators_reach_every_morphism(x):
 def test_valid_modules_pass_every_certificate(x):
     gxm = small_loop_gxm(x)
     base = gxm.base
-    assert scan_groupoid(base, base.compose) is None
+    written = written_out(base)
+    assert scan_groupoid(written, written.compose) is None
     assert scan_gxm(base, gxm.fibres, gxm.boundary, gxm.action) is None
     assert list(_action_failures(x.P, x.M, x.action.table)) == []
     assert list(_homomorphism_failures(x.M, x.P, x.delta.mapping)) == []
@@ -285,7 +289,7 @@ def test_group_table_mutant_off_the_identity_is_not_associative(data):
 @MUTANT_SETTINGS
 @given(crossed_modules(), st.data(), st.booleans())
 def test_groupoid_compose_mutant_matches_full_scan(x, data, one_object):
-    base = some_gxm(x, one_object).base
+    base = written_out(some_gxm(x, one_object).base)
     u, v = data.draw(st.sampled_from(sorted(base.compose, key=repr)))
     w = base.compose[(u, v)]
     compose = dict(base.compose)
@@ -304,7 +308,7 @@ def test_gxm_action_mutant_matches_full_scan(x, data, one_object):
     base = gxm.base
     m, u = data.draw(st.sampled_from(sorted(gxm.action, key=repr)))
     action = dict(gxm.action)
-    action[(m, u)] = other(data.draw, gxm.fibres[base.target[u]].elements, action[(m, u)])
+    action[(m, u)] = other(data.draw, gxm.fibres[base.target(u)].elements, action[(m, u)])
     expected = scan_gxm(base, gxm.fibres, gxm.boundary, action)
     assert expected is not None
     assert outcome(lambda: make_gxm(base, gxm.fibres, gxm.boundary, action)) == expected
@@ -352,8 +356,8 @@ def test_check_morphism_mutant_report_matches_full_scan(x, data, one_object, on_
     dim2_map = {m: m for m in gxm.all_fibre_elements()}
     if on_morphisms:
         u = data.draw(st.sampled_from(base.morphisms))
-        mor_map[u] = other(data.draw, [t for t in base.morphisms if base.source[t] ==
-                                       base.source[u] and base.target[t] == base.target[u]], u)
+        mor_map[u] = other(data.draw, [t for t in base.morphisms if base.source(t) ==
+                                       base.source(u) and base.target(t) == base.target(u)], u)
     else:
         m = data.draw(st.sampled_from(gxm.all_fibre_elements()))
         dim2_map[m] = other(data.draw, gxm.fibres[gxm.object_of[m]].elements, m)
@@ -478,8 +482,8 @@ def reboundary(gxm, a, g):
     base = gxm.base
     boundary = dict(gxm.boundary)
     for m in gxm.fibres[a]:
-        boundary[m] = base.identities[a] if g is None else base.compose[
-            (base.compose[(base.inverses[g], boundary[m])], g)]
+        boundary[m] = base.identity(a) if g is None else base.compose(
+            base.compose(base.inverse(g), boundary[m]), g)
     return boundary
 
 

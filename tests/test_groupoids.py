@@ -6,10 +6,18 @@ from pathlib import Path
 import pytest
 
 import xmodloop
+from conftest import written_out
 from xmodloop import fixtures
-from xmodloop.errors import InvalidGroupoid, InvalidGroupoidXMod, UnknownObject
+from xmodloop.errors import (
+    InvalidGroupoid,
+    InvalidGroupoidXMod,
+    NotClosed,
+    UnknownElement,
+    UnknownObject,
+)
 from xmodloop.groups import are_isomorphic, make_group
 from xmodloop.groupoids import (
+    action_groupoid,
     as_groupoid_xmod,
     check_morphism,
     is_fibration,
@@ -28,25 +36,16 @@ from xmodloop.xmod import check_axioms, homotopy
 
 
 def one_object_groupoid(group, obj="*"):
-    compose = {(u, v): group.add(u, v) for u in group for v in group}
-    return make_groupoid((obj,), tuple(group.elements),
-                         {u: obj for u in group}, {u: obj for u in group},
-                         compose, {obj: group.identity})
+    return action_groupoid(group, (obj,), [[0] for _ in group], group.elements)
 
 
 def two_component_groupoid():
-    """C2 sitting at x, a lone identity at y."""
-    objects = ("x", "y")
-    morphisms = ("ex", "tx", "ey")
-    source = {"ex": "x", "tx": "x", "ey": "y"}
-    target = dict(source)
-    compose = {
-        ("ex", "ex"): "ex", ("ex", "tx"): "tx",
-        ("tx", "ex"): "tx", ("tx", "tx"): "ex",
-        ("ey", "ey"): "ey",
-    }
-    return make_groupoid(objects, morphisms, source, target, compose,
-                         {"x": "ex", "y": "ey"})
+    """C2 = {e, t} fixing x and swapping y and z: C2 at x, a lone identity at y and z.
+
+    The arrow (g, w) goes from g.w to w; (t, y) is "ty": z -> y.
+    """
+    return action_groupoid(fixtures.cyclic(2), ("x", "y", "z"), [[0, 1, 2], [0, 2, 1]],
+                           ("ex", "ey", "ez", "tx", "ty", "tz"))
 
 
 def trivial_fibres(groupoid, tag=""):
@@ -55,11 +54,11 @@ def trivial_fibres(groupoid, tag=""):
     for obj in groupoid.objects:
         name = f"0{tag}{obj}"
         fibres[obj] = make_group([name], [[name]], name)
-        boundary[name] = groupoid.identities[obj]
+        boundary[name] = groupoid.identity(obj)
     action = {}
     for u in groupoid.morphisms:
-        src = next(iter(fibres[groupoid.source[u]].elements))
-        tgt = next(iter(fibres[groupoid.target[u]].elements))
+        src = next(iter(fibres[groupoid.source(u)].elements))
+        tgt = next(iter(fibres[groupoid.target(u)].elements))
         action[(src, u)] = tgt
     return fibres, boundary, action
 
@@ -82,13 +81,14 @@ def test_two_component_groupoid_pi0():
     g = two_component_groupoid()
     fibres, boundary, action = trivial_fibres(g)
     gxm = make_gxm(g, fibres, boundary, action)
-    assert pi0(gxm) == [["x"], ["y"]]
+    assert pi0(gxm) == [["x"], ["y", "z"]]
     assert vertex_group(g, "x").elements == ["ex", "tx"]
     assert vertex_group(g, "y").elements == ["ey"]
+    assert (g.source("ty"), g.target("ty"), g.compose("ty", "tz")) == ("z", "y", "ez")
 
 
 def test_groupoid_rejects_broken_composition_domain():
-    g = two_component_groupoid()
+    g = written_out(two_component_groupoid())
     compose = dict(g.compose)
     compose[("ex", "ey")] = "ex"  # not composable
     with pytest.raises(InvalidGroupoid):
@@ -98,7 +98,7 @@ def test_groupoid_rejects_broken_composition_domain():
 DOMAIN_WITNESSES = """
 from xmodloop.errors import XModError
 from xmodloop.groups import make_group
-from xmodloop.groupoids import make_groupoid, make_gxm
+from xmodloop.groupoids import action_groupoid, make_groupoid, make_gxm
 
 c3 = make_group("abc", ["abc", "bca", "cab"], "a")
 c2 = make_group("01", ["01", "10"], "0")
@@ -110,8 +110,7 @@ try:
     make_groupoid(("*",), "abc", ends, ends, compose, {"*": "a"})
 except XModError as exc:
     print(exc.witness)
-compose = {(u, v): c3.add(u, v) for u in c3 for v in c3}
-base = make_groupoid(("*",), "abc", ends, ends, compose, {"*": "a"})
+base = action_groupoid(c3, ("*",), [[0]] * 3, "abc")
 action = {(m, u): m for u in c3 for m in c2}
 for pair in (("1", "c"), ("0", "b"), ("1", "b")):
     del action[pair]
@@ -134,7 +133,7 @@ def test_domain_witnesses_do_not_depend_on_the_hash_seed():
 
 def test_domain_witness_is_the_first_extra_key_when_the_key_count_is_right():
     # one pair swapped for a key that is not composable: as many keys as pairs
-    g = two_component_groupoid()
+    g = written_out(two_component_groupoid())
     compose = dict(g.compose)
     del compose[("tx", "tx")]
     compose[("ex", "ey")] = "ex"
@@ -192,12 +191,11 @@ def test_vertex_inclusion_fails_star_surjectivity():
     target_fibres, target_boundary, target_action = trivial_fibres(target_base, tag="t")
     target = make_gxm(target_base, target_fibres, target_boundary, target_action)
 
-    source_base = make_groupoid(("x",), ("ex",), {"ex": "x"}, {"ex": "x"},
-                                {("ex", "ex"): "ex"}, {"x": "ex"})
+    source_base = one_object_groupoid(fixtures.cyclic(1), "x")
     source_fibres, source_boundary, source_action = trivial_fibres(source_base, tag="s")
     source = make_gxm(source_base, source_fibres, source_boundary, source_action)
 
-    f = make_gxm_morphism(source, target, {"x": "x"}, {"ex": "ex"}, {"0sx": "0tx"})
+    f = make_gxm_morphism(source, target, {"x": "x"}, {"0": "ex"}, {"0sx": "0tx"})
     report = is_fibration(f)
     assert any(v.kind == "star-surjectivity" and v.witness == ("x", "tx") for v in report)
 
@@ -250,27 +248,28 @@ def test_restrict_to_object_is_always_a_valid_crossed_module(any_xmod):
 
 
 def test_restrict_rejects_a_morphism_set_not_closed_under_composition():
+    # the arrows of (0, 0) and (0, 1) at 0: (0, 1) has no inverse among them
     gxm = loop_gpd_xmod(fixtures.inc24())
-    kept = [("0", "0", "0"), ("0", "1", "0")]
-    with pytest.raises(InvalidGroupoid) as info:
+    kept = [("0", "0"), ("0", "1")]
+    with pytest.raises(NotClosed) as info:
         restrict(gxm, kept, {"0": gxm.fibres["0"]})
-    assert info.value.law == "composition-endpoints"
-    assert info.value.witness == (("0", "1", "0"), ("0", "1", "0"), ("0", "2", "0"))
+    assert info.value.witness == (("0", "1"), "-('0', '1')", ("0", "3"))
 
 
-def test_restrict_rejects_a_piece_without_an_identity():
+def test_restrict_rejects_objects_the_subgroup_moves():
+    # (1, 0) sends 0 to 0 + delta(1) = 2, outside the kept objects
     gxm = loop_gpd_xmod(fixtures.inc24())
-    kept = [u for u in gxm.base.vertex_morphisms("1") if u != gxm.base.identities["1"]]
     with pytest.raises(InvalidGroupoid) as info:
-        restrict(gxm, kept, {"1": gxm.fibres["1"]})
-    assert info.value.law == "identity-missing"
-    assert info.value.witness == ("1",)
+        restrict(gxm, [("1", "0")], {"0": gxm.fibres["0"]})
+    assert info.value.law == "objects-invariant"
+    assert info.value.witness == (("1", "0"), "0")
 
 
 def test_restrict_rejects_a_morphism_the_groupoid_lacks():
     gxm = loop_gpd_xmod(fixtures.inc24())
-    kept = [gxm.base.identities["0"], "zz"]
-    with pytest.raises(InvalidGroupoid) as info:
-        restrict(gxm, kept, {"0": gxm.fibres["0"]})
-    assert info.value.law == "source"
+    with pytest.raises(UnknownElement) as info:
+        restrict(gxm, [("0", "0"), "zz"], {"0": gxm.fibres["0"]})
+    assert info.value.witness == ("zz",)
+    with pytest.raises(UnknownObject) as info:
+        restrict(gxm, [("0", "0")], {"zz": gxm.fibres["0"]})
     assert info.value.witness == ("zz",)

@@ -9,11 +9,13 @@ The table checks of make_groupoid and make_gxm walk the composable pairs
 (or the expected action keys) once, but their witness is the first bad
 entry in the order of the given table.  The tables below list their
 entries in reverse, so that the first failure met by a walk over the
-pairs is not the one reported.
+pairs is not the one reported.  The composition tables are the loop
+groupoid's lookups written out (``conftest.written_out``).
 """
 
 import pytest
 
+from conftest import written_out
 from xmodloop import fixtures
 from xmodloop.errors import InvalidAction, InvalidGroupoid, InvalidGroupoidXMod
 from xmodloop.groupoids import check_morphism, make_groupoid, make_gxm
@@ -24,11 +26,12 @@ def multi_object_loop_gxm():
     """The loop groupoid of C2 -> C4: 4 objects, 32 morphisms, 2 components."""
     gxm = loop_gpd_xmod(fixtures.inc24())
     assert len(gxm.base.objects) == 4
-    assert any(gxm.base.source[u] != gxm.base.target[u] for u in gxm.base.morphisms)
+    assert any(gxm.base.source(u) != gxm.base.target(u) for u in gxm.base.morphisms)
     return gxm
 
 
 def rebuild(base, compose):
+    """make_groupoid on a written-out base with another composition table."""
     return make_groupoid(base.objects, base.morphisms, base.source, base.target,
                          compose, base.identities)
 
@@ -85,7 +88,7 @@ def full_scan_morphism_composition(base, mor_map):
 
 
 def test_associativity_witness_matches_full_scan():
-    base = multi_object_loop_gxm().base
+    base = written_out(multi_object_loop_gxm().base)
     identities = set(base.identities.values())
     u, v = next((u, v) for (u, v) in base.compose
                 if u not in identities and v not in identities
@@ -101,7 +104,7 @@ def test_associativity_witness_matches_full_scan():
 
 
 def test_identity_law_witness_matches_full_scan():
-    base = multi_object_loop_gxm().base
+    base = written_out(multi_object_loop_gxm().base)
     identities = set(base.identities.values())
     # break the left identity law at the last non-identity morphism, so the
     # witness is not simply the first morphism
@@ -131,7 +134,7 @@ def test_missing_inverse_witness_on_two_objects():
 
 def test_action_composition_witness_matches_full_scan():
     gxm = multi_object_loop_gxm()
-    base = gxm.base
+    base = written_out(gxm.base)
     identities = set(base.identities.values())
     u = next(u for u in base.morphisms
              if u not in identities and base.source[u] != base.target[u])
@@ -142,14 +145,14 @@ def test_action_composition_witness_matches_full_scan():
     expected = full_scan_action_composition(base, gxm.fibres, action)
     assert expected is not None
     with pytest.raises(InvalidAction) as info:
-        make_gxm(base, gxm.fibres, gxm.boundary, action)
+        make_gxm(gxm.base, gxm.fibres, gxm.boundary, action)
     assert info.value.law == "composition"
     assert info.value.witness == expected
 
 
 def test_check_morphism_composition_report_matches_full_scan():
     gxm = multi_object_loop_gxm()
-    base = gxm.base
+    base = written_out(gxm.base)
     identities = set(base.identities.values())
     boundary_values = set(gxm.boundary.values())
     u = next(u for u in base.morphisms if u not in identities
@@ -165,15 +168,19 @@ def test_check_morphism_composition_report_matches_full_scan():
 
 
 def test_source_index_partitions_morphisms_in_order(any_xmod):
+    # star, before and vertex_morphisms are computed from the action table;
+    # each must list exactly the morphisms the plain filter finds, in order
     base = loop_gpd_xmod(any_xmod).base
-    assert set(base.out_of) == set(base.objects)
-    indexed = [u for x in base.objects for u in base.out_of[x]]
+    indexed = [u for x in base.objects for u in base.star(x)]
     assert sorted(indexed) == sorted(base.morphisms)
     for x in base.objects:
-        leaving = [u for u in base.morphisms if base.source[u] == x]
-        assert list(base.out_of[x]) == leaving
+        leaving = [u for u in base.morphisms if base.source(u) == x]
         assert base.star(x) == leaving
-        assert base.vertex_morphisms(x) == [u for u in leaving if base.target[u] == x]
+        into = [u for u in base.morphisms if base.target(u) == x]
+        for v in base.star(x):
+            assert base.before(v) == [(u, base.compose(u, v)) for u in into]
+        assert base.vertex_morphisms(x) == [u for u in leaving if base.target(u) == x]
+        assert base.stabiliser(x) == [u[:2] for u in base.vertex_morphisms(x)]
 
 
 def broken_twice(table, early, late, early_value, late_value):
@@ -190,7 +197,7 @@ def two_pairs(base):
 
 
 def test_composition_endpoints_witness_is_first_in_compose_order():
-    base = multi_object_loop_gxm().base
+    base = written_out(multi_object_loop_gxm().base)
     early, late = two_pairs(base)
 
     def wrong_source(pair):
@@ -206,7 +213,7 @@ def test_composition_endpoints_witness_is_first_in_compose_order():
 
 
 def test_composite_outside_the_morphisms_is_first_in_compose_order():
-    base = multi_object_loop_gxm().base
+    base = written_out(multi_object_loop_gxm().base)
     early, late = two_pairs(base)
     compose = broken_twice(base.compose, early, late, "early", "late")
     with pytest.raises(InvalidGroupoid) as info:
@@ -216,7 +223,7 @@ def test_composite_outside_the_morphisms_is_first_in_compose_order():
 
 
 def test_missing_pair_with_the_right_key_count_reports_the_extra_key():
-    base = multi_object_loop_gxm().base
+    base = written_out(multi_object_loop_gxm().base)
     early, late = two_pairs(base)
     compose = dict(base.compose)
     del compose[early]
@@ -240,7 +247,7 @@ def outside_fibre(gxm, key):
     """A fibre element that is not in the fibre of the target of key's morphism."""
     m, u = key
     return next(n for n in gxm.all_fibre_elements()
-                if n not in gxm.fibres[gxm.base.target[u]])
+                if n not in gxm.fibres[gxm.base.target(u)])
 
 
 def test_action_value_outside_its_fibre_is_first_in_action_order():
