@@ -1,6 +1,6 @@
 """Size ladder: time each stage on a fixed list of growing inputs.
 
-    python bench/ladder.py --out BENCH_11.json
+    python bench/ladder.py --out BENCH_12.json
 
 A rung names a group (``S5``) or a crossed module: ``id: G``, ``1 -> G``
 or ``N -> G``, the inclusion of a normal subgroup N of G with G acting
@@ -10,7 +10,9 @@ only the stage call
 with ``time.perf_counter`` and reads its own peak RSS with
 ``resource.getrusage(RUSAGE_SELF)``.  The ``theta`` (at every base) and
 ``fibration_psi`` rungs build the loop groupoid first, as the cached
-``loop_gpd_xmod`` they start from, and time only their own work.  Every
+``loop_gpd_xmod`` they start from, and time only their own work.  The
+``nerve_k3`` rung times the sorted listing of the 3-simplices and the
+``nerve_k3_count`` rung their count, which builds no list.  Every
 record holds the stage, the rung, the predicted size, ``wall_s`` and
 ``peak_rss_mb``; a rung that is too large to run is listed as "not run"
 with its predicted size.  ``--out`` is required, so that no run
@@ -40,6 +42,9 @@ RUNGS = [
     *((stage, rung, True) for stage in ("loop_gpd_xmod", "theta", "fibration_psi")
       for rung in ("id: C4", "id: S3", "id: D4", "id: C10", "id: A4", "id: S4",
                    "1 -> S5", "A4 -> S4")),
+    # K3 on id: S4 has 191M simplices
+    *((stage, rung, rung != "id: S4") for stage in ("nerve_k3", "nerve_k3_count")
+      for rung in ("id: C4", "1 -> S4", "id: S3", "id: D4", "id: S4")),
 ]
 
 
@@ -99,6 +104,8 @@ def predicted(stage: str, rung: str) -> dict:
     sub, top = module_labels(rung)
     p = len(permutation_group(top))
     m = 1 if sub == "1" else len(permutation_group(sub))
+    if stage.startswith("nerve_k3"):
+        return {"simplices": m ** 3 * p ** 3}
     # the loop groupoid is the group of the |M||P| pairs (m, p) acting on P
     if stage == "theta":
         return {"bases": p, "group_order": m * p}
@@ -113,6 +120,7 @@ def run_stage(stage: str, rung: str) -> float:
     from xmodloop.exactseq import fibration_psi
     from xmodloop.groups import group_action, homomorphism, make_group, subgroup
     from xmodloop.loop import loop_gpd_xmod, theta
+    from xmodloop.nerve import k3_count, nerve_k3
     from xmodloop.xmod import make_xmod
 
     if stage == "make_group":
@@ -128,10 +136,11 @@ def run_stage(stage: str, rung: str) -> float:
     delta = homomorphism(N, G, {n: n for n in N})
     action = group_action(G, N, {(n, p): G.conj(n, p) for n in N for p in G})
     x = make_xmod(N, G, delta, action, name=rung)
-    if stage != "loop_gpd_xmod":
+    if stage in ("theta", "fibration_psi"):
         loop_gpd_xmod(x)
     call = {"loop_gpd_xmod": loop_gpd_xmod, "fibration_psi": fibration_psi,
-            "theta": lambda x: [theta(x, a) for a in x.P]}[stage]
+            "theta": lambda x: [theta(x, a) for a in x.P],
+            "nerve_k3": nerve_k3, "nerve_k3_count": k3_count}[stage]
     start = time.perf_counter()
     call(x)
     return time.perf_counter() - start

@@ -53,6 +53,7 @@ from .nerve import (
     is_simplex2,
     is_simplex3,
     k2_count_formula,
+    k3_count,
     nerve_k2,
     nerve_k3,
 )

@@ -138,21 +138,24 @@ def _cmd_nerve(args) -> int:
                 {"m": s.m, "c": s.c, "a": s.a, "b": s.b} for s in simplices
             ]
             lines += [str(s) for s in simplices]
+    elif not args.list:
+        count = nerve.k3_count(x)
+        payload = {"command": "nerve", "dim": 3, "count": count}
+        lines = [f"K3 count: {count}"]
     else:
         simplices = nerve.nerve_k3(x)
         payload = {"command": "nerve", "dim": 3, "count": len(simplices)}
+        payload["simplices"] = [
+            {"a": s.a, "b": s.b, "c": s.c, "d": s.d, "e": s.e, "f": s.f,
+             "m0": s.m0, "m1": s.m1, "m2": s.m2, "m3": s.m3}
+            for s in simplices
+        ]
         lines = [f"K3 count: {len(simplices)}"]
-        if args.list:
-            payload["simplices"] = [
-                {"a": s.a, "b": s.b, "c": s.c, "d": s.d, "e": s.e, "f": s.f,
-                 "m0": s.m0, "m1": s.m1, "m2": s.m2, "m3": s.m3}
-                for s in simplices
-            ]
-            lines += [
-                f"edges(a={s.a}, b={s.b}, c={s.c}, d={s.d}, e={s.e}, f={s.f}) "
-                f"faces(m0={s.m0}, m1={s.m1}, m2={s.m2}, m3={s.m3})"
-                for s in simplices
-            ]
+        lines += [
+            f"edges(a={s.a}, b={s.b}, c={s.c}, d={s.d}, e={s.e}, f={s.f}) "
+            f"faces(m0={s.m0}, m1={s.m1}, m2={s.m2}, m3={s.m3})"
+            for s in simplices
+        ]
     _emit(args, payload, lines)
     return 0
 

@@ -12,7 +12,7 @@ M written as pairs (m, a).
 
 Both constructions compute on positions: the group tables of M and P
 (``_table``, ``_inv``) and the action and boundary read once per (m, p)
-(``_positions``).  Each morphism or element label is built once, and
+(``xmod._positions``).  Each morphism or element label is built once, and
 every composite in a table is one of those shared tuples.
 """
 
@@ -46,7 +46,7 @@ from .groupoids import (
     make_gxm_morphism,
     restrict,
 )
-from .xmod import CrossedModule, homotopy, make_xmod
+from .xmod import CrossedModule, _positions, homotopy, make_xmod
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,16 +57,6 @@ class LoopData:
     Pa: FiniteGroup
     delta_a: Homomorphism
     action: GroupAction
-
-
-def _positions(x: CrossedModule) -> tuple[list[list[int]], list[int]]:
-    """The action and the boundary on positions, one lookup per (m, p).
-
-    act[i][j] is the position of m_i^p_j in M and d[i] that of delta(m_i) in P.
-    """
-    M, P = x.M, x.P
-    act = [[M._index[x.act(m, p)] for p in P] for m in M]
-    return act, [P._index[x.delta(m)] for m in M]
 
 
 @lru_cache(maxsize=None)

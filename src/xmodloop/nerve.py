@@ -11,19 +11,24 @@ whose four faces are 2-simplices
     s0 = (m0; e, b, f), s1 = (m1; d, c, f), s2 = (m2; d, a, e), s3 = (m3; c, a, b)
 
 subject to the closure rule (m3)^f - m0 - m2 + m1 = 0.
+
+Enumeration and counting compute on positions: the group tables of P
+and M (``_table``, ``_inv``) and the action and boundary read once per
+(m, p) (``xmod._positions``).  The rules are stated once, on positions,
+by ``_rule2`` and ``_rules3``; ``is_simplex2`` and ``is_simplex3`` map
+labels to positions and apply them.  A listing sorts rows of positions
+and builds labels only for the sorted rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from typing import NamedTuple
 
 from .errors import CountMismatch, IndexOutOfRange, InternalInvariantBroken
-from .xmod import CrossedModule
+from .xmod import CrossedModule, _positions
 
 
-@dataclass(frozen=True)
-class Simplex2:
+class Simplex2(NamedTuple):
     m: str
     c: str
     a: str
@@ -33,8 +38,7 @@ class Simplex2:
         return f"({self.m}; {self.c}, {self.a}, {self.b})"
 
 
-@dataclass(frozen=True)
-class Simplex3:
+class Simplex3(NamedTuple):
     a: str
     b: str
     c: str
@@ -62,46 +66,77 @@ class Simplex3:
         return tuple(self.face(i) for i in range(4))
 
     def key(self) -> tuple[str, ...]:
-        return (self.a, self.b, self.c, self.d, self.e, self.f,
-                self.m0, self.m1, self.m2, self.m3)
+        return tuple(self)
+
+
+def _tables(x: CrossedModule) -> tuple:
+    """(P's table, P's inverses, M's table, M's inverses, act, delta, M's zero), on positions."""
+    act, d = _positions(x)
+    return x.P._table, x.P._inv, x.M._table, x.M._inv, act, d, x.M._index[x.M.identity]
+
+
+def _rule2(tables: tuple):
+    """The boundary rule delta(m) = -c + a + b of a 2-simplex (m; c, a, b), on positions."""
+    pt, pinv, _, _, _, delta, _ = tables
+
+    def holds(m: int, c: int, a: int, b: int) -> bool:
+        return delta[m] == pt[pt[pinv[c]][a]][b]
+    return holds
+
+
+def _rules3(tables: tuple):
+    """The boundary rule on each face and the closure rule, on rows of positions
+    (a, b, c, d, e, f, m0, m1, m2, m3)."""
+    _, _, mt, minv, act, _, zero = tables
+    face = _rule2(tables)
+
+    def holds(row: tuple) -> bool:
+        a, b, c, d, e, f, m0, m1, m2, m3 = row
+        return (face(m0, e, b, f) and face(m1, d, c, f) and face(m2, d, a, e)
+                and face(m3, c, a, b)
+                and mt[mt[mt[act[m3][f]][minv[m0]]][minv[m2]]][m1] == zero)
+    return holds
 
 
 def is_simplex2(x: CrossedModule, s: Simplex2) -> bool:
-    return x.delta(s.m) == x.P.add(x.P.add(x.P.neg(s.c), s.a), s.b)
+    """The boundary rule, on the positions of s's labels."""
+    m, c, a, b = s
+    P = x.P
+    return _rule2(_tables(x))(x.M.index(m), P.index(c), P.index(a), P.index(b))
 
 
 def is_simplex3(x: CrossedModule, s: Simplex3) -> bool:
-    """All four boundary equations plus the closure rule."""
-    P, M = x.P, x.M
-    conditions = (
-        x.delta(s.m0) == P.add(P.add(P.neg(s.e), s.b), s.f),
-        x.delta(s.m1) == P.add(P.add(P.neg(s.d), s.c), s.f),
-        x.delta(s.m2) == P.add(P.add(P.neg(s.d), s.a), s.e),
-        x.delta(s.m3) == P.add(P.add(P.neg(s.c), s.a), s.b),
-    )
-    if not all(conditions):
-        return False
-    total = M.add(M.add(M.add(x.act(s.m3, s.f), M.neg(s.m0)), M.neg(s.m2)), s.m1)
-    return total == M.identity
+    """All four boundary equations plus the closure rule, on the positions of
+    s's labels: the predicate that re-checks every enumerated 3-simplex."""
+    row = (*map(x.P.index, s[:6]), *map(x.M.index, s[6:]))
+    return _rules3(_tables(x))(row)
 
 
 def nerve_k2(x: CrossedModule) -> list[Simplex2]:
     """All 2-simplices, in lexicographic (a, b, c, m) canonical order.
 
-    Their number is cross-checked against ``k2_count_formula``.
+    Each (a, b, m) forces c = a + b - delta(m); every row is re-checked
+    against the rule, and their number against ``k2_count_formula``.
     """
-    simplices: list[Simplex2] = []
-    for a in x.P:
-        for b in x.P:
-            for c in x.P:
-                boundary = x.P.add(x.P.add(x.P.neg(c), a), b)
-                for m in x.M:
-                    if x.delta(m) == boundary:
-                        simplices.append(Simplex2(m, c, a, b))
+    tables = _tables(x)
+    pt, pinv, _, _, _, d, _ = tables
+    holds = _rule2(tables)
+    Pe, Me = x.P.elements, x.M.elements
+    rows = []
+    for a in range(len(pt)):
+        for b in range(len(pt)):
+            row_ab = pt[pt[a][b]]
+            for m in range(len(Me)):
+                c = row_ab[pinv[d[m]]]
+                if not holds(m, c, a, b):
+                    raise InternalInvariantBroken(
+                        "solved 2-simplex fails its boundary rule", (Me[m], Pe[c], Pe[a], Pe[b]))
+                rows.append((a, b, c, m))
     expected = k2_count_formula(x)
-    if expected != len(simplices):
-        raise CountMismatch(expected, len(simplices))
-    return simplices
+    if expected != len(rows):
+        raise CountMismatch(expected, len(rows))
+    rows.sort()
+    return [Simplex2(Me[m], Pe[c], Pe[a], Pe[b]) for a, b, c, m in rows]
 
 
 def k2_count_formula(x: CrossedModule) -> int:
@@ -109,29 +144,58 @@ def k2_count_formula(x: CrossedModule) -> int:
     return len(x.M) * len(x.P) ** 2
 
 
-def nerve_k3(x: CrossedModule) -> list[Simplex3]:
-    """All 3-simplices, sorted lexicographically on the full edge/face data.
+def _k3_rows(x: CrossedModule):
+    """Every 3-simplex as a row of positions (a, b, c, d, e, f, m0, m1, m2, m3).
 
-    Enumeration solves the boundary equations: a, b, d and m1, m2, m3 are
-    free, then c, e, f and m0 are forced.  The remaining boundary equation
-    for m0 holds automatically; every emitted simplex is still re-checked
-    against all five rules.
+    a, b, d and m1, m2, m3 are free, then c, e, f and m0 are forced.  The
+    boundary equation for m0 holds by CM1 and the closure rule by the
+    choice of m0; every row is still re-checked against all five rules.
     """
-    P, M = x.P, x.M
-    simplices: list[Simplex3] = []
-    for a, b, d in product(P, P, P):
-        for m1, m2, m3 in product(M, M, M):
-            c = P.sub(P.add(a, b), x.delta(m3))
-            e = P.add(P.add(P.neg(a), d), x.delta(m2))
-            f = P.add(P.add(P.neg(c), d), x.delta(m1))
-            m0 = M.add(M.add(M.neg(m2), m1), x.act(m3, f))
-            s = Simplex3(a, b, c, d, e, f, m0, m1, m2, m3)
-            if not is_simplex3(x, s):
-                raise InternalInvariantBroken(
-                    "solved 3-simplex fails a boundary or closure rule", s.key())
-            simplices.append(s)
-    index_p, index_m = x.P.index, x.M.index
-    simplices.sort(key=lambda s: (index_p(s.a), index_p(s.b), index_p(s.c), index_p(s.d),
-                                  index_p(s.e), index_p(s.f), index_m(s.m0), index_m(s.m1),
-                                  index_m(s.m2), index_m(s.m3)))
-    return simplices
+    tables = _tables(x)
+    pt, pinv, mt, minv, act, delta, _ = tables
+    holds = _rules3(tables)
+    ps, ms = range(len(pt)), range(len(mt))
+    for a in ps:
+        row_a, row_na = pt[a], pt[pinv[a]]
+        for b in ps:
+            row_ab = pt[row_a[b]]
+            for m3 in ms:
+                c = row_ab[pinv[delta[m3]]]  # c = a + b - delta(m3)
+                row_nc, act_m3 = pt[pinv[c]], act[m3]
+                for d in ps:
+                    row_nad, row_ncd = pt[row_na[d]], pt[row_nc[d]]
+                    for m2 in ms:
+                        e = row_nad[delta[m2]]  # e = -a + d + delta(m2)
+                        row_nm2 = mt[minv[m2]]
+                        for m1 in ms:
+                            f = row_ncd[delta[m1]]  # f = -c + d + delta(m1)
+                            # m0 = -m2 + m1 + m3^f
+                            row = (a, b, c, d, e, f, mt[row_nm2[m1]][act_m3[f]], m1, m2, m3)
+                            if not holds(row):
+                                raise InternalInvariantBroken(
+                                    "solved 3-simplex fails a boundary or closure rule",
+                                    _simplex3(x, row).key())
+                            yield row
+
+
+def _simplex3(x: CrossedModule, row: tuple) -> Simplex3:
+    Pe, Me = x.P.elements, x.M.elements
+    a, b, c, d, e, f, m0, m1, m2, m3 = row
+    return Simplex3(Pe[a], Pe[b], Pe[c], Pe[d], Pe[e], Pe[f], Me[m0], Me[m1], Me[m2], Me[m3])
+
+
+def nerve_k3(x: CrossedModule) -> list[Simplex3]:
+    """All 3-simplices, sorted lexicographically on the positions of
+    (a, b, c, d, e, f, m0, m1, m2, m3); see ``_k3_rows``."""
+    rows = list(_k3_rows(x))
+    rows.sort()
+    return [_simplex3(x, row) for row in rows]
+
+
+def k3_count(x: CrossedModule) -> int:
+    """The number of 3-simplices, |M|^3 |P|^3, from the same enumeration and
+    re-check as ``nerve_k3``, building and sorting no list."""
+    count = 0
+    for _ in _k3_rows(x):
+        count += 1
+    return count

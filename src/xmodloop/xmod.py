@@ -65,6 +65,16 @@ class CrossedModule:
         return XModCandidate.from_xmod(self)
 
 
+def _positions(x: CrossedModule) -> tuple[list[list[int]], list[int]]:
+    """The action and the boundary on positions, one lookup per (m, p).
+
+    act[i][j] is the position of m_i^p_j in M and d[i] that of delta(m_i) in P.
+    """
+    M, P = x.M, x.P
+    act = [[M._index[x.act(m, p)] for p in P] for m in M]
+    return act, [P._index[x.delta(m)] for m in M]
+
+
 def _crossed_module_failures(M: FiniteGroup, P: FiniteGroup, delta: dict, act: dict,
                              premises: bool = True):
     """Yield every CM1 failure, then every CM2 failure, over total plain tables.

@@ -47,6 +47,17 @@ def brute_k3(x):
     return found
 
 
+def brute_is_simplex3(x, t):
+    """The four boundary rules and the closure rule on a label 10-tuple, in label arithmetic."""
+    P, M = x.P, x.M
+    a, b, c, d, e, f, m0, m1, m2, m3 = t
+    return (x.delta(m0) == P.add(P.add(P.neg(e), b), f)
+            and x.delta(m1) == P.add(P.add(P.neg(d), c), f)
+            and x.delta(m2) == P.add(P.add(P.neg(d), a), e)
+            and x.delta(m3) == P.add(P.add(P.neg(c), a), b)
+            and M.add(M.add(M.add(x.act(m3, f), M.neg(m0)), M.neg(m2)), m1) == M.identity)
+
+
 def brute_components(x):
     """The loop-space component partition of P, by pairwise relation scan."""
     P, M = x.P, x.M

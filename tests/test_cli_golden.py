@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from xmodloop import fixtures
+from xmodloop import fixtures, nerve
 from xmodloop.cli import run_cli
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
@@ -51,6 +51,18 @@ def test_cli_output_matches_golden_digests():
     assert sorted(expected) == sorted(" ".join(argv) for argv in runs)
     changed = [" ".join(argv) for argv in runs if digest(argv) != expected[" ".join(argv)]]
     assert not changed, changed
+
+
+def test_nerve_dim3_count_builds_no_listing(monkeypatch):
+    def listing(x):
+        raise AssertionError("nerve --dim 3 without --list built the listing")
+
+    monkeypatch.setattr(nerve, "nerve_k3", listing)
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    runs = [argv for argv in golden_runs()
+            if argv[0] == "nerve" and argv[3] == "3" and "--list" not in argv]
+    assert len(runs) == 2 * len(fixtures.all_fixtures())
+    assert all(digest(argv) == expected[" ".join(argv)] for argv in runs)
 
 
 if __name__ == "__main__":

@@ -1,16 +1,21 @@
+import random
+
 import pytest
 
-from bruteforce import brute_k2, brute_k3
+from bruteforce import brute_is_simplex3, brute_k2, brute_k3
 from xmodloop import fixtures
-from xmodloop.errors import IndexOutOfRange
+from xmodloop.errors import IndexOutOfRange, InternalInvariantBroken
+from xmodloop.groups import GroupAction
 from xmodloop.nerve import (
     Simplex2,
     is_simplex2,
     is_simplex3,
     k2_count_formula,
+    k3_count,
     nerve_k2,
     nerve_k3,
 )
+from xmodloop.xmod import CrossedModule
 
 # Frozen regression counts, computed with the brute-force oracles.
 K2_COUNTS = {"triv": 1, "conj_s3": 36, "inc24": 32, "mod32": 12, "inn3": 108}
@@ -45,6 +50,7 @@ def test_k3_matches_brute_force_oracle(any_xmod):
     x = any_xmod
     simplices = nerve_k3(x)
     assert len(simplices) == K3_COUNTS[x.name]
+    assert k3_count(x) == len(simplices) == len(x.M) ** 3 * len(x.P) ** 3
     assert {s.key() for s in simplices} == brute_k3(x)
 
 
@@ -100,3 +106,45 @@ def test_simplex2_membership_predicate():
     assert is_simplex2(x, Simplex2("0", "0", "0", "0"))
     assert is_simplex2(x, Simplex2("1", "2", "0", "0"))
     assert not is_simplex2(x, Simplex2("1", "0", "0", "0"))
+
+
+def test_is_simplex3_agrees_with_label_arithmetic_on_random_tuples(any_xmod):
+    """Simplices, simplices with one entry changed and uniform tuples alike."""
+    x = any_xmod
+    P, M = x.P.elements, x.M.elements
+    rng = random.Random(f"is_simplex3 {x.name}")
+    simplices = nerve_k3(x)
+    tuples = []
+    for _ in range(200):
+        s = list(rng.choice(simplices))
+        tuples.append(tuple(s))
+        i = rng.randrange(10)
+        s[i] = rng.choice(P if i < 6 else M)
+        tuples.append(tuple(s))
+        tuples.append(tuple(rng.choice(P) for _ in range(6)) + tuple(rng.choice(M) for _ in range(4)))
+    verdicts = [is_simplex3(x, t) for t in tuples]
+    assert verdicts == [brute_is_simplex3(x, t) for t in tuples]
+    assert any(verdicts) and (len(P) * len(M) == 1 or not all(verdicts))
+
+
+def _with_one_action_entry_moved(x):
+    """x with m^p replaced, at its first pair, by an element of another delta-fibre.
+
+    The result is not a crossed module: CM1 fails at (m, p).
+    """
+    table = dict(x.action.table)
+    for (m, p), value in table.items():
+        other = next((w for w in x.M if x.delta(w) != x.delta(value)), None)
+        if other is not None:
+            table[(m, p)] = other
+            return CrossedModule(x.M, x.P, x.delta, GroupAction(x.P, x.M, table), name=x.name)
+    raise AssertionError("delta is trivial")
+
+
+@pytest.mark.parametrize("name", ["inc24", "inn3"])
+def test_k3_recheck_is_live_on_the_listing_and_the_count(name):
+    broken = _with_one_action_entry_moved(getattr(fixtures, name)())
+    with pytest.raises(InternalInvariantBroken, match="solved 3-simplex"):
+        nerve_k3(broken)
+    with pytest.raises(InternalInvariantBroken, match="solved 3-simplex"):
+        k3_count(broken)

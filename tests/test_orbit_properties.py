@@ -8,7 +8,7 @@ library's subgroup code, then relabelled with random names listed in a
 random input order.  The loop-space properties check every table of the
 loop groupoid and of P(a) against label arithmetic, in order, and P(a)
 against its defining filter and the paper's order identity for pi1 at
-every base.
+every base.  The nerve's count and listing agree with |M|^3 |P|^3.
 """
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -29,6 +29,7 @@ from xmodloop.groups import (
     subgroup_generated,
 )
 from xmodloop.loop import components, loop_data, loop_gpd_xmod, pi_loop
+from xmodloop.nerve import k3_count, nerve_k3
 from xmodloop.xmod import homotopy, make_xmod
 
 PERMUTATION_GENERATORS = {
@@ -150,6 +151,12 @@ def test_pi0_of_loop_groupoid_equals_components(x):
 def test_loop_tables_equal_label_arithmetic(x):
     assume(len(x.M) * len(x.P) ** 2 <= 300)
     assert_loop_tables_match_brute_force(x)
+
+
+@PROPERTY_SETTINGS
+@given(crossed_modules())
+def test_k3_count_equals_listing_and_order_formula(x):
+    assert k3_count(x) == len(nerve_k3(x)) == len(x.M) ** 3 * len(x.P) ** 3
 
 
 @PROPERTY_SETTINGS
