@@ -1,6 +1,6 @@
 """Size ladder: time each stage on a fixed list of growing inputs.
 
-    python bench/ladder.py --out BENCH_12.json
+    python bench/ladder.py --out BENCH_14.json
 
 A rung names a group (``S5``) or a crossed module: ``id: G``, ``1 -> G``
 or ``N -> G``, the inclusion of a normal subgroup N of G with G acting
@@ -12,22 +12,32 @@ with ``time.perf_counter`` and reads its own peak RSS with
 ``fibration_psi`` rungs build the loop groupoid first, as the cached
 ``loop_gpd_xmod`` they start from, and time only their own work.  The
 ``nerve_k3`` rung times the sorted listing of the 3-simplices and the
-``nerve_k3_count`` rung their count, which builds no list.  Every
-record holds the stage, the rung, the predicted size, ``wall_s`` and
-``peak_rss_mb``; a rung that is too large to run is listed as "not run"
-with its predicted size.  ``--out`` is required, so that no run
-overwrites a committed record by default.  The script exits 1 if any
-rung that runs fails.  Only the standard library and ``xmodloop`` from
-this checkout's ``src`` are used.
+``nerve_k3_count`` rung their count, which builds no list.  A ``cli_*``
+rung times one CLI subcommand as a whole: the child writes the rung as a
+document with ``serialize_xmod`` (untimed), then times one ``run_cli``
+call on it with standard output sent to a ``StringIO``;
+``cli_nerve3_list_json`` is ``nerve --dim 3 --list --format json`` and
+``cli_components`` is ``components --format json``.  A fresh process
+builds the argument parser once, on that call, so these rungs show the
+cost of parsing, computing and writing JSON, not the saving of a parser
+reused across calls.  Every record holds the stage, the rung, the
+predicted size, ``wall_s`` and ``peak_rss_mb``; a rung that is too
+large to run is listed as "not run" with its predicted size.  ``--out``
+is required, so that no run overwrites a committed record by default.
+The script exits 1 if any rung that runs fails.  Only the standard
+library and ``xmodloop`` from this checkout's ``src`` are used.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from itertools import permutations
 from pathlib import Path
@@ -45,7 +55,11 @@ RUNGS = [
     # K3 on id: S4 has 191M simplices
     *((stage, rung, rung != "id: S4") for stage in ("nerve_k3", "nerve_k3_count")
       for rung in ("id: C4", "1 -> S4", "id: S3", "id: D4", "id: S4")),
+    *(("cli_nerve3_list_json", rung, True) for rung in ("id: C4", "1 -> S4", "id: S3")),
+    *(("cli_components", rung, True) for rung in ("id: A4", "id: S4")),
 ]
+CLI_ARGS = {"cli_nerve3_list_json": ["nerve", "--dim", "3", "--list", "--format", "json"],
+            "cli_components": ["components", "--format", "json"]}
 
 
 def _closure(gens: list[tuple]) -> list[tuple]:
@@ -104,8 +118,10 @@ def predicted(stage: str, rung: str) -> dict:
     sub, top = module_labels(rung)
     p = len(permutation_group(top))
     m = 1 if sub == "1" else len(permutation_group(sub))
-    if stage.startswith("nerve_k3"):
+    if stage.startswith("nerve_k3") or stage == "cli_nerve3_list_json":
         return {"simplices": m ** 3 * p ** 3}
+    if stage == "cli_components":
+        return {"bases": p, "document_entries": p * p + m * m + m + m * p}
     # the loop groupoid is the group of the |M||P| pairs (m, p) acting on P
     if stage == "theta":
         return {"bases": p, "group_order": m * p}
@@ -117,6 +133,8 @@ def predicted(stage: str, rung: str) -> dict:
 def run_stage(stage: str, rung: str) -> float:
     """Build the rung's input, then time the stage alone."""
     sys.path.insert(0, str(ROOT / "src"))
+    from xmodloop.cli import run_cli
+    from xmodloop.documents import serialize_xmod
     from xmodloop.exactseq import fibration_psi
     from xmodloop.groups import group_action, homomorphism, make_group, subgroup
     from xmodloop.loop import loop_gpd_xmod, theta
@@ -136,6 +154,18 @@ def run_stage(stage: str, rung: str) -> float:
     delta = homomorphism(N, G, {n: n for n in N})
     action = group_action(G, N, {(n, p): G.conj(n, p) for n in N for p in G})
     x = make_xmod(N, G, delta, action, name=rung)
+    if stage in CLI_ARGS:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rung.json"
+            path.write_text(serialize_xmod(x), encoding="utf-8")
+            argv = [CLI_ARGS[stage][0], str(path), *CLI_ARGS[stage][1:]]
+            with contextlib.redirect_stdout(io.StringIO()):
+                start = time.perf_counter()
+                code = run_cli(argv)
+                wall = time.perf_counter() - start
+        if code != 0:
+            raise RuntimeError(f"{' '.join(CLI_ARGS[stage])} exited with {code}")
+        return wall
     if stage in ("theta", "fibration_psi"):
         loop_gpd_xmod(x)
     call = {"loop_gpd_xmod": loop_gpd_xmod, "fibration_psi": fibration_psi,
@@ -167,7 +197,7 @@ def ladder() -> tuple[list[dict], bool]:
                 ok = False
                 record["status"] = "failed"
                 record["error"] = (done.stderr.strip().splitlines() or [""])[-1]
-        print(f"{stage:14} {rung:9} {record.get('wall_s', record.get('status'))}", flush=True)
+        print(f"{stage:20} {rung:9} {record.get('wall_s', record.get('status'))}", flush=True)
         records.append(record)
     return records, ok
 

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from bruteforce import brute_pa
-from xmodloop import fixtures
-from xmodloop.cli import run_cli
+from xmodloop import cli, fixtures
+from xmodloop.cli import build_parser, run_cli
 from xmodloop.documents import parse_xmod
 from xmodloop.groups import are_isomorphic
 from xmodloop.loop import pi_loop
@@ -253,3 +259,42 @@ def test_unreadable_files_are_validation_failures(tmp_path, capsys):
             code, _, err = invoke(capsys, *argv)
             assert code == 1, (argv, err)
             assert err.startswith("error: ") and "Traceback" not in err
+
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def fresh_process(argv):
+    """Exit code, stdout and stderr of one call in a new interpreter."""
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from xmodloop.cli import run_cli; sys.exit(run_cli(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, encoding="utf-8", env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("calls, codes", [
+    # a listing's --list and --format must not reach the count after it
+    ([["nerve", "{f}", "--dim", "3", "--list", "--format", "json"],
+      ["nerve", "{f}", "--dim", "3"]], [0, 0]),
+    ([["nerve", "{f}", "--dim", "5"], ["nerve", "{f}", "--dim", "2", "--list"]], [2, 0]),
+    ([["--help"], ["check", "{f}"], ["nerve", "--help"], ["components", "{f}"]], [0, 0, 0, 0]),
+    ([["pi", "{f}", "--space", "loop"], ["pi", "{f}", "--space", "loop", "--base", "1"]], [2, 0]),
+], ids=["list-then-count", "usage-error-then-valid", "help-then-valid", "missing-base-then-base"])
+def test_one_parser_answers_a_sequence_as_fresh_processes_do(calls, codes, monkeypatch, capsys,
+                                                             fixture_path):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "_PARSER", None)
+    argvs = [[arg.format(f=fixture_path("mod32")) for arg in argv] for argv in calls]
+    first = invoke(capsys, *argvs[0])
+    parser = cli._PARSER
+    in_process = [first] + [invoke(capsys, *argv) for argv in argvs[1:]]
+    assert cli._PARSER is parser is not None  # built once, then reused
+    assert [code for code, _, _ in in_process] == codes
+    assert in_process == [fresh_process(argv) for argv in argvs]
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    assert build_parser() is not build_parser()
