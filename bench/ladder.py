@@ -144,13 +144,13 @@ def run_stage(stage: str, rung: str) -> float:
     if stage == "make_group":
         elements, table, identity = group_table(rung)
         start = time.perf_counter()
-        make_group(elements, table, identity, name=rung)
+        make_group(elements, table, identity)
         return time.perf_counter() - start
     sub, top = module_labels(rung)
     elements, table, identity = group_table(top)
-    G = make_group(elements, table, identity, name=top)
+    G = make_group(elements, table, identity)
     members = [identity] if sub == "1" else [_name(q) for q in permutation_group(sub)]
-    N = subgroup(G, members).as_group(name=sub)
+    N = subgroup(G, members).as_group()
     delta = homomorphism(N, G, {n: n for n in N})
     action = group_action(G, N, {(n, p): G.conj(n, p) for n in N for p in G})
     x = make_xmod(N, G, delta, action, name=rung)

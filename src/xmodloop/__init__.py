@@ -9,7 +9,6 @@ from .groups import (
     are_isomorphic,
     centralizer,
     conjugacy_classes,
-    direct_product,
     displacement_subgroup,
     group_action,
     homomorphism,
@@ -38,13 +37,11 @@ from .groupoids import (
     action_groupoid,
     as_groupoid_xmod,
     is_fibration,
-    make_groupoid,
     make_gxm,
     make_gxm_morphism,
     pi0,
     pi1_at,
     pi2_at,
-    restrict_to_object,
     vertex_group,
 )
 from .nerve import (

@@ -39,6 +39,11 @@ def _require(condition: bool, message: str) -> None:
         raise DocumentSyntaxError(message)
 
 
+def _strings(values) -> bool:
+    """Whether every value is a string; only the types are hashed, never a value."""
+    return set(map(type, values)) <= {str}
+
+
 def _read_group_block(data, label: str) -> tuple[list, list, str]:
     _require(isinstance(data, dict), f"{label} must be an object")
     _require(set(data) == {"elements", "table", "identity"},
@@ -52,6 +57,9 @@ def _read_group_block(data, label: str) -> tuple[list, list, str]:
     _require(isinstance(table, list) and len(table) == n, f"{label}.table must have {n} rows")
     known = set(elements)
     for i, row in enumerate(table):
+        # one type test and one set test per row; only a failing row is walked for its message
+        if isinstance(row, list) and len(row) == n and _strings(row) and known.issuperset(row):
+            continue
         _require(isinstance(row, list) and len(row) == n, f"{label}.table row {i} must have {n} entries")
         for j, value in enumerate(row):
             _require(isinstance(value, str), f"{label}.table[{i}][{j}] must be a string")
@@ -70,6 +78,8 @@ def load_document(text: str) -> XModCandidate:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.msg, line=exc.lineno) from exc
+    except (RecursionError, ValueError) as exc:  # nested too deep; an integer past the digit limit
+        raise DocumentSyntaxError(str(exc)) from exc
     _require(isinstance(data, dict), "top level must be an object")
     keys = set(data)
     _require(keys - {"name"} == {"P", "M", "delta", "action"},
@@ -83,18 +93,25 @@ def load_document(text: str) -> XModCandidate:
     delta = data["delta"]
     _require(isinstance(delta, dict), "delta must be an object")
     m_set, p_set = set(m_elements), set(p_elements)
-    for key, value in delta.items():
-        if key not in m_set:
-            raise UnknownIdentifier(key, "delta")
-        _require(isinstance(value, str), f"delta[{key!r}] must be a string")
-        if value not in p_set:
-            raise UnknownIdentifier(value, f"delta[{key!r}]")
-    for m in m_elements:
-        _require(m in delta, f"delta is missing an entry for {m!r}")
+    # as for the tables: the entries are walked for a message only when a test fails
+    if not (m_set.issuperset(delta) and _strings(delta.values())
+            and p_set.issuperset(delta.values())):
+        for key, value in delta.items():
+            if key not in m_set:
+                raise UnknownIdentifier(key, "delta")
+            _require(isinstance(value, str), f"delta[{key!r}] must be a string")
+            if value not in p_set:
+                raise UnknownIdentifier(value, f"delta[{key!r}]")
+    if len(delta) != len(m_set):
+        for m in m_elements:
+            _require(m in delta, f"delta is missing an entry for {m!r}")
 
     action = data["action"]
     _require(isinstance(action, dict), "action must be an object")
     for p, row in action.items():
+        if (p in p_set and isinstance(row, dict) and m_set.issuperset(row)
+                and _strings(row.values()) and m_set.issuperset(row.values())):
+            continue
         if p not in p_set:
             raise UnknownIdentifier(p, "action")
         _require(isinstance(row, dict), f"action[{p!r}] must be an object")
@@ -104,10 +121,11 @@ def load_document(text: str) -> XModCandidate:
             _require(isinstance(value, str), f"action[{p!r}][{m!r}] must be a string")
             if value not in m_set:
                 raise UnknownIdentifier(value, f"action[{p!r}][{m!r}]")
-    for p in p_elements:
-        _require(p in action, f"action is missing entries for {p!r}")
-        for m in m_elements:
-            _require(m in action[p], f"action[{p!r}] is missing an entry for {m!r}")
+    if len(action) != len(p_set) or any(len(row) != len(m_set) for row in action.values()):
+        for p in p_elements:
+            _require(p in action, f"action is missing entries for {p!r}")
+            for m in m_elements:
+                _require(m in action[p], f"action[{p!r}] is missing an entry for {m!r}")
 
     return XModCandidate(
         m_elements=m_elements,

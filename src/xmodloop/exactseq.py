@@ -88,8 +88,7 @@ def fibration_psi(x: CrossedModule) -> FibrationData:
     dim2_shape = {(M.identity, a) for a in P}
     if {m for elems in fibre_elements.values() for m in elems} != dim2_shape:
         raise InternalInvariantBroken("fibre dim-2 part is not the m = 0 pairs", ())
-    fibres = {a: subgroup(gxm.fibres[a], elems).as_group(name=f"F2@{a}")
-              for a, elems in fibre_elements.items()}
+    fibres = {a: subgroup(gxm.fibres[a], elems).as_group() for a, elems in fibre_elements.items()}
     # the p = 0 morphisms are the arrows of the pairs (m, 0), acting by a -> a + delta(m)
     kernel_pairs = [(m, P.identity) for m in M]
     return FibrationData(psi, restrict(gxm, kernel_pairs, fibres))
@@ -119,7 +118,7 @@ def coinvariants(x: CrossedModule, a: str) -> FiniteGroup:
     """pi with the action of a killed: pi modulo all -k^a + k."""
     x.P.index(a)
     boundary = _connecting_map(x, a)
-    quo, _ = quotient(boundary.source, image(boundary), name=f"pi/{{{a}}}")
+    quo, _ = quotient(boundary.source, image(boundary))
     return quo
 
 
@@ -149,14 +148,14 @@ def exact_sequence(x: CrossedModule, a: str) -> ExactSequence:
     data = homotopy(x)
     pi = data.pi2
     abar = data.projection(a)
-    head = fixed_points(x, a).as_group(name=f"pi^{a}")
+    head = fixed_points(x, a).as_group()
     inclusion = homomorphism(head, pi, {k: k for k in head})
     connecting = _connecting_map(x, a)
     loop_h = pi_loop(x, a)
     pa_projection = loop_h.projection
     j = homomorphism(pi, loop_h.pi1,
                      {k: pa_projection((k, x.P.identity)) for k in pi})
-    cent = centralizer(data.pi1, abar).as_group(name=f"C_{abar}")
+    cent = centralizer(data.pi1, abar).as_group()
     q_mapping = {}
     for rep in loop_h.pi1:
         _, p = rep
@@ -177,7 +176,7 @@ def exact_sequence(x: CrossedModule, a: str) -> ExactSequence:
     _set_equal("pi1-loop", kernel(q).members, image(j).members)
     _set_equal("centralizer", image(q).members, cent.elements)
 
-    coinv, coproj = quotient(pi, image(connecting), name=f"pi/{{{abar}}}")
+    coinv, coproj = quotient(pi, image(connecting))
     induced = homomorphism(coinv, loop_h.pi1, {rep: j(rep) for rep in coinv})
     for k in pi:
         if induced(coproj(k)) != j(k):
@@ -203,9 +202,9 @@ def example1_check(x: CrossedModule, a: str,
         raise PreconditionFailed(f"delta is not the zero map (delta({witness}) != 0)")
     report: list[Violation] = []
     cent = centralizer(x.P, a)
-    cent_group = cent.as_group(name=f"C_{a}(P)")
+    cent_group = cent.as_group()
     displaced = displacement_subgroup(x.action, a)
-    quo, proj = quotient(x.M, displaced, name=f"M/[{a},M]")
+    quo, proj = quotient(x.M, displaced)
     for m in x.M:
         for p in cent_group:
             if proj(x.act(m, p)) != proj(x.act(proj(m), p)):
@@ -214,8 +213,7 @@ def example1_check(x: CrossedModule, a: str,
                     (m, p)))
     table = {(rep, p): proj(x.act(rep, p)) for rep in quo for p in cent_group}
     induced = group_action(cent_group, quo, table)
-    twisted = semidirect_product(quo, cent_group, induced,
-                                 name=f"(M/[{a},M]) x C_{a}(P)")
+    twisted = semidirect_product(quo, cent_group, induced)
     pi1 = pi_loop(x, a).pi1
     if are_isomorphic(twisted, pi1, max_order=max_order) is None:
         raise IsomorphismNotFound(
@@ -259,7 +257,7 @@ def example2_check(x: CrossedModule, a: str,
                                 tuple(sorted(set(pa.elements) ^ expected))))
         return report
     restricted = group_action(x.P, pi, {(k, p): x.act(k, p) for k in pi for p in x.P})
-    model = semidirect_product(pi, x.P, restricted, name="pi x P")
+    model = semidirect_product(pi, x.P, restricted)
     for u in pa:
         for v in pa:
             if model.add(u, v) != pa.add(u, v):
@@ -268,7 +266,7 @@ def example2_check(x: CrossedModule, a: str,
     if report:
         return report
     relators = subgroup(model, {(x.M.add(x.M.neg(x.act(m, a)), m), x.delta(m)) for m in x.M})
-    presented, _ = quotient(model, relators, name="(pi x P)/delta_a(M)")
+    presented, _ = quotient(model, relators)
     pi1 = pi_loop(x, a).pi1
     if are_isomorphic(presented, pi1, max_order=max_order) is None:
         raise IsomorphismNotFound(

@@ -20,11 +20,10 @@ each composite start where its first factor does, and 0 . x = x.
 ``action_groupoid`` checks 0 . x = x at every object and proves the
 action law from G's generators through ``groups._failures``; only when
 that proof fails does it scan every (h, g, x).  So the verdict covers
-every tuple.  ``restrict`` cuts out a subgroup of G together with a set
-of objects it leaves invariant, such as the source of ``loop.theta`` or
-the fibre of ``exactseq.fibration_psi``.  ``make_groupoid`` validates a
-groupoid written out as a full composition table; the library never
-builds one, and tests use it as an oracle.
+every tuple.  ``action_groupoid`` is the only groupoid constructor.
+``restrict`` cuts out a subgroup of G together with a set of objects it
+leaves invariant, such as the source of ``loop.theta`` (one object and
+its stabiliser) or the fibre of ``exactseq.fibration_psi``.
 
 Cost.  The action law costs |S_G| |G| rows of |X| entries, for G's
 generators S_G.  Closing the identities under x -> x + s for the arrows
@@ -66,8 +65,6 @@ from .groups import (
     _additive_failures,
     _failures,
     _partition,
-    _right_generators,
-    group_action,
     homomorphism,
     image,
     kernel,
@@ -75,7 +72,7 @@ from .groups import (
     quotient,
     subgroup,
 )
-from .xmod import CrossedModule, make_xmod
+from .xmod import CrossedModule
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,8 +171,7 @@ def action_groupoid(group: FiniteGroup, objects, act, morphisms) -> FiniteGroupo
     generators and scanned over every (h, g, x), in that order, only
     when that proof fails.  A failure at (h, g, x) is the composite w of
     u = (h, g . x) and v = (g, x) starting elsewhere than u:
-    ``composition-endpoints`` with witness (u, v, w), as in
-    ``make_groupoid``.
+    ``composition-endpoints`` with witness (u, v, w).
     """
     objects = tuple(objects)
     morphisms = tuple(morphisms)
@@ -218,85 +214,6 @@ def action_groupoid(group: FiniteGroup, objects, act, morphisms) -> FiniteGroupo
 _MISSING = object()  # what a table gives for a key it lacks; no label equals it
 
 
-def make_groupoid(objects, morphisms, source, target, compose, identities) -> None:
-    """Validate a groupoid written out as a full composition table.
-
-    Raises ``InvalidGroupoid`` at the first broken law; returns nothing.
-    The library builds action groupoids only; this checks written-out
-    tables, such as an action groupoid's own, against every law.
-
-    A broken composition table is reported at the first extra key in
-    ``compose`` order, else at the first missing composable pair, else at
-    the first composite in ``compose`` order that is not a morphism with
-    the right endpoints; never in set order, which would make the witness
-    depend on the hash seed.  Associativity is proved by Light's test on
-    the generators (see ``groups._right_generators``) and scanned in full
-    only when that fails.
-    """
-    objects = tuple(objects)
-    morphisms = tuple(morphisms)
-    if len(set(objects)) != len(objects):
-        raise InvalidGroupoid("objects-distinct", (objects,))
-    if len(set(morphisms)) != len(morphisms):
-        raise InvalidGroupoid("morphisms-distinct", (morphisms,))
-    object_set = set(objects)
-    out_of: dict[str, list[str]] = {x: [] for x in objects}
-    for u in morphisms:
-        x = source.get(u)
-        if x not in object_set:
-            raise InvalidGroupoid("source", (u,))
-        if target.get(u) not in object_set:
-            raise InvalidGroupoid("target", (u,))
-        out_of[x].append(u)
-    pos = {u: i for i, u in enumerate(morphisms)}
-    for x in objects:
-        e = identities.get(x)
-        if e not in pos or source[e] != x or target[e] != x:
-            raise InvalidGroupoid("identity-missing", (x,))
-    pairs = [(u, v) for u in morphisms for v in out_of[target[u]]]
-    composable = set(pairs)
-    for key in compose:
-        if key not in composable:
-            raise InvalidGroupoid("composition-domain", key)
-    for pair in pairs:
-        if pair not in compose:
-            raise InvalidGroupoid("composition-domain", pair)
-    for (u, v), w in compose.items():
-        if w not in pos or source[w] != source[u] or target[w] != target[v]:
-            raise InvalidGroupoid("composition-endpoints", (u, v, w))
-    # after[i] maps j to the position of u_i + u_j, in out_of order: the laws
-    # below compare positions, which hash faster than tuple labels.
-    after = [{pos[v]: pos[compose[(u, v)]] for v in out_of[target[u]]} for u in morphisms]
-    units = [(pos[identities[source[u]]], pos[identities[target[u]]]) for u in morphisms]
-    for i, u in enumerate(morphisms):
-        e_source, e_target = units[i]
-        if after[e_source][i] != i or after[i][e_target] != i:
-            raise InvalidGroupoid("identity-law", (u,))
-    gens = _right_generators(range(len(morphisms)), [pos[identities[x]] for x in objects],
-                             lambda i, j: after[i].get(j))
-    into: dict = {x: [] for x in objects}  # x -> positions of the morphisms with target x
-    for i, u in enumerate(morphisms):
-        into[target[u]].append(i)
-
-    def associates(i: int, j: int) -> bool:
-        """(i + j) + k = i + (j + k) for every k out of j, one whole row at a time."""
-        j_then = after[j]
-        return (list(map(after[after[i][j]].__getitem__, j_then))
-                == list(map(after[i].__getitem__, j_then.values())))
-
-    # Light's test: the pairs (i, s) for the generators s prove every pair
-    scan = ((i, j) for i in range(len(morphisms)) for j in after[i])
-    proof = ((i, s) for s in gens for i in into[source[morphisms[s]]])
-    for i, j in _failures(associates, scan, proof):
-        ij_then, i_then = after[after[i][j]], after[i]
-        k = next(k for k, jk in after[j].items() if ij_then[k] != i_then[jk])
-        raise InvalidGroupoid("associativity", (morphisms[i], morphisms[j], morphisms[k]))
-    for i, u in enumerate(morphisms):
-        e_source, e_target = units[i]
-        if not any(ij == e_source and after[j].get(i) == e_target for j, ij in after[i].items()):
-            raise InvalidGroupoid("inverse", (u,))
-
-
 def _composable(base: FiniteGroupoid):
     """Every composable (u, v, u + v): u in morphism order, then v in star order."""
     stars = {x: base.star(x) for x in base.objects}
@@ -314,7 +231,7 @@ def vertex_group(groupoid: FiniteGroupoid, x: str) -> FiniteGroup:
     """The group of morphisms x -> x under groupoid composition: the stabiliser of x."""
     vertex = groupoid.vertex_morphisms(x)
     table = [[groupoid.compose(u, v) for v in vertex] for u in vertex]
-    return make_group(vertex, table, groupoid.identity(x), name=f"vertex@{x}")
+    return make_group(vertex, table, groupoid.identity(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,23 +394,14 @@ def _boundary_hom(gxm: GroupoidXMod, x: str) -> Homomorphism:
 def pi1_at(gxm: GroupoidXMod, x: str) -> FiniteGroup:
     """Cokernel of the boundary at x."""
     delta = _boundary_hom(gxm, x)
-    quo, _ = quotient(delta.target, image(delta), name=f"pi1@{x}")
+    quo, _ = quotient(delta.target, image(delta))
     return quo
 
 
 def pi2_at(gxm: GroupoidXMod, x: str) -> FiniteGroup:
     """Kernel of the boundary at x."""
     delta = _boundary_hom(gxm, x)
-    return kernel(delta).as_group(name=f"pi2@{x}")
-
-
-def restrict_to_object(gxm: GroupoidXMod, x: str) -> CrossedModule:
-    """The crossed module of groups sitting over a single object."""
-    delta = _boundary_hom(gxm, x)
-    fibre, vertex = delta.source, delta.target
-    table = {(m, u): gxm.action[(m, u)] for m in fibre for u in vertex}
-    action = group_action(vertex, fibre, table)
-    return make_xmod(fibre, vertex, delta, action, name=f"restriction@{x}")
+    return kernel(delta).as_group()
 
 
 def restrict(gxm: GroupoidXMod, elements, fibres: dict) -> GroupoidXMod:

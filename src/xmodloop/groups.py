@@ -120,12 +120,11 @@ class FiniteGroup:
     ``_right_generators``, in input order; associativity is proved from it.
     """
 
-    def __init__(self, elements, table, identity, name=None):
+    def __init__(self, elements, table, identity):
         elements = list(elements)
         if not elements:
             raise MalformedGroup("a group needs at least one element")
         self.elements: list[str] = elements
-        self.name = name
         self._index: dict[str, int] = {e: i for i, e in enumerate(elements)}
         n = len(elements)
         if len(self._index) != n:
@@ -191,8 +190,7 @@ class FiniteGroup:
         return x in self._index
 
     def __repr__(self) -> str:
-        label = self.name or "group"
-        return f"<FiniteGroup {label} of order {len(self)}>"
+        return f"<FiniteGroup of order {len(self)}>"
 
     def index(self, x: str) -> int:
         i = self._index.get(x)
@@ -237,9 +235,9 @@ class FiniteGroup:
                    for x in self.elements for y in self.elements)
 
 
-def make_group(elements, table, identity, name=None) -> FiniteGroup:
+def make_group(elements, table, identity) -> FiniteGroup:
     """Build and fully validate a finite group from its table."""
-    return FiniteGroup(elements, table, identity, name=name)
+    return FiniteGroup(elements, table, identity)
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,11 +256,11 @@ class Subgroup:
     def __contains__(self, x) -> bool:
         return x in set(self.members)
 
-    def as_group(self, name=None) -> FiniteGroup:
+    def as_group(self) -> FiniteGroup:
         """The subgroup as a standalone group on its own elements."""
         members = list(self.members)
         table = [[self.parent.add(x, y) for y in members] for x in members]
-        return FiniteGroup(members, table, self.parent.identity, name=name)
+        return FiniteGroup(members, table, self.parent.identity)
 
 
 def subgroup(parent: FiniteGroup, members) -> Subgroup:
@@ -340,7 +338,7 @@ def conjugacy_classes(group: FiniteGroup) -> list[list[str]]:
     return _partition(group, lambda a: {group.conj(a, p) for p in group})
 
 
-def quotient(group: FiniteGroup, normal: Subgroup, name=None) -> tuple[FiniteGroup, Homomorphism]:
+def quotient(group: FiniteGroup, normal: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
     """Quotient by a normal subgroup, on least coset representatives.
 
     Returns the quotient group together with the projection homomorphism.
@@ -356,7 +354,7 @@ def quotient(group: FiniteGroup, normal: Subgroup, name=None) -> tuple[FiniteGro
     reps = [coset[0] for coset in cosets]
     rep_of = {g: coset[0] for coset in cosets for g in coset}
     table = [[rep_of[group.add(a, b)] for b in reps] for a in reps]
-    quo = FiniteGroup(reps, table, rep_of[group.identity], name=name)
+    quo = FiniteGroup(reps, table, rep_of[group.identity])
     proj = homomorphism(group, quo, {g: rep_of[g] for g in group})
     return quo, proj
 
@@ -490,7 +488,7 @@ def trivial_action(actor: FiniteGroup, space: FiniteGroup) -> GroupAction:
 
 
 def semidirect_product(n_group: FiniteGroup, h_group: FiniteGroup,
-                       act: GroupAction, name=None) -> FiniteGroup:
+                       act: GroupAction) -> FiniteGroup:
     """Semidirect product on pairs (n, h) with (n,h) + (n',h') = (n^h' + n', h + h').
 
     The twist sits on the left factor so that, for abelian N, the table
@@ -498,19 +496,11 @@ def semidirect_product(n_group: FiniteGroup, h_group: FiniteGroup,
     For nonabelian N it is not the group G of ``loop.loop_gpd_xmod``, whose N part is m + n^p.
     """
     if act.actor is not h_group or act.space is not n_group:
-        raise InvalidAction("wiring", (act.actor.name, act.space.name))
+        raise InvalidAction("wiring", ())
     pairs = [(n, h) for n in n_group for h in h_group]
     table = [[(n_group.add(act.act(n, h2), n2), h_group.add(h, h2)) for n2, h2 in pairs]
              for n, h in pairs]
-    return FiniteGroup(pairs, table, (n_group.identity, h_group.identity), name=name)
-
-
-def direct_product(g_group: FiniteGroup, h_group: FiniteGroup, name=None) -> FiniteGroup:
-    """Componentwise product on pairs, used as an oracle for trivial twists."""
-    pairs = [(g, h) for g in g_group for h in h_group]
-    table = [[(g_group.add(g1, g2), h_group.add(h1, h2)) for g2, h2 in pairs]
-             for g1, h1 in pairs]
-    return FiniteGroup(pairs, table, (g_group.identity, h_group.identity), name=name)
+    return FiniteGroup(pairs, table, (n_group.identity, h_group.identity))
 
 
 def displacement_subgroup(act: GroupAction, a: str) -> Subgroup:

@@ -81,7 +81,7 @@ def loop_data(x: CrossedModule, a: str) -> LoopData:
                     f"P({a}) is not closed under composition", (Me[n], Pe[q], Me[m], Pe[p]))
             row.append(pairs[r])
         table.append(row)
-    Pa = make_group(pairs, table, (M.identity, P.identity), name=f"P({a})")
+    Pa = make_group(pairs, table, (M.identity, P.identity))
     mapping = {Me[i]: (Me[mt[minv[act[i][ia]]][i]], Pe[d[i]]) for i in range(len(M))}
     delta_a = homomorphism(M, Pa, mapping)
     act_table = {(Me[n], pair): Me[act[n][p]] for n in range(len(M))
@@ -161,7 +161,7 @@ def loop_gpd_xmod(x: CrossedModule) -> GroupoidXMod:
     for n, q in cells:  # (n, q) + (m, p) = (m + n^p, q + p), on positions
         row_n, row_q = act[n], pt[q]
         table.append([pairs[mt[m][row_n[p]] * nP + row_q[p]] for m, p in cells])
-    G = make_group(pairs, table, (M.identity, P.identity), name="G")
+    G = make_group(pairs, table, (M.identity, P.identity))
     # (m, p) . a = p + a + delta(m) - p
     moves = [[pt[pt[pt[j][k]][d[i]]][pinv[j]] for k in range(nP)] for i, j in cells]
     morphisms = [(m, p, a) for m, p in pairs for a in Pe]
@@ -170,7 +170,7 @@ def loop_gpd_xmod(x: CrossedModule) -> GroupoidXMod:
     fibres = {}
     for a, elems in zip(Pe, elements):
         table = [[elems[k] for k in row] for row in mt]
-        fibres[a] = make_group(elems, table, elems[M._index[M.identity]], name=f"M@{a}")
+        fibres[a] = make_group(elems, table, elems[M._index[M.identity]])
     # delta_a(m) = (-m^a + m, delta m, a)
     boundary = {elements[k][i]: morphisms[(mt[minv[act[i][k]]][i] * nP + d[i]) * nP + k]
                 for k in range(nP) for i in range(nM)}
@@ -218,9 +218,9 @@ def pi_loop(x: CrossedModule, a: str) -> LoopHomotopy:
     holds elementwise and is asserted, not assumed.
     """
     data = loop_data(x, a)
-    pi1, projection = quotient(data.Pa, image(data.delta_a), name=f"pi1(L,{a})")
+    pi1, projection = quotient(data.Pa, image(data.delta_a))
     ker = kernel(data.delta_a)
-    pi2 = ker.as_group(name=f"pi2(L,{a})")
+    pi2 = ker.as_group()
     fixed = {k for k in kernel(x.delta) if x.act(k, a) == k}
     if set(pi2.elements) != fixed:
         raise InternalInvariantBroken(

@@ -238,7 +238,7 @@ def homotopy(x: CrossedModule) -> HomotopyData:
     """
     img = image(x.delta)
     try:
-        pi1, projection = quotient(x.P, img, name="pi1")
+        pi1, projection = quotient(x.P, img)
     except NotNormal as exc:
         raise InternalInvariantBroken(
             f"image of delta is not normal: {exc}", exc.witness) from exc
@@ -248,7 +248,7 @@ def homotopy(x: CrossedModule) -> HomotopyData:
             if x.M.add(k, m) != x.M.add(m, k):
                 raise InternalInvariantBroken(
                     f"kernel element {k} is not central in M", (k, m))
-    pi2 = ker.as_group(name="pi2")
+    pi2 = ker.as_group()
     for p in x.P:
         rep = projection(p)
         for k in ker:

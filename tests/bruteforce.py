@@ -4,9 +4,16 @@ These deliberately take the dumbest route available: full filters over
 raw products, no solved equations, no shared code with the library
 internals beyond the group arithmetic itself.  Tests compare the library
 against these and against frozen regression values.
+
+``make_groupoid`` is the exception: it validates a groupoid written out
+as a full composition table, and proves associativity by the library's
+Light's test (``groups._right_generators`` and ``groups._failures``).
 """
 
 from itertools import product
+
+from xmodloop.errors import InvalidGroupoid
+from xmodloop.groups import _failures, _right_generators
 
 
 def brute_k2(x):
@@ -149,3 +156,82 @@ def brute_loop_group(x, a):
         "delta_a": {m: (M.add(M.neg(x.act(m, a)), m), x.delta(m)) for m in M},
         "action": {(n, (m, p)): x.act(n, p) for n in M for m, p in pairs},
     }
+
+
+def make_groupoid(objects, morphisms, source, target, compose, identities) -> None:
+    """Validate a groupoid written out as a full composition table.
+
+    Raises ``InvalidGroupoid`` at the first broken law; returns nothing.
+    The library builds action groupoids only; this checks written-out
+    tables, such as an action groupoid's own, against every law.
+
+    A broken composition table is reported at the first extra key in
+    ``compose`` order, else at the first missing composable pair, else at
+    the first composite in ``compose`` order that is not a morphism with
+    the right endpoints; never in set order, which would make the witness
+    depend on the hash seed.  Associativity is proved by Light's test on
+    the generators (see ``groups._right_generators``) and scanned in full
+    only when that fails.
+    """
+    objects = tuple(objects)
+    morphisms = tuple(morphisms)
+    if len(set(objects)) != len(objects):
+        raise InvalidGroupoid("objects-distinct", (objects,))
+    if len(set(morphisms)) != len(morphisms):
+        raise InvalidGroupoid("morphisms-distinct", (morphisms,))
+    object_set = set(objects)
+    out_of: dict[str, list[str]] = {x: [] for x in objects}
+    for u in morphisms:
+        x = source.get(u)
+        if x not in object_set:
+            raise InvalidGroupoid("source", (u,))
+        if target.get(u) not in object_set:
+            raise InvalidGroupoid("target", (u,))
+        out_of[x].append(u)
+    pos = {u: i for i, u in enumerate(morphisms)}
+    for x in objects:
+        e = identities.get(x)
+        if e not in pos or source[e] != x or target[e] != x:
+            raise InvalidGroupoid("identity-missing", (x,))
+    pairs = [(u, v) for u in morphisms for v in out_of[target[u]]]
+    composable = set(pairs)
+    for key in compose:
+        if key not in composable:
+            raise InvalidGroupoid("composition-domain", key)
+    for pair in pairs:
+        if pair not in compose:
+            raise InvalidGroupoid("composition-domain", pair)
+    for (u, v), w in compose.items():
+        if w not in pos or source[w] != source[u] or target[w] != target[v]:
+            raise InvalidGroupoid("composition-endpoints", (u, v, w))
+    # after[i] maps j to the position of u_i + u_j, in out_of order: the laws
+    # below compare positions, which hash faster than tuple labels.
+    after = [{pos[v]: pos[compose[(u, v)]] for v in out_of[target[u]]} for u in morphisms]
+    units = [(pos[identities[source[u]]], pos[identities[target[u]]]) for u in morphisms]
+    for i, u in enumerate(morphisms):
+        e_source, e_target = units[i]
+        if after[e_source][i] != i or after[i][e_target] != i:
+            raise InvalidGroupoid("identity-law", (u,))
+    gens = _right_generators(range(len(morphisms)), [pos[identities[x]] for x in objects],
+                             lambda i, j: after[i].get(j))
+    into: dict = {x: [] for x in objects}  # x -> positions of the morphisms with target x
+    for i, u in enumerate(morphisms):
+        into[target[u]].append(i)
+
+    def associates(i: int, j: int) -> bool:
+        """(i + j) + k = i + (j + k) for every k out of j, one whole row at a time."""
+        j_then = after[j]
+        return (list(map(after[after[i][j]].__getitem__, j_then))
+                == list(map(after[i].__getitem__, j_then.values())))
+
+    # Light's test: the pairs (i, s) for the generators s prove every pair
+    scan = ((i, j) for i in range(len(morphisms)) for j in after[i])
+    proof = ((i, s) for s in gens for i in into[source[morphisms[s]]])
+    for i, j in _failures(associates, scan, proof):
+        ij_then, i_then = after[after[i][j]], after[i]
+        k = next(k for k, jk in after[j].items() if ij_then[k] != i_then[jk])
+        raise InvalidGroupoid("associativity", (morphisms[i], morphisms[j], morphisms[k]))
+    for i, u in enumerate(morphisms):
+        e_source, e_target = units[i]
+        if not any(ij == e_source and after[j].get(i) == e_target for j, ij in after[i].items()):
+            raise InvalidGroupoid("inverse", (u,))

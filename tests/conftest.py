@@ -1,4 +1,5 @@
 import sys
+from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -6,19 +7,38 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bruteforce import brute_loop_gpd_tables, brute_loop_group
-from xmodloop import fixtures
-from xmodloop.groupoids import make_groupoid
+from bruteforce import brute_loop_gpd_tables, brute_loop_group, make_groupoid
+from xmodloop.documents import parse_xmod
 from xmodloop.groups import group_action, homomorphism, make_group
 from xmodloop.loop import loop_data, loop_gpd_xmod
 from xmodloop.xmod import make_xmod
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
+# triv 1 -> 1; conj_s3 1 -> S3; inc24 C2 -> C4, 1 -> 2 (trivial action);
+# mod32 0: C3 -> C2 (C2 inverts C3); inn3 C3 -> S3 onto A3 (conjugation)
+FIXTURE_NAMES = ("triv", "conj_s3", "inc24", "mod32", "inn3")
 
 
-@pytest.fixture(params=list(fixtures.FIXTURE_NAMES))
+@lru_cache(maxsize=None)
+def fixture(name: str):
+    """The bundled crossed module ``name``, parsed once: the library's caches key on identity."""
+    return parse_xmod((FIXTURES_DIR / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def all_fixtures() -> dict:
+    return {name: fixture(name) for name in FIXTURE_NAMES}
+
+
+@lru_cache(maxsize=None)
+def cyclic(n: int):
+    """C_n on the names "0" .. "n-1"."""
+    names = [str(i) for i in range(n)]
+    return make_group(names, [[names[(i + j) % n] for j in range(n)] for i in range(n)], "0")
+
+
+@pytest.fixture(params=FIXTURE_NAMES)
 def any_xmod(request):
-    return fixtures.all_fixtures()[request.param]
+    return fixture(request.param)
 
 
 @pytest.fixture
@@ -32,7 +52,7 @@ def fixture_path():
 def all_base_pairs():
     """Every (fixture, base element) pair, 19 in total."""
     pairs = []
-    for name, x in fixtures.all_fixtures().items():
+    for name, x in all_fixtures().items():
         for a in x.P.elements:
             pairs.append((name, a))
     return pairs
@@ -76,7 +96,7 @@ def identity_module(generators, name):
                 perms.append(q)
     names = {p: "".join(map(str, p)) for p in perms}
     table = [[names[tuple(q[i] for i in p)] for q in perms] for p in perms]
-    G = make_group([names[p] for p in perms], table, names[perms[0]], name=name)
+    G = make_group([names[p] for p in perms], table, names[perms[0]])
     delta = homomorphism(G, G, {g: g for g in G})
     action = group_action(G, G, {(m, p): G.conj(m, p) for m in G for p in G})
     return make_xmod(G, G, delta, action, name=f"id: {name}")

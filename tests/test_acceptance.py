@@ -9,8 +9,7 @@ import copy
 from contextlib import contextmanager
 
 from bruteforce import brute_k3
-from conftest import all_base_pairs
-from xmodloop import fixtures
+from conftest import all_base_pairs, all_fixtures, cyclic, fixture
 from xmodloop.cli import run_cli
 from xmodloop.documents import parse_xmod
 from xmodloop.exactseq import (
@@ -96,11 +95,11 @@ def apply_mutation(candidate, kind, location, value):
 
 def test_criterion_1_axiom_soundness():
     with criterion(1, "axiom soundness and mutation rejection"):
-        for x in fixtures.all_fixtures().values():
+        for x in all_fixtures().values():
             assert check_axioms(x) == []
         assert len(MUTATIONS) == 20
         for name, kind, location, value in MUTATIONS:
-            candidate = fixtures.all_fixtures()[name].to_candidate()
+            candidate = fixture(name).to_candidate()
             report = check_axioms(apply_mutation(candidate, kind, location, value))
             assert report, (name, kind, location)
             assert any(v.witness for v in report), (name, kind, location)
@@ -111,30 +110,30 @@ def test_criterion_2_loop_crossed_module_axioms():
         pairs = all_base_pairs()
         assert len(pairs) >= 18
         for name, a in pairs:
-            x = fixtures.all_fixtures()[name]
+            x = fixture(name)
             assert check_axioms(loop_xmod_at(x, a)) == [], (name, a)
 
 
 def test_criterion_3_loop_homotopy_endpoints():
     with criterion(3, "loop pi1/pi2 endpoint identities"):
         for name, a in all_base_pairs():
-            x = fixtures.all_fixtures()[name]
+            x = fixture(name)
             data = pi_loop(x, a)
             fixed = {k for k in kernel(x.delta) if x.act(k, a) == k}
             assert set(data.pi2.elements) == fixed, (name, a)
             seq = exact_sequence(x, a)
             assert len(seq.terms[3]) == len(seq.coinvariants) * len(seq.terms[4])
             assert set(image(seq.maps[3])) == set(seq.terms[4].elements)
-        mod32 = fixtures.mod32()
+        mod32 = fixture("mod32")
         assert len(pi_loop(mod32, "0").pi1) == 6
-        assert are_isomorphic(pi_loop(mod32, "1").pi1, fixtures.cyclic(2)) is not None
+        assert are_isomorphic(pi_loop(mod32, "1").pi1, cyclic(2)) is not None
         assert len(pi_loop(mod32, "1").pi2) == 1
 
 
 def test_criterion_4_components_match_conjugacy_classes():
     with criterion(4, "loop-space components count conjugacy classes"):
         expected = {"conj_s3": 3, "inc24": 2, "mod32": 2, "inn3": 2, "triv": 1}
-        for name, x in fixtures.all_fixtures().items():
+        for name, x in all_fixtures().items():
             classes = components(x)
             assert len(classes) == expected[name], name
             assert len(classes) == len(conjugacy_classes(homotopy(x).pi1)), name
@@ -143,7 +142,7 @@ def test_criterion_4_components_match_conjugacy_classes():
 def test_criterion_5_nerve_counts_and_closure():
     with criterion(5, "nerve counts, brute-force oracle, closure rule"):
         k2_expected = {"triv": 1, "conj_s3": 36, "inc24": 32, "mod32": 12, "inn3": 108}
-        for name, x in fixtures.all_fixtures().items():
+        for name, x in all_fixtures().items():
             k2 = nerve_k2(x)
             assert len(k2) == len(x.M) * len(x.P) ** 2 == k2_expected[name], name
             k3 = nerve_k3(x)
@@ -158,11 +157,11 @@ def test_criterion_5_nerve_counts_and_closure():
 
 def test_criterion_6_loop_groupoid_structure():
     with criterion(6, "loop groupoid model and the restriction isomorphism"):
-        for name, x in fixtures.all_fixtures().items():
+        for name, x in all_fixtures().items():
             gxm = loop_gpd_xmod(x)
             # re-validate every law from the object's own tables
             make_gxm(gxm.base, gxm.fibres, gxm.boundary, gxm.action)
-        for x in (fixtures.mod32(), fixtures.inc24()):
+        for x in (fixture("mod32"), fixture("inc24")):
             base = loop_gpd_xmod(x).base
             for u in base.morphisms:
                 _, _, b = u
@@ -171,13 +170,13 @@ def test_criterion_6_loop_groupoid_structure():
                     defined = base.compose(u, v) is not None
                     assert defined == (x.P.conj(b, p) == x.P.add(a, x.delta(m)))
         for name, a in all_base_pairs():
-            x = fixtures.all_fixtures()[name]
+            x = fixture(name)
             assert theta(x, a).is_isomorphism(), (name, a)
 
 
 def test_criterion_7_evaluation_fibration():
     with criterion(7, "evaluation map is a fibration with the stated fibre"):
-        for name, x in fixtures.all_fixtures().items():
+        for name, x in all_fixtures().items():
             data = fibration_psi(x)
             assert is_fibration(data.psi) == [], name
             expected_morphisms = {(m, x.P.identity, a)
@@ -191,14 +190,14 @@ def test_criterion_7_evaluation_fibration():
 def test_criterion_8_exact_sequences():
     with criterion(8, "five-term sequence exact at every node"):
         for name, a in all_base_pairs():
-            x = fixtures.all_fixtures()[name]
+            x = fixture(name)
             seq = exact_sequence(x, a)
             inclusion, connecting, j, q = seq.maps
             assert set(kernel(connecting)) == set(image(inclusion)), (name, a)
             assert set(kernel(j)) == set(image(connecting)), (name, a)
             assert set(kernel(q)) == set(image(j)), (name, a)
             assert set(image(q)) == set(seq.terms[4].elements), (name, a)
-        mod32 = fixtures.mod32()
+        mod32 = fixture("mod32")
         at_one = exact_sequence(mod32, "1")
         assert at_one.term_orders() == (1, 3, 3, 2, 2)
         assert at_one.maps[1].is_bijective()
@@ -211,29 +210,29 @@ def test_criterion_8_exact_sequences():
 
 def test_criterion_9_special_case_checks():
     with criterion(9, "module and central-base special cases"):
-        mod32 = fixtures.mod32()
+        mod32 = fixture("mod32")
         assert example1_check(mod32, "0") == []
         assert example1_check(mod32, "1") == []
         assert example2_check(mod32, "0") == []
         assert example2_check(mod32, "1") == []
-        inc24 = fixtures.inc24()
+        inc24 = fixture("inc24")
         for a in inc24.P:
             assert example2_check(inc24, a) == []
 
 
 def test_criterion_10_self_hosting(tmp_path, capsys):
     with criterion(10, "emitted loop crossed module re-parses and matches"):
-        fixture = fixtures.mod32()
+        mod32 = fixture("mod32")
         source = tmp_path / "mod32.json"
         from xmodloop.documents import serialize_xmod
 
-        source.write_text(serialize_xmod(fixture), encoding="utf-8")
+        source.write_text(serialize_xmod(mod32), encoding="utf-8")
         code = run_cli(["loop", str(source), "--base", "0", "--emit"])
         emitted = capsys.readouterr().out
         assert code == 0
         reparsed = parse_xmod(emitted)
         assert check_axioms(reparsed) == []
-        expected = pi_loop(fixture, "0")
+        expected = pi_loop(mod32, "0")
         data = homotopy(reparsed)
         assert are_isomorphic(data.pi1, expected.pi1) is not None
         assert are_isomorphic(data.pi2, expected.pi2) is not None

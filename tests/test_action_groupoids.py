@@ -9,9 +9,13 @@ broken action table must raise the witness of the plain full scan.
 
 import pytest
 
-from conftest import IDENTITY_MODULES, assert_loop_tables_match_brute_force, identity_module
+from conftest import (
+    IDENTITY_MODULES,
+    assert_loop_tables_match_brute_force,
+    fixture,
+    identity_module,
+)
 from test_certificates import outcome
-from xmodloop import fixtures
 from xmodloop.groupoids import action_groupoid
 from xmodloop.groups import semidirect_product
 from xmodloop.loop import loop_gpd_xmod
@@ -42,7 +46,7 @@ def scan_action(group, objects, act, morphisms):
 
 @pytest.mark.parametrize("name", ["inc24", "mod32", "inn3"])
 def test_every_single_entry_action_mutant_raises_the_full_scan_witness(name):
-    base = loop_gpd_xmod(fixtures.all_fixtures()[name]).base
+    base = loop_gpd_xmod(fixture(name)).base
     group, objects, morphisms = base.group, base.objects, base.morphisms
     assert scan_action(group, objects, base.act, morphisms) is None
     mutants = 0
@@ -67,7 +71,7 @@ def pair_table(group):
 def test_loop_group_differs_from_semidirect_product_only_for_nonabelian_m():
     # G adds (n, q) + (m, p) = (m + n^p, q + p); semidirect_product gives n^p + m
     for x, agree in ((identity_module(IDENTITY_MODULES["S3"], "S3"), False),
-                     (fixtures.mod32(), True), (fixtures.inc24(), True)):
+                     (fixture("mod32"), True), (fixture("inc24"), True)):
         G = loop_gpd_xmod(x).base.group
         twisted = semidirect_product(x.M, x.P, x.action)
         assert G.elements == twisted.elements

@@ -15,7 +15,8 @@ import math
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import written_out
+from bruteforce import make_groupoid
+from conftest import cyclic, fixture, written_out
 from test_orbit_properties import (
     PERMUTATION_GENERATORS,
     PROPERTY_SETTINGS,
@@ -23,9 +24,8 @@ from test_orbit_properties import (
     permutation_groups,
     sign,
 )
-from xmodloop import fixtures
 from xmodloop.errors import XModError
-from xmodloop.groupoids import as_groupoid_xmod, check_morphism, make_groupoid, make_gxm
+from xmodloop.groupoids import as_groupoid_xmod, check_morphism, make_gxm
 from xmodloop.groups import (
     _action_failures,
     _failures,
@@ -414,7 +414,7 @@ def test_translation_action_reports_additivity_like_full_scan(drawn):
 
 
 def test_action_of_trivial_actor_with_broken_identity_reports_every_failure():
-    one, c3 = fixtures.cyclic(1), fixtures.cyclic(3)
+    one, c3 = cyclic(1), cyclic(3)
     table = {("0", "0"): "1", ("1", "0"): "2", ("2", "0"): "0"}
     expected = scan_action(one, c3, table)
     assert {law for _, law, _ in expected} == {"identity", "composition", "additivity"}
@@ -422,8 +422,8 @@ def test_action_of_trivial_actor_with_broken_identity_reports_every_failure():
 
 
 def test_identity_broken_at_an_object_without_generators_reports_composition():
-    source = as_groupoid_xmod(fixtures.triv())  # one object, one morphism: no generators
-    target = as_groupoid_xmod(fixtures.inc24())
+    source = as_groupoid_xmod(fixture("triv"))  # one object, one morphism: no generators
+    target = as_groupoid_xmod(fixture("inc24"))
     assert source.base.generators == ()
     maps = ({"*": "*"}, {"0": "1"}, {"0": "0"})
     report = [(v.kind, v.witness) for v in check_morphism(source, target, *maps)]
@@ -435,7 +435,7 @@ def test_morphism_breaking_only_action_square_reports_each_failing_pair():
     # identities onto the same groups with the trivial action: delta = 0 and
     # C3 is abelian, so the target is a crossed module, and only the action
     # of "1" (inversion on C3) fails to square
-    x = fixtures.mod32()
+    x = fixture("mod32")
     source = as_groupoid_xmod(x)
     target = as_groupoid_xmod(make_xmod(x.M, x.P, x.delta, trivial_action(x.P, x.M)))
     maps = ({"*": "*"}, {u: u for u in x.P}, {m: m for m in x.M})
@@ -524,7 +524,7 @@ def test_parity_boundary_under_inversion_breaks_only_cm2_like_full_scan(drawn):
     # module, the parity map M -> C2 keeps CM1 and breaks CM2 at odd n, so
     # the failure can sit at a single fibre generator
     group, perm_of = drawn
-    c2 = fixtures.cyclic(2)
+    c2 = cyclic(2)
     inversion = group_action(c2, group, {(m, p): group.neg(m) if p != c2.identity else m
                                          for m in group for p in c2})
     zero = homomorphism(group, c2, {m: c2.identity for m in group})

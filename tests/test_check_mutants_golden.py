@@ -19,7 +19,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from xmodloop import fixtures
+from conftest import FIXTURE_NAMES
 from xmodloop.cli import run_cli
 from xmodloop.documents import load_document, serialize_document
 
@@ -29,7 +29,7 @@ GOLDEN = Path(__file__).parent / "check_mutants_golden.json"
 
 def mutants():
     """(id, candidate) for every entry of every fixture and every other value it can take."""
-    for name in fixtures.FIXTURE_NAMES:
+    for name in FIXTURE_NAMES:
         doc = load_document((FIXTURES_DIR / f"{name}.json").read_text(encoding="utf-8"))
         ms, ps = doc.m_elements, doc.p_elements
         entries = [(f"{table}[{i}][{j}]", (table, i, j), elements)

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from bruteforce import brute_pa
-from xmodloop import cli, fixtures
+from conftest import FIXTURE_NAMES, fixture
+from xmodloop import cli
 from xmodloop.cli import build_parser, run_cli
 from xmodloop.documents import parse_xmod
 from xmodloop.groups import are_isomorphic
@@ -28,7 +29,7 @@ def test_check_valid_fixture(capsys, fixture_path):
 
 
 def test_check_all_fixtures(capsys, fixture_path):
-    for name in fixtures.FIXTURE_NAMES:
+    for name in FIXTURE_NAMES:
         code, out, _ = invoke(capsys, "check", str(fixture_path(name)))
         assert code == 0, name
 
@@ -111,7 +112,7 @@ def test_loop_emit_self_hosts(capsys, fixture_path):
                           "--base", "0", "--emit")
     assert code == 0
     emitted = parse_xmod(out)
-    original = fixtures.mod32()
+    original = fixture("mod32")
     expected = pi_loop(original, "0")
     data = homotopy(emitted)
     assert are_isomorphic(data.pi1, expected.pi1) is not None
@@ -298,3 +299,15 @@ def test_one_parser_answers_a_sequence_as_fresh_processes_do(calls, codes, monke
 
 def test_build_parser_returns_a_new_parser_each_call():
     assert build_parser() is not build_parser()
+
+
+@pytest.mark.parametrize("text", ["[" * 200_000 + "]" * 200_000, "1" * 5000],
+                         ids=["nested-200000", "integer-5000-digits"])
+def test_undecodable_json_is_a_document_syntax_error(tmp_path, capsys, text):
+    # Python 3.11 raises RecursionError and ValueError (the digit limit) on these;
+    # where the digits parse, the top level is still not an object
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = invoke(capsys, "check", str(path))
+    assert code == 1
+    assert err.startswith("error: document syntax error") and "Traceback" not in err

@@ -13,7 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-from xmodloop import fixtures, nerve
+from conftest import all_fixtures
+from xmodloop import nerve
 from xmodloop.cli import run_cli
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
@@ -23,7 +24,7 @@ GOLDEN = Path(__file__).parent / "cli_golden.json"
 def golden_runs():
     """Every subcommand on every fixture, at every base, in text and json."""
     runs = []
-    for name, x in fixtures.all_fixtures().items():
+    for name, x in all_fixtures().items():
         argvs = [["check"], ["pi", "--space", "base"], ["components"]]
         argvs += [["nerve", "--dim", dim] + extra for dim in ("2", "3") for extra in ([], ["--list"])]
         for base in x.P.elements:
@@ -61,7 +62,7 @@ def test_nerve_dim3_count_builds_no_listing(monkeypatch):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     runs = [argv for argv in golden_runs()
             if argv[0] == "nerve" and argv[3] == "3" and "--list" not in argv]
-    assert len(runs) == 2 * len(fixtures.all_fixtures())
+    assert len(runs) == 2 * len(all_fixtures())
     assert all(digest(argv) == expected[" ".join(argv)] for argv in runs)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from xmodloop import fixtures
+from conftest import fixture
 from xmodloop.documents import (
     build_xmod,
     load_document,
@@ -71,21 +71,21 @@ def test_unknown_identifier_in_table():
 
 
 def test_unknown_identifier_in_delta():
-    doc = json.loads(serialize_xmod(fixtures.inc24()))
+    doc = json.loads(serialize_xmod(fixture("inc24")))
     doc["delta"]["1"] = "9"
     with pytest.raises(UnknownIdentifier):
         load_document(json.dumps(doc))
 
 
 def test_missing_action_entry_is_a_structure_error():
-    doc = json.loads(serialize_xmod(fixtures.mod32()))
+    doc = json.loads(serialize_xmod(fixture("mod32")))
     del doc["action"]["1"]["2"]
     with pytest.raises(DocumentSyntaxError):
         load_document(json.dumps(doc))
 
 
 def test_broken_action_law_carries_witness():
-    doc = json.loads(serialize_xmod(fixtures.mod32()))
+    doc = json.loads(serialize_xmod(fixture("mod32")))
     doc["action"]["1"]["1"] = "1"
     with pytest.raises(AxiomViolation) as info:
         build_xmod(load_document(json.dumps(doc)))
@@ -93,20 +93,44 @@ def test_broken_action_law_carries_witness():
 
 
 def test_broken_action_law_located_by_checker():
-    doc = json.loads(serialize_xmod(fixtures.mod32()))
+    doc = json.loads(serialize_xmod(fixture("mod32")))
     doc["action"]["1"]["1"] = "1"
     report = check_axioms(load_document(json.dumps(doc)))
     assert any(v.kind in ("action", "cm1", "cm2") for v in report)
 
 
 def test_unexpected_top_level_key_rejected():
-    doc = json.loads(serialize_xmod(fixtures.triv()))
+    doc = json.loads(serialize_xmod(fixture("triv")))
     doc["extra"] = 1
     with pytest.raises(DocumentSyntaxError):
         load_document(json.dumps(doc))
 
 
 def test_document_of_preserves_name():
-    doc = fixtures.mod32().to_candidate()
+    doc = fixture("mod32").to_candidate()
     assert doc.name == "mod32"
     assert doc.p_identity == "0"
+
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("P", "table", 1, 0), 5, "document syntax error: P.table[1][0] must be a string"),
+    (("P", "table", 1, 1), ["0"], "document syntax error: P.table[1][1] must be a string"),
+    (("P", "table", 1, 0), "zz", "unknown identifier 'zz' at P.table[1][0]"),
+    (("delta", "1"), 1, "document syntax error: delta['1'] must be a string"),
+    (("action", "1", "2"), None, "document syntax error: action['1'] is missing an entry for '2'"),
+], ids=["table-non-string", "table-list", "table-unknown", "delta-non-string", "action-missing"])
+def test_structure_errors_name_the_first_failing_entry(path, value, message):
+    # each broken entry comes after valid rows; None deletes the entry
+    doc = json.loads(serialize_xmod(fixture("mod32")))
+    *keys, last = path
+    entry = doc
+    for key in keys:
+        entry = entry[key]
+    if value is None:
+        del entry[last]
+    else:
+        entry[last] = value
+    with pytest.raises((DocumentSyntaxError, UnknownIdentifier)) as info:
+        load_document(json.dumps(doc))
+    assert str(info.value) == message

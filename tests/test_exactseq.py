@@ -1,8 +1,7 @@
 import pytest
 
 from bruteforce import brute_loop_gpd_tables
-from conftest import all_base_pairs, written_out
-from xmodloop import fixtures
+from conftest import all_base_pairs, all_fixtures, fixture, written_out
 from xmodloop.errors import PreconditionFailed
 from xmodloop.exactseq import (
     coinvariants,
@@ -64,7 +63,7 @@ def test_fibre_tables_are_the_p0_slice_of_label_arithmetic(any_xmod):
 
 
 def test_inc24_fibre_components_are_cosets():
-    data = fibration_psi(fixtures.inc24())
+    data = fibration_psi(fixture("inc24"))
     assert len(data.fibre.base.objects) == 4
     assert len(data.fibre.base.morphisms) == 8
     assert pi0(data.fibre) == [["0", "2"], ["1", "3"]]
@@ -86,11 +85,11 @@ def test_fixed_points_at_identity_is_all_of_pi(any_xmod):
 
 
 def test_fixed_points_of_mod32_inversion():
-    assert list(fixed_points(fixtures.mod32(), "1")) == ["0"]
+    assert list(fixed_points(fixture("mod32"), "1")) == ["0"]
 
 
 def test_fixed_points_trivial_when_pi_trivial():
-    x = fixtures.inc24()
+    x = fixture("inc24")
     for a in x.P:
         assert list(fixed_points(x, a)) == ["0"]
 
@@ -101,12 +100,12 @@ def test_coinvariants_at_identity_is_pi(any_xmod):
 
 
 def test_coinvariants_of_mod32_inversion_is_trivial():
-    assert len(coinvariants(fixtures.mod32(), "1")) == 1
+    assert len(coinvariants(fixture("mod32"), "1")) == 1
 
 
 def test_exact_sequence_holds_at_every_base_point():
     for name, a in all_base_pairs():
-        x = fixtures.all_fixtures()[name]
+        x = fixture(name)
         seq = exact_sequence(x, a)
         inclusion, connecting, j, q = seq.maps
         assert set(kernel(connecting)) == set(image(inclusion))
@@ -116,7 +115,7 @@ def test_exact_sequence_holds_at_every_base_point():
 
 
 def test_mod32_sequence_at_generator():
-    seq = exact_sequence(fixtures.mod32(), "1")
+    seq = exact_sequence(fixture("mod32"), "1")
     assert seq.term_orders() == (1, 3, 3, 2, 2)
     connecting = seq.maps[1]
     assert connecting.is_bijective()
@@ -126,7 +125,7 @@ def test_mod32_sequence_at_generator():
 
 
 def test_mod32_sequence_at_identity():
-    seq = exact_sequence(fixtures.mod32(), "0")
+    seq = exact_sequence(fixture("mod32"), "0")
     assert seq.term_orders() == (3, 3, 3, 6, 2)
     connecting = seq.maps[1]
     assert set(image(connecting)) == {"0"}
@@ -136,7 +135,7 @@ def test_mod32_sequence_at_identity():
 
 
 def test_inn3_sequence_collapses_to_centralizer():
-    x = fixtures.inn3()
+    x = fixture("inn3")
     for a in x.P:
         seq = exact_sequence(x, a)
         assert seq.term_orders() == (1, 1, 1, 2, 2)
@@ -145,7 +144,7 @@ def test_inn3_sequence_collapses_to_centralizer():
 
 def test_pi2_three_routes_coincide():
     for name, a in all_base_pairs():
-        x = fixtures.all_fixtures()[name]
+        x = fixture(name)
         from_loop = set(pi_loop(x, a).pi2.elements)
         from_fixed = set(fixed_points(x, a))
         gxm = loop_gpd_xmod(x)
@@ -155,14 +154,14 @@ def test_pi2_three_routes_coincide():
 
 def test_pi1_order_compression():
     for name, a in all_base_pairs():
-        x = fixtures.all_fixtures()[name]
+        x = fixture(name)
         seq = exact_sequence(x, a)
         assert len(seq.terms[3]) == len(seq.coinvariants) * len(seq.terms[4])
         assert seq.induced.is_injective()
 
 
 def test_pi0_tail_orbit_count():
-    for x in fixtures.all_fixtures().values():
+    for x in all_fixtures().values():
         data = homotopy(x)
         fib = fibration_psi(x)
         cosets = {frozenset(block) for block in pi0(fib.fibre)}
@@ -187,36 +186,36 @@ def test_pi0_tail_orbit_count():
 
 
 def test_example1_on_mod32_both_bases():
-    x = fixtures.mod32()
+    x = fixture("mod32")
     assert example1_check(x, "0") == []
     assert example1_check(x, "1") == []
 
 
 def test_example1_with_trivial_module():
-    x = fixtures.conj_s3()
+    x = fixture("conj_s3")
     for a in x.P:
         assert example1_check(x, a) == []
 
 
 def test_example1_rejects_nonzero_delta():
     with pytest.raises(PreconditionFailed):
-        example1_check(fixtures.inc24(), "0")
+        example1_check(fixture("inc24"), "0")
     with pytest.raises(PreconditionFailed):
-        example1_check(fixtures.inn3(), "e")
+        example1_check(fixture("inn3"), "e")
 
 
 def test_example2_on_mod32_and_inc24():
-    mod32 = fixtures.mod32()
+    mod32 = fixture("mod32")
     assert example2_check(mod32, "0") == []
     assert example2_check(mod32, "1") == []
-    inc24 = fixtures.inc24()
+    inc24 = fixture("inc24")
     for a in inc24.P:
         assert example2_check(inc24, a) == []
 
 
 def test_example2_rejects_noncentral_base():
     with pytest.raises(PreconditionFailed):
-        example2_check(fixtures.inn3(), "s")
+        example2_check(fixture("inn3"), "s")
 
 
 def test_example2_runs_at_identity_of_every_fixture(any_xmod):

@@ -15,16 +15,16 @@ groupoid's lookups written out (``conftest.written_out``).
 
 import pytest
 
-from conftest import written_out
-from xmodloop import fixtures
+from bruteforce import make_groupoid
+from conftest import fixture, written_out
 from xmodloop.errors import InvalidAction, InvalidGroupoid, InvalidGroupoidXMod
-from xmodloop.groupoids import check_morphism, make_groupoid, make_gxm
+from xmodloop.groupoids import check_morphism, make_gxm
 from xmodloop.loop import loop_gpd_xmod
 
 
 def multi_object_loop_gxm():
     """The loop groupoid of C2 -> C4: 4 objects, 32 morphisms, 2 components."""
-    gxm = loop_gpd_xmod(fixtures.inc24())
+    gxm = loop_gpd_xmod(fixture("inc24"))
     assert len(gxm.base.objects) == 4
     assert any(gxm.base.source(u) != gxm.base.target(u) for u in gxm.base.morphisms)
     return gxm

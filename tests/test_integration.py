@@ -1,8 +1,10 @@
 """End-to-end runs on crossed modules outside the standard fixture set."""
 
+from pathlib import Path
+
 import pytest
 
-from xmodloop import fixtures
+from conftest import cyclic, fixture
 from xmodloop.exactseq import (
     coinvariants,
     exact_sequence,
@@ -33,10 +35,9 @@ def inner_d4():
         return f"r{(xi - yi) % 4}"
 
     table = [[compose(a, b) for b in names] for a in names]
-    P = make_group(names, table, "r0", name="D4")
+    P = make_group(names, table, "r0")
     rotations = [f"r{i}" for i in range(4)]
-    M = make_group(rotations, [[f"r{(i + j) % 4}" for j in range(4)] for i in range(4)],
-                   "r0", name="C4")
+    M = make_group(rotations, [[f"r{(i + j) % 4}" for j in range(4)] for i in range(4)], "r0")
     delta = homomorphism(M, P, {m: m for m in M})
     act = group_action(P, M, {(m, p): P.conj(m, p) for m in M for p in P})
     return make_xmod(M, P, delta, act, name="inn4")
@@ -45,8 +46,8 @@ def inner_d4():
 @pytest.fixture(scope="module")
 def sign_module():
     """C3 as a module over S3 through the sign: reflections invert, rotations fix."""
-    M = fixtures.cyclic(3)
-    P = fixtures.sym3()
+    M = cyclic(3)
+    P = fixture("conj_s3").P
     delta = homomorphism(M, P, {m: "e" for m in M})
     inverts = {"s", "rs", "r2s"}
     table = {(m, p): (M.neg(m) if p in inverts else m) for m in M for p in P}
@@ -111,3 +112,14 @@ def test_sign_module_loop_axioms(sign_module):
     for a in x.P:
         assert check_axioms(loop_xmod_at(x, a)) == []
         assert theta(x, a).is_isomorphism()
+
+
+def test_readme_library_example_runs_as_written(monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(root)
+    names: dict = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert (len(names["data"].pi1), len(names["data"].pi2)) == (6, 3)
+    assert check_axioms(names["lx"]) == []

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_orbit_properties import permutations_generated, then
-from xmodloop import fixtures
+from conftest import all_fixtures
 from xmodloop.cli import run_cli
 from xmodloop.documents import dumps, load_document, serialize_document, serialize_xmod
 from xmodloop.groups import group_action, homomorphism, make_group
@@ -72,7 +72,7 @@ def former_serialization(text):
 
 
 def test_serialize_xmod_is_byte_identical_to_the_former_writer():
-    for name, x in fixtures.all_fixtures().items():
+    for name, x in all_fixtures().items():
         text = serialize_xmod(x)
         assert text == former_serialization(text), name
         for a in x.P:

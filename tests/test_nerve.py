@@ -3,7 +3,7 @@ import random
 import pytest
 
 from bruteforce import brute_is_simplex3, brute_k2, brute_k3
-from xmodloop import fixtures
+from conftest import fixture
 from xmodloop.errors import IndexOutOfRange, InternalInvariantBroken
 from xmodloop.groups import GroupAction
 from xmodloop.nerve import (
@@ -77,7 +77,7 @@ def test_faces_share_edges_consistently(any_xmod):
 
 
 def test_faces3_boundary_recomputation_on_inc24():
-    x = fixtures.inc24()
+    x = fixture("inc24")
     for s in nerve_k3(x)[:40]:
         for i, m in enumerate((s.m0, s.m1, s.m2, s.m3)):
             face = s.face(i)
@@ -86,7 +86,7 @@ def test_faces3_boundary_recomputation_on_inc24():
 
 
 def test_faces3_index_range():
-    s = nerve_k3(fixtures.triv())[0]
+    s = nerve_k3(fixture("triv"))[0]
     with pytest.raises(IndexOutOfRange):
         s.face(4)
     with pytest.raises(IndexOutOfRange):
@@ -94,7 +94,7 @@ def test_faces3_index_range():
 
 
 def test_trivial_crossed_module_has_single_simplices():
-    x = fixtures.triv()
+    x = fixture("triv")
     assert len(nerve_k2(x)) == 1
     (s3,) = nerve_k3(x)
     unique = nerve_k2(x)[0]
@@ -102,7 +102,7 @@ def test_trivial_crossed_module_has_single_simplices():
 
 
 def test_simplex2_membership_predicate():
-    x = fixtures.inc24()
+    x = fixture("inc24")
     assert is_simplex2(x, Simplex2("0", "0", "0", "0"))
     assert is_simplex2(x, Simplex2("1", "2", "0", "0"))
     assert not is_simplex2(x, Simplex2("1", "0", "0", "0"))
@@ -143,7 +143,7 @@ def _with_one_action_entry_moved(x):
 
 @pytest.mark.parametrize("name", ["inc24", "inn3"])
 def test_k3_recheck_is_live_on_the_listing_and_the_count(name):
-    broken = _with_one_action_entry_moved(getattr(fixtures, name)())
+    broken = _with_one_action_entry_moved(fixture(name))
     with pytest.raises(InternalInvariantBroken, match="solved 3-simplex"):
         nerve_k3(broken)
     with pytest.raises(InternalInvariantBroken, match="solved 3-simplex"):

@@ -100,8 +100,7 @@ def permutation_groups(draw, families, alphabet):
     perms = draw(st.permutations(permutations_generated(PERMUTATION_GENERATORS[family])))
     names = dict(zip(perms, draw(labels(len(perms), alphabet))))
     table = [[names[then(p, q)] for q in perms] for p in perms]
-    group = make_group([names[p] for p in perms], table, names[tuple(range(len(perms[0])))],
-                       name=family)
+    group = make_group([names[p] for p in perms], table, names[tuple(range(len(perms[0])))])
     return group, {name: p for p, name in names.items()}
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from xmodloop import fixtures
+from conftest import cyclic, fixture
 from xmodloop.errors import CM1Violation, CM2Violation, InvalidHomomorphism
 from xmodloop.groups import (
     group_action,
@@ -30,7 +30,7 @@ def test_candidate_roundtrip(any_xmod):
 
 def test_inn3_with_trivial_action_is_rejected():
     # strict assembly stops at the first broken rule (CM1 precedes CM2 here)
-    x = fixtures.inn3()
+    x = fixture("inn3")
     with pytest.raises((CM1Violation, CM2Violation)):
         make_xmod(x.M, x.P, x.delta, trivial_action(x.P, x.M))
 
@@ -38,7 +38,7 @@ def test_inn3_with_trivial_action_is_rejected():
 def test_inn3_with_trivial_action_reported_by_checker():
     # M = C3 is abelian, so trivialising the action leaves CM2 intact;
     # the scan finds the equivariance failure instead.
-    c = fixtures.inn3().to_candidate()
+    c = fixture("inn3").to_candidate()
     for p in c.p_elements:
         c.action[p] = {m: m for m in c.m_elements}
     report = check_axioms(c)
@@ -47,7 +47,7 @@ def test_inn3_with_trivial_action_reported_by_checker():
 
 
 def test_nonabelian_module_with_zero_boundary_breaks_cm2():
-    s3, c2 = fixtures.sym3(), fixtures.cyclic(2)
+    s3, c2 = fixture("conj_s3").P, cyclic(2)
     c = XModCandidate(
         m_elements=list(s3.elements),
         m_table=[[s3.add(a, b) for b in s3] for a in s3],
@@ -63,19 +63,19 @@ def test_nonabelian_module_with_zero_boundary_breaks_cm2():
 
 
 def test_delta_must_be_a_homomorphism():
-    c2, c4 = fixtures.cyclic(2), fixtures.cyclic(4)
+    c2, c4 = cyclic(2), cyclic(4)
     with pytest.raises(InvalidHomomorphism):
         homomorphism(c2, c4, {"0": "0", "1": "1"})
 
 
 def test_homotopy_of_inc24():
-    data = homotopy(fixtures.inc24())
+    data = homotopy(fixture("inc24"))
     assert len(data.pi1) == 2
     assert len(data.pi2) == 1
 
 
 def test_homotopy_of_mod32_has_inversion_action():
-    data = homotopy(fixtures.mod32())
+    data = homotopy(fixture("mod32"))
     assert len(data.pi1) == 2
     assert len(data.pi2) == 3
     generator = data.pi1.elements[1]
@@ -84,7 +84,7 @@ def test_homotopy_of_mod32_has_inversion_action():
 
 
 def test_homotopy_of_identity_crossed_module_is_trivial():
-    s3 = fixtures.sym3()
+    s3 = fixture("conj_s3").P
     delta = homomorphism(s3, s3, {g: g for g in s3})
     action = group_action(s3, s3, {(m, p): s3.conj(m, p) for m in s3 for p in s3})
     x = make_xmod(s3, s3, delta, action)
@@ -118,20 +118,20 @@ def test_pi1_action_independent_of_representative(any_xmod):
 
 
 def test_conj_fixture_is_valid_with_trivial_top():
-    x = fixtures.conj_s3()
+    x = fixture("conj_s3")
     assert check_axioms(x) == []
     assert len(homotopy(x).pi1) == 6
 
 
 def test_checker_catches_broken_group_table():
-    c = fixtures.inc24().to_candidate()
+    c = fixture("inc24").to_candidate()
     c.p_table[1][1] = "0"
     report = check_axioms(c)
     assert any(v.kind == "group:P" and v.witness for v in report)
 
 
 def test_checker_reports_missing_action_entry():
-    c = fixtures.mod32().to_candidate()
+    c = fixture("mod32").to_candidate()
     del c.action["1"]["2"]
     report = check_axioms(c)
     assert any(v.kind == "action" for v in report)
