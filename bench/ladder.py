@@ -1,6 +1,6 @@
 """Size ladder: time each stage on a fixed list of growing inputs.
 
-    python bench/ladder.py --out BENCH_14.json
+    python bench/ladder.py --out BENCH_16.json
 
 A rung names a group (``S5``) or a crossed module: ``id: G``, ``1 -> G``
 or ``N -> G``, the inclusion of a normal subgroup N of G with G acting
@@ -51,7 +51,7 @@ RUNGS = [
     ("make_group", "S6", True),
     *((stage, rung, True) for stage in ("loop_gpd_xmod", "theta", "fibration_psi")
       for rung in ("id: C4", "id: S3", "id: D4", "id: C10", "id: A4", "id: S4",
-                   "1 -> S5", "A4 -> S4")),
+                   "1 -> S5", "A4 -> S4", "id: A5", "1 -> S6")),
     # K3 on id: S4 has 191M simplices
     *((stage, rung, rung != "id: S4") for stage in ("nerve_k3", "nerve_k3_count")
       for rung in ("id: C4", "1 -> S4", "id: S3", "id: D4", "id: S4")),
@@ -127,7 +127,9 @@ def predicted(stage: str, rung: str) -> dict:
         return {"bases": p, "group_order": m * p}
     if stage == "fibration_psi":
         return {"morphisms": m * p * p, "fibre_morphisms": m * p}
-    return {"morphisms": m * p * p, "group_order": m * p, "fibre_action_entries": m * m * p * p}
+    # one fibre M: G's action on it, |G| x |M| entries, and the boundary, |P| x |M|
+    return {"morphisms": m * p * p, "group_order": m * p, "fibre_action_entries": m * p * m,
+            "boundary_entries": p * m}
 
 
 def run_stage(stage: str, rung: str) -> float:

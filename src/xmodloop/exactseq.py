@@ -1,10 +1,11 @@
 """The evaluation fibration, its fibre, and the five-term exact sequence.
 
 psi maps the loop groupoid model back onto the crossed module by
-psi_0(a) = *, psi_1(m, p, a) = p, psi_2(n, a) = n.  Its fibre has all of
-P as objects, the triples with middle coordinate 0 as morphisms, and the
-pairs with first coordinate 0 as fibre elements.  Writing pi = Ker(delta)
-and G = Cok(delta), each base element a yields the exact sequence
+psi_0(a) = *, psi_1(m, p, a) = p and psi_2 the identity of M.  Its fibre
+has all of P as objects, the triples with middle coordinate 0 as
+morphisms, and the trivial subgroup of M over each object.  Writing
+pi = Ker(delta) and G = Cok(delta), each base element a yields the exact
+sequence
 
     0 -> pi^a -> pi -> pi -> pi1(loop, a) -> C_a(G) -> 1
 
@@ -63,35 +64,26 @@ class FibrationData:
 def fibration_psi(x: CrossedModule) -> FibrationData:
     """Build psi, which must be a fibration, and its fibre, cut out by ``restrict``.
 
-    The fibre is the action groupoid of the pairs (m, 0) on P, with the
-    m = 0 pairs over each object.
+    psi is (m, p) -> p on the loop group G, every object to the one object
+    and the identity on M.  The fibre is the action groupoid of its
+    kernel, the pairs (m, 0), on P, with the trivial subgroup of M over
+    each object.
     """
     M, P = x.M, x.P
     gxm = loop_gpd_xmod(x)
-    target = as_groupoid_xmod(x)
-    mor_map = {(m, p, a): p for m, p, a in product(M, P, P)}
-    dim2_map = {(m, a): m for a in P for m in M}
-    obj_map = {a: target.base.objects[0] for a in P}
-    psi = make_gxm_morphism(gxm, target, obj_map, mor_map, dim2_map)
+    nM, nP = len(M), len(P)
+    # psi_1(m_i, p_j, a) = p_j on G's positions i |P| + j; psi_2 is the identity of M
+    group_map = [j for _ in range(nM) for j in range(nP)]
+    psi = make_gxm_morphism(gxm, as_groupoid_xmod(x), group_map, [0] * nP, list(range(nM)))
     report = is_fibration(psi)
     if report:
         raise InternalInvariantBroken(f"psi is not a fibration: {report[0]}",
                                       report[0].witness)
 
-    fibre_morphisms = [u for u in gxm.base.morphisms if psi.mor_map[u] == P.identity]
-    shape = {(m, P.identity, a) for m in M for a in P}
-    if set(fibre_morphisms) != shape:
-        raise InternalInvariantBroken("fibre morphisms are not the p = 0 triples",
-                                      tuple(sorted(set(fibre_morphisms) ^ shape)))
-    fibre_elements = {a: [m for m in gxm.fibres[a] if psi.dim2_map[m] == M.identity]
-                      for a in P}
-    dim2_shape = {(M.identity, a) for a in P}
-    if {m for elems in fibre_elements.values() for m in elems} != dim2_shape:
-        raise InternalInvariantBroken("fibre dim-2 part is not the m = 0 pairs", ())
-    fibres = {a: subgroup(gxm.fibres[a], elems).as_group() for a, elems in fibre_elements.items()}
-    # the p = 0 morphisms are the arrows of the pairs (m, 0), acting by a -> a + delta(m)
-    kernel_pairs = [(m, P.identity) for m in M]
-    return FibrationData(psi, restrict(gxm, kernel_pairs, fibres))
+    # the kernel of psi_1, the pairs (m, 0), acts on P by a -> a + delta(m)
+    G, e = gxm.base.group, P._index[P.identity]
+    kernel_pairs = [G.elements[g] for g, j in enumerate(psi.group_map) if j == e]
+    return FibrationData(psi, restrict(gxm, kernel_pairs, P, [M.identity]))
 
 
 def fixed_points(x: CrossedModule, a: str) -> Subgroup:

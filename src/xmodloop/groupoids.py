@@ -5,9 +5,9 @@ q: y -> z the composite p + q: x -> z is defined exactly when
 target(p) = source(q).  Every groupoid the library builds is an action
 groupoid, and every law holds over every composable tuple.
 
-Representation.  A ``FiniteGroupoid`` is a validated ``FiniteGroup`` G,
-its objects X and an integer table of |G| x |X| entries: ``act[i][k]``
-is the position of g_i . x_k.  The morphism at position i |X| + k is the
+Groupoids.  A ``FiniteGroupoid`` is a validated ``FiniteGroup`` G, its
+objects X and an integer table of |G| x |X| entries: ``act[i][k]`` is
+the position of g_i . x_k.  The morphism at position i |X| + k is the
 arrow (g_i, x_k): g_i . x_k -> x_k.  Source, target, composite, identity
 and inverse are lookups in G's tables and in ``act``:
 
@@ -18,33 +18,60 @@ The identity, inverse and associativity laws follow from G's group laws.
 What is left is the action law (h + g) . x = h . (g . x), which makes
 each composite start where its first factor does, and 0 . x = x.
 ``action_groupoid`` checks 0 . x = x at every object and proves the
-action law from G's generators through ``groups._failures``; only when
-that proof fails does it scan every (h, g, x).  So the verdict covers
-every tuple.  ``action_groupoid`` is the only groupoid constructor.
-``restrict`` cuts out a subgroup of G together with a set of objects it
-leaves invariant, such as the source of ``loop.theta`` (one object and
-its stabiliser) or the fibre of ``exactseq.fibration_psi``.
+action law from G's generators S_G through ``groups._failures``: |S_G|
+|G| rows of |X| entries.  Only when that proof fails does it scan every
+(h, g, x).  It is the only groupoid constructor.
 
-Cost.  The action law costs |S_G| |G| rows of |X| entries, for G's
-generators S_G.  Closing the identities under x -> x + s for the arrows
-s = (t, y), t in S_G, reaches every morphism, so these |S_G| |X| arrows
-are the groupoid's ``generators``.  ``make_gxm`` and ``check_morphism``
-prove each law closed under composition from them, through
-``groups._failures``: action composition and the ``composition`` law
-of a morphism at the |G| arrows into each generator (``before``),
-additivity at every pair of fibre elements and CM1 and
-``action-square`` at every fibre element, for each generator; CM2,
-``boundary-hom`` and ``dim2-hom`` at each fibre's generators and 0.
-``make_gxm`` checks its action table in one pass over the expected
-keys, which also builds the rows of fibre positions that the
-composition and additivity laws compare; only a table that fails it
-runs the ordered searches that pick the witness in the table's own
-order.  Only ``make_gxm_morphism`` builds a ``GXModMorphism``, after the
-laws hold: ``is_fibration`` does not recheck them.
+Crossed modules.  The fibre at every object is one group M, and the
+arrow (g, x) acts on it by m -> m^g whatever x is.  So a ``GroupoidXMod``
+is M, G's action on M as a |G| x |M| table of positions (``act[i][t]``
+is m_t^(g_i)) and the boundary as a |X| x |M| table of positions in G
+(d_(x_k)(m_t) is the arrow (g, x_k) for g at ``boundary[k][t]``).
+``make_gxm`` checks, in order, with S_G and S_M the generators of G and M:
+
+- ``boundary-vertex`` (each d_x(m) is an arrow x -> x) and
+  ``boundary-hom`` (from S_M and 0: |X| |M| (|S_M| + 1) checks);
+- the action: m^0 = m, then ``composition`` (m^g)^h = m^(g + h).  The h
+  for which it holds contain 0 and are closed under +, since
+  (m^g)^(h1 + h2) = ((m^g)^h1)^h2 = (m^(g + h1))^h2 = m^(g + h1 + h2), so
+  h in S_G suffices: |S_G| |G| rows of |M|.  Then ``additivity``: given
+  composition, m -> m^(g + s) is m -> m^g then m -> m^s, so it is
+  checked for g in S_G;
+- CM1, d_x(m^g) = -g + d_(g.x)(m) + g: it holds at g = 0, and at g + s if
+  at g and s, by composition and the action law on X:
+  d_x(m^(g+s)) = -s + d_(s.x)(m^g) + s = -(g+s) + d_((g+s).x)(m) + (g+s),
+  so it is proved for each generator of G and each object: |S_G| |X| rows;
+- CM2, m^d_x(n) = -n + m + n: it holds for n = 0, and for n + s if for n
+  and s, by boundary-hom and composition: m^d(n+s) = (m^d(n))^d(s) =
+  -s + (-n + m + n) + s, so it is proved for each object at S_M: |X| |S_M|
+  rows.  Each proof runs after the laws it uses; only a failing proof runs
+  the full scan that picks the first witness (``groups._failures``).
+
+Restriction.  ``restrict`` cuts out a subgroup H of G, objects X' and a
+subgroup N of M.  Each law of the piece is a law of the whole at
+elements of the piece, so the piece keeps every law as long as its
+tables stay inside it: H is closed under + and -, H maps X' and N into
+themselves, and each d_x(N), x in X', lies in H (and in the stabiliser
+of x, so in the piece's vertex group).  ``restrict`` checks only these
+and validates no law again.  The source of ``loop.theta`` (one object,
+its stabiliser and M) and the fibre of ``exactseq.fibration_psi`` (the
+pairs (m, 0), every object and N = 0) are restrictions.
+
+Morphisms.  A ``GXModMorphism`` is three maps of positions: f: G -> G',
+f0: X -> X' and f2: M -> M', sending (g, x) to (f(g), f0(x)).
+``check_morphism`` proves f and f2 homomorphisms from generators, then
+f0 equivariant, f0(g . x) = f(g) . f0(x) (closed under + once f is, so
+checked for g in S_G), the boundary square f(d_x(m)) = d'_(f0 x)(f2 m)
+at S_M (both sides are homomorphisms in m) and the action square
+f2(m^g) = f2(m)^f(g) for g in S_G (f2(m^(g+s)) = f2(m^g)^f(s) =
+f2(m)^(f(g) + f(s))).  Only ``make_gxm_morphism`` builds one, so
+``is_fibration`` checks only surjectivity: the star at a maps onto the
+star at f0(a) exactly when f is onto G', and f2 must be onto M'.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -63,6 +90,7 @@ from .groups import (
     FiniteGroup,
     Homomorphism,
     _additive_failures,
+    _cut,
     _failures,
     _partition,
     homomorphism,
@@ -70,9 +98,8 @@ from .groups import (
     kernel,
     make_group,
     quotient,
-    subgroup,
 )
-from .xmod import CrossedModule
+from .xmod import CrossedModule, _positions
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,15 +166,6 @@ class FiniteGroupoid:
         return [self.morphisms[p] for p in sorted(inv[i] * n + row[k]
                                                   for i, row in enumerate(self.act))]
 
-    def before(self, v) -> list:
-        """The pairs (u, u + v) for every u with target source(v), in morphism order.
-
-        For v = (h, z) these are u = (g, h . z) and u + v = (g + h, z), g in G.
-        """
-        j, z = self._arrow(v)
-        n, y, ms = len(self.objects), self.act[j][z], self.morphisms
-        return [(ms[i * n + y], ms[row[j] * n + z]) for i, row in enumerate(self.group._table)]
-
     def stabiliser(self, x) -> list:
         """The elements g of the group with g . x = x, in group order."""
         k = self._object(x)
@@ -157,6 +175,27 @@ class FiniteGroupoid:
         """The morphisms x -> x, in morphism order: (g, x) for g in the stabiliser of x."""
         k, n = self._object(x), len(self.objects)
         return [self.morphisms[i * n + k] for i, row in enumerate(self.act) if row[k] == k]
+
+
+def _first_failure(sides, scan, proof):
+    """(t, i): the first tuple t of scan whose rows sides(*t) differ, and where; or None.
+
+    Nothing is scanned when the rows agree at every tuple of ``proof``
+    (``groups._failures``).
+    """
+    for t in _failures(lambda *t: operator.eq(*sides(*t)), scan, proof):
+        return t, next(i for i, (a, b) in enumerate(zip(*sides(*t))) if a != b)
+    return None
+
+
+def _groupoid(group: FiniteGroup, objects: tuple, act: list, morphisms: tuple) -> FiniteGroupoid:
+    """The action groupoid on tables whose laws already hold."""
+    n, nx = len(group), len(objects)
+    gens = [group._index[s] for s in group.generators]
+    return FiniteGroupoid(group, objects, morphisms, act,
+                          tuple(morphisms[s * nx + z] for s in gens for z in range(nx)),
+                          dict(zip(morphisms, product(range(n), range(nx)))),
+                          {x: i for i, x in enumerate(objects)})
 
 
 def action_groupoid(group: FiniteGroup, objects, act, morphisms) -> FiniteGroupoid:
@@ -194,37 +233,16 @@ def action_groupoid(group: FiniteGroup, objects, act, morphisms) -> FiniteGroupo
         if s != j:
             raise InvalidGroupoid("identity-missing", (objects[j],))
 
-    def acts(h: int, g: int) -> bool:
-        """(h + g) . x = h . (g . x) for every x, one whole row at a time."""
-        row_h = act[h]
-        return [row_h[s] for s in act[g]] == act[table[h][g]]
+    def acts(h: int, g: int):  # h . (g . x) and (h + g) . x, for every x
+        return list(map(act[h].__getitem__, act[g])), act[table[h][g]]
 
     gens = [group._index[s] for s in group.generators]
-    for h, g in _failures(acts, product(range(n), range(n)), product(gens, range(n))):
-        row_h, row_hg = act[h], act[table[h][g]]
-        z = next(z for z, y in enumerate(act[g]) if row_h[y] != row_hg[z])
+    failure = _first_failure(acts, product(range(n), range(n)), product(gens, range(n)))
+    if failure:
+        (h, g), z = failure
         raise InvalidGroupoid("composition-endpoints", (morphisms[h * nx + act[g][z]],
                               morphisms[g * nx + z], morphisms[table[h][g] * nx + z]))
-    return FiniteGroupoid(group, objects, morphisms, act,
-                          tuple(morphisms[s * nx + z] for s in gens for z in range(nx)),
-                          dict(zip(morphisms, product(range(n), range(nx)))),
-                          {x: i for i, x in enumerate(objects)})
-
-
-_MISSING = object()  # what a table gives for a key it lacks; no label equals it
-
-
-def _composable(base: FiniteGroupoid):
-    """Every composable (u, v, u + v): u in morphism order, then v in star order."""
-    stars = {x: base.star(x) for x in base.objects}
-    for u in base.morphisms:
-        for v in stars[base.target(u)]:
-            yield u, v, base.compose(u, v)
-
-
-def _composites_of_generators(base: FiniteGroupoid):
-    """(u, s, u + s) for each generator s and each u ending where s starts."""
-    return ((u, s, w) for s in base.generators for u, w in base.before(s))
+    return _groupoid(group, objects, act, morphisms)
 
 
 def vertex_group(groupoid: FiniteGroupoid, x: str) -> FiniteGroup:
@@ -236,141 +254,93 @@ def vertex_group(groupoid: FiniteGroupoid, x: str) -> FiniteGroup:
 
 @dataclass(frozen=True, eq=False)
 class GroupoidXMod:
-    """A crossed module over a groupoid: per-object fibres, boundary, action.
+    """A crossed module over an action groupoid, with one fibre group M over every object.
 
-    Fibre element labels are globally distinct, so the boundary and the
-    action can be stored as flat tables.
+    Its tables are described in the module docstring; build one with ``make_gxm``.
     """
 
     base: FiniteGroupoid
-    fibres: dict
-    boundary: dict
-    action: dict  # (m, u) -> element of the fibre at target(u), m in the fibre at source(u)
-    object_of: dict
+    fibre: FiniteGroup  # M, the fibre over every object
+    act: list  # act[i][t] = position of m_t^(g_i) in M
+    boundary: list  # boundary[k][t] = position in G of the group part of d_(x_k)(m_t)
 
-    def fibre_at(self, x: str) -> FiniteGroup:
-        group = self.fibres.get(x)
-        if group is None:
-            raise UnknownObject(x)
-        return group
-
-    def all_fibre_elements(self) -> list[str]:
-        return [m for x in self.base.objects for m in self.fibres[x]]
+    @property
+    def fibres(self) -> dict:
+        """The fibre over each object, which is M over every object."""
+        return dict.fromkeys(self.base.objects, self.fibre)
 
 
-def make_gxm(base: FiniteGroupoid, fibres: dict, boundary: dict, action: dict) -> GroupoidXMod:
-    """Assemble a crossed module over a groupoid, checking every law.
+def make_gxm(base: FiniteGroupoid, fibre: FiniteGroup, act, boundary) -> GroupoidXMod:
+    """Assemble a crossed module over an action groupoid, checking every law.
 
-    Each law closed under composition is proved from generators (see
-    ``groups._right_generators``) and scanned in full, to raise the same
-    first witness as before, only when that proof fails (``_failures``).
-    The boundary is a homomorphism once it respects every generator of
-    the fibre and 0.  Action composition holds once it holds for v in the
-    base's generators, and then additivity once each generator acts
-    additively; both compare whole rows of fibre positions.  CM1 and CM2
-    come last, after every premise of their proofs (the identity laws,
-    boundary-hom and composition):
-
-    - CM1 holds at identities, and at u + s if it holds at u and s:
-      d(m^(u+s)) = -s + d(m^u) + s = -s - u + d(m) + u + s = -(u+s) + d(m) + (u+s).
-    - CM2 holds for n = 0, and for n + s if it holds for n and s:
-      m^d(n+s) = (m^d(n))^d(s) = -s + (-n + m + n) + s = -(n+s) + m + (n+s).
-    So s runs over the base's generators for CM1 and each fibre's for CM2.
+    ``act`` has a row of |M| positions in M per element of G and
+    ``boundary`` a row of |M| positions in G per object; a table of the
+    wrong shape fails ``boundary-missing`` or ``action-domain``, and an
+    action entry outside M ``action-codomain``.  The laws, their order and
+    their proofs are in the module docstring.
     """
-    if set(fibres) != set(base.objects):
-        raise InvalidGroupoidXMod("fibre-per-object", (tuple(fibres),))
-    object_of: dict[str, str] = {}
-    for x in base.objects:
-        for m in fibres[x]:
-            if m in object_of:
-                raise InvalidGroupoidXMod("fibre-name-clash", (m, object_of[m], x))
-            object_of[m] = x
-    source, target, compose = base.source, base.target, base.compose
+    G, M, objects, ms = base.group, fibre, base.objects, base.morphisms
+    gt, xact, mt, minv = G._table, base.act, M._table, M._inv
+    n, nx, nm = len(G), len(objects), len(M)
+    mlabel, glabel, arrows = M.elements, G.elements, range(len(G))
+    boundary = [list(row) for row in boundary]
+    if len(boundary) != nx or any(len(row) != nm for row in boundary):
+        raise InvalidGroupoidXMod("boundary-missing", (len(boundary), nx, nm))
+    for k, row in enumerate(boundary):
+        for t, g in enumerate(row):
+            if g not in arrows or xact[g][k] != k:
+                raise InvalidGroupoidXMod("boundary-vertex", (
+                    mlabel[t], objects[k], ms[g * nx + k] if g in arrows else g))
+        for m, m2 in _additive_failures(M, dict(zip(mlabel, row)), lambda g, h: gt[g][h]):
+            raise InvalidGroupoidXMod("boundary-hom", (objects[k], m, m2))
+    act = [list(row) for row in act]
+    if len(act) != n or any(len(row) != nm for row in act):
+        raise InvalidGroupoidXMod("action-domain", (len(act), n, nm))
+    points = set(range(nm))
+    for i, row in enumerate(act):
+        if not points.issuperset(row):
+            t = next(t for t, v in enumerate(row) if v not in points)
+            raise InvalidGroupoidXMod("action-codomain", (mlabel[t], glabel[i], row[t]))
+    for t, v in enumerate(act[G._index[G.identity]]):
+        if v != t:
+            raise InvalidAction("identity", (mlabel[t],))
+    gens, every = [G._index[s] for s in G.generators], range(nm)
 
-    def cm1(m, u) -> bool:
-        return boundary[action[(m, u)]] == compose(compose(base.inverse(u), boundary[m]), u)
+    def composition(g, h):  # (m^g)^h and m^(g + h), for every m
+        return list(map(act[h].__getitem__, act[g])), act[gt[g][h]]
 
-    def cm2(m, n) -> bool:
-        return fibres[object_of[m]].conj(m, n) == action[(m, boundary[n])]
+    failure = _first_failure(composition, product(arrows, arrows), product(arrows, gens))
+    if failure:
+        (g, h), t = failure
+        raise InvalidAction("composition", (mlabel[t], glabel[g], glabel[h]))
 
-    for x in base.objects:
-        group = fibres[x]
-        for m in group:
-            value = boundary.get(m)
-            if value is None:
-                raise InvalidGroupoidXMod("boundary-missing", (m,))
-            if value not in base or source(value) != x or target(value) != x:
-                raise InvalidGroupoidXMod("boundary-vertex", (m, value))
-        for m, n in _additive_failures(group, boundary, compose):
-            raise InvalidGroupoidXMod("boundary-hom", (m, n))
+    def additivity(g, t):  # (m_t + n)^g and m_t^g + n^g, for every n
+        return list(map(act[g].__getitem__, mt[t])), list(map(mt[act[g][t]].__getitem__, act[g]))
 
-    def action_error() -> InvalidGroupoidXMod:
-        # The witness is never taken in set order, which would make it
-        # depend on the hash seed.
-        def keys():
-            return ((m, u) for u in base.morphisms for m in fibres[source(u)])
+    failure = _first_failure(additivity, product(arrows, every), product(gens, every))
+    if failure:
+        (g, t), u = failure
+        raise InvalidAction("additivity", (mlabel[t], mlabel[u], glabel[g]))
 
-        if (len(action) != sum(len(fibres[source(u)]) for u in base.morphisms)
-                or not all(map(action.__contains__, keys()))):
-            expected = set(keys())
-            extra = [key for key in action if key not in expected][:1]
-            return InvalidGroupoidXMod("action-domain", extra[0] if extra else
-                                       next(key for key in keys() if key not in action))
-        return next(InvalidGroupoidXMod("action-codomain", (m, u, value))
-                    for (m, u), value in action.items() if value not in fibres[target(u)])
+    def cm1(g, k):  # d_x(m^g) and -g + d_(g.x)(m) + g at x = x_k, for every m
+        neg = gt[G._inv[g]]
+        return (list(map(boundary[k].__getitem__, act[g])),
+                [gt[neg[b]][g] for b in boundary[xact[g][k]]])
 
-    # One pass over the expected keys; only a failing table runs action_error.
-    # rows[u][i] is the position of m_i^u in the fibre at target(u), for the
-    # i-th element m_i of the fibre at source(u): the action laws below
-    # compare whole rows of positions.
-    rows = {}
-    for u in base.morphisms:
-        index = fibres[target(u)]._index
-        row = [index.get(action.get((m, u), _MISSING)) for m in fibres[source(u)]]
-        if None in row:
-            raise action_error()
-        rows[u] = row
-    if len(action) != sum(map(len, rows.values())):
-        raise action_error()
-    for x in base.objects:
-        row = rows[base.identity(x)]
-        for i in range(len(row)):
-            if row[i] != i:
-                raise InvalidAction("identity", (fibres[x].elements[i], x))
+    failure = _first_failure(cm1, product(arrows, range(nx)), product(gens, range(nx)))
+    if failure:
+        (g, k), t = failure
+        raise CM1Violation(mlabel[t], ms[g * nx + k])
 
-    def composes(u, v, w) -> bool:
-        """(m^u)^v = m^w for every m, where w = u + v."""
-        row_v = rows[v]
-        return [row_v[i] for i in rows[u]] == rows[w]
+    def cm2(k, u):  # m^d_x(n) and -n + m + n at x = x_k and n = m_u, for every m
+        return act[boundary[k][u]], [mt[v][u] for v in mt[minv[u]]]
 
-    for u, v, w in _failures(composes, _composable(base), _composites_of_generators(base)):
-        row_v, row_uv = rows[v], rows[w]
-        i = next(i for i, j in enumerate(rows[u]) if row_v[j] != row_uv[i])
-        raise InvalidAction("composition", (fibres[source(u)].elements[i], u, v))
-
-    def additive(u, i) -> bool:
-        """(m_i + n)^u = m_i^u + n^u for every n."""
-        row = rows[u]
-        image = fibres[target(u)]._table[row[i]]
-        return [row[k] for k in fibres[source(u)]._table[i]] == [image[j] for j in row]
-
-    # given composition, additivity at each generator s gives it at u + s
-    scan = ((u, i) for u in base.morphisms for i in range(len(rows[u])))
-    proof = ((s, i) for s in base.generators for i in range(len(rows[s])))
-    for u, i in _failures(additive, scan, proof):
-        row, group = rows[u], fibres[source(u)]
-        image = fibres[target(u)]._table[row[i]]
-        j = next(j for j, k in enumerate(group._table[i]) if row[k] != image[row[j]])
-        raise InvalidAction("additivity", (group.elements[i], group.elements[j], u))
-    scan = ((m, u) for u in base.morphisms for m in fibres[source(u)])
-    proof = ((m, s) for s in base.generators for m in fibres[source(s)])
-    for m, u in _failures(cm1, scan, proof):
-        raise CM1Violation(m, u)
-    scan = ((m, n) for x in base.objects for m, n in product(fibres[x], repeat=2))
-    proof = ((m, s) for x in base.objects for m, s in product(fibres[x], fibres[x].generators))
-    for m, n in _failures(cm2, scan, proof):
-        raise CM2Violation(m, n)
-    return GroupoidXMod(base, dict(fibres), dict(boundary), dict(action), object_of)
+    gens_m = [M._index[s] for s in M.generators]
+    failure = _first_failure(cm2, product(range(nx), every), product(range(nx), gens_m))
+    if failure:
+        (_, u), t = failure
+        raise CM2Violation(mlabel[t], mlabel[u])
+    return GroupoidXMod(base, M, act, boundary)
 
 
 def pi0(gxm: GroupoidXMod) -> list[list[str]]:
@@ -386,9 +356,10 @@ def pi0(gxm: GroupoidXMod) -> list[list[str]]:
 
 
 def _boundary_hom(gxm: GroupoidXMod, x: str) -> Homomorphism:
-    fibre = gxm.fibre_at(x)
-    vertex = vertex_group(gxm.base, x)
-    return homomorphism(fibre, vertex, {m: gxm.boundary[m] for m in fibre})
+    base = gxm.base
+    k, nx = base._object(x), len(base.objects)
+    mapping = {m: base.morphisms[g * nx + k] for m, g in zip(gxm.fibre, gxm.boundary[k])}
+    return homomorphism(gxm.fibre, vertex_group(base, x), mapping)
 
 
 def pi1_at(gxm: GroupoidXMod, x: str) -> FiniteGroup:
@@ -399,40 +370,53 @@ def pi1_at(gxm: GroupoidXMod, x: str) -> FiniteGroup:
 
 
 def pi2_at(gxm: GroupoidXMod, x: str) -> FiniteGroup:
-    """Kernel of the boundary at x."""
+    """Kernel of the boundary at x, a subgroup of M."""
     delta = _boundary_hom(gxm, x)
     return kernel(delta).as_group()
 
 
-def restrict(gxm: GroupoidXMod, elements, fibres: dict) -> GroupoidXMod:
-    """The piece of gxm on a subgroup of its base group and the objects of fibres.
+def _slice(rows, columns, local, error) -> list[list[int]]:
+    """Each row at ``columns``, renumbered by ``local``; raises error(r, c) at the first miss."""
+    cut = []
+    for r, row in enumerate(rows):
+        values = [local.get(row[c]) for c in columns]
+        if None in values:
+            raise error(r, columns[values.index(None)])
+        cut.append(values)
+    return cut
 
-    ``elements`` must form a subgroup H of ``gxm.base.group`` (``subgroup``
-    checks it, and keeps H in the group's order), and H must map the
-    objects of ``fibres`` into themselves (law ``objects-invariant``).
-    The piece is the action groupoid of H on those objects, in the order
-    of ``fibres``, with fibres[x], a subgroup of gxm's fibre at x, over
-    each x.  Its morphisms keep their labels, in gxm's order.  The boundary
-    and the action are sliced per kept morphism and fibre element, and
-    ``make_gxm`` checks each law of the piece once.
+
+def restrict(gxm: GroupoidXMod, elements, objects, fibre) -> GroupoidXMod:
+    """The piece of gxm on a subgroup H of its base group, some objects and a subgroup N of M.
+
+    ``elements`` and ``fibre`` must be closed under - and + (``NotClosed``),
+    and H must map ``objects`` into themselves (``objects-invariant``), N
+    into itself (``action-codomain``) and each d_x(N) into H
+    (``boundary-vertex``).  The piece is H acting on ``objects``, in that
+    order; its morphisms keep their labels, in gxm's order.  When N is M
+    the piece's fibre is gxm's.  No law is validated again.
     """
-    base = gxm.base
-    group = subgroup(base.group, elements).as_group()
-    objects = tuple(fibres)
+    base, M, nx = gxm.base, gxm.fibre, len(gxm.base.objects)
+    group, parent = _cut(base.group, elements)
+    objects = tuple(objects)
     kept = [base._object(x) for x in objects]
-    position = {k: r for r, k in enumerate(kept)}
-    n, parent = len(base.objects), [base.group.index(g) for g in group]
-    act = []
-    for g, i in zip(group, parent):
-        moved = [position.get(base.act[i][k]) for k in kept]
-        if None in moved:
-            raise InvalidGroupoid("objects-invariant", (g, objects[moved.index(None)]))
-        act.append(moved)
-    morphisms = [base.morphisms[i * n + k] for i in parent for k in kept]
-    piece = action_groupoid(group, objects, act, morphisms)
-    boundary = {m: gxm.boundary.get(m) for fibre in fibres.values() for m in fibre}
-    action = {(m, u): gxm.action.get((m, u)) for u in morphisms for m in fibres[piece.source(u)]}
-    return make_gxm(piece, fibres, boundary, action)
+    if len(set(kept)) != len(kept):
+        raise InvalidGroupoid("objects-distinct", (objects,))
+    act = _slice([base.act[i] for i in parent], kept, {k: r for r, k in enumerate(kept)},
+                 lambda r, k: InvalidGroupoid("objects-invariant",
+                                              (group.elements[r], base.objects[k])))
+    piece = _groupoid(group, objects, act,
+                      tuple(base.morphisms[i * nx + k] for i in parent for k in kept))
+    sub, inside = _cut(M, fibre)
+    acts = [gxm.act[i] for i in parent]
+    sub_act = _slice(acts, inside, {t: r for r, t in enumerate(inside)}, lambda r, t: (
+        InvalidGroupoidXMod("action-codomain", (M.elements[t], group.elements[r],
+                                                M.elements[acts[r][t]]))))
+    bounds = [gxm.boundary[k] for k in kept]
+    sub_boundary = _slice(bounds, inside, {i: r for r, i in enumerate(parent)}, lambda r, t: (
+        InvalidGroupoidXMod("boundary-vertex", (M.elements[t], objects[r],
+                                                base.morphisms[bounds[r][t] * nx + kept[r]]))))
+    return GroupoidXMod(piece, M if len(inside) == len(M) else sub, sub_act, sub_boundary)
 
 
 def as_groupoid_xmod(x: CrossedModule) -> GroupoidXMod:
@@ -442,139 +426,147 @@ def as_groupoid_xmod(x: CrossedModule) -> GroupoidXMod:
     action is x's.  Each law of the result is then a law of x, which
     ``make_xmod`` validated, so only the base's own check runs.
     """
-    obj = "*"
-    base = action_groupoid(x.P, (obj,), [[0] for _ in x.P], x.P.elements)
-    boundary = {m: x.delta(m) for m in x.M}
-    action = {(m, p): x.act(m, p) for m in x.M for p in x.P}
-    return GroupoidXMod(base, {obj: x.M}, boundary, action, {m: obj for m in x.M})
+    act, d = _positions(x)
+    base = action_groupoid(x.P, ("*",), [[0] for _ in x.P], x.P.elements)
+    return GroupoidXMod(base, x.M, [list(column) for column in zip(*act)], [d])
 
 
 @dataclass(frozen=True, eq=False)
 class GXModMorphism:
-    """A structure-preserving map of crossed modules over groupoids."""
+    """A map of crossed modules over action groupoids: (g_i, x_k) goes to
+    (g'_(group_map[i]), x'_(obj_map[k])) and m_t to m'_(fibre_map[t])."""
 
     source: GroupoidXMod
     target: GroupoidXMod
-    obj_map: dict
-    mor_map: dict
-    dim2_map: dict
+    group_map: list
+    obj_map: list
+    fibre_map: list
 
     def is_isomorphism(self) -> bool:
-        def bijective(mapping, domain, codomain):
-            values = [mapping[d] for d in domain]
-            return len(set(values)) == len(domain) and set(values) == set(codomain)
+        target = self.target
+        return all(sorted(mapping) == list(range(size)) for mapping, size in (
+            (self.obj_map, len(target.base.objects)), (self.group_map, len(target.base.group)),
+            (self.fibre_map, len(target.fibre))))
 
-        return (bijective(self.obj_map, self.source.base.objects, self.target.base.objects)
-                and bijective(self.mor_map, self.source.base.morphisms,
-                              self.target.base.morphisms)
-                and bijective(self.dim2_map, self.source.all_fibre_elements(),
-                              self.target.all_fibre_elements()))
+
+def _unmapped(mapping, n: int, codomain: int) -> list[int]:
+    """The positions below n whose image is not a position below codomain."""
+    image = range(codomain)
+    return [i for i in range(n) if i >= len(mapping) or mapping[i] not in image]
 
 
 def check_morphism(source: GroupoidXMod, target: GroupoidXMod,
-                   obj_map: dict, mor_map: dict, dim2_map: dict) -> list[Violation]:
-    """Report-valued check of the morphism laws.
+                   group_map, obj_map, fibre_map) -> list[Violation]:
+    """Report-valued check of the morphism laws, on positions.
 
-    With identities preserved, ``composition`` is proved for v in the
-    source's generators, and ``dim2-hom`` for n in each fibre's generators
-    and 0 (see ``groups._right_generators``); a failed certificate, or a
-    broken identity, runs the full scan, which reports every failure.
-    ``action-square`` runs only on an empty report, so identities and
-    composition are kept and both actions are validated; it holds at
-    identities, and at u + s if it holds at u and s:
-    f2(m^(u+s)) = f2(m^u)^f1(s) = (f2(m)^f1(u))^f1(s) = f2(m)^f1(u+s).
-    So it is proved for s in the source's generators and scanned over
-    every (m, u) only when that proof fails.
+    In order, each in scan order: ``object-map`` and ``morphism-map`` (no
+    position of the target), ``endpoints`` (each arrow whose image starts
+    elsewhere: f0 not equivariant), ``identity`` (at each object, when
+    f(0) != 0), ``composition``, ``dim2-map``, ``dim2-hom`` and
+    ``boundary-square``, and on an empty report ``action-square``.  A law
+    is scanned in full only when its proof or a premise fails.
     """
     report: list[Violation] = []
-    src_base, tgt_base = source.base, target.base
-    tgt_objects = set(tgt_base.objects)
-    for x in src_base.objects:
-        if obj_map.get(x) not in tgt_objects:
-            report.append(Violation("object-map", f"no valid image for object {x}", (x,)))
+    sb, tb, M = source.base, target.base, source.fibre
+    G, H = sb.group, tb.group
+    objects, nx, nm = sb.objects, len(sb.objects), len(M)
+    report += [Violation("object-map", f"no valid image for object {objects[k]}",
+                         (objects[k],)) for k in _unmapped(obj_map, nx, len(tb.objects))]
     if report:
         return report
-    for u in src_base.morphisms:
-        fu = mor_map.get(u)
-        if fu not in tgt_base:
-            report.append(Violation("morphism-map", f"no valid image for {u}", (u,)))
-            continue
-        if (tgt_base.source(fu) != obj_map[src_base.source(u)]
-                or tgt_base.target(fu) != obj_map[src_base.target(u)]):
-            report.append(Violation("endpoints", f"image of {u} has wrong endpoints", (u,)))
+    report += [Violation("morphism-map", f"no valid image for {G.elements[i]}",
+                         (G.elements[i],)) for i in _unmapped(group_map, len(G), len(H))]
     if report:
         return report
+    f, f0, gt, ht = group_map, obj_map, G._table, H._table
+    arrows = range(len(G))
+    gens = [G._index[s] for s in G.generators]
+    identity_kept = f[G._index[G.identity]] == H._index[H.identity]
 
-    def preserves(u, v, w) -> bool:
-        return mor_map[w] == tgt_base.compose(mor_map[u], mor_map[v])
+    def additive(g, h) -> bool:
+        return f[gt[g][h]] == ht[f[g]][f[h]]
 
-    identities_kept = True
-    for x in src_base.objects:
-        if mor_map[src_base.identity(x)] != tgt_base.identity(obj_map[x]):
-            identities_kept = False
-            report.append(Violation("identity", f"identity at {x} is not preserved", (x,)))
-    proof = _composites_of_generators(src_base) if identities_kept else None
-    report += [Violation("composition", f"f({u} + {v}) != f({u}) + f({v})", (u, v))
-               for u, v, _ in _failures(preserves, _composable(src_base), proof)]
-    for x in src_base.objects:
-        fibre = source.fibres[x]
-        target_fibre = target.fibres[obj_map[x]]
-        unmapped = [m for m in fibre if dim2_map.get(m) not in target_fibre]
-        report += [Violation("dim2-map", f"no valid image for {m}", (m,)) for m in unmapped]
-        if unmapped:
-            continue
+    unadditive = list(_failures(additive, product(arrows, arrows),
+                                product(arrows, gens) if identity_kept else None))
+
+    def equivariant(g) -> bool:
+        """f0(g . x) = f(g) . f0(x) for every x."""
+        image = tb.act[f[g]]
+        return [f0[y] for y in sb.act[g]] == [image[z] for z in f0]
+
+    proof = ((s,) for s in gens) if identity_kept and not unadditive else None
+    for (g,) in _failures(equivariant, ((g,) for g in arrows), proof):
+        image = tb.act[f[g]]
+        report += [Violation("endpoints", f"image of {u} has wrong endpoints", (u,))
+                   for u, y, z in zip(sb.morphisms[g * nx:(g + 1) * nx], sb.act[g], f0)
+                   if f0[y] != image[z]]
+    if report:
+        return report
+    if not identity_kept:
+        report += [Violation("identity", f"identity at {x} is not preserved", (x,))
+                   for x in objects]
+    report += [Violation("composition", f"f({G.elements[g]} + {G.elements[h]}) != "
+                         f"f({G.elements[g]}) + f({G.elements[h]})",
+                         (G.elements[g], G.elements[h])) for g, h in unadditive]
+    f2, mlabel = fibre_map, M.elements
+    unmapped = _unmapped(f2, nm, len(target.fibre))
+    report += [Violation("dim2-map", f"no valid image for {mlabel[t]}", (mlabel[t],))
+               for t in unmapped]
+    if not unmapped:
+        image_table = target.fibre._table
+        unhom = list(_additive_failures(M, dict(zip(mlabel, f2)),
+                                        lambda a, b: image_table[a][b]))
         report += [Violation("dim2-hom", f"f2({m} + {n}) != f2({m}) + f2({n})", (m, n))
-                   for m, n in _additive_failures(fibre, dim2_map, target_fibre.add)]
-        for m in fibre:
-            if mor_map[source.boundary[m]] != target.boundary[dim2_map[m]]:
-                report.append(Violation("boundary-square",
-                                        f"f1(delta {m}) != delta(f2 {m})", (m,)))
+                   for m, n in unhom]
+
+        def squares(k, t) -> bool:
+            return f[source.boundary[k][t]] == target.boundary[f0[k]][f2[t]]
+
+        premises = identity_kept and not unadditive and not unhom
+        gens_m = [M._index[s] for s in M.generators]
+        report += [Violation("boundary-square", f"f1(delta {mlabel[t]}) != delta(f2 "
+                             f"{mlabel[t]}) at {objects[k]}", (objects[k], mlabel[t]))
+                   for k, t in _failures(squares, product(range(nx), range(nm)),
+                                         product(range(nx), gens_m) if premises else None)]
     if report:
         return report
 
-    def squares(m, u) -> bool:
-        return dim2_map[source.action[(m, u)]] == target.action[(dim2_map[m], mor_map[u])]
+    def acts(g, t) -> bool:
+        return f2[source.act[g][t]] == target.act[f[g]][f2[t]]
 
-    scan = ((m, u) for u in src_base.morphisms for m in source.fibres[src_base.source(u)])
-    proof = ((m, s) for s in src_base.generators for m in source.fibres[src_base.source(s)])
-    return [Violation("action-square", f"f2({m}^{u}) != f2({m})^f1({u})", (m, u))
-            for m, u in _failures(squares, scan, proof)]
+    return [Violation("action-square", f"f2({mlabel[t]}^{G.elements[g]}) != "
+                      f"f2({mlabel[t]})^f1({G.elements[g]})", (mlabel[t], G.elements[g]))
+            for g, t in _failures(acts, product(arrows, range(nm)), product(gens, range(nm)))]
 
 
 def make_gxm_morphism(source: GroupoidXMod, target: GroupoidXMod,
-                      obj_map: dict, mor_map: dict, dim2_map: dict) -> GXModMorphism:
-    report = check_morphism(source, target, obj_map, mor_map, dim2_map)
+                      group_map, obj_map, fibre_map) -> GXModMorphism:
+    report = check_morphism(source, target, group_map, obj_map, fibre_map)
     if report:
         first = report[0]
         raise InvalidMorphism(first.kind, first.witness)
-    return GXModMorphism(source, target, dict(obj_map), dict(mor_map), dict(dim2_map))
+    return GXModMorphism(source, target, list(group_map), list(obj_map), list(fibre_map))
 
 
 def is_fibration(f: GXModMorphism) -> list[Violation]:
     """Fibration report: star-surjectivity, then fibrewise dim-2 surjectivity.
 
     f was built by ``make_gxm_morphism``, which checked every morphism
-    law, so only surjectivity is checked here.  The star at an object
-    collects the morphisms with that source; with groupoid inverses,
-    surjectivity on target-stars is equivalent and is not checked
-    separately.
+    law, so only surjectivity is checked.  By equivariance f sends the
+    star at a, the arrows (g, -g . a), onto the arrows (f(g), -f(g) . f0(a))
+    of the star at f0(a); so at each a, each (h, -h . f0(a)) with h not in
+    the image of f is reported, then each element of M' not in the image
+    of f2.  With inverses, target-stars need no separate check.
     """
-    report: list[Violation] = []
-    src_base, tgt_base = f.source.base, f.target.base
-    for a in src_base.objects:
-        down = f.obj_map[a]
-        hit = {f.mor_map[u] for u in src_base.star(a)}
-        for w in tgt_base.star(down):
-            if w not in hit:
-                report.append(Violation(
-                    "star-surjectivity",
-                    f"no morphism at {a} maps to {w} at {down}", (a, w)))
-    for a in src_base.objects:
-        down = f.obj_map[a]
-        hit = {f.dim2_map[m] for m in f.source.fibres[a]}
-        for n in f.target.fibres[down]:
-            if n not in hit:
-                report.append(Violation(
-                    "dim2-surjectivity",
-                    f"fibre element {n} at {down} is not hit from {a}", (a, n)))
-    return report
+    source, target, tb = f.source, f.target, f.target.base
+    nx, H = len(tb.objects), tb.group
+    missed = sorted(set(range(len(H))).difference(f.group_map))
+    report = [Violation("star-surjectivity", f"no morphism at {a} maps to {w} at "
+                        f"{tb.objects[k]}", (a, w))
+              for a, k in zip(source.base.objects, f.obj_map)
+              for w in (tb.morphisms[h * nx + tb.act[H._inv[h]][k]] for h in missed)]
+    missed = sorted(set(range(len(target.fibre))).difference(f.fibre_map))
+    return report + [Violation("dim2-surjectivity", f"fibre element {n} at {tb.objects[k]} "
+                               f"is not hit from {a}", (a, n))
+                     for a, k in zip(source.base.objects, f.obj_map)
+                     for n in (target.fibre.elements[t] for t in missed)]

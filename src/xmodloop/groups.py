@@ -142,12 +142,10 @@ class FiniteGroup:
                                      (x, len(row)))
         idx_table: list[list[int]] = []
         for i, row in enumerate(table):
-            idx_row = []
-            for j, value in enumerate(row):
-                k = self._index.get(value)
-                if k is None:
-                    raise NotClosed(elements[i], elements[j], value)
-                idx_row.append(k)
+            idx_row = list(map(self._index.get, row))
+            if None in idx_row:
+                j = idx_row.index(None)
+                raise NotClosed(elements[i], elements[j], row[j])
             idx_table.append(idx_row)
         self._table = idx_table
         self.identity = identity
@@ -156,15 +154,14 @@ class FiniteGroup:
             if idx_table[e][i] != i or idx_table[i][e] != i:
                 raise NoIdentity(elements[i])
         inv: list[int] = []
-        for i in range(n):
-            found = None
-            for j in range(n):
-                if idx_table[i][j] == e and idx_table[j][i] == e:
-                    found = j
-                    break
-            if found is None:
-                raise NoInverse(elements[i])
-            inv.append(found)
+        for i, row in enumerate(idx_table):
+            j = -1
+            try:  # the first j with i + j = 0 = j + i; list.index finds each candidate
+                while j < 0 or idx_table[j][i] != e:
+                    j = row.index(e, j + 1)
+            except ValueError:
+                raise NoInverse(elements[i]) from None
+            inv.append(j)
         self._inv = inv
         gens = _right_generators(range(n), (e,), lambda i, j: idx_table[i][j])
         self.generators: tuple = tuple(elements[s] for s in gens)
@@ -257,26 +254,46 @@ class Subgroup:
         return x in set(self.members)
 
     def as_group(self) -> FiniteGroup:
-        """The subgroup as a standalone group on its own elements."""
-        members = list(self.members)
-        table = [[self.parent.add(x, y) for y in members] for x in members]
-        return FiniteGroup(members, table, self.parent.identity)
+        """The subgroup as a standalone group on its own elements, cut from the parent's table."""
+        return _cut(self.parent, self.members)[0]
 
 
 def subgroup(parent: FiniteGroup, members) -> Subgroup:
-    """Validate a subset as a subgroup (contains 0, closed under + and -)."""
+    """Validate members and 0 as a subgroup, in parent order: closed under - and + (``_cut``)."""
+    return Subgroup(parent, tuple(_cut(parent, members)[0].elements))
+
+
+def _cut(parent: FiniteGroup, members) -> tuple[FiniteGroup, list[int]]:
+    """The subgroup on members and 0 as a group in parent order, and its parent positions.
+
+    Only closure is checked, under - and then + for each element in
+    order: the identity, inverse and associativity laws of the validated
+    parent hold on every subset, so the sliced table is not validated
+    again.
+    """
     found = {parent.index(x) for x in members}  # in input order: the first unknown is the witness
-    ordered = [parent.elements[i] for i in sorted(found | {parent.index(parent.identity)})]
-    member_set = set(ordered)
-    for x in ordered:
-        y = parent.neg(x)
-        if y not in member_set:
-            raise NotClosed(x, f"-{x}", y)
-        for z in ordered:
-            w = parent.add(x, z)
-            if w not in member_set:
-                raise NotClosed(x, z, w)
-    return Subgroup(parent, tuple(ordered))
+    positions = sorted(found | {parent._index[parent.identity]})
+    local = {p: r for r, p in enumerate(positions)}
+    elements, inv = parent.elements, parent._inv
+    table = []
+    for p in positions:
+        if inv[p] not in local:
+            raise NotClosed(elements[p], f"-{elements[p]}", elements[inv[p]])
+        row = parent._table[p]
+        cut = [local.get(row[q]) for q in positions]
+        if None in cut:
+            q = positions[cut.index(None)]
+            raise NotClosed(elements[p], elements[q], elements[row[q]])
+        table.append(cut)
+    group = object.__new__(FiniteGroup)
+    group.elements = [elements[p] for p in positions]
+    group._index = {x: r for r, x in enumerate(group.elements)}
+    group._table, group._inv = table, [local[inv[p]] for p in positions]
+    group.identity = parent.identity
+    gens = _right_generators(range(len(table)), (local[parent._index[parent.identity]],),
+                             lambda i, j: table[i][j])
+    group.generators = tuple(group.elements[s] for s in gens)
+    return group, positions
 
 
 def centralizer(group: FiniteGroup, a: str) -> Subgroup:

@@ -7,8 +7,8 @@ For a base element a of P, the vertex group P(a) consists of the pairs
     delta_a: M -> P(a),  delta_a(m) = (-m^a + m, delta m),  n^(m,p) = n^p.
 
 The groupoid-level model has objects P, morphisms all triples (m, p, a)
-with source p + a + delta(m) - p and target a, and fibre at a a copy of
-M written as pairs (m, a).
+with source p + a + delta(m) - p and target a, and M as the fibre over
+every object, on which (m, p, a) acts by n -> n^p.
 
 Both constructions compute on positions: the group tables of M and P
 (``_table``, ``_inv``) and the action and boundary read once per (m, p)
@@ -131,7 +131,7 @@ def loop_gpd_xmod(x: CrossedModule) -> GroupoidXMod:
     """The full loop crossed module over a groupoid, as an action groupoid.
 
     Objects are the elements of P and morphisms the tuples (m, p, a) from
-    p + a + delta(m) - p to a; the fibre at a holds the tuples (m, a).  The
+    p + a + delta(m) - p to a; M is the fibre over every object.  The
     base is the action groupoid of one group G on P.  G is the pairs
     (m, p) under the law of P(a),
 
@@ -147,9 +147,10 @@ def loop_gpd_xmod(x: CrossedModule) -> GroupoidXMod:
 
     Every table is computed on positions, from the group tables of M and
     P and one lookup of m^p and delta(m) per (m, p): the pair (m_i, p_j)
-    sits at position i |P| + j of G, so the morphism (m_i, p_j, a_k) sits
-    at position (i |P| + j) |P| + k, and each value of a table is the
-    shared label of the position it computes.
+    sits at position i |P| + j of G and the morphism (m_i, p_j, a_k) at
+    (i |P| + j) |P| + k.  (m_i, p_j) acts on M by n -> n^p_j, column j of
+    the action of ``xmod._positions``, and the boundary at a is
+    m -> (-m^a + m, delta m); ``make_gxm`` proves the crossed-module laws.
     """
     M, P = x.M, x.P
     Me, Pe, mt, pt, minv, pinv = M.elements, P.elements, M._table, P._table, M._inv, P._inv
@@ -166,37 +167,27 @@ def loop_gpd_xmod(x: CrossedModule) -> GroupoidXMod:
     moves = [[pt[pt[pt[j][k]][d[i]]][pinv[j]] for k in range(nP)] for i, j in cells]
     morphisms = [(m, p, a) for m, p in pairs for a in Pe]
     base = action_groupoid(G, Pe, moves, morphisms)
-    elements = [[(m, a) for m in Me] for a in Pe]  # the fibre at a_k is elements[k]
-    fibres = {}
-    for a, elems in zip(Pe, elements):
-        table = [[elems[k] for k in row] for row in mt]
-        fibres[a] = make_group(elems, table, elems[M._index[M.identity]])
+    # (n, s)^(m_i, p_j, a) = (n^p_j, a): G acts on M through column j of the action
+    columns = [[row[j] for row in act] for j in range(nP)]
     # delta_a(m) = (-m^a + m, delta m, a)
-    boundary = {elements[k][i]: morphisms[(mt[minv[act[i][k]]][i] * nP + d[i]) * nP + k]
-                for k in range(nP) for i in range(nM)}
-    # (n, s)^(m, p, a) = (n^p, a), where s is the source of (m, p, a)
-    starts = [s for row in moves for s in row]
-    action = {(elements[s][n], u): elements[k][act[n][j]]
-              for u, (i, j, k), s in zip(morphisms, product(range(nM), range(nP), range(nP)),
-                                         starts)
-              for n in range(nM)}
-    return make_gxm(base, fibres, boundary, action)
+    boundary = [[mt[minv[act[i][k]]][i] * nP + d[i] for i in range(nM)] for k in range(nP)]
+    return make_gxm(base, M, [columns[j] for _ in range(nM) for j in range(nP)], boundary)
 
 
 def theta(x: CrossedModule, a: str) -> GXModMorphism:
     """The isomorphism from the loop groupoid restricted at a onto L[a].
 
-    Its source is ``restrict`` to the stabiliser of a, which is P(a), and
-    the fibre at a.  theta sends a to the object of L[a], (m, p, a) to
-    (m, p) and (m, a) to m; it is validated as a structure-preserving
-    bijection in every dimension.
+    Its source is ``restrict`` to a, its stabiliser, which is P(a), and
+    all of M; the cut checks only closure and invariance, so P(a) is
+    validated once, by ``loop_data``.  theta sends a to the object of
+    L[a], (m, p, a) to (m, p) and M to M by the identity; it is validated
+    as a structure-preserving bijection in every dimension.
     """
     gxm = loop_gpd_xmod(x)
-    src = restrict(gxm, gxm.base.stabiliser(a), {a: gxm.fibres[a]})
-    tgt = as_groupoid_xmod(loop_xmod_at(x, a))
-    mor_map = {u: u[:2] for u in src.base.morphisms}
-    dim2_map = {e: e[0] for e in src.fibres[a]}
-    f = make_gxm_morphism(src, tgt, {a: tgt.base.objects[0]}, mor_map, dim2_map)
+    src = restrict(gxm, gxm.base.stabiliser(a), (a,), x.M)
+    lx = loop_xmod_at(x, a)
+    group_map = [lx.P.index(g) for g in src.base.group]
+    f = make_gxm_morphism(src, as_groupoid_xmod(lx), group_map, [0], list(range(len(x.M))))
     if not f.is_isomorphism():
         raise InternalInvariantBroken(f"theta at {a} is not bijective", (a,))
     return f

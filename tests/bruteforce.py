@@ -8,12 +8,24 @@ against these and against frozen regression values.
 ``make_groupoid`` is the exception: it validates a groupoid written out
 as a full composition table, and proves associativity by the library's
 Light's test (``groups._right_generators`` and ``groups._failures``).
+So are ``make_written_gxm`` and ``check_written_morphism``, the validators
+of crossed modules over groupoids written out by object and by arrow
+(``written_out_gxm``), which the library used until it stored one fibre
+group acted on through G: they prove their laws the same way.
 """
 
 from itertools import product
+from types import SimpleNamespace
 
-from xmodloop.errors import InvalidGroupoid
-from xmodloop.groups import _failures, _right_generators
+from xmodloop.errors import (
+    CM1Violation,
+    CM2Violation,
+    InvalidAction,
+    InvalidGroupoid,
+    InvalidGroupoidXMod,
+    Violation,
+)
+from xmodloop.groups import _additive_failures, _failures, _right_generators, make_group
 
 
 def brute_k2(x):
@@ -102,11 +114,10 @@ def brute_loop_gpd_tables(x):
     """The tables of the loop groupoid crossed module, by label arithmetic.
 
     Morphisms are (m, p, a) with source p + a + delta(m) - p and target a,
-    the composite of (n, q, b) then (m, p, a) is (m + n^p, q + p, a), the
-    inverse of (m, p, a) is (-(m^-p), -p, its source), the
-    fibre at a is M written as pairs (m, a), the boundary of (m, a) is
-    (-m^a + m, delta m, a) and (n, b)^(m, p, a) = (n^p, a).  Each dict is
-    filled in the order the library lists its keys.
+    the composite of (n, q, b) then (m, p, a) is (m + n^p, q + p, a) and
+    the inverse of (m, p, a) is (-(m^-p), -p, its source); the written-out
+    fibres, boundary and action are ``brute_loop_fibre_tables``.  Each dict
+    is filled in the order the library lists its keys.
     """
     M, P = x.M, x.P
     morphisms = list(product(M, P, P))
@@ -121,8 +132,6 @@ def brute_loop_gpd_tables(x):
         for v in leaving[b]:
             m, p, a = v
             compose[(u, v)] = (M.add(m, x.act(n, p)), P.add(q, p), a)
-    fibres = {a: ([(m, a) for m in M], [[(M.add(m, n), a) for n in M] for m in M])
-              for a in P}
     return {
         "morphisms": morphisms,
         "source": source,
@@ -132,11 +141,7 @@ def brute_loop_gpd_tables(x):
         # (m, p) + (-(m^-p), -p) = (-(m^-p) + m^-p, p - p) = (0, 0)
         "inverses": {u: (M.neg(x.act(u[0], P.neg(u[1]))), P.neg(u[1]), source[u])
                      for u in morphisms},
-        "fibres": fibres,
-        "boundary": {(m, a): (M.add(M.neg(x.act(m, a)), m), x.delta(m), a)
-                     for a in P for m in M},
-        "action": {((n, source[u]), u): (x.act(n, u[1]), u[2])
-                   for u in morphisms for n in M},
+        **brute_loop_fibre_tables(x),
     }
 
 
@@ -235,3 +240,250 @@ def make_groupoid(objects, morphisms, source, target, compose, identities) -> No
         e_source, e_target = units[i]
         if not any(ij == e_source and after[j].get(i) == e_target for j, ij in after[i].items()):
             raise InvalidGroupoid("inverse", (u,))
+
+
+def brute_loop_fibre_tables(x):
+    """The written-out fibres, boundary and action of the loop module, by label arithmetic.
+
+    The fibre at a is M written as pairs (m, a), the boundary of (m, a) is
+    (-m^a + m, delta m, a) and (n, b)^(m, p, a) = (n^p, a), for b the
+    source of (m, p, a).  Each dict is filled in the order the written-out
+    form lists its keys.
+    """
+    M, P = x.M, x.P
+    fibres = {a: ([(m, a) for m in M], [[(M.add(m, n), a) for n in M] for m in M])
+              for a in P}
+    source = {u: P.sub(P.add(P.add(u[1], u[2]), x.delta(u[0])), u[1])
+              for u in product(M, P, P)}
+    return {
+        "fibres": fibres,
+        "boundary": {(m, a): (M.add(M.neg(x.act(m, a)), m), x.delta(m), a)
+                     for a in P for m in M},
+        "action": {((n, source[u]), u): (x.act(n, u[1]), u[2]) for u in source for n in M},
+    }
+
+
+def written_out_gxm(base, fibre, act, boundary, label=lambda m, x: (m, x)):
+    """A crossed module over an action groupoid, written out by object and by arrow.
+
+    This is the form the library stored before it kept one fibre group:
+    ``fibres`` maps each object x to a copy of ``fibre`` on the labels
+    label(m, x), ``boundary`` each fibre label to its arrow, and ``action``
+    each (fibre label at the source of u, u) to a fibre label at the
+    target of u, in morphism order.  ``act`` and ``boundary`` are the
+    position tables of ``GroupoidXMod``; entries must be positions.
+    """
+    objects, ms, nx = base.objects, base.morphisms, len(base.objects)
+    fibres = {}
+    for x in objects:
+        names = [label(m, x) for m in fibre]
+        fibres[x] = make_group(names, [[names[v] for v in row] for row in fibre._table],
+                               names[fibre.index(fibre.identity)])
+    written_boundary = {fibres[x].elements[t]: ms[g * nx + k]
+                        for k, x in enumerate(objects) for t, g in enumerate(boundary[k])}
+    written_action = {}
+    for p, u in enumerate(ms):
+        i, k = divmod(p, nx)
+        start, end = fibres[objects[base.act[i][k]]].elements, fibres[objects[k]].elements
+        written_action.update(((start[t], u), end[v]) for t, v in enumerate(act[i]))
+    return SimpleNamespace(base=base, fibres=fibres, boundary=written_boundary,
+                           action=written_action)
+
+
+def written_out_maps(source, target, group_map, obj_map, fibre_map):
+    """The label maps of a morphism of written-out crossed modules, from its position maps."""
+    sb, tb = source.base, target.base
+    nx, tx = len(sb.objects), len(tb.objects)
+    obj = {x: tb.objects[obj_map[k]] for k, x in enumerate(sb.objects)}
+    mor = {u: tb.morphisms[group_map[p // nx] * tx + obj_map[p % nx]]
+           for p, u in enumerate(sb.morphisms)}
+    dim2 = {m: target.fibres[obj[x]].elements[fibre_map[t]]
+            for x in sb.objects for t, m in enumerate(source.fibres[x].elements)}
+    return obj, mor, dim2
+
+
+def before(base, v) -> list:
+    """The pairs (u, u + v) for every u with target source(v), in morphism order."""
+    return [(u, base.compose(u, v)) for u in base.morphisms
+            if base.target(u) == base.source(v)]
+
+
+_MISSING = object()  # what a table gives for a key it lacks; no label equals it
+
+
+def _composable(base):
+    """Every composable (u, v, u + v): u in morphism order, then v in star order."""
+    stars = {x: base.star(x) for x in base.objects}
+    for u in base.morphisms:
+        for v in stars[base.target(u)]:
+            yield u, v, base.compose(u, v)
+
+
+def _composites_of_generators(base):
+    """(u, s, u + s) for each generator s and each u ending where s starts."""
+    return ((u, s, w) for s in base.generators for u, w in before(base, s))
+
+
+def make_written_gxm(base, fibres, boundary, action):
+    """Validate a written-out crossed module over a groupoid, checking every law.
+
+    Returns the written-out form; raises at the first broken law, in the
+    order: fibre per object and distinct fibre labels, then at each object
+    the boundary's values (``boundary-missing``, ``boundary-vertex``) and
+    ``boundary-hom``, the action's keys and values (``action-domain``,
+    ``action-codomain``), its ``identity``, ``composition`` and
+    ``additivity``, CM1 and CM2.  Each law closed under composition is
+    proved from generators and scanned in full, to raise the first
+    witness, only when that proof fails (``_failures``).
+    """
+    if set(fibres) != set(base.objects):
+        raise InvalidGroupoidXMod("fibre-per-object", (tuple(fibres),))
+    object_of = {}
+    for x in base.objects:
+        for m in fibres[x]:
+            if m in object_of:
+                raise InvalidGroupoidXMod("fibre-name-clash", (m, object_of[m], x))
+            object_of[m] = x
+    source, target, compose = base.source, base.target, base.compose
+
+    def cm1(m, u) -> bool:
+        return boundary[action[(m, u)]] == compose(compose(base.inverse(u), boundary[m]), u)
+
+    def cm2(m, n) -> bool:
+        return fibres[object_of[m]].conj(m, n) == action[(m, boundary[n])]
+
+    for x in base.objects:
+        group = fibres[x]
+        for m in group:
+            value = boundary.get(m)
+            if value is None:
+                raise InvalidGroupoidXMod("boundary-missing", (m,))
+            if value not in base or source(value) != x or target(value) != x:
+                raise InvalidGroupoidXMod("boundary-vertex", (m, value))
+        for m, n in _additive_failures(group, boundary, compose):
+            raise InvalidGroupoidXMod("boundary-hom", (m, n))
+
+    def action_error():
+        def keys():
+            return ((m, u) for u in base.morphisms for m in fibres[source(u)])
+
+        if (len(action) != sum(len(fibres[source(u)]) for u in base.morphisms)
+                or not all(map(action.__contains__, keys()))):
+            expected = set(keys())
+            extra = [key for key in action if key not in expected][:1]
+            return InvalidGroupoidXMod("action-domain", extra[0] if extra else
+                                       next(key for key in keys() if key not in action))
+        return next(InvalidGroupoidXMod("action-codomain", (m, u, value))
+                    for (m, u), value in action.items() if value not in fibres[target(u)])
+
+    # rows[u][i] is the position of m_i^u in the fibre at target(u)
+    rows = {}
+    for u in base.morphisms:
+        index = fibres[target(u)]._index
+        row = [index.get(action.get((m, u), _MISSING)) for m in fibres[source(u)]]
+        if None in row:
+            raise action_error()
+        rows[u] = row
+    if len(action) != sum(map(len, rows.values())):
+        raise action_error()
+    for x in base.objects:
+        row = rows[base.identity(x)]
+        for i in range(len(row)):
+            if row[i] != i:
+                raise InvalidAction("identity", (fibres[x].elements[i], x))
+
+    def composes(u, v, w) -> bool:
+        row_v = rows[v]
+        return [row_v[i] for i in rows[u]] == rows[w]
+
+    for u, v, w in _failures(composes, _composable(base), _composites_of_generators(base)):
+        row_v, row_uv = rows[v], rows[w]
+        i = next(i for i, j in enumerate(rows[u]) if row_v[j] != row_uv[i])
+        raise InvalidAction("composition", (fibres[source(u)].elements[i], u, v))
+
+    def additive(u, i) -> bool:
+        row = rows[u]
+        image = fibres[target(u)]._table[row[i]]
+        return [row[k] for k in fibres[source(u)]._table[i]] == [image[j] for j in row]
+
+    scan = ((u, i) for u in base.morphisms for i in range(len(rows[u])))
+    proof = ((s, i) for s in base.generators for i in range(len(rows[s])))
+    for u, i in _failures(additive, scan, proof):
+        row, group = rows[u], fibres[source(u)]
+        image = fibres[target(u)]._table[row[i]]
+        j = next(j for j, k in enumerate(group._table[i]) if row[k] != image[row[j]])
+        raise InvalidAction("additivity", (group.elements[i], group.elements[j], u))
+    scan = ((m, u) for u in base.morphisms for m in fibres[source(u)])
+    proof = ((m, s) for s in base.generators for m in fibres[source(s)])
+    for m, u in _failures(cm1, scan, proof):
+        raise CM1Violation(m, u)
+    scan = ((m, n) for x in base.objects for m, n in product(fibres[x], repeat=2))
+    proof = ((m, s) for x in base.objects for m, s in product(fibres[x], fibres[x].generators))
+    for m, n in _failures(cm2, scan, proof):
+        raise CM2Violation(m, n)
+    return SimpleNamespace(base=base, fibres=fibres, boundary=boundary, action=action)
+
+
+def check_written_morphism(source, target, obj_map, mor_map, dim2_map) -> list:
+    """The report of the morphism laws between written-out crossed modules.
+
+    Laws and order: ``object-map``; ``morphism-map`` and ``endpoints`` per
+    morphism; ``identity`` per object and ``composition`` per composable
+    pair; per object ``dim2-map``, ``dim2-hom`` and ``boundary-square``;
+    and, only on an empty report, ``action-square``.  Composition,
+    dim2-hom and action-square are proved from generators when their
+    premises hold, as the library did before it stored position maps.
+    """
+    report = []
+    src_base, tgt_base = source.base, target.base
+    tgt_objects = set(tgt_base.objects)
+    for x in src_base.objects:
+        if obj_map.get(x) not in tgt_objects:
+            report.append(Violation("object-map", f"no valid image for object {x}", (x,)))
+    if report:
+        return report
+    for u in src_base.morphisms:
+        fu = mor_map.get(u)
+        if fu not in tgt_base:
+            report.append(Violation("morphism-map", f"no valid image for {u}", (u,)))
+            continue
+        if (tgt_base.source(fu) != obj_map[src_base.source(u)]
+                or tgt_base.target(fu) != obj_map[src_base.target(u)]):
+            report.append(Violation("endpoints", f"image of {u} has wrong endpoints", (u,)))
+    if report:
+        return report
+
+    def preserves(u, v, w) -> bool:
+        return mor_map[w] == tgt_base.compose(mor_map[u], mor_map[v])
+
+    identities_kept = True
+    for x in src_base.objects:
+        if mor_map[src_base.identity(x)] != tgt_base.identity(obj_map[x]):
+            identities_kept = False
+            report.append(Violation("identity", f"identity at {x} is not preserved", (x,)))
+    proof = _composites_of_generators(src_base) if identities_kept else None
+    report += [Violation("composition", f"f({u} + {v}) != f({u}) + f({v})", (u, v))
+               for u, v, _ in _failures(preserves, _composable(src_base), proof)]
+    for x in src_base.objects:
+        fibre = source.fibres[x]
+        target_fibre = target.fibres[obj_map[x]]
+        unmapped = [m for m in fibre if dim2_map.get(m) not in target_fibre]
+        report += [Violation("dim2-map", f"no valid image for {m}", (m,)) for m in unmapped]
+        if unmapped:
+            continue
+        report += [Violation("dim2-hom", f"f2({m} + {n}) != f2({m}) + f2({n})", (m, n))
+                   for m, n in _additive_failures(fibre, dim2_map, target_fibre.add)]
+        for m in fibre:
+            if mor_map[source.boundary[m]] != target.boundary[dim2_map[m]]:
+                report.append(Violation("boundary-square",
+                                        f"f1(delta {m}) != delta(f2 {m})", (m,)))
+    if report:
+        return report
+
+    def squares(m, u) -> bool:
+        return dim2_map[source.action[(m, u)]] == target.action[(dim2_map[m], mor_map[u])]
+
+    scan = ((m, u) for u in src_base.morphisms for m in source.fibres[src_base.source(u)])
+    proof = ((m, s) for s in src_base.generators for m in source.fibres[src_base.source(s)])
+    return [Violation("action-square", f"f2({m}^{u}) != f2({m})^f1({u})", (m, u))
+            for m, u in _failures(squares, scan, proof)]

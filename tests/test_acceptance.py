@@ -8,8 +8,8 @@ the verdict lines on passing runs.
 import copy
 from contextlib import contextmanager
 
-from bruteforce import brute_k3
-from conftest import all_base_pairs, all_fixtures, cyclic, fixture
+from bruteforce import brute_k3, make_written_gxm
+from conftest import all_base_pairs, all_fixtures, cyclic, fixture, written
 from xmodloop.cli import run_cli
 from xmodloop.documents import parse_xmod
 from xmodloop.exactseq import (
@@ -159,8 +159,11 @@ def test_criterion_6_loop_groupoid_structure():
     with criterion(6, "loop groupoid model and the restriction isomorphism"):
         for name, x in all_fixtures().items():
             gxm = loop_gpd_xmod(x)
-            # re-validate every law from the object's own tables
-            make_gxm(gxm.base, gxm.fibres, gxm.boundary, gxm.action)
+            # re-validate every law from the object's own tables, and from
+            # the same module written out by object and by arrow
+            make_gxm(gxm.base, gxm.fibre, gxm.act, gxm.boundary)
+            form = written(gxm)
+            make_written_gxm(gxm.base, form.fibres, form.boundary, form.action)
         for x in (fixture("mod32"), fixture("inc24")):
             base = loop_gpd_xmod(x).base
             for u in base.morphisms:
@@ -183,7 +186,7 @@ def test_criterion_7_evaluation_fibration():
                                   for m in x.M for a in x.P}
             assert set(data.fibre.base.morphisms) == expected_morphisms, name
             expected_dim2 = {(x.M.identity, a) for a in x.P}
-            actual_dim2 = {m for a in x.P for m in data.fibre.fibres[a]}
+            actual_dim2 = {m for a in x.P for m in written(data.fibre).fibres[a]}
             assert actual_dim2 == expected_dim2, name
 
 

@@ -7,7 +7,11 @@ generated valid modules, on single-entry mutants of group tables,
 groupoid composition, groupoid and group action tables, homomorphism
 maps and morphism maps, and on boundaries that break only CM1 or CM2,
 the library must give the verdict and the first witness, or the whole
-report list, of the plain definitions below.
+report list, of the plain definitions below.  Crossed modules over
+groupoids are checked on their integer tables (``scan_tables``,
+``scan_morphism_tables``), and each verdict's law must also be the one
+the written-out validators of ``bruteforce`` give the same module
+written out by object and by arrow.
 """
 
 import math
@@ -15,8 +19,14 @@ import math
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bruteforce import make_groupoid
-from conftest import cyclic, fixture, written_out
+from bruteforce import (
+    check_written_morphism,
+    make_groupoid,
+    make_written_gxm,
+    written_out_gxm,
+    written_out_maps,
+)
+from conftest import cyclic, fixture, written, written_out
 from test_orbit_properties import (
     PERMUTATION_GENERATORS,
     PROPERTY_SETTINGS,
@@ -191,25 +201,88 @@ def scan_homomorphism(source, target, mapping):
             if mapping[source.add(x, y)] != target.add(mapping[x], mapping[y])]
 
 
-def scan_morphism(source, target, obj_map, mor_map, dim2_map):
+def scan_tables(base, fibre, act, boundary):
+    """The first broken law of make_gxm on integer tables, by the plain definitions."""
+    G, M, objects, ms = base.group, fibre, base.objects, base.morphisms
+    gl, ml, nx = G.elements, M.elements, len(objects)
+
+    def gadd(g, h):
+        return G.index(G.add(gl[g], gl[h]))
+
+    def madd(s, t):
+        return M.index(M.add(ml[s], ml[t]))
+
+    ns, gs = range(len(M)), range(len(G))
+    for k, x in enumerate(objects):
+        for t, g in enumerate(boundary[k]):
+            if base.act[g][k] != k:
+                return ("InvalidGroupoidXMod", "boundary-vertex", (ml[t], x, ms[g * nx + k]))
+        for s in ns:
+            for t in ns:
+                if boundary[k][madd(s, t)] != gadd(boundary[k][s], boundary[k][t]):
+                    return ("InvalidGroupoidXMod", "boundary-hom", (x, ml[s], ml[t]))
+    for t in ns:
+        if act[G.index(G.identity)][t] != t:
+            return ("InvalidAction", "identity", (ml[t],))
+    for g in gs:
+        for h in gs:
+            for t in ns:
+                if act[h][act[g][t]] != act[gadd(g, h)][t]:
+                    return ("InvalidAction", "composition", (ml[t], gl[g], gl[h]))
+    for g in gs:
+        for s in ns:
+            for t in ns:
+                if act[g][madd(s, t)] != madd(act[g][s], act[g][t]):
+                    return ("InvalidAction", "additivity", (ml[s], ml[t], gl[g]))
+    for g in gs:
+        for k in range(nx):
+            for t in ns:
+                conjugate = G.conj(gl[boundary[base.act[g][k]][t]], gl[g])
+                if boundary[k][act[g][t]] != G.index(conjugate):
+                    return ("CM1Violation", None, (ml[t], ms[g * nx + k]))
+    for k in range(nx):
+        for t in ns:
+            for s in ns:
+                if act[boundary[k][t]][s] != M.index(M.conj(ml[s], ml[t])):
+                    return ("CM2Violation", None, (ml[s], ml[t]))
+    return None
+
+
+def scan_morphism_tables(source, target, group_map, obj_map, fibre_map):
     """check_morphism's report, for maps that are total and keep endpoints."""
-    sb, tb = written_out(source.base), written_out(target.base)
-    ms = sb.morphisms
-    report = [("identity", (x,)) for x in sb.objects
-              if mor_map[sb.identities[x]] != tb.identities[obj_map[x]]]
-    report += [("composition", (u, v)) for u in ms for v in ms
-               if sb.target[u] == sb.source[v]
-               and mor_map[sb.compose[(u, v)]] != tb.compose[(mor_map[u], mor_map[v])]]
-    for x in sb.objects:
-        fibre, image = source.fibres[x], target.fibres[obj_map[x]]
-        report += [("dim2-hom", (m, n)) for m in fibre for n in fibre
-                   if dim2_map[fibre.add(m, n)] != image.add(dim2_map[m], dim2_map[n])]
-        report += [("boundary-square", (m,)) for m in fibre
-                   if mor_map[source.boundary[m]] != target.boundary[dim2_map[m]]]
+    G, H, M, N = source.base.group, target.base.group, source.fibre, target.fibre
+
+    def f(g):
+        return H.elements[group_map[G.index(g)]]
+
+    def f2(m):
+        return N.elements[fibre_map[M.index(m)]]
+
+    objects = source.base.objects
+    report = [("identity", (x,)) for x in objects if f(G.identity) != H.identity]
+    report += [("composition", (g, h)) for g in G for h in G
+               if f(G.add(g, h)) != H.add(f(g), f(h))]
+    report += [("dim2-hom", (m, n)) for m in M for n in M
+               if f2(M.add(m, n)) != N.add(f2(m), f2(n))]
+    report += [("boundary-square", (x, m)) for k, x in enumerate(objects) for t, m in enumerate(M)
+               if group_map[source.boundary[k][t]]
+               != target.boundary[obj_map[k]][fibre_map[t]]]
     if report:
         return report
-    return [("action-square", (m, u)) for u in ms for m in source.fibres[sb.source[u]]
-            if dim2_map[source.action[(m, u)]] != target.action[(dim2_map[m], mor_map[u])]]
+    return [("action-square", (m, g)) for i, g in enumerate(G) for t, m in enumerate(M)
+            if fibre_map[source.act[i][t]] != target.act[group_map[i]][fibre_map[t]]]
+
+
+def assert_written_out_law(gxm, act, boundary, expected):
+    """The written-out form of the tables fails the law of expected, or passes with it."""
+    form = written_out_gxm(gxm.base, gxm.fibre, act, boundary)
+    got = outcome(lambda: make_written_gxm(gxm.base, form.fibres, form.boundary, form.action))
+    assert (got and got[:2]) == (expected and expected[:2])
+
+
+def identity_maps(gxm):
+    return (list(range(len(gxm.base.group))), list(range(len(gxm.base.objects))),
+            list(range(len(gxm.fibre))))
 
 
 # -- generators --------------------------------------------------------------
@@ -240,14 +313,16 @@ def test_groupoid_generators_reach_every_morphism(x):
 def test_valid_modules_pass_every_certificate(x):
     gxm = small_loop_gxm(x)
     base = gxm.base
-    written = written_out(base)
-    assert scan_groupoid(written, written.compose) is None
-    assert scan_gxm(base, gxm.fibres, gxm.boundary, gxm.action) is None
+    tables = written_out(base)
+    assert scan_groupoid(tables, tables.compose) is None
+    form = written(gxm)
+    assert scan_gxm(base, form.fibres, form.boundary, form.action) is None
+    assert scan_tables(base, gxm.fibre, gxm.act, gxm.boundary) is None
     assert list(_action_failures(x.P, x.M, x.action.table)) == []
     assert list(_homomorphism_failures(x.M, x.P, x.delta.mapping)) == []
-    identity = {u: u for u in base.morphisms}
-    assert check_morphism(gxm, gxm, {a: a for a in base.objects}, identity,
-                          {m: m for m in gxm.all_fibre_elements()}) == []
+    assert check_morphism(gxm, gxm, *identity_maps(gxm)) == []
+    assert check_written_morphism(form, form, *written_out_maps(form, form,
+                                                               *identity_maps(gxm))) == []
 
 
 # -- single-entry mutants ----------------------------------------------------
@@ -305,13 +380,15 @@ def test_groupoid_compose_mutant_matches_full_scan(x, data, one_object):
 @given(crossed_modules(), st.data(), st.booleans())
 def test_gxm_action_mutant_matches_full_scan(x, data, one_object):
     gxm = some_gxm(x, one_object)
-    base = gxm.base
-    m, u = data.draw(st.sampled_from(sorted(gxm.action, key=repr)))
-    action = dict(gxm.action)
-    action[(m, u)] = other(data.draw, gxm.fibres[base.target(u)].elements, action[(m, u)])
-    expected = scan_gxm(base, gxm.fibres, gxm.boundary, action)
+    base, fibre = gxm.base, gxm.fibre
+    g = data.draw(st.integers(0, len(base.group) - 1))
+    t = data.draw(st.integers(0, len(fibre) - 1))
+    act = [list(row) for row in gxm.act]
+    act[g][t] = other(data.draw, range(len(fibre)), act[g][t])
+    expected = scan_tables(base, fibre, act, gxm.boundary)
     assert expected is not None
-    assert outcome(lambda: make_gxm(base, gxm.fibres, gxm.boundary, action)) == expected
+    assert outcome(lambda: make_gxm(base, fibre, act, gxm.boundary)) == expected
+    assert_written_out_law(gxm, act, gxm.boundary, expected)
 
 
 @MUTANT_SETTINGS
@@ -319,11 +396,14 @@ def test_gxm_action_mutant_matches_full_scan(x, data, one_object):
 def test_gxm_boundary_mutant_matches_full_scan(x, data, one_object):
     gxm = some_gxm(x, one_object)
     base = gxm.base
-    m = data.draw(st.sampled_from(gxm.all_fibre_elements()))
-    boundary = dict(gxm.boundary)
-    boundary[m] = other(data.draw, base.vertex_morphisms(gxm.object_of[m]), boundary[m])
-    expected = scan_gxm(base, gxm.fibres, boundary, gxm.action)
-    assert outcome(lambda: make_gxm(base, gxm.fibres, boundary, gxm.action)) == expected
+    k = data.draw(st.integers(0, len(base.objects) - 1))
+    t = data.draw(st.integers(0, len(gxm.fibre) - 1))
+    boundary = [list(row) for row in gxm.boundary]
+    vertex = [g for g, row in enumerate(base.act) if row[k] == k]
+    boundary[k][t] = other(data.draw, vertex, boundary[k][t])
+    expected = scan_tables(base, gxm.fibre, gxm.act, boundary)
+    assert outcome(lambda: make_gxm(base, gxm.fibre, gxm.act, boundary)) == expected
+    assert_written_out_law(gxm, gxm.act, boundary, expected)
 
 
 @MUTANT_SETTINGS
@@ -352,19 +432,23 @@ def test_homomorphism_mutant_report_matches_full_scan(x, data):
 def test_check_morphism_mutant_report_matches_full_scan(x, data, one_object, on_morphisms):
     gxm = some_gxm(x, one_object)
     base = gxm.base
-    mor_map = {u: u for u in base.morphisms}
-    dim2_map = {m: m for m in gxm.all_fibre_elements()}
+    group_map, obj_map, fibre_map = identity_maps(gxm)
     if on_morphisms:
-        u = data.draw(st.sampled_from(base.morphisms))
-        mor_map[u] = other(data.draw, [t for t in base.morphisms if base.source(t) ==
-                                       base.source(u) and base.target(t) == base.target(u)], u)
+        # another element with the same action on the objects keeps endpoints
+        g = data.draw(st.integers(0, len(base.group) - 1))
+        group_map[g] = other(data.draw, [h for h, row in enumerate(base.act)
+                                         if row == base.act[g]], g)
     else:
-        m = data.draw(st.sampled_from(gxm.all_fibre_elements()))
-        dim2_map[m] = other(data.draw, gxm.fibres[gxm.object_of[m]].elements, m)
-    obj_map = {a: a for a in base.objects}
-    report = check_morphism(gxm, gxm, obj_map, mor_map, dim2_map)
-    assert [(v.kind, v.witness) for v in report] == scan_morphism(gxm, gxm, obj_map, mor_map,
-                                                                  dim2_map)
+        t = data.draw(st.integers(0, len(gxm.fibre) - 1))
+        fibre_map[t] = other(data.draw, range(len(gxm.fibre)), t)
+    report = check_morphism(gxm, gxm, group_map, obj_map, fibre_map)
+    assert [(v.kind, v.witness) for v in report] == scan_morphism_tables(
+        gxm, gxm, group_map, obj_map, fibre_map)
+    form = written(gxm)
+    old = check_written_morphism(form, form, *written_out_maps(form, form, group_map,
+                                                               obj_map, fibre_map))
+    assert list(dict.fromkeys(v.kind for v in report)) == list(dict.fromkeys(
+        v.kind for v in old))
 
 
 # -- inputs that keep every law but additivity -------------------------------
@@ -386,12 +470,13 @@ def test_twisted_group_action_report_matches_full_scan(x, data):
 @given(crossed_modules(), st.data(), st.booleans())
 def test_twisted_gxm_action_matches_full_scan(x, data, one_object):
     gxm = some_gxm(x, one_object)
-    base = gxm.base
-    tau = {m: m for m in gxm.all_fibre_elements()}
-    tau.update(involution(data.draw, gxm.fibres[data.draw(st.sampled_from(base.objects))]))
-    action = {(m, u): tau[gxm.action[(tau[m], u)]] for m, u in gxm.action}
-    expected = scan_gxm(base, gxm.fibres, gxm.boundary, action)
-    assert outcome(lambda: make_gxm(base, gxm.fibres, gxm.boundary, action)) == expected
+    fibre = gxm.fibre
+    tau = involution(data.draw, fibre)
+    swap = [fibre.index(tau[m]) for m in fibre]
+    act = [[swap[row[swap[t]]] for t in range(len(fibre))] for row in gxm.act]
+    expected = scan_tables(gxm.base, fibre, act, gxm.boundary)
+    assert outcome(lambda: make_gxm(gxm.base, fibre, act, gxm.boundary)) == expected
+    assert_written_out_law(gxm, act, gxm.boundary, expected)
 
 
 @MUTANT_SETTINGS
@@ -405,9 +490,11 @@ def test_translation_action_reports_additivity_like_full_scan(drawn):
     conjugation = group_action(group, group, {(m, p): group.conj(m, p)
                                               for m in group for p in group})
     gxm = as_groupoid_xmod(make_xmod(group, group, identity, conjugation))
-    expected = scan_gxm(gxm.base, gxm.fibres, gxm.boundary, table)
+    act = [[group.index(group.add(m, p)) for m in group] for p in group]
+    expected = scan_tables(gxm.base, gxm.fibre, act, gxm.boundary)
     assert expected[1] == "additivity"
-    assert outcome(lambda: make_gxm(gxm.base, gxm.fibres, gxm.boundary, table)) == expected
+    assert outcome(lambda: make_gxm(gxm.base, gxm.fibre, act, gxm.boundary)) == expected
+    assert_written_out_law(gxm, act, gxm.boundary, expected)
 
 
 # -- identity failures: the certificates' base case is gone ------------------
@@ -425,10 +512,10 @@ def test_identity_broken_at_an_object_without_generators_reports_composition():
     source = as_groupoid_xmod(fixture("triv"))  # one object, one morphism: no generators
     target = as_groupoid_xmod(fixture("inc24"))
     assert source.base.generators == ()
-    maps = ({"*": "*"}, {"0": "1"}, {"0": "0"})
+    maps = ([target.base.group.index("1")], [0], [0])
     report = [(v.kind, v.witness) for v in check_morphism(source, target, *maps)]
     assert ("composition", ("0", "0")) in report
-    assert report == scan_morphism(source, target, *maps)
+    assert report == scan_morphism_tables(source, target, *maps)
 
 
 def test_morphism_breaking_only_action_square_reports_each_failing_pair():
@@ -438,10 +525,10 @@ def test_morphism_breaking_only_action_square_reports_each_failing_pair():
     x = fixture("mod32")
     source = as_groupoid_xmod(x)
     target = as_groupoid_xmod(make_xmod(x.M, x.P, x.delta, trivial_action(x.P, x.M)))
-    maps = ({"*": "*"}, {u: u for u in x.P}, {m: m for m in x.M})
+    maps = identity_maps(source)
     report = [(v.kind, v.witness) for v in check_morphism(source, target, *maps)]
     assert report == [("action-square", ("1", "1")), ("action-square", ("2", "1"))]
-    assert report == scan_morphism(source, target, *maps)
+    assert report == scan_morphism_tables(source, target, *maps)
 
 
 # -- the one place a proof gates a scan --------------------------------------
@@ -477,21 +564,20 @@ def test_failures_with_a_failing_or_missing_proof_reports_every_failure_in_scan_
 # the CM1 and CM2 proofs stand between such an input and acceptance.
 
 
-def reboundary(gxm, a, g):
-    """gxm's boundary with -g + d(m) + g at object a, or 0 there when g is None."""
-    base = gxm.base
-    boundary = dict(gxm.boundary)
-    for m in gxm.fibres[a]:
-        boundary[m] = base.identity(a) if g is None else base.compose(
-            base.compose(base.inverse(g), boundary[m]), g)
+def reboundary(gxm, k, g):
+    """gxm's boundary with -g + d(m) + g at object x_k, or 0 there when g is None."""
+    G = gxm.base.group
+    boundary = [list(row) for row in gxm.boundary]
+    boundary[k] = ([G.index(G.identity)] * len(gxm.fibre) if g is None else
+                   [G.index(G.conj(G.elements[b], G.elements[g])) for b in boundary[k]])
     return boundary
 
 
 def assert_cm_verdict_matches_full_scan(gxm, boundary):
-    base = gxm.base
-    expected = scan_gxm(base, gxm.fibres, boundary, gxm.action)
+    expected = scan_tables(gxm.base, gxm.fibre, gxm.act, boundary)
     assert expected is None or expected[0] in ("CM1Violation", "CM2Violation")
-    assert outcome(lambda: make_gxm(base, gxm.fibres, boundary, gxm.action)) == expected
+    assert outcome(lambda: make_gxm(gxm.base, gxm.fibre, gxm.act, boundary)) == expected
+    assert_written_out_law(gxm, gxm.act, boundary, expected)
 
 
 @PROPERTY_SETTINGS
@@ -504,17 +590,18 @@ def test_conjugation_module_with_every_twisted_or_zero_boundary_matches_full_sca
     conjugation = group_action(group, group, {(m, p): group.conj(m, p)
                                               for m in group for p in group})
     gxm = as_groupoid_xmod(make_xmod(group, group, identity, conjugation))
-    for g in (None, *group):
-        assert_cm_verdict_matches_full_scan(gxm, reboundary(gxm, "*", g))
+    for g in (None, *range(len(group))):
+        assert_cm_verdict_matches_full_scan(gxm, reboundary(gxm, 0, g))
 
 
 @MUTANT_SETTINGS
 @given(crossed_modules(), st.data(), st.booleans())
 def test_boundary_that_breaks_only_cm1_or_cm2_matches_full_scan(x, data, one_object):
     gxm = some_gxm(x, one_object)
-    a = data.draw(st.sampled_from(gxm.base.objects))
-    g = data.draw(st.sampled_from([None, *gxm.base.vertex_morphisms(a)]))
-    assert_cm_verdict_matches_full_scan(gxm, reboundary(gxm, a, g))
+    k = data.draw(st.integers(0, len(gxm.base.objects) - 1))
+    vertex = [g for g, row in enumerate(gxm.base.act) if row[k] == k]
+    g = data.draw(st.sampled_from([None, *vertex]))
+    assert_cm_verdict_matches_full_scan(gxm, reboundary(gxm, k, g))
 
 
 @PROPERTY_SETTINGS
@@ -529,6 +616,6 @@ def test_parity_boundary_under_inversion_breaks_only_cm2_like_full_scan(drawn):
                                          for m in group for p in c2})
     zero = homomorphism(group, c2, {m: c2.identity for m in group})
     gxm = as_groupoid_xmod(make_xmod(group, c2, zero, inversion))
-    parity = {m: c2.elements[sign(perm_of[m])] for m in group}
-    assert scan_gxm(gxm.base, gxm.fibres, parity, gxm.action)[0] == "CM2Violation"
+    parity = [[sign(perm_of[m]) for m in group]]
+    assert scan_tables(gxm.base, gxm.fibre, gxm.act, parity)[0] == "CM2Violation"
     assert_cm_verdict_matches_full_scan(gxm, parity)

@@ -1,7 +1,7 @@
 import pytest
 
-from bruteforce import brute_loop_gpd_tables
-from conftest import all_base_pairs, all_fixtures, fixture, written_out
+from bruteforce import brute_loop_gpd_tables, make_written_gxm
+from conftest import all_base_pairs, all_fixtures, fixture, written, written_out
 from xmodloop.errors import PreconditionFailed
 from xmodloop.exactseq import (
     coinvariants,
@@ -43,8 +43,10 @@ def test_fibre_shapes(any_xmod):
     expected_morphisms = {(m, x.P.identity, a) for m in x.M for a in x.P}
     assert set(data.fibre.base.morphisms) == expected_morphisms
     expected_dim2 = {(x.M.identity, a) for a in x.P}
-    actual_dim2 = {m for a in x.P for m in data.fibre.fibres[a]}
+    actual_dim2 = {m for a in x.P for m in written(data.fibre).fibres[a]}
     assert actual_dim2 == expected_dim2
+    assert data.fibre.fibre.elements == [x.M.identity]
+    assert {a: len(g) for a, g in data.fibre.fibres.items()} == dict.fromkeys(x.P, 1)
 
 
 def test_fibre_tables_are_the_p0_slice_of_label_arithmetic(any_xmod):
@@ -56,10 +58,12 @@ def test_fibre_tables_are_the_p0_slice_of_label_arithmetic(any_xmod):
     kept = set(kept)
     assert list(written_out(fibre.base).compose.items()) == [
         (pair, w) for pair, w in expected["compose"].items() if set(pair) <= kept]
-    assert list(fibre.boundary.items()) == [
+    form = written(fibre)
+    assert list(form.boundary.items()) == [
         (m, d) for m, d in expected["boundary"].items() if m in elements]
-    assert list(fibre.action.items()) == [
+    assert list(form.action.items()) == [
         ((m, u), n) for (m, u), n in expected["action"].items() if m in elements and u in kept]
+    make_written_gxm(fibre.base, form.fibres, form.boundary, form.action)
 
 
 def test_inc24_fibre_components_are_cosets():
@@ -148,7 +152,7 @@ def test_pi2_three_routes_coincide():
         from_loop = set(pi_loop(x, a).pi2.elements)
         from_fixed = set(fixed_points(x, a))
         gxm = loop_gpd_xmod(x)
-        from_gpd = {e[0] for e in pi2_at(gxm, a).elements}
+        from_gpd = set(pi2_at(gxm, a).elements)
         assert from_loop == from_fixed == from_gpd
 
 

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 import xmodloop
-from bruteforce import make_groupoid
-from conftest import cyclic, fixture, written_out
+from bruteforce import check_written_morphism, make_groupoid, make_written_gxm, written_out_maps
+from conftest import IDENTITY_MODULES, cyclic, fixture, identity_module, written, written_out
 from xmodloop.errors import (
     InvalidGroupoid,
     InvalidGroupoidXMod,
@@ -46,19 +46,11 @@ def two_component_groupoid():
                            ("ex", "ey", "ez", "tx", "ty", "tz"))
 
 
-def trivial_fibres(groupoid, tag=""):
-    fibres = {}
-    boundary = {}
-    for obj in groupoid.objects:
-        name = f"0{tag}{obj}"
-        fibres[obj] = make_group([name], [[name]], name)
-        boundary[name] = groupoid.identity(obj)
-    action = {}
-    for u in groupoid.morphisms:
-        src = next(iter(fibres[groupoid.source(u)].elements))
-        tgt = next(iter(fibres[groupoid.target(u)].elements))
-        action[(src, u)] = tgt
-    return fibres, boundary, action
+def trivial_fibre(groupoid):
+    """The trivial group over every object: its action and boundary tables."""
+    e = groupoid.group.index(groupoid.group.identity)
+    return (make_group(["0"], [["0"]], "0"), [[0] for _ in groupoid.group],
+            [[e] for _ in groupoid.objects])
 
 
 def test_vertex_group_of_one_object_groupoid_is_the_group():
@@ -77,8 +69,7 @@ def test_vertex_group_unknown_object():
 
 def test_two_component_groupoid_pi0():
     g = two_component_groupoid()
-    fibres, boundary, action = trivial_fibres(g)
-    gxm = make_gxm(g, fibres, boundary, action)
+    gxm = make_gxm(g, *trivial_fibre(g))
     assert pi0(gxm) == [["x"], ["y", "z"]]
     assert vertex_group(g, "x").elements == ["ex", "tx"]
     assert vertex_group(g, "y").elements == ["ey"]
@@ -96,8 +87,8 @@ def test_groupoid_rejects_broken_composition_domain():
 DOMAIN_WITNESSES = """
 from xmodloop.errors import XModError
 from xmodloop.groups import make_group
-from bruteforce import make_groupoid
-from xmodloop.groupoids import action_groupoid, make_gxm
+from bruteforce import make_groupoid, make_written_gxm
+from xmodloop.groupoids import action_groupoid
 
 c3 = make_group("abc", ["abc", "bca", "cab"], "a")
 c2 = make_group("01", ["01", "10"], "0")
@@ -114,7 +105,7 @@ action = {(m, u): m for u in c3 for m in c2}
 for pair in (("1", "c"), ("0", "b"), ("1", "b")):
     del action[pair]
 try:
-    make_gxm(base, {"*": c2}, {m: "a" for m in c2}, action)
+    make_written_gxm(base, {"*": c2}, {m: "a" for m in c2}, action)
 except XModError as exc:
     print(exc.witness)
 """
@@ -141,11 +132,12 @@ def test_domain_witness_is_the_first_extra_key_when_the_key_count_is_right():
         make_groupoid(g.objects, g.morphisms, g.source, g.target, compose, g.identities)
     assert info.value.witness == ("ex", "ey")
     gxm = as_groupoid_xmod(fixture("inc24"))
-    action = dict(gxm.action)
+    form = written(gxm, lambda m, x: m)
+    action = dict(form.action)
     del action[next(iter(action))]
     action[("2", "0")] = "0"
     with pytest.raises(InvalidGroupoidXMod) as info:
-        make_gxm(gxm.base, gxm.fibres, gxm.boundary, action)
+        make_written_gxm(gxm.base, form.fibres, form.boundary, action)
     assert info.value.witness == ("2", "0")
 
 
@@ -170,64 +162,58 @@ def test_one_object_wrap_matches_xmod_homotopy(any_xmod):
 
 def test_restrict_one_object_wrap_recovers_the_crossed_module(any_xmod):
     x = any_xmod
-    restricted = restrict(as_groupoid_xmod(x), x.P, {"*": x.M})
-    assert restricted.fibres["*"].elements == x.M.elements
+    restricted = restrict(as_groupoid_xmod(x), x.P, ("*",), x.M)
+    assert restricted.fibre is x.M
     assert restricted.base.group.elements == x.P.elements
-    assert restricted.boundary == {m: x.delta(m) for m in x.M}
+    assert written(restricted, lambda m, a: m).boundary == {m: x.delta(m) for m in x.M}
+    assert restricted.act == [[x.M.index(x.act(m, p)) for m in x.M] for p in x.P]
 
 
 def test_identity_morphism_is_a_fibration():
     x = fixture("mod32")
     gxm = as_groupoid_xmod(x)
-    f = make_gxm_morphism(gxm, gxm,
-                          {"*": "*"},
-                          {u: u for u in gxm.base.morphisms},
-                          {m: m for m in gxm.all_fibre_elements()})
+    f = make_gxm_morphism(gxm, gxm, list(range(len(x.P))), [0], list(range(len(x.M))))
+    assert f.is_isomorphism()
     assert is_fibration(f) == []
 
 
 def test_vertex_inclusion_fails_star_surjectivity():
+    # the trivial group at x into C2 = {e, t} fixing x: the star at x is ex, tx
     target_base = two_component_groupoid()
-    target_fibres, target_boundary, target_action = trivial_fibres(target_base, tag="t")
-    target = make_gxm(target_base, target_fibres, target_boundary, target_action)
-
+    target = make_gxm(target_base, *trivial_fibre(target_base))
     source_base = one_object_groupoid(cyclic(1), "x")
-    source_fibres, source_boundary, source_action = trivial_fibres(source_base, tag="s")
-    source = make_gxm(source_base, source_fibres, source_boundary, source_action)
-
-    f = make_gxm_morphism(source, target, {"x": "x"}, {"0": "ex"}, {"0sx": "0tx"})
+    source = make_gxm(source_base, *trivial_fibre(source_base))
+    f = make_gxm_morphism(source, target, [0], [0], [0])
     report = is_fibration(f)
-    assert any(v.kind == "star-surjectivity" and v.witness == ("x", "tx") for v in report)
+    assert [(v.kind, v.witness) for v in report] == [("star-surjectivity", ("x", "tx"))]
 
 
 def test_morphism_validation_catches_wrong_identity_image():
     x = fixture("inc24")
     gxm = as_groupoid_xmod(x)
-    report = check_morphism(gxm, gxm, {"*": "*"},
-                            {u: "1" for u in gxm.base.morphisms},
-                            {m: m for m in gxm.all_fibre_elements()})
+    report = check_morphism(gxm, gxm, [x.P.index("1")] * len(x.P), [0], [0, 1])
+    assert report[0].kind == "identity"
     assert report
 
 
 def test_bad_dim2_image_does_not_hide_later_fibres():
-    # loop groupoid of C2 -> C4: one unmapped fibre element at object 0, and
-    # the two elements of the fibre at object 3 swapped
+    # loop groupoid of C2 -> C4 (4 objects): swapping the two elements of M
+    # breaks dim2-hom at every pair, and the boundary square at every
+    # object, each reported in full; an entry outside M is reported alone
     gxm = loop_gpd_xmod(fixture("inc24"))
     base = gxm.base
-    dim2_map = {m: m for m in gxm.all_fibre_elements()}
-    dim2_map[("1", "0")] = ("1", "1")
-    dim2_map[("0", "3")], dim2_map[("1", "3")] = ("1", "3"), ("0", "3")
-    report = check_morphism(gxm, gxm, {x: x for x in base.objects},
-                            {u: u for u in base.morphisms}, dim2_map)
+    groups = list(range(len(base.group)))
+    report = check_morphism(gxm, gxm, groups, [0, 1, 2, 3], [1, 0])
     assert [(v.kind, v.witness) for v in report] == [
-        ("dim2-map", (("1", "0"),)),
-        ("dim2-hom", (("0", "3"), ("0", "3"))),
-        ("dim2-hom", (("0", "3"), ("1", "3"))),
-        ("dim2-hom", (("1", "3"), ("0", "3"))),
-        ("dim2-hom", (("1", "3"), ("1", "3"))),
-        ("boundary-square", (("0", "3"),)),
-        ("boundary-square", (("1", "3"),)),
-    ]
+        ("dim2-hom", ("0", "0")), ("dim2-hom", ("0", "1")),
+        ("dim2-hom", ("1", "0")), ("dim2-hom", ("1", "1")),
+        *(("boundary-square", (a, m)) for a in base.objects for m in ("0", "1"))]
+    form = written(gxm)
+    old = check_written_morphism(form, form, *written_out_maps(form, form, groups,
+                                                               [0, 1, 2, 3], [1, 0]))
+    assert {v.kind for v in old} == {"dim2-hom", "boundary-square"}
+    report = check_morphism(gxm, gxm, groups, [0, 1, 2, 3], [0, 2])
+    assert [(v.kind, v.witness) for v in report] == [("dim2-map", ("1",))]
 
 
 def test_pi_at_constant_on_components(any_xmod):
@@ -241,12 +227,16 @@ def test_pi_at_constant_on_components(any_xmod):
 
 
 def test_restrict_to_object_is_always_a_valid_crossed_module(any_xmod):
-    # restrict checks every law of the piece through make_gxm
+    # restrict checks only closure and invariance; make_gxm and the
+    # written-out validator must both accept every piece it cuts
     gxm = loop_gpd_xmod(any_xmod)
     for a in gxm.base.objects:
-        restricted = restrict(gxm, gxm.base.stabiliser(a), {a: gxm.fibres[a]})
+        restricted = restrict(gxm, gxm.base.stabiliser(a), (a,), gxm.fibre)
         assert restricted.base.objects == (a,)
-        assert restricted.fibres[a] is gxm.fibres[a]
+        assert restricted.fibre is gxm.fibre
+        make_gxm(restricted.base, restricted.fibre, restricted.act, restricted.boundary)
+        form = written(restricted)
+        make_written_gxm(restricted.base, form.fibres, form.boundary, form.action)
 
 
 def test_restrict_rejects_a_morphism_set_not_closed_under_composition():
@@ -254,7 +244,7 @@ def test_restrict_rejects_a_morphism_set_not_closed_under_composition():
     gxm = loop_gpd_xmod(fixture("inc24"))
     kept = [("0", "0"), ("0", "1")]
     with pytest.raises(NotClosed) as info:
-        restrict(gxm, kept, {"0": gxm.fibres["0"]})
+        restrict(gxm, kept, ("0",), gxm.fibre)
     assert info.value.witness == (("0", "1"), "-('0', '1')", ("0", "3"))
 
 
@@ -262,7 +252,7 @@ def test_restrict_rejects_objects_the_subgroup_moves():
     # (1, 0) sends 0 to 0 + delta(1) = 2, outside the kept objects
     gxm = loop_gpd_xmod(fixture("inc24"))
     with pytest.raises(InvalidGroupoid) as info:
-        restrict(gxm, [("1", "0")], {"0": gxm.fibres["0"]})
+        restrict(gxm, [("1", "0")], ("0",), gxm.fibre)
     assert info.value.law == "objects-invariant"
     assert info.value.witness == (("1", "0"), "0")
 
@@ -270,8 +260,30 @@ def test_restrict_rejects_objects_the_subgroup_moves():
 def test_restrict_rejects_a_morphism_the_groupoid_lacks():
     gxm = loop_gpd_xmod(fixture("inc24"))
     with pytest.raises(UnknownElement) as info:
-        restrict(gxm, [("0", "0"), "zz"], {"0": gxm.fibres["0"]})
+        restrict(gxm, [("0", "0"), "zz"], ("0",), gxm.fibre)
     assert info.value.witness == ("zz",)
     with pytest.raises(UnknownObject) as info:
-        restrict(gxm, [("0", "0")], {"zz": gxm.fibres["0"]})
+        restrict(gxm, [("0", "0")], ("zz",), gxm.fibre)
     assert info.value.witness == ("zz",)
+    with pytest.raises(UnknownElement) as info:
+        restrict(gxm, [("0", "0")], ("0",), ["zz"])
+    assert info.value.witness == ("zz",)
+
+
+def test_restrict_rejects_a_fibre_the_subgroup_moves_or_bounds_outside_it():
+    # in id: S3 the stabiliser of the object 0 is the pairs (0, p), which
+    # act on M = S3 by conjugation: they move the subgroup {0, t} of a
+    # transposition t, and delta_0(m) = (0, m) leaves the trivial subgroup
+    x = identity_module(IDENTITY_MODULES["S3"], "S3")
+    gxm = loop_gpd_xmod(x)
+    zero = x.M.identity
+    t = next(m for m in x.M if m != zero and x.M.add(m, m) == zero)
+    with pytest.raises(InvalidGroupoidXMod) as info:
+        restrict(gxm, gxm.base.stabiliser(zero), (zero,), [zero, t])
+    assert info.value.law == "action-codomain"
+    assert info.value.witness[0] == t
+    with pytest.raises(InvalidGroupoidXMod) as info:
+        restrict(gxm, [(zero, zero)], (zero,), x.M)
+    assert info.value.law == "boundary-vertex"
+    m = x.M.elements[1]
+    assert info.value.witness == (m, zero, (zero, m, zero))

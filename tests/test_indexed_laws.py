@@ -5,18 +5,23 @@ triple of morphisms and filters for composability.  The library walks
 only the source index, so on hand-broken inputs with several objects
 both must stop at the same tuple.
 
-The table checks of make_groupoid and make_gxm walk the composable pairs
-(or the expected action keys) once, but their witness is the first bad
-entry in the order of the given table.  The tables below list their
-entries in reverse, so that the first failure met by a walk over the
-pairs is not the one reported.  The composition tables are the loop
-groupoid's lookups written out (``conftest.written_out``).
+The table checks of make_groupoid and of the written-out crossed-module
+validator ``make_written_gxm`` walk the composable pairs (or the expected
+action keys) once, but their witness is the first bad entry in the order
+of the given table.  The tables below list their entries in reverse, so
+that the first failure met by a walk over the pairs is not the one
+reported.  The composition tables are the loop groupoid's lookups written
+out (``conftest.written_out``), and the action dicts its action written
+out by object and by arrow (``conftest.written``).  The library's own
+crossed modules keep one fibre group and integer tables; their action
+composition and morphism composition witnesses are checked against full
+scans on positions.
 """
 
 import pytest
 
-from bruteforce import make_groupoid
-from conftest import fixture, written_out
+from bruteforce import before, make_groupoid, make_written_gxm
+from conftest import fixture, written, written_out
 from xmodloop.errors import InvalidAction, InvalidGroupoid, InvalidGroupoidXMod
 from xmodloop.groupoids import check_morphism, make_gxm
 from xmodloop.loop import loop_gpd_xmod
@@ -75,16 +80,23 @@ def full_scan_action_composition(base, fibres, action):
     return None
 
 
-def full_scan_morphism_composition(base, mor_map):
-    """Every failing pair of an endomorphism of `base`, in scan order."""
-    witnesses = []
-    for u in base.morphisms:
-        for v in base.morphisms:
-            if base.target[u] != base.source[v]:
-                continue
-            if mor_map[base.compose[(u, v)]] != base.compose[(mor_map[u], mor_map[v])]:
-                witnesses.append((u, v))
-    return witnesses
+def full_scan_group_action_composition(group, act):
+    """The first (m, g, h) with (m^g)^h != m^(g + h), g-major, in the action table of positions."""
+    for g in range(len(group)):
+        for h in range(len(group)):
+            gh = group.index(group.add(group.elements[g], group.elements[h]))
+            for t, v in enumerate(act[g]):
+                if act[h][v] != act[gh][t]:
+                    return (t, g, h)
+    return None
+
+
+def full_scan_morphism_composition(group, group_map):
+    """Every pair (g, h) of an endomorphism f of `group` with f(g + h) != f(g) + f(h)."""
+    labels = group.elements
+    return [(g, h) for g in labels for h in labels
+            if labels[group_map[group.index(group.add(g, h))]]
+            != group.add(labels[group_map[group.index(g)]], labels[group_map[group.index(h)]])]
 
 
 def test_associativity_witness_matches_full_scan():
@@ -135,33 +147,46 @@ def test_missing_inverse_witness_on_two_objects():
 def test_action_composition_witness_matches_full_scan():
     gxm = multi_object_loop_gxm()
     base = written_out(gxm.base)
+    form = written(gxm)
     identities = set(base.identities.values())
     u = next(u for u in base.morphisms
              if u not in identities and base.source[u] != base.target[u])
-    m = gxm.fibres[base.source[u]].elements[0]
-    action = dict(gxm.action)
+    m = form.fibres[base.source[u]].elements[0]
+    action = dict(form.action)
     image = action[(m, u)]
-    action[(m, u)] = next(n for n in gxm.fibres[base.target[u]] if n != image)
-    expected = full_scan_action_composition(base, gxm.fibres, action)
+    action[(m, u)] = next(n for n in form.fibres[base.target[u]] if n != image)
+    expected = full_scan_action_composition(base, form.fibres, action)
     assert expected is not None
     with pytest.raises(InvalidAction) as info:
-        make_gxm(gxm.base, gxm.fibres, gxm.boundary, action)
+        make_written_gxm(gxm.base, form.fibres, form.boundary, action)
     assert info.value.law == "composition"
     assert info.value.witness == expected
+    # the same on G's action table, at the first element that moves an object
+    group = gxm.base.group
+    g = next(g for g, row in enumerate(gxm.base.act) if row != list(range(len(row))))
+    act = [list(row) for row in gxm.act]
+    act[g][0] = next(v for v in range(len(gxm.fibre)) if v != act[g][0])
+    t, g, h = full_scan_group_action_composition(group, act)
+    with pytest.raises(InvalidAction) as info:
+        make_gxm(gxm.base, gxm.fibre, act, gxm.boundary)
+    assert info.value.law == "composition"
+    assert info.value.witness == (gxm.fibre.elements[t], group.elements[g], group.elements[h])
 
 
 def test_check_morphism_composition_report_matches_full_scan():
+    # an endomorphism moving one element g of G to another with the same
+    # action on the objects, off every boundary: only composition breaks
     gxm = multi_object_loop_gxm()
-    base = written_out(gxm.base)
-    identities = set(base.identities.values())
-    boundary_values = set(gxm.boundary.values())
-    u = next(u for u in base.morphisms if u not in identities
-             and u not in boundary_values and base.source[u] != base.target[u])
-    mor_map = {w: w for w in base.morphisms}
-    mor_map[u] = parallel_other(base, u)
-    dim2_map = {m: m for m in gxm.all_fibre_elements()}
-    report = check_morphism(gxm, gxm, {x: x for x in base.objects}, mor_map, dim2_map)
-    expected = full_scan_morphism_composition(base, mor_map)
+    base, group = gxm.base, gxm.base.group
+    boundary_values = {g for row in gxm.boundary for g in row}
+    identity = group.index(group.identity)
+    g = next(g for g in range(len(group)) if g != identity and g not in boundary_values
+             and base.act[g] != list(range(len(base.objects))))
+    group_map = list(range(len(group)))
+    group_map[g] = next(h for h in range(len(group)) if h != g and base.act[h] == base.act[g])
+    report = check_morphism(gxm, gxm, group_map, list(range(len(base.objects))),
+                            list(range(len(gxm.fibre))))
+    expected = full_scan_morphism_composition(group, group_map)
     assert len(expected) > 1
     assert [v.kind for v in report] == ["composition"] * len(expected)
     assert [v.witness for v in report] == expected
@@ -178,7 +203,7 @@ def test_source_index_partitions_morphisms_in_order(any_xmod):
         assert base.star(x) == leaving
         into = [u for u in base.morphisms if base.target(u) == x]
         for v in base.star(x):
-            assert base.before(v) == [(u, base.compose(u, v)) for u in into]
+            assert before(base, v) == [(u, base.compose(u, v)) for u in into]
         assert base.vertex_morphisms(x) == [u for u in leaving if base.target(u) == x]
         assert base.stabiliser(x) == [u[:2] for u in base.vertex_morphisms(x)]
 
@@ -237,40 +262,50 @@ def test_missing_pair_with_the_right_key_count_reports_the_extra_key():
     assert info.value.witness == extra
 
 
-def action_keys(gxm):
+def action_keys(form):
     """An early and a late key of the action, in the order of the action table."""
-    keys = list(gxm.action)
+    keys = list(form.action)
     return keys[1], keys[-2]
 
 
-def outside_fibre(gxm, key):
-    """A fibre element that is not in the fibre of the target of key's morphism."""
+def outside_fibre(gxm, form, key):
+    """A fibre label that is not in the fibre of the target of key's morphism."""
     m, u = key
-    return next(n for n in gxm.all_fibre_elements()
-                if n not in gxm.fibres[gxm.base.target(u)])
+    return next(n for fibre in form.fibres.values() for n in fibre
+                if n not in form.fibres[gxm.base.target(u)])
 
 
 def test_action_value_outside_its_fibre_is_first_in_action_order():
     gxm = multi_object_loop_gxm()
-    early, late = action_keys(gxm)
-    action = broken_twice(gxm.action, early, late,
-                          outside_fibre(gxm, early), outside_fibre(gxm, late))
+    form = written(gxm)
+    early, late = action_keys(form)
+    action = broken_twice(form.action, early, late,
+                          outside_fibre(gxm, form, early), outside_fibre(gxm, form, late))
     with pytest.raises(InvalidGroupoidXMod) as info:
-        make_gxm(gxm.base, gxm.fibres, gxm.boundary, action)
+        make_written_gxm(gxm.base, form.fibres, form.boundary, action)
     assert info.value.law == "action-codomain"
     assert info.value.witness == (*late, action[late])
+    # G's action table has no keys: its first entry outside M, in row order
+    act = [list(row) for row in gxm.act]
+    act[1][0], act[-2][1] = len(gxm.fibre), -1
+    with pytest.raises(InvalidGroupoidXMod) as info:
+        make_gxm(gxm.base, gxm.fibre, act, gxm.boundary)
+    assert info.value.law == "action-codomain"
+    assert info.value.witness == (gxm.fibre.elements[0], gxm.base.group.elements[1],
+                                  len(gxm.fibre))
 
 
 def test_missing_action_key_with_the_right_key_count_reports_the_extra_key():
     gxm = multi_object_loop_gxm()
-    early, late = action_keys(gxm)
-    action = dict(gxm.action)
+    form = written(gxm)
+    early, late = action_keys(form)
+    action = dict(form.action)
     del action[early]
-    extra = (outside_fibre(gxm, late), late[1])
-    assert extra not in gxm.action
-    action[extra] = gxm.action[late]
-    assert len(action) == len(gxm.action)
+    extra = (outside_fibre(gxm, form, late), late[1])
+    assert extra not in form.action
+    action[extra] = form.action[late]
+    assert len(action) == len(form.action)
     with pytest.raises(InvalidGroupoidXMod) as info:
-        make_gxm(gxm.base, gxm.fibres, gxm.boundary, action)
+        make_written_gxm(gxm.base, form.fibres, form.boundary, action)
     assert info.value.law == "action-domain"
     assert info.value.witness == extra

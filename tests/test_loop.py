@@ -8,6 +8,7 @@ from conftest import (
     assert_loop_tables_match_brute_force,
     cyclic,
     fixture,
+    written,
     written_out,
 )
 from xmodloop.documents import serialize_xmod
@@ -181,7 +182,10 @@ def test_theta_matches_vertex_group_with_pa():
         gxm = loop_gpd_xmod(x)
         vertex = vertex_group(gxm.base, a)
         pa = loop_data(x, a).Pa
-        mor_map = theta(x, a).mor_map
+        f = theta(x, a)
+        mor_map = dict(zip(f.source.base.morphisms,
+                           (f.target.base.morphisms[j] for j in f.group_map)))
+        assert mor_map == {u: u[:2] for u in vertex.elements}
         assert {mor_map[u] for u in vertex.elements} == set(pa.elements)
         for u in vertex:
             for v in vertex:
@@ -199,10 +203,13 @@ def test_theta_source_is_the_vertex_slice_of_the_loop_groupoid():
         assert src.base.stabiliser(a) == list(src.base.group) == [u[:2] for u in vertex]
         assert list(written_out(src.base).compose.items()) == [
             (pair, w) for pair, w in written_out(gxm.base).compose.items() if set(pair) <= kept]
-        assert src.fibres == {a: gxm.fibres[a]}
-        assert list(src.boundary.items()) == [(m, gxm.boundary[m]) for m in gxm.fibres[a]]
-        assert list(src.action.items()) == [
-            (key, n) for key, n in gxm.action.items() if key[1] in kept]
+        assert src.fibre is gxm.fibre is x.M
+        piece, whole = written(src), written(gxm)
+        assert list(piece.fibres) == [a]
+        assert list(piece.boundary.items()) == [(m, whole.boundary[m])
+                                                for m in whole.fibres[a]]
+        assert list(piece.action.items()) == [
+            (key, n) for key, n in whole.action.items() if key[1] in kept]
 
 
 def test_theta_at_an_unknown_base_point_is_an_unknown_object():

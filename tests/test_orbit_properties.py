@@ -8,7 +8,10 @@ library's subgroup code, then relabelled with random names listed in a
 random input order.  The loop-space properties check every table of the
 loop groupoid and of P(a) against label arithmetic, in order, and P(a)
 against its defining filter and the paper's order identity for pi1 at
-every base.  The nerve's count and listing agree with |M|^3 |P|^3.
+every base.  The nerve's count and listing agree with |M|^3 |P|^3.  The
+sizes of the loop groupoid, of theta's source at every base and of psi's
+fibre do not change when the elements are renamed and listed in another
+order.
 """
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 
 from bruteforce import brute_components, brute_pa
 from conftest import assert_loop_tables_match_brute_force
-from xmodloop.exactseq import coinvariants
+from xmodloop.exactseq import coinvariants, fibration_psi
 from xmodloop.groupoids import pi0
 from xmodloop.groups import (
     centralizer,
@@ -28,7 +31,7 @@ from xmodloop.groups import (
     subgroup,
     subgroup_generated,
 )
-from xmodloop.loop import components, loop_data, loop_gpd_xmod, pi_loop
+from xmodloop.loop import components, loop_data, loop_gpd_xmod, pi_loop, theta
 from xmodloop.nerve import k3_count, nerve_k3
 from xmodloop.xmod import homotopy, make_xmod
 
@@ -206,3 +209,41 @@ def test_loop_groups_at_every_base_match_filter_and_order_identity(x):
         abar = base.projection(a)
         assert len(pi_loop(x, a).pi1) == (len(coinvariants(x, a))
                                           * len(centralizer(base.pi1, abar)))
+
+
+def loop_sizes(x):
+    """The sizes the loopgpd benchmark reports: the loop groupoid, theta's source, psi's fibre."""
+    gxm, fibre = loop_gpd_xmod(x), fibration_psi(x).fibre
+    thetas = {a: theta(x, a) for a in x.P}
+    return {"objects": len(gxm.base.objects), "morphisms": len(gxm.base.morphisms),
+            "theta": {a: [len(f.source.base.morphisms), f.is_isomorphism()]
+                      for a, f in thetas.items()},
+            "fibre_morphisms": len(fibre.base.morphisms),
+            "fibre_elements": sum(len(g) for g in fibre.fibres.values())}
+
+
+@st.composite
+def relabelled(draw, x, alphabet="ab01(|)é"):
+    """x with its elements renamed from alphabet and listed in a random order; P's renaming."""
+    def rename(group):
+        names = dict(zip(group.elements, draw(labels(len(group), alphabet))))
+        order = draw(st.permutations(group.elements))
+        table = [[names[group.add(a, b)] for b in order] for a in order]
+        return make_group([names[a] for a in order], table, names[group.identity]), names
+
+    (M, m_name), (P, p_name) = rename(x.M), rename(x.P)
+    delta = homomorphism(M, P, {m_name[m]: p_name[x.delta(m)] for m in x.M})
+    action = group_action(P, M, {(m_name[m], p_name[p]): m_name[x.act(m, p)]
+                                 for m in x.M for p in x.P})
+    return make_xmod(M, P, delta, action), p_name
+
+
+@PROPERTY_SETTINGS
+@given(crossed_modules(), st.data())
+def test_loop_sizes_are_invariant_under_relabelling(x, data):
+    assume(len(x.M) * len(x.P) ** 2 <= 300)
+    y, p_name = data.draw(relabelled(x))
+    expected = loop_sizes(x)
+    expected["theta"] = {p_name[a]: sizes for a, sizes in expected["theta"].items()}
+    assert loop_sizes(y) == expected
+    assert all(iso for _, iso in expected["theta"].values())
