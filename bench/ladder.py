@@ -1,6 +1,6 @@
 """Size ladder: time each stage on a fixed list of growing inputs.
 
-    python bench/ladder.py --out BENCH_16.json
+    python bench/ladder.py --out BENCH_17.json
 
 A rung names a group (``S5``) or a crossed module: ``id: G``, ``1 -> G``
 or ``N -> G``, the inclusion of a normal subgroup N of G with G acting
@@ -12,7 +12,11 @@ with ``time.perf_counter`` and reads its own peak RSS with
 ``fibration_psi`` rungs build the loop groupoid first, as the cached
 ``loop_gpd_xmod`` they start from, and time only their own work.  The
 ``nerve_k3`` rung times the sorted listing of the 3-simplices and the
-``nerve_k3_count`` rung their count, which builds no list.  A ``cli_*``
+``nerve_k3_count`` rung their count, which builds no list.  The
+``parse_xmod`` rung times reading and validating the rung's document,
+written untimed by ``serialize_xmod``; the ``homotopy`` and
+``components`` rungs time that call alone on a fresh module, so
+``components`` includes the ``homotopy`` it starts from.  A ``cli_*``
 rung times one CLI subcommand as a whole: the child writes the rung as a
 document with ``serialize_xmod`` (untimed), then times one ``run_cli``
 call on it with standard output sent to a ``StringIO``;
@@ -55,6 +59,8 @@ RUNGS = [
     # K3 on id: S4 has 191M simplices
     *((stage, rung, rung != "id: S4") for stage in ("nerve_k3", "nerve_k3_count")
       for rung in ("id: C4", "1 -> S4", "id: S3", "id: D4", "id: S4")),
+    *((stage, rung, True) for stage in ("parse_xmod", "homotopy", "components")
+      for rung in ("id: S4", "id: A5", "id: S5", "A5 -> S5", "1 -> S6")),
     *(("cli_nerve3_list_json", rung, True) for rung in ("id: C4", "1 -> S4", "id: S3")),
     *(("cli_components", rung, True) for rung in ("id: A4", "id: S4")),
 ]
@@ -120,8 +126,10 @@ def predicted(stage: str, rung: str) -> dict:
     m = 1 if sub == "1" else len(permutation_group(sub))
     if stage.startswith("nerve_k3") or stage == "cli_nerve3_list_json":
         return {"simplices": m ** 3 * p ** 3}
-    if stage == "cli_components":
+    if stage in ("cli_components", "parse_xmod"):
         return {"bases": p, "document_entries": p * p + m * m + m + m * p}
+    if stage in ("homotopy", "components"):
+        return {"order_P": p, "order_M": m}
     # the loop groupoid is the group of the |M||P| pairs (m, p) acting on P
     if stage == "theta":
         return {"bases": p, "group_order": m * p}
@@ -136,12 +144,12 @@ def run_stage(stage: str, rung: str) -> float:
     """Build the rung's input, then time the stage alone."""
     sys.path.insert(0, str(ROOT / "src"))
     from xmodloop.cli import run_cli
-    from xmodloop.documents import serialize_xmod
+    from xmodloop.documents import parse_xmod, serialize_xmod
     from xmodloop.exactseq import fibration_psi
     from xmodloop.groups import group_action, homomorphism, make_group, subgroup
-    from xmodloop.loop import loop_gpd_xmod, theta
+    from xmodloop.loop import components, loop_gpd_xmod, theta
     from xmodloop.nerve import k3_count, nerve_k3
-    from xmodloop.xmod import make_xmod
+    from xmodloop.xmod import homotopy, make_xmod
 
     if stage == "make_group":
         elements, table, identity = group_table(rung)
@@ -168,9 +176,15 @@ def run_stage(stage: str, rung: str) -> float:
         if code != 0:
             raise RuntimeError(f"{' '.join(CLI_ARGS[stage])} exited with {code}")
         return wall
+    if stage == "parse_xmod":
+        text = serialize_xmod(x)
+        start = time.perf_counter()
+        parse_xmod(text)
+        return time.perf_counter() - start
     if stage in ("theta", "fibration_psi"):
         loop_gpd_xmod(x)
     call = {"loop_gpd_xmod": loop_gpd_xmod, "fibration_psi": fibration_psi,
+            "homotopy": homotopy, "components": components,
             "theta": lambda x: [theta(x, a) for a in x.P],
             "nerve_k3": nerve_k3, "nerve_k3_count": k3_count}[stage]
     start = time.perf_counter()

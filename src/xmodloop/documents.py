@@ -39,9 +39,17 @@ def _require(condition: bool, message: str) -> None:
         raise DocumentSyntaxError(message)
 
 
-def _strings(values) -> bool:
-    """Whether every value is a string; only the types are hashed, never a value."""
-    return set(map(type, values)) <= {str}
+def _within(known: set, values) -> bool:
+    """Whether every value is one of the known names.
+
+    The names are strings, so this also proves each value a string; an
+    unhashable value is not a name.  A document is read this way one row
+    at a time, and only a failing row is walked for its message.
+    """
+    try:
+        return known.issuperset(values)
+    except TypeError:
+        return False
 
 
 def _read_group_block(data, label: str) -> tuple[list, list, str]:
@@ -57,8 +65,7 @@ def _read_group_block(data, label: str) -> tuple[list, list, str]:
     _require(isinstance(table, list) and len(table) == n, f"{label}.table must have {n} rows")
     known = set(elements)
     for i, row in enumerate(table):
-        # one type test and one set test per row; only a failing row is walked for its message
-        if isinstance(row, list) and len(row) == n and _strings(row) and known.issuperset(row):
+        if isinstance(row, list) and len(row) == n and _within(known, row):
             continue
         _require(isinstance(row, list) and len(row) == n, f"{label}.table row {i} must have {n} entries")
         for j, value in enumerate(row):
@@ -94,8 +101,7 @@ def load_document(text: str) -> XModCandidate:
     _require(isinstance(delta, dict), "delta must be an object")
     m_set, p_set = set(m_elements), set(p_elements)
     # as for the tables: the entries are walked for a message only when a test fails
-    if not (m_set.issuperset(delta) and _strings(delta.values())
-            and p_set.issuperset(delta.values())):
+    if not (m_set.issuperset(delta) and _within(p_set, delta.values())):
         for key, value in delta.items():
             if key not in m_set:
                 raise UnknownIdentifier(key, "delta")
@@ -110,7 +116,7 @@ def load_document(text: str) -> XModCandidate:
     _require(isinstance(action, dict), "action must be an object")
     for p, row in action.items():
         if (p in p_set and isinstance(row, dict) and m_set.issuperset(row)
-                and _strings(row.values()) and m_set.issuperset(row.values())):
+                and _within(m_set, row.values())):
             continue
         if p not in p_set:
             raise UnknownIdentifier(p, "action")
@@ -127,6 +133,14 @@ def load_document(text: str) -> XModCandidate:
             for m in m_elements:
                 _require(m in action[p], f"action[{p!r}] is missing an entry for {m!r}")
 
+    # the candidate lists every entry in element order; a document already in that order is kept
+    if list(delta) != m_elements:
+        delta = {m: delta[m] for m in m_elements}
+    if list(action) != p_elements:
+        action = {p: action[p] for p in p_elements}
+    for p, row in action.items():
+        if list(row) != m_elements:
+            action[p] = {m: row[m] for m in m_elements}
     return XModCandidate(
         m_elements=m_elements,
         m_table=m_table,
@@ -134,8 +148,8 @@ def load_document(text: str) -> XModCandidate:
         p_elements=p_elements,
         p_table=p_table,
         p_identity=p_identity,
-        delta={m: delta[m] for m in m_elements},
-        action={p: {m: action[p][m] for m in m_elements} for p in p_elements},
+        delta=delta,
+        action=action,
         name=name,
     )
 

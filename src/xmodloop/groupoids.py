@@ -99,7 +99,7 @@ from .groups import (
     make_group,
     quotient,
 )
-from .xmod import CrossedModule, _positions
+from .xmod import CrossedModule
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,8 +291,8 @@ def make_gxm(base: FiniteGroupoid, fibre: FiniteGroup, act, boundary) -> Groupoi
             if g not in arrows or xact[g][k] != k:
                 raise InvalidGroupoidXMod("boundary-vertex", (
                     mlabel[t], objects[k], ms[g * nx + k] if g in arrows else g))
-        for m, m2 in _additive_failures(M, dict(zip(mlabel, row)), lambda g, h: gt[g][h]):
-            raise InvalidGroupoidXMod("boundary-hom", (objects[k], m, m2))
+        for s, t in _additive_failures(M, row, gt):
+            raise InvalidGroupoidXMod("boundary-hom", (objects[k], mlabel[s], mlabel[t]))
     act = [list(row) for row in act]
     if len(act) != n or any(len(row) != nm for row in act):
         raise InvalidGroupoidXMod("action-domain", (len(act), n, nm))
@@ -393,8 +393,9 @@ def restrict(gxm: GroupoidXMod, elements, objects, fibre) -> GroupoidXMod:
     and H must map ``objects`` into themselves (``objects-invariant``), N
     into itself (``action-codomain``) and each d_x(N) into H
     (``boundary-vertex``).  The piece is H acting on ``objects``, in that
-    order; its morphisms keep their labels, in gxm's order.  When N is M
-    the piece's fibre is gxm's.  No law is validated again.
+    order; its morphisms keep their labels, in gxm's order.  When
+    ``fibre`` names every element of M, N is M itself: it is not cut, and
+    H's action rows are gxm's.  No law is validated again.
     """
     base, M, nx = gxm.base, gxm.fibre, len(gxm.base.objects)
     group, parent = _cut(base.group, elements)
@@ -407,28 +408,33 @@ def restrict(gxm: GroupoidXMod, elements, objects, fibre) -> GroupoidXMod:
                                               (group.elements[r], base.objects[k])))
     piece = _groupoid(group, objects, act,
                       tuple(base.morphisms[i * nx + k] for i in parent for k in kept))
-    sub, inside = _cut(M, fibre)
-    acts = [gxm.act[i] for i in parent]
-    sub_act = _slice(acts, inside, {t: r for r, t in enumerate(inside)}, lambda r, t: (
-        InvalidGroupoidXMod("action-codomain", (M.elements[t], group.elements[r],
-                                                M.elements[acts[r][t]]))))
+    acts, fibre = [gxm.act[i] for i in parent], list(fibre)
+    if len({M.index(t) for t in fibre}) == len(M):  # the first unknown label is the witness
+        sub, inside, sub_act = M, range(len(M)), acts
+    else:
+        sub, inside = _cut(M, fibre)
+        sub_act = _slice(acts, inside, {t: r for r, t in enumerate(inside)}, lambda r, t: (
+            InvalidGroupoidXMod("action-codomain", (M.elements[t], group.elements[r],
+                                                    M.elements[acts[r][t]]))))
     bounds = [gxm.boundary[k] for k in kept]
     sub_boundary = _slice(bounds, inside, {i: r for r, i in enumerate(parent)}, lambda r, t: (
         InvalidGroupoidXMod("boundary-vertex", (M.elements[t], objects[r],
                                                 base.morphisms[bounds[r][t] * nx + kept[r]]))))
-    return GroupoidXMod(piece, M if len(inside) == len(M) else sub, sub_act, sub_boundary)
+    return GroupoidXMod(piece, sub, sub_act, sub_boundary)
 
 
 def as_groupoid_xmod(x: CrossedModule) -> GroupoidXMod:
     """A crossed module of groups, viewed over the one-object groupoid of P.
 
     The base is P acting on one point, the boundary is delta and the
-    action is x's.  Each law of the result is then a law of x, which
-    ``make_xmod`` validated, so only the base's own check runs.
+    action is x's; the tables are x's own, not copies.  Each law of the
+    result is then a law of x, which was validated when x was built, and
+    the base's laws hold trivially (every element fixes the one point),
+    so nothing is checked again.
     """
-    act, d = _positions(x)
-    base = action_groupoid(x.P, ("*",), [[0] for _ in x.P], x.P.elements)
-    return GroupoidXMod(base, x.M, [list(column) for column in zip(*act)], [d])
+    P = x.P
+    base = _groupoid(P, ("*",), [[0] for _ in P.elements], tuple(P.elements))
+    return GroupoidXMod(base, x.M, x.act_table, [x.boundary])
 
 
 @dataclass(frozen=True, eq=False)
@@ -513,9 +519,8 @@ def check_morphism(source: GroupoidXMod, target: GroupoidXMod,
     report += [Violation("dim2-map", f"no valid image for {mlabel[t]}", (mlabel[t],))
                for t in unmapped]
     if not unmapped:
-        image_table = target.fibre._table
-        unhom = list(_additive_failures(M, dict(zip(mlabel, f2)),
-                                        lambda a, b: image_table[a][b]))
+        unhom = [(mlabel[s], mlabel[t])
+                 for s, t in _additive_failures(M, f2, target.fibre._table)]
         report += [Violation("dim2-hom", f"f2({m} + {n}) != f2({m}) + f2({n})", (m, n))
                    for m, n in unhom]
 

@@ -6,13 +6,30 @@ additively (x + y, -x, 0) even for nonabelian groups.  Element order is
 the input order and all derived listings follow it, which makes every
 result deterministic.
 
+Positions.  A group keeps its table as positions (``_table``, ``_inv``);
+a ``Homomorphism`` is the list of its images' positions and a
+``GroupAction`` one row of positions per element of the actor.  Labels
+are read once, where a table, map or action enters (``make_group``,
+``homomorphism``, ``group_action``), and every law is proved on
+positions.
+
 Cost.  Laws that are closed under composition are proved from a few
-generators instead of being enumerated (see ``_right_generators``):
-associativity costs n^2 |S| for a group of order n with |S| <= log2 n
-generators, and a homomorphism or an action law costs |S| + 1 checks
-per element.  ``_failures`` is the one place where such a proof gates
-a scan: when the proof fails, the full scan runs and reports exactly
-what it always reported.
+generators instead of being enumerated (see ``_right_generators``), one
+whole row at a time, with S the generators of the group named:
+
+- associativity: n |S| rows of n, for a group of order n with
+  |S| <= log2 n;
+- a homomorphism f: G -> H, f(x + y) = f(x) + f(y): |S_G| + 1 rows of
+  |G|, one for each y in 0 and S_G;
+- an action of P on M, given m^0 = m: composition (m^p)^s = m^(p + s),
+  |P| |S_P| rows of |M|; then, given composition, additivity
+  (m + n)^s = m^s + n^s, (|S_M| + 1) |S_P| rows of |M|, for n in 0 and
+  S_M and s in S_P.
+
+``_failures`` is the one place where such a proof gates a scan: when a
+row of the proof fails, or one of its premises does, the full scan runs
+over single elements in the order it always had and reports exactly
+what it always reported, each witness written in labels.
 """
 
 from __future__ import annotations
@@ -20,6 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product, starmap
+from operator import itemgetter
 
 from .errors import (
     CodomainViolation,
@@ -83,32 +101,76 @@ def _right_generators(points, starts, after) -> list:
     return gens
 
 
-def _failures(law, scan, proof=None):
+def _generators(table: list, e: int) -> list[int]:
+    """Greedy generators of the group with this closed table and identity at e.
+
+    ``_right_generators`` tries the elements by decreasing order, and in
+    input order among equal orders: a few elements of large order reach
+    the whole group sooner than the first elements in input order (S5
+    and S6 as permutations in lexicographic order take 2 and 3 instead
+    of 4 and 5), and every proof from generators costs rows in
+    proportion to their number.  An order is counted to at most n steps,
+    so a table not yet proved associative cannot stall the count.
+    """
+    n = len(table)
+    order = []
+    for i in range(n):
+        x, k = i, 1
+        while x != e and k <= n:
+            x, k = table[x][i], k + 1
+        order.append(k)
+    by_order = sorted(range(n), key=order.__getitem__, reverse=True)
+    return _right_generators(by_order, (e,), lambda i, j: table[i][j])
+
+
+def _failures(law, scan, proof=None, row=None):
     """The tuples of ``scan`` at which ``law`` fails, in scan order, as an iterator.
 
     ``proof`` lists the tuples from which a generator argument (see
-    ``_right_generators``) proves the law everywhere: when the law holds
-    at each of them, nothing is scanned and nothing returned.  ``None``
-    means a premise of that argument failed, so the scan always runs.
+    ``_right_generators``) proves the law everywhere: when ``row`` (by
+    default ``law`` itself) holds at each of them, nothing is scanned and
+    nothing returned.  A ``row`` checks the law along a whole row of
+    positions at once.  ``None`` means a premise of that argument failed,
+    so the scan always runs.
     """
-    if proof is not None and all(starmap(law, proof)):
+    if proof is not None and all(starmap(row or law, proof)):
         return iter(())
     return (t for t in scan if not law(*t))
 
 
-def _additive_failures(source: FiniteGroup, mapping, add):
-    """The pairs (x, y) of source, x-major, with mapping[x + y] != add(mapping[x], mapping[y]).
+def _strict(failures):
+    """Raise the first failure the generator yields; else return what it returns."""
+    try:
+        failure = next(failures)
+    except StopIteration as done:
+        return done.value
+    raise failure
 
-    ``add`` composes in an associative target.  Proved from y in the
-    generators and 0: f(x + 0) = f(x) + f(0) forces f(0) = 0, and
+
+def _indices(group: FiniteGroup, labels) -> list[int]:
+    return [group._index[s] for s in labels]
+
+
+def _additive_failures(source: FiniteGroup, images: list, target_table: list):
+    """The pairs (x, y) of positions in source, x-major, with f(x + y) != f(x) + f(y).
+
+    ``images[x]`` is the position of f(x) in a group with table
+    ``target_table``.  Proved a column y at a time, for y in 0 and the
+    generators: f(x + 0) = f(x) + f(0) forces f(0) = 0, and
     f(x + w + s) = f(x + w) + f(s) = f(x) + f(w) + f(s) = f(x) + f(w + s).
     """
-    def additive(x, y) -> bool:
-        return mapping[source.add(x, y)] == add(mapping[x], mapping[y])
+    st, f, tt = source._table, images, target_table
 
-    elements = source.elements
-    return _failures(additive, ((x, y) for x in elements for y in elements),
-                     product(elements, (source.identity, *source.generators)))
+    def additive(x, y) -> bool:
+        return f[st[x][y]] == tt[f[x]][f[y]]
+
+    def column(y) -> bool:
+        fy = f[y]
+        return [f[r[y]] for r in st] == [tt[v][fy] for v in f]
+
+    every = range(len(st))
+    proof = [(y,) for y in _indices(source, (source.identity, *source.generators))]
+    return _failures(additive, product(every, every), proof, column)
 
 
 class FiniteGroup:
@@ -117,7 +179,7 @@ class FiniteGroup:
     Construction validates closure, the declared identity, two-sided
     inverses and associativity, raising with a witness on the first
     failure.  ``generators`` is the greedy generating set of
-    ``_right_generators``, in input order; associativity is proved from it.
+    ``_generators``; associativity is proved from it.
     """
 
     def __init__(self, elements, table, identity):
@@ -147,35 +209,8 @@ class FiniteGroup:
                 j = idx_row.index(None)
                 raise NotClosed(elements[i], elements[j], row[j])
             idx_table.append(idx_row)
-        self._table = idx_table
         self.identity = identity
-        e = self._index[identity]
-        for i in range(n):
-            if idx_table[e][i] != i or idx_table[i][e] != i:
-                raise NoIdentity(elements[i])
-        inv: list[int] = []
-        for i, row in enumerate(idx_table):
-            j = -1
-            try:  # the first j with i + j = 0 = j + i; list.index finds each candidate
-                while j < 0 or idx_table[j][i] != e:
-                    j = row.index(e, j + 1)
-            except ValueError:
-                raise NoInverse(elements[i]) from None
-            inv.append(j)
-        self._inv = inv
-        gens = _right_generators(range(n), (e,), lambda i, j: idx_table[i][j])
-        self.generators: tuple = tuple(elements[s] for s in gens)
-
-        def associates(i, j) -> bool:
-            """(i + j) + k = i + (j + k) for every k, one whole row at a time."""
-            row_i = idx_table[i]
-            return [row_i[k] for k in idx_table[j]] == idx_table[row_i[j]]
-
-        # Light's test: the pairs (i, s) for the generators s prove every pair
-        for i, j in _failures(associates, product(range(n), range(n)), product(range(n), gens)):
-            ij, row_i = idx_table[i][j], idx_table[i]
-            k = next(k for k, jk in enumerate(idx_table[j]) if idx_table[ij][k] != row_i[jk])
-            raise NotAssociative(elements[i], elements[j], elements[k])
+        _prove(self, idx_table, self._index[identity])
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -237,6 +272,71 @@ def make_group(elements, table, identity) -> FiniteGroup:
     return FiniteGroup(elements, table, identity)
 
 
+def _prove(group: FiniteGroup, table: list, e: int) -> None:
+    """Check the identity at e, find inverses and prove associativity on an integer table.
+
+    Sets ``_table``, ``_inv`` and ``generators``; raises with a label
+    witness on the first failure, as ``FiniteGroup`` documents.
+    """
+    elements, n = group.elements, len(table)
+    group._table = table
+    for i in range(n):
+        if table[e][i] != i or table[i][e] != i:
+            raise NoIdentity(elements[i])
+    inv: list[int] = []
+    for i, row in enumerate(table):
+        j = -1
+        try:  # the first j with i + j = 0 = j + i; list.index finds each candidate
+            while j < 0 or table[j][i] != e:
+                j = row.index(e, j + 1)
+        except ValueError:
+            raise NoInverse(elements[i]) from None
+        inv.append(j)
+    group._inv = inv
+    gens = _generators(table, e)
+    group.generators = tuple(elements[s] for s in gens)
+
+    def associates(i, j) -> bool:
+        """(i + j) + k = i + (j + k) for every k, one whole row at a time."""
+        row_i = table[i]
+        return [row_i[k] for k in table[j]] == table[row_i[j]]
+
+    def associates_at(s) -> bool:
+        """associates(i, s) for every i; i + (s + k) is read from row i by one itemgetter."""
+        after_s = itemgetter(*table[s])
+        return all(after_s(row) == tuple(table[row[s]]) for row in table)
+
+    # Light's test: the pairs (i, s) for the generators s prove every pair
+    for i, j in _failures(associates, product(range(n), range(n)), [(s,) for s in gens],
+                          associates_at):
+        ij, row_i = table[i][j], table[i]
+        k = next(k for k, jk in enumerate(table[j]) if table[ij][k] != row_i[jk])
+        raise NotAssociative(elements[i], elements[j], elements[k])
+
+
+def _bare(elements: list) -> FiniteGroup:
+    group = object.__new__(FiniteGroup)
+    group.elements = elements
+    group._index = {x: i for i, x in enumerate(elements)}
+    return group
+
+
+def _proved_group(elements: list, table: list, e: int) -> FiniteGroup:
+    """The group on distinct labels and a closed integer table, validated like ``make_group``."""
+    group = _bare(elements)
+    group.identity = elements[e]
+    _prove(group, table, e)
+    return group
+
+
+def _known_group(elements: list, table: list, inv: list, e: int) -> FiniteGroup:
+    """A group whose laws are already known to hold on its integer table; nothing is checked."""
+    group = _bare(elements)
+    group._table, group._inv, group.identity = table, inv, elements[e]
+    group.generators = tuple(elements[s] for s in _generators(table, e))
+    return group
+
+
 @dataclass(frozen=True, eq=False)
 class Subgroup:
     """A validated subgroup, stored as a subset of the parent's elements."""
@@ -285,22 +385,16 @@ def _cut(parent: FiniteGroup, members) -> tuple[FiniteGroup, list[int]]:
             q = positions[cut.index(None)]
             raise NotClosed(elements[p], elements[q], elements[row[q]])
         table.append(cut)
-    group = object.__new__(FiniteGroup)
-    group.elements = [elements[p] for p in positions]
-    group._index = {x: r for r, x in enumerate(group.elements)}
-    group._table, group._inv = table, [local[inv[p]] for p in positions]
-    group.identity = parent.identity
-    gens = _right_generators(range(len(table)), (local[parent._index[parent.identity]],),
-                             lambda i, j: table[i][j])
-    group.generators = tuple(group.elements[s] for s in gens)
+    group = _known_group([elements[p] for p in positions], table,
+                         [local[inv[p]] for p in positions], local[parent._index[parent.identity]])
     return group, positions
 
 
 def centralizer(group: FiniteGroup, a: str) -> Subgroup:
     """Elements p with -a + p + a = p."""
-    group.index(a)
-    members = [p for p in group if group.conj(p, a) == p]
-    return subgroup(group, members)
+    t, i = group._table, group.index(a)
+    row = t[group._inv[i]]  # row[p] = -a + p
+    return subgroup(group, [x for p, x in enumerate(group.elements) if t[row[p]][i] == p])
 
 
 def subgroup_generated(group: FiniteGroup, generators) -> Subgroup:
@@ -325,12 +419,14 @@ def subgroup_generated(group: FiniteGroup, generators) -> Subgroup:
 
 
 def kernel(f: Homomorphism) -> Subgroup:
-    members = [x for x in f.source if f(x) == f.target.identity]
-    return subgroup(f.source, members)
+    """The x with f(x) = 0, in source order: a subgroup, since f is a validated homomorphism."""
+    zero = f.target._index[f.target.identity]
+    return Subgroup(f.source, tuple(x for x, v in zip(f.source.elements, f.images) if v == zero))
 
 
 def image(f: Homomorphism) -> Subgroup:
-    return subgroup(f.target, {f(x) for x in f.source})
+    """The values of f, in target order: a subgroup, since f is a validated homomorphism."""
+    return Subgroup(f.target, tuple(map(f.target.elements.__getitem__, sorted(set(f.images)))))
 
 
 def _partition(points, orbit) -> list[list]:
@@ -352,152 +448,230 @@ def _partition(points, orbit) -> list[list]:
 
 def conjugacy_classes(group: FiniteGroup) -> list[list[str]]:
     """The partition of the group into conjugacy classes, least element first."""
-    return _partition(group, lambda a: {group.conj(a, p) for p in group})
+    t, inv, every = group._table, group._inv, range(len(group))
+    blocks = _partition(every, lambda a: {t[t[inv[p]][a]][p] for p in every})
+    return [[group.elements[i] for i in block] for block in blocks]
 
 
 def quotient(group: FiniteGroup, normal: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
     """Quotient by a normal subgroup, on least coset representatives.
 
     Returns the quotient group together with the projection homomorphism.
+    Normality, -g + N + g in N, is proved for g in the generators, one
+    row of N each: if it holds at g and at s, N^(g + s) = (N^g)^s lies in
+    N^s, inside N.  It is scanned over every (g, x) only when that proof
+    fails.  The coset
+    table is then well defined, and it inherits the identity, inverse
+    and associativity laws from the group's, so it is not validated
+    again; the projection is a homomorphism by the table's definition.
     """
     if normal.parent is not group:
         raise ValueError("subgroup does not belong to this group")
-    member_set = set(normal.members)
-    for g in group:
-        for x in normal:
-            if group.conj(x, g) not in member_set:
-                raise NotNormal(g, x)
-    cosets = _partition(group, lambda g: {group.add(g, x) for x in normal})
+    t, inv, elements = group._table, group._inv, group.elements
+    members = _indices(group, normal.members)
+    inside = set(members)
+
+    def normal_at(g, x) -> bool:
+        return t[t[inv[g]][x]][g] in inside
+
+    def normal_row(g) -> bool:
+        neg = t[inv[g]]
+        return inside.issuperset([t[neg[x]][g] for x in members])
+
+    every = range(len(elements))
+    for g, x in _failures(normal_at, product(every, members),
+                          [(s,) for s in _indices(group, group.generators)], normal_row):
+        raise NotNormal(elements[g], elements[x])
+    cosets = _partition(every, lambda g: {t[g][x] for x in members})
     reps = [coset[0] for coset in cosets]
-    rep_of = {g: coset[0] for coset in cosets for g in coset}
-    table = [[rep_of[group.add(a, b)] for b in reps] for a in reps]
-    quo = FiniteGroup(reps, table, rep_of[group.identity])
-    proj = homomorphism(group, quo, {g: rep_of[g] for g in group})
-    return quo, proj
+    coset_of = [0] * len(elements)
+    for r, coset in enumerate(cosets):
+        for g in coset:
+            coset_of[g] = r
+    table = [[coset_of[t[a][b]] for b in reps] for a in reps]
+    quo = _known_group([elements[a] for a in reps], table, [coset_of[inv[a]] for a in reps],
+                       coset_of[group._index[group.identity]])
+    return quo, Homomorphism(group, quo, coset_of)
 
 
 @dataclass(frozen=True, eq=False)
 class Homomorphism:
-    """A validated group homomorphism given extensionally."""
+    """A validated group homomorphism: ``images[i]`` is the position in
+    ``target`` of the image of the i-th element of ``source``."""
 
     source: FiniteGroup
     target: FiniteGroup
-    mapping: dict
+    images: list
+
+    @property
+    def mapping(self) -> dict:
+        """The map written in labels, x -> f(x), in source order."""
+        return dict(zip(self.source.elements, map(self.target.elements.__getitem__, self.images)))
 
     def __call__(self, x: str) -> str:
-        value = self.mapping.get(x)
-        if value is None:
+        i = self.source._index.get(x)
+        if i is None:
             raise UnknownElement(x)
-        return value
+        return self.target.elements[self.images[i]]
 
     def is_injective(self) -> bool:
-        return len(set(self.mapping.values())) == len(self.source)
+        return len(set(self.images)) == len(self.source)
 
     def is_surjective(self) -> bool:
-        return set(self.mapping.values()) == set(self.target.elements)
+        return len(set(self.images)) == len(self.target)
 
     def is_bijective(self) -> bool:
         return self.is_injective() and self.is_surjective()
 
 
-def _homomorphism_failures(source: FiniteGroup, target: FiniteGroup, mapping: dict):
-    """Yield each broken law of a candidate map; return whether it is total into target.
-
-    Totality and codomain come first, in source order.  Additivity is
-    checked only when the map is total (``_additive_failures``).
-    """
-    total = True
-    for x in source:
-        value = mapping.get(x)
+def _read_map(source: FiniteGroup, target: FiniteGroup, mapping: dict):
+    """Yield each missing or foreign value of a candidate map, in source order; return
+    the positions of its values when there is none, else None."""
+    values = list(map(mapping.get, source.elements))
+    images = list(map(target._index.get, values))
+    if None not in images:
+        return images
+    for x, value in zip(source.elements, values):
         if value is None:
-            total = False
             yield UnknownElement(x)
         elif value not in target:
-            total = False
             yield CodomainViolation(x, value)
-    if total:
-        for x, y in _additive_failures(source, mapping, target.add):
-            yield InvalidHomomorphism(x, y)
-    return total
+    return None
+
+
+def _hom_failures(source: FiniteGroup, target: FiniteGroup, images: list):
+    """Yield ``InvalidHomomorphism`` at each pair breaking additivity (``_additive_failures``)."""
+    labels = source.elements
+    for x, y in _additive_failures(source, images, target._table):
+        yield InvalidHomomorphism(labels[x], labels[y])
+
+
+def _map_failures(source: FiniteGroup, target: FiniteGroup, mapping: dict):
+    """Yield each broken law of a candidate map; return its images when it is total.
+
+    Totality and codomain come first, in source order; additivity is
+    checked, on positions, only when the map is total.
+    """
+    images = yield from _read_map(source, target, mapping)
+    if images is not None:
+        yield from _hom_failures(source, target, images)
+    return images
 
 
 def homomorphism(source: FiniteGroup, target: FiniteGroup, mapping: dict) -> Homomorphism:
     """Validate totality, codomain and additivity of a candidate map."""
-    for failure in _homomorphism_failures(source, target, mapping):
-        raise failure
-    return Homomorphism(source, target, dict(mapping))
+    return Homomorphism(source, target, _strict(_map_failures(source, target, mapping)))
 
 
 @dataclass(frozen=True, eq=False)
 class GroupAction:
-    """A right action of ``actor`` on ``space``, (m, p) -> m^p, as a table."""
+    """A right action of ``actor`` on ``space``, (m, p) -> m^p: ``rows[j][i]``
+    is the position in ``space`` of m_i^(p_j)."""
 
     actor: FiniteGroup
     space: FiniteGroup
-    table: dict
+    rows: list
+
+    @property
+    def table(self) -> dict:
+        """The action written in labels, (m, p) -> m^p, space-major."""
+        space, actor = self.space.elements, self.actor.elements
+        return {(m, p): space[row[i]] for i, m in enumerate(space)
+                for p, row in zip(actor, self.rows)}
 
     def act(self, m: str, p: str) -> str:
-        value = self.table.get((m, p))
-        if value is None:
-            raise UnknownElement((m, p))
-        return value
+        try:
+            return self.space.elements[self.rows[self.actor._index[p]][self.space._index[m]]]
+        except KeyError:
+            raise UnknownElement((m, p)) from None
 
 
-def _action_failures(actor: FiniteGroup, space: FiniteGroup, table: dict):
-    """Yield each broken law of an action table; return whether it is total into space.
+def _read_action(actor: FiniteGroup, space: FiniteGroup, entries):
+    """Yield each missing or foreign entry of an action, actor-major; return its rows of
+    positions when there is none, else None.
 
-    Totality and codomain come first, actor-major; the laws m^0 = m,
-    (m^p)^q = m^(p+q) and (m+n)^p = m^p + n^p are checked only when the
-    table is total.  Given m^0 = m, composition is proved for q in the
-    actor's generators; given composition, additivity is proved for p in
-    those generators and n in the space's generators and 0 (see
-    ``_right_generators``).  Each law whose certificate fails, or whose
-    premise does, is scanned over every tuple (``_failures``).
+    ``entries(p)`` lists the labels m^p for m in space order, None where
+    one is missing.
     """
-    total = True
-    rows: dict = {}  # p -> {m -> m^p}, so the laws below look up by element
-    for p in actor:
-        row = rows[p] = {}
-        for m in space:
-            value = row[m] = table.get((m, p))
-            if value is None:
-                total = False
-                yield InvalidAction("totality", (m, p))
-            elif value not in space:
-                total = False
-                yield InvalidAction("codomain", (m, p, value))
-    if not total:
-        return total
+    index, rows, total = space._index, [], True
+    for p in actor.elements:
+        values = entries(p)
+        row = list(map(index.get, values))
+        if None in row:
+            total = False
+            for m, value in zip(space.elements, values):
+                if value is None:
+                    yield InvalidAction("totality", (m, p))
+                elif value not in index:
+                    yield InvalidAction("codomain", (m, p, value))
+        rows.append(row)
+    return rows if total else None
+
+
+def _action_law_failures(actor: FiniteGroup, space: FiniteGroup, rows: list):
+    """Yield each broken action law of total rows, in the order m^0 = m,
+    (m^p)^q = m^(p+q), (m+n)^p = m^p + n^p.
+
+    Given m^0 = m, composition is proved at the rows (p, s), s in the
+    actor's generators; given composition, additivity is proved at the
+    rows (n, s) for n in 0 and the space's generators (see
+    ``_right_generators`` and the module docstring).  A law whose proof
+    fails, or whose premise does, is scanned over every (m, p, q),
+    respectively (m, n, p), space-major.
+    """
+    ml, pl, mt, pt = space.elements, actor.elements, space._table, actor._table
+    ms, ps = range(len(ml)), range(len(pl))
+    unfixed = [m for m, v in enumerate(rows[actor._index[actor.identity]]) if v != m]
+    for m in unfixed:
+        yield InvalidAction("identity", (ml[m],))
+    gens = _indices(actor, actor.generators)
 
     def composes(m, p, q) -> bool:
-        return rows[q][rows[p][m]] == rows[actor.add(p, q)][m]
+        return rows[q][rows[p][m]] == rows[pt[p][q]][m]
+
+    def composes_row(p, s) -> bool:  # (m^p)^s and m^(p + s), for every m
+        return list(map(rows[s].__getitem__, rows[p])) == rows[pt[p][s]]
+
+    composition_holds = not unfixed
+    for m, p, q in _failures(composes, product(ms, ps, ps),
+                             product(ps, gens) if composition_holds else None, composes_row):
+        composition_holds = False
+        yield InvalidAction("composition", (ml[m], pl[p], pl[q]))
 
     def additive(m, n, p) -> bool:
         row = rows[p]
-        return row[space.add(m, n)] == space.add(row[m], row[n])
+        return row[mt[m][n]] == mt[row[m]][row[n]]
 
-    identity_holds = True
-    for m in space:
-        if rows[actor.identity][m] != m:
-            identity_holds = False
-            yield InvalidAction("identity", (m,))
-    composition_holds = identity_holds
-    for witness in _failures(composes, product(space, actor, actor),
-                             product(space, actor, actor.generators) if identity_holds else None):
-        composition_holds = False
-        yield InvalidAction("composition", witness)
-    additivity_proof = product(space, (space.identity, *space.generators), actor.generators)
-    for witness in _failures(additive, product(space, space, actor),
-                             additivity_proof if composition_holds else None):
-        yield InvalidAction("additivity", witness)
-    return total
+    def additive_row(n, s) -> bool:  # (m + n)^s and m^s + n^s, for every m
+        row = rows[s]
+        row_n = row[n]
+        return [row[r[n]] for r in mt] == [mt[v][row_n] for v in row]
+
+    zero_and_gens = _indices(space, (space.identity, *space.generators))
+    for m, n, p in _failures(additive, product(ms, ms, ps),
+                             product(zero_and_gens, gens) if composition_holds else None,
+                             additive_row):
+        yield InvalidAction("additivity", (ml[m], ml[n], pl[p]))
+
+
+def _group_action_failures(actor: FiniteGroup, space: FiniteGroup, entries):
+    """Yield each broken law of an action; return its rows when it is total.
+
+    Totality and codomain come first (``_read_action``); the three action
+    laws are checked, on positions, only when the action is total.
+    """
+    rows = yield from _read_action(actor, space, entries)
+    if rows is not None:
+        yield from _action_law_failures(actor, space, rows)
+    return rows
 
 
 def group_action(actor: FiniteGroup, space: FiniteGroup, table: dict) -> GroupAction:
-    """Validate an action table: totality, codomain and the three action laws."""
-    for failure in _action_failures(actor, space, table):
-        raise failure
-    return GroupAction(actor, space, dict(table))
+    """Validate an action table (m, p) -> m^p: totality, codomain and the three action laws."""
+    def entries(p):
+        return [table.get((m, p)) for m in space.elements]
+
+    return GroupAction(actor, space, _strict(_group_action_failures(actor, space, entries)))
 
 
 def trivial_action(actor: FiniteGroup, space: FiniteGroup) -> GroupAction:

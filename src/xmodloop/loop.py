@@ -10,28 +10,29 @@ The groupoid-level model has objects P, morphisms all triples (m, p, a)
 with source p + a + delta(m) - p and target a, and M as the fibre over
 every object, on which (m, p, a) acts by n -> n^p.
 
-Both constructions compute on positions: the group tables of M and P
-(``_table``, ``_inv``) and the action and boundary read once per (m, p)
-(``xmod._positions``).  Each morphism or element label is built once, and
-every composite in a table is one of those shared tuples.
+Both constructions compute on x's position tables: the group tables
+of M and P (``_table``, ``_inv``), the action (``act_table``) and the
+boundary.  Each morphism or element label is built once, and every
+composite in a table is one of those shared tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 
 from .documents import _render
-from .errors import InternalInvariantBroken, XModError
+from .errors import InternalInvariantBroken
 from .groups import (
     FiniteGroup,
     GroupAction,
     Homomorphism,
+    _action_law_failures,
+    _hom_failures,
     _partition,
+    _proved_group,
     conjugacy_classes,
-    group_action,
-    homomorphism,
     image,
     kernel,
     make_group,
@@ -46,25 +47,46 @@ from .groupoids import (
     make_gxm_morphism,
     restrict,
 )
-from .xmod import CrossedModule, _positions, homotopy, make_xmod
+from .xmod import CrossedModule, _cm_failures, homotopy
 
 
 @dataclass(frozen=True, eq=False)
 class LoopData:
-    """P(a), delta_a and the P(a)-action on M for one base element a."""
+    """The loop crossed module L[a] = (delta_a: M -> P(a)) at one base element a."""
 
     base: str
-    Pa: FiniteGroup
-    delta_a: Homomorphism
-    action: GroupAction
+    xmod: CrossedModule
+
+    @property
+    def Pa(self) -> FiniteGroup:
+        return self.xmod.P
+
+    @property
+    def delta_a(self) -> Homomorphism:
+        return self.xmod.delta
+
+    @property
+    def action(self) -> GroupAction:
+        return self.xmod.action
 
 
 @lru_cache(maxsize=None)
 def loop_data(x: CrossedModule, a: str) -> LoopData:
+    """P(a) and L[a], built from x's tables and validated once, on positions.
+
+    P(a) is the pairs (m_i, p_j) with delta(m_i) = [a, p_j], in (i, j)
+    order; its table is computed on positions and validated as a group
+    (``groups._proved_group``).  The pair (m, p) acts on M by column p of
+    x's action, so each action row of L[a] is a row of ``x.act_table``,
+    shared, not copied.  delta_a's additivity, the action laws, CM1 and
+    CM2 are then proved on these tables, as for any crossed module; they
+    follow from x's axioms, so a failure raises InternalInvariantBroken.
+    L[a] is named "<name>-loop[<a>]", with a written as its document name.
+    """
     M, P = x.M, x.P
     ia = P.index(a)
     Me, Pe, mt, pt, minv, pinv = M.elements, P.elements, M._table, P._table, M._inv, P._inv
-    act, d = _positions(x)
+    act, d = x.act_table, x.boundary
     nP = len(P)
     # [a, p] = -a - p + a + p
     commutator = [pt[pt[pt[pinv[ia]][pinv[j]]][ia]][j] for j in range(nP)]
@@ -72,22 +94,28 @@ def loop_data(x: CrossedModule, a: str) -> LoopData:
     pairs = [(Me[i], Pe[j]) for i, j in found]
     position = {i * nP + j: r for r, (i, j) in enumerate(found)}
     table = []
-    for n, q in found:
-        row_n, row_q, row = act[n], pt[q], []
-        for m, p in found:
-            r = position.get(mt[m][row_n[p]] * nP + row_q[p])
-            if r is None:
-                raise InternalInvariantBroken(
-                    f"P({a}) is not closed under composition", (Me[n], Pe[q], Me[m], Pe[p]))
-            row.append(pairs[r])
+    for n, q in found:  # (n, q) + (m, p) = (m + n^p, q + p), on positions
+        row_q = pt[q]
+        row = [position.get(mt[m][act[p][n]] * nP + row_q[p]) for m, p in found]
+        if None in row:
+            m, p = found[row.index(None)]
+            raise InternalInvariantBroken(
+                f"P({a}) is not closed under composition", (Me[n], Pe[q], Me[m], Pe[p]))
         table.append(row)
-    Pa = make_group(pairs, table, (M.identity, P.identity))
-    mapping = {Me[i]: (Me[mt[minv[act[i][ia]]][i]], Pe[d[i]]) for i in range(len(M))}
-    delta_a = homomorphism(M, Pa, mapping)
-    act_table = {(Me[n], pair): Me[act[n][p]] for n in range(len(M))
-                 for pair, (_, p) in zip(pairs, found)}
-    action = group_action(Pa, M, act_table)
-    return LoopData(a, Pa, delta_a, action)
+    Pa = _proved_group(pairs, table, position[M._index[M.identity] * nP + P._index[P.identity]])
+    # delta_a(m) = (-m^a + m, delta m)
+    boundary = [position.get(mt[minv[v]][i] * nP + d[i]) for i, v in enumerate(act[ia])]
+    if None in boundary:
+        i = boundary.index(None)
+        raise InternalInvariantBroken(f"delta_{a} maps {Me[i]} outside P({a})", (Me[i],))
+    rows = [act[j] for _, j in found]
+    failure = next(chain(_hom_failures(M, Pa, boundary), _action_law_failures(Pa, M, rows),
+                         _cm_failures(M, Pa, rows, boundary)), None)
+    if failure is not None:
+        raise InternalInvariantBroken(
+            f"loop crossed module at {a} fails an axiom: {failure}", failure.witness)
+    return LoopData(a, CrossedModule(M, Pa, rows, boundary,
+                                     name=f"{x.name or 'xmod'}-loop[{_render(a)}]"))
 
 
 def components(x: CrossedModule) -> list[list[str]]:
@@ -97,13 +125,18 @@ def components(x: CrossedModule) -> list[list[str]]:
     composition: by CM1, the move for (m, p) followed by the move for
     (m', p') is the move for (m + m'^p, p' + p).  So the moves applied
     once to b already give the whole class of b, at |P| |im delta| moves
-    per class.  The number of classes is cross-checked against the count
-    of conjugacy classes of Cok(delta), computed independently.
+    per class, on positions.  The number of classes is cross-checked
+    against the count of conjugacy classes of Cok(delta), computed
+    independently.
     """
     P = x.P
-    boundaries = {x.delta(m) for m in x.M}
-    classes = _partition(P, lambda b: {P.sub(P.add(P.add(p, b), d), p)
-                                       for p in P for d in boundaries})
+    pt, pinv, every = P._table, P._inv, range(len(P))
+    boundaries = set(x.boundary)
+
+    def orbit(b):
+        return {pt[v][pinv[p]] for p in every for v in map(pt[pt[p][b]].__getitem__, boundaries)}
+
+    classes = [[P.elements[i] for i in block] for block in _partition(every, orbit)]
     expected = len(conjugacy_classes(homotopy(x).pi1))
     if len(classes) != expected:
         raise InternalInvariantBroken(
@@ -113,17 +146,8 @@ def components(x: CrossedModule) -> list[list[str]]:
 
 
 def loop_xmod_at(x: CrossedModule, a: str) -> CrossedModule:
-    """The loop crossed module at a; its axioms are re-verified on assembly.
-
-    It is named "<name>-loop[<a>]", with a written as its document name.
-    """
-    data = loop_data(x, a)
-    try:
-        return make_xmod(x.M, data.Pa, data.delta_a, data.action,
-                         name=f"{x.name or 'xmod'}-loop[{_render(a)}]")
-    except XModError as exc:
-        raise InternalInvariantBroken(
-            f"loop crossed module at {a} fails an axiom: {exc}", exc.witness) from exc
+    """The loop crossed module at a, as ``loop_data`` built and validated it."""
+    return loop_data(x, a).xmod
 
 
 @lru_cache(maxsize=None)
@@ -146,32 +170,32 @@ def loop_gpd_xmod(x: CrossedModule) -> GroupoidXMod:
     generators; the groupoid laws follow.
 
     Every table is computed on positions, from the group tables of M and
-    P and one lookup of m^p and delta(m) per (m, p): the pair (m_i, p_j)
-    sits at position i |P| + j of G and the morphism (m_i, p_j, a_k) at
-    (i |P| + j) |P| + k.  (m_i, p_j) acts on M by n -> n^p_j, column j of
-    the action of ``xmod._positions``, and the boundary at a is
-    m -> (-m^a + m, delta m); ``make_gxm`` proves the crossed-module laws.
+    P and x's action and boundary tables: the pair (m_i, p_j) sits at
+    position i |P| + j of G and the morphism (m_i, p_j, a_k) at
+    (i |P| + j) |P| + k.  (m_i, p_j) acts on M by n -> n^p_j, row j of
+    ``x.act_table``, and the boundary at a is m -> (-m^a + m, delta m);
+    ``make_gxm`` proves the crossed-module laws.
     """
     M, P = x.M, x.P
     Me, Pe, mt, pt, minv, pinv = M.elements, P.elements, M._table, P._table, M._inv, P._inv
-    act, d = _positions(x)
+    act, d = x.act_table, x.boundary
     nM, nP = len(M), len(P)
     pairs = [(m, p) for m in Me for p in Pe]
     cells = list(product(range(nM), range(nP)))
     table = []
-    for n, q in cells:  # (n, q) + (m, p) = (m + n^p, q + p), on positions
-        row_n, row_q = act[n], pt[q]
-        table.append([pairs[mt[m][row_n[p]] * nP + row_q[p]] for m, p in cells])
+    for n, row_n in enumerate(zip(*act)):  # row_n[p] = n^p
+        for q in range(nP):  # (n, q) + (m, p) = (m + n^p, q + p), on positions
+            row_q = pt[q]
+            table.append([pairs[mt[m][row_n[p]] * nP + row_q[p]] for m, p in cells])
     G = make_group(pairs, table, (M.identity, P.identity))
     # (m, p) . a = p + a + delta(m) - p
     moves = [[pt[pt[pt[j][k]][d[i]]][pinv[j]] for k in range(nP)] for i, j in cells]
     morphisms = [(m, p, a) for m, p in pairs for a in Pe]
     base = action_groupoid(G, Pe, moves, morphisms)
-    # (n, s)^(m_i, p_j, a) = (n^p_j, a): G acts on M through column j of the action
-    columns = [[row[j] for row in act] for j in range(nP)]
     # delta_a(m) = (-m^a + m, delta m, a)
-    boundary = [[mt[minv[act[i][k]]][i] * nP + d[i] for i in range(nM)] for k in range(nP)]
-    return make_gxm(base, M, [columns[j] for _ in range(nM) for j in range(nP)], boundary)
+    boundary = [[mt[minv[v]][i] * nP + d[i] for i, v in enumerate(act[k])] for k in range(nP)]
+    # (n, s)^(m_i, p_j, a) = (n^p_j, a): G acts on M through row j of the action
+    return make_gxm(base, M, [act[j] for _ in range(nM) for j in range(nP)], boundary)
 
 
 def theta(x: CrossedModule, a: str) -> GXModMorphism:
@@ -179,9 +203,10 @@ def theta(x: CrossedModule, a: str) -> GXModMorphism:
 
     Its source is ``restrict`` to a, its stabiliser, which is P(a), and
     all of M; the cut checks only closure and invariance, so P(a) is
-    validated once, by ``loop_data``.  theta sends a to the object of
-    L[a], (m, p, a) to (m, p) and M to M by the identity; it is validated
-    as a structure-preserving bijection in every dimension.
+    validated once, by ``loop_data``.  Its target is L[a] over one object,
+    read from L[a]'s tables.  theta sends a to the object of L[a],
+    (m, p, a) to (m, p) and M to M by the identity; it is validated as a
+    structure-preserving bijection in every dimension.
     """
     gxm = loop_gpd_xmod(x)
     src = restrict(gxm, gxm.base.stabiliser(a), (a,), x.M)
@@ -208,11 +233,11 @@ def pi_loop(x: CrossedModule, a: str) -> LoopHomotopy:
     The fixed-point identity Ker(delta_a) = {k in Ker(delta) : k^a = k}
     holds elementwise and is asserted, not assumed.
     """
-    data = loop_data(x, a)
-    pi1, projection = quotient(data.Pa, image(data.delta_a))
-    ker = kernel(data.delta_a)
-    pi2 = ker.as_group()
-    fixed = {k for k in kernel(x.delta) if x.act(k, a) == k}
+    lx = loop_xmod_at(x, a)
+    pi1, projection = quotient(lx.P, image(lx.delta))
+    pi2 = kernel(lx.delta).as_group()
+    zero, row = x.P._index[x.P.identity], x.act_table[x.P.index(a)]
+    fixed = {m for i, m in enumerate(x.M.elements) if x.boundary[i] == zero and row[i] == i}
     if set(pi2.elements) != fixed:
         raise InternalInvariantBroken(
             f"Ker(delta_{a}) differs from the fixed points of {a}",

@@ -13,11 +13,11 @@ whose four faces are 2-simplices
 subject to the closure rule (m3)^f - m0 - m2 + m1 = 0.
 
 Enumeration and counting compute on positions: the group tables of P
-and M (``_table``, ``_inv``) and the action and boundary read once per
-(m, p) (``xmod._positions``).  The rules are stated once, on positions,
-by ``_rule2`` and ``_rules3``; ``is_simplex2`` and ``is_simplex3`` map
-labels to positions and apply them.  A listing sorts rows of positions
-and builds labels only for the sorted rows.
+and M (``_table``, ``_inv``) and the crossed module's action and
+boundary tables (``act_table``, ``boundary``).  The rules are stated
+once, on positions, by ``_rule2`` and ``_rules3``; ``is_simplex2`` and
+``is_simplex3`` map labels to positions and apply them.  A listing sorts
+rows of positions and builds labels only for the sorted rows.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import CountMismatch, IndexOutOfRange, InternalInvariantBroken
-from .xmod import CrossedModule, _positions
+from .xmod import CrossedModule
 
 
 class Simplex2(NamedTuple):
@@ -70,9 +70,11 @@ class Simplex3(NamedTuple):
 
 
 def _tables(x: CrossedModule) -> tuple:
-    """(P's table, P's inverses, M's table, M's inverses, act, delta, M's zero), on positions."""
-    act, d = _positions(x)
-    return x.P._table, x.P._inv, x.M._table, x.M._inv, act, d, x.M._index[x.M.identity]
+    """(P's table, P's inverses, M's table, M's inverses, act, delta, M's zero), on positions.
+
+    act[p][m] is the position of m^p and delta[m] that of delta(m)."""
+    return (x.P._table, x.P._inv, x.M._table, x.M._inv, x.act_table, x.boundary,
+            x.M._index[x.M.identity])
 
 
 def _rule2(tables: tuple):
@@ -94,7 +96,7 @@ def _rules3(tables: tuple):
         a, b, c, d, e, f, m0, m1, m2, m3 = row
         return (face(m0, e, b, f) and face(m1, d, c, f) and face(m2, d, a, e)
                 and face(m3, c, a, b)
-                and mt[mt[mt[act[m3][f]][minv[m0]]][minv[m2]]][m1] == zero)
+                and mt[mt[mt[act[f][m3]][minv[m0]]][minv[m2]]][m1] == zero)
     return holds
 
 
@@ -161,7 +163,7 @@ def _k3_rows(x: CrossedModule):
             row_ab = pt[row_a[b]]
             for m3 in ms:
                 c = row_ab[pinv[delta[m3]]]  # c = a + b - delta(m3)
-                row_nc, act_m3 = pt[pinv[c]], act[m3]
+                row_nc, act_m3 = pt[pinv[c]], [row[m3] for row in act]
                 for d in ps:
                     row_nad, row_ncd = pt[row_na[d]], pt[row_nc[d]]
                     for m2 in ms:

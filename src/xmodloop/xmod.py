@@ -6,14 +6,36 @@ P-action on M satisfying
     CM1:  delta(m^p) = -p + delta(m) + p
     CM2:  -n + m + n = m^delta(n)
 
-Both rules hold over all pairs, proved from generators or scanned in
-full; nothing is sampled.
+A ``CrossedModule`` holds M, P and two integer tables: ``act_table``, one
+row per element of P, where ``act_table[j][i]`` is the position of
+m_i^(p_j) in M (the orientation of ``GroupoidXMod.act``), and
+``boundary``, where ``boundary[i]`` is the position of delta(m_i) in P.
+``delta`` and ``action`` are views of these tables, not copies.  Names
+are read once, in ``xmod_from_candidate`` (``documents.build_xmod``):
+each group table, the boundary and each action row.
+
+Every law is proved on the tables, a row at a time, from generators S
+(see ``groups``): delta's additivity in |S_M| + 1 rows, the action's
+composition in |P| |S_P| rows and its additivity in (|S_M| + 1) |S_P|
+rows, then
+
+- CM1 in |S_P| rows of |M|: it holds at p = 0 (m^0 = m), and at p + s if
+  it holds at p and s:
+  delta(m^(p+s)) = delta((m^p)^s) = -s + delta(m^p) + s = -(p+s) + delta(m) + (p+s);
+- CM2 in |S_M| rows of |M|: it holds for n = 0 (delta(0) = 0 and
+  m^0 = m), and for n + s if it holds for n and s:
+  m^delta(n+s) = (m^delta(n))^delta(s) = -s + (-n + m + n) + s = -(n+s) + m + (n+s).
+
+Each proof's premises are that delta is a homomorphism and the action
+satisfies every action law.  Only when a proof or a premise fails is the
+law scanned over every pair, in the order (m, p), respectively (m, n),
+that names each witness in labels.
 
 Each law is stated once, as a generator of the errors that name its
-failures (``_homomorphism_failures`` and ``_action_failures`` in
-``groups``, ``_crossed_module_failures`` here).  The strict constructors
-raise the first failure; ``check_axioms`` lists them all, in the same
-order, as ``Violation`` records.  Unvalidated data has one shape,
+failures (``_map_failures`` and ``_group_action_failures`` in ``groups``,
+``_cm_failures`` here).  The strict constructors raise the first
+failure; ``check_axioms`` lists them all, in the same order, as
+``Violation`` records.  Unvalidated data has one shape,
 ``XModCandidate``, which is also what a JSON document loads into.
 """
 
@@ -36,11 +58,11 @@ from .groups import (
     GroupAction,
     Homomorphism,
     Subgroup,
-    _action_failures,
+    _group_action_failures,
     _failures,
-    _homomorphism_failures,
-    group_action,
-    homomorphism,
+    _indices,
+    _map_failures,
+    _strict,
     image,
     kernel,
     make_group,
@@ -50,13 +72,21 @@ from .groups import (
 
 @dataclass(frozen=True, eq=False)
 class CrossedModule:
-    """A validated crossed module (delta: M -> P, action of P on M)."""
+    """A validated crossed module (delta: M -> P, action of P on M), on position tables."""
 
     M: FiniteGroup
     P: FiniteGroup
-    delta: Homomorphism
-    action: GroupAction
+    act_table: list  # act_table[j][i] = position of m_i^(p_j) in M
+    boundary: list  # boundary[i] = position of delta(m_i) in P
     name: str | None = None
+
+    @property
+    def delta(self) -> Homomorphism:
+        return Homomorphism(self.M, self.P, self.boundary)
+
+    @property
+    def action(self) -> GroupAction:
+        return GroupAction(self.P, self.M, self.act_table)
 
     def act(self, m: str, p: str) -> str:
         return self.action.act(m, p)
@@ -65,48 +95,42 @@ class CrossedModule:
         return XModCandidate.from_xmod(self)
 
 
-def _positions(x: CrossedModule) -> tuple[list[list[int]], list[int]]:
-    """The action and the boundary on positions, one lookup per (m, p).
+def _cm_failures(M: FiniteGroup, P: FiniteGroup, rows: list, d: list, premises: bool = True):
+    """Yield every CM1 failure, then every CM2 failure, over total position tables.
 
-    act[i][j] is the position of m_i^p_j in M and d[i] that of delta(m_i) in P.
+    ``rows[j][i]`` is the position of m_i^(p_j) and ``d[i]`` that of
+    delta(m_i).  When ``premises`` holds, CM1 is proved at the rows of P's
+    generators and CM2 at those of M's (the module docstring gives the
+    proofs); each is scanned in full only when its proof fails
+    (``groups._failures``).  Without the premises both laws are scanned.
     """
-    M, P = x.M, x.P
-    act = [[M._index[x.act(m, p)] for p in P] for m in M]
-    return act, [P._index[x.delta(m)] for m in M]
+    ml, pl, mt, minv, pt, pinv = M.elements, P.elements, M._table, M._inv, P._table, P._inv
+    ms, ps = range(len(ml)), range(len(pl))
 
-
-def _crossed_module_failures(M: FiniteGroup, P: FiniteGroup, delta: dict, act: dict,
-                             premises: bool = True):
-    """Yield every CM1 failure, then every CM2 failure, over total plain tables.
-
-    ``delta`` maps m -> delta(m) and ``act`` maps (m, p) -> m^p.  When
-    ``premises`` holds (delta is a homomorphism and the action satisfies
-    every action law), each law is proved from generators and scanned in
-    full only when that proof fails (``groups._failures``):
-
-    - CM1 holds at p = 0 (m^0 = m), and at p + s if it holds at p and s:
-      delta(m^(p+s)) = delta((m^p)^s) = -s + delta(m^p) + s = -(p+s) + delta(m) + (p+s).
-    - CM2 holds for n = 0 (delta(0) = 0 and m^0 = m), and for n + s if it
-      holds for n and s: m^delta(n+s) = (m^delta(n))^delta(s)
-      = -s + (-n + m + n) + s = -(n+s) + m + (n+s).
-    So s runs over P's generators for CM1 and M's for CM2.  Without the
-    premises both laws are scanned in full.
-    """
     def cm1(m, p) -> bool:
-        return delta[act[(m, p)]] == P.conj(delta[m], p)
+        return d[rows[p][m]] == pt[pt[pinv[p]][d[m]]][p]
+
+    def cm1_row(s) -> bool:  # delta(m^s) and -s + delta(m) + s, for every m
+        neg = pt[pinv[s]]
+        return [d[v] for v in rows[s]] == [pt[neg[b]][s] for b in d]
 
     def cm2(m, n) -> bool:
-        return M.conj(m, n) == act[(m, delta[n])]
+        return mt[mt[minv[n]][m]][n] == rows[d[n]][m]
 
-    for m, p in _failures(cm1, product(M, P), product(M, P.generators) if premises else None):
-        yield CM1Violation(m, p)
-    for m, n in _failures(cm2, product(M, M), product(M, M.generators) if premises else None):
-        yield CM2Violation(m, n)
+    def cm2_row(s) -> bool:  # m^delta(s) and -s + m + s, for every m
+        return rows[d[s]] == [mt[v][s] for v in mt[minv[s]]]
+
+    gens_p = [(s,) for s in _indices(P, P.generators)]
+    for m, p in _failures(cm1, product(ms, ps), gens_p if premises else None, cm1_row):
+        yield CM1Violation(ml[m], pl[p])
+    gens_m = [(s,) for s in _indices(M, M.generators)]
+    for m, n in _failures(cm2, product(ms, ms), gens_m if premises else None, cm2_row):
+        yield CM2Violation(ml[m], ml[n])
 
 
 def make_xmod(M: FiniteGroup, P: FiniteGroup, delta: Homomorphism,
               action: GroupAction, name=None) -> CrossedModule:
-    """Assemble a crossed module; CM1 and CM2 are proved from generators.
+    """Assemble a crossed module; CM1 and CM2 are proved a row at a time.
 
     ``delta`` and ``action`` are validated, so the proofs' premises hold.
     """
@@ -114,9 +138,8 @@ def make_xmod(M: FiniteGroup, P: FiniteGroup, delta: Homomorphism,
         raise ValueError("delta must map M into P")
     if action.actor is not P or action.space is not M:
         raise ValueError("action must let P act on M")
-    for failure in _crossed_module_failures(M, P, delta.mapping, action.table):
-        raise failure
-    return CrossedModule(M, P, delta, action, name=name)
+    _strict(_cm_failures(M, P, action.rows, delta.images))
+    return CrossedModule(M, P, action.rows, delta.images, name=name)
 
 
 @dataclass
@@ -140,24 +163,26 @@ class XModCandidate:
 
     @classmethod
     def from_xmod(cls, x: CrossedModule) -> XModCandidate:
-        m_table = [[x.M.add(a, b) for b in x.M] for a in x.M]
-        p_table = [[x.P.add(a, b) for b in x.P] for a in x.P]
-        action = {p: {m: x.act(m, p) for m in x.M} for p in x.P}
+        ml, pl = x.M.elements, x.P.elements
+        label_m, label_p = ml.__getitem__, pl.__getitem__
         return cls(
-            m_elements=list(x.M.elements),
-            m_table=m_table,
+            m_elements=list(ml),
+            m_table=[list(map(label_m, row)) for row in x.M._table],
             m_identity=x.M.identity,
-            p_elements=list(x.P.elements),
-            p_table=p_table,
+            p_elements=list(pl),
+            p_table=[list(map(label_p, row)) for row in x.P._table],
             p_identity=x.P.identity,
-            delta={m: x.delta(m) for m in x.M},
-            action=action,
+            delta=dict(zip(ml, map(label_p, x.boundary))),
+            action={p: dict(zip(ml, map(label_m, row))) for p, row in zip(pl, x.act_table)},
             name=x.name,
         )
 
-    def action_table(self) -> dict:
-        """The action as (m, p) -> m^p, the shape the action laws are checked on."""
-        return {(m, p): value for p, row in self.action.items() for m, value in row.items()}
+
+def _entries(candidate: XModCandidate, M: FiniteGroup):
+    """entries(p): the candidate's labels m^p for m in M's order, None where one is missing."""
+    def entries(p):
+        return list(map(candidate.action.get(p, {}).get, M.elements))
+    return entries
 
 
 def _try_group(elements, table, identity, label: str, report: list[Violation]):
@@ -193,24 +218,29 @@ def check_axioms(candidate: XModCandidate | CrossedModule) -> list[Violation]:
     P = _try_group(candidate.p_elements, candidate.p_table, candidate.p_identity, "P", report)
     if M is None or P is None:
         return report
-    act = candidate.action_table()
-    delta_total = _collect("delta", _homomorphism_failures(M, P, candidate.delta), report)
-    action_total = _collect("action", _action_failures(P, M, act), report)
-    if delta_total and action_total:
+    d = _collect("delta", _map_failures(M, P, candidate.delta), report)
+    rows = _collect("action", _group_action_failures(P, M, _entries(candidate, M)), report)
+    if d is not None and rows is not None:
         # any delta or action violation so far voids the proofs' premises
-        for exc in _crossed_module_failures(M, P, candidate.delta, act, premises=not report):
+        for exc in _cm_failures(M, P, rows, d, premises=not report):
             kind = "cm1" if isinstance(exc, CM1Violation) else "cm2"
             report.append(Violation(kind, str(exc), exc.witness))
     return report
 
 
 def xmod_from_candidate(candidate: XModCandidate) -> CrossedModule:
-    """Validate a candidate the strict way, raising on the first failure."""
+    """Validate a candidate the strict way, raising on the first failure.
+
+    Names are read here once: each group table by ``make_group``, the
+    boundary and each action row into positions; every law after that
+    is proved on positions.
+    """
     M = make_group(candidate.m_elements, candidate.m_table, candidate.m_identity)
     P = make_group(candidate.p_elements, candidate.p_table, candidate.p_identity)
-    delta = homomorphism(M, P, candidate.delta)
-    action = group_action(P, M, candidate.action_table())
-    return make_xmod(M, P, delta, action, name=candidate.name)
+    d = _strict(_map_failures(M, P, candidate.delta))
+    rows = _strict(_group_action_failures(P, M, _entries(candidate, M)))
+    _strict(_cm_failures(M, P, rows, d))
+    return CrossedModule(M, P, rows, d, name=candidate.name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,27 +264,38 @@ def homotopy(x: CrossedModule) -> HomotopyData:
 
     Normality of the image, centrality of the kernel and representative
     independence of the induced action are consequences of the axioms;
-    each is re-verified and a failure raises InternalInvariantBroken.
+    each is re-verified on x's tables and a failure raises
+    InternalInvariantBroken.
     """
-    img = image(x.delta)
+    M, P, rows = x.M, x.P, x.act_table
+    ml, pl, mt = M.elements, P.elements, M._table
     try:
-        pi1, projection = quotient(x.P, img)
+        pi1, projection = quotient(P, image(x.delta))
     except NotNormal as exc:
         raise InternalInvariantBroken(
             f"image of delta is not normal: {exc}", exc.witness) from exc
     ker = kernel(x.delta)
-    for k in ker:
-        for m in x.M:
-            if x.M.add(k, m) != x.M.add(m, k):
+    inside = _indices(M, ker.members)
+    for k in inside:
+        row = mt[k]
+        for m, r in enumerate(mt):
+            if row[m] != r[k]:
                 raise InternalInvariantBroken(
-                    f"kernel element {k} is not central in M", (k, m))
+                    f"kernel element {ml[k]} is not central in M", (ml[k], ml[m]))
     pi2 = ker.as_group()
-    for p in x.P:
-        rep = projection(p)
-        for k in ker:
-            if x.act(k, p) != x.act(k, rep):
+    reps = _indices(P, pi1.elements)
+    for p, coset in enumerate(projection.images):
+        row, rep_row = rows[p], rows[reps[coset]]
+        for k in inside:
+            if row[k] != rep_row[k]:
+                rep = pi1.elements[coset]
                 raise InternalInvariantBroken(
-                    f"pi1-action on pi2 depends on the representative of {rep}", (k, p, rep))
-    table = {(k, rep): x.act(k, rep) for k in pi2 for rep in pi1}
-    g_action = group_action(pi1, pi2, table)
+                    f"pi1-action on pi2 depends on the representative of {rep}",
+                    (ml[k], pl[p], rep))
+
+    def entries(rep):
+        row = rows[P._index[rep]]
+        return [ml[row[k]] for k in inside]
+
+    g_action = GroupAction(pi1, pi2, _strict(_group_action_failures(pi1, pi2, entries)))
     return HomotopyData(pi1, pi2, g_action, projection, ker)

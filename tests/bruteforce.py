@@ -20,12 +20,15 @@ from types import SimpleNamespace
 from xmodloop.errors import (
     CM1Violation,
     CM2Violation,
+    CodomainViolation,
     InvalidAction,
     InvalidGroupoid,
     InvalidGroupoidXMod,
+    InvalidHomomorphism,
+    UnknownElement,
     Violation,
 )
-from xmodloop.groups import _additive_failures, _failures, _right_generators, make_group
+from xmodloop.groups import FiniteGroup, _failures, _right_generators, make_group
 
 
 def brute_k2(x):
@@ -487,3 +490,124 @@ def check_written_morphism(source, target, obj_map, mor_map, dim2_map) -> list:
     proof = ((m, s) for s in src_base.generators for m in source.fibres[src_base.source(s)])
     return [Violation("action-square", f"f2({m}^{u}) != f2({m})^f1({u})", (m, u))
             for m, u in _failures(squares, scan, proof)]
+
+
+# -- the laws of a crossed module of groups, on labels -----------------------
+# The generators the library used before it proved these laws on position
+# tables, kept unchanged as the oracle of ``test_label_oracle``: each law is
+# proved at single tuples of labels and scanned in full when that fails.
+
+
+def _additive_failures(source: FiniteGroup, mapping, add):
+    """The pairs (x, y) of source, x-major, with mapping[x + y] != add(mapping[x], mapping[y]).
+
+    ``add`` composes in an associative target.  Proved from y in the
+    generators and 0: f(x + 0) = f(x) + f(0) forces f(0) = 0, and
+    f(x + w + s) = f(x + w) + f(s) = f(x) + f(w) + f(s) = f(x) + f(w + s).
+    """
+    def additive(x, y) -> bool:
+        return mapping[source.add(x, y)] == add(mapping[x], mapping[y])
+
+    elements = source.elements
+    return _failures(additive, ((x, y) for x in elements for y in elements),
+                     product(elements, (source.identity, *source.generators)))
+
+
+def _homomorphism_failures(source: FiniteGroup, target: FiniteGroup, mapping: dict):
+    """Yield each broken law of a candidate map; return whether it is total into target.
+
+    Totality and codomain come first, in source order.  Additivity is
+    checked only when the map is total (``_additive_failures``).
+    """
+    total = True
+    for x in source:
+        value = mapping.get(x)
+        if value is None:
+            total = False
+            yield UnknownElement(x)
+        elif value not in target:
+            total = False
+            yield CodomainViolation(x, value)
+    if total:
+        for x, y in _additive_failures(source, mapping, target.add):
+            yield InvalidHomomorphism(x, y)
+    return total
+
+
+def _action_failures(actor: FiniteGroup, space: FiniteGroup, table: dict):
+    """Yield each broken law of an action table; return whether it is total into space.
+
+    Totality and codomain come first, actor-major; the laws m^0 = m,
+    (m^p)^q = m^(p+q) and (m+n)^p = m^p + n^p are checked only when the
+    table is total.  Given m^0 = m, composition is proved for q in the
+    actor's generators; given composition, additivity is proved for p in
+    those generators and n in the space's generators and 0 (see
+    ``_right_generators``).  Each law whose certificate fails, or whose
+    premise does, is scanned over every tuple (``_failures``).
+    """
+    total = True
+    rows: dict = {}  # p -> {m -> m^p}, so the laws below look up by element
+    for p in actor:
+        row = rows[p] = {}
+        for m in space:
+            value = row[m] = table.get((m, p))
+            if value is None:
+                total = False
+                yield InvalidAction("totality", (m, p))
+            elif value not in space:
+                total = False
+                yield InvalidAction("codomain", (m, p, value))
+    if not total:
+        return total
+
+    def composes(m, p, q) -> bool:
+        return rows[q][rows[p][m]] == rows[actor.add(p, q)][m]
+
+    def additive(m, n, p) -> bool:
+        row = rows[p]
+        return row[space.add(m, n)] == space.add(row[m], row[n])
+
+    identity_holds = True
+    for m in space:
+        if rows[actor.identity][m] != m:
+            identity_holds = False
+            yield InvalidAction("identity", (m,))
+    composition_holds = identity_holds
+    for witness in _failures(composes, product(space, actor, actor),
+                             product(space, actor, actor.generators) if identity_holds else None):
+        composition_holds = False
+        yield InvalidAction("composition", witness)
+    additivity_proof = product(space, (space.identity, *space.generators), actor.generators)
+    for witness in _failures(additive, product(space, space, actor),
+                             additivity_proof if composition_holds else None):
+        yield InvalidAction("additivity", witness)
+    return total
+
+
+def _crossed_module_failures(M: FiniteGroup, P: FiniteGroup, delta: dict, act: dict,
+                             premises: bool = True):
+    """Yield every CM1 failure, then every CM2 failure, over total plain tables.
+
+    ``delta`` maps m -> delta(m) and ``act`` maps (m, p) -> m^p.  When
+    ``premises`` holds (delta is a homomorphism and the action satisfies
+    every action law), each law is proved from generators and scanned in
+    full only when that proof fails (``groups._failures``):
+
+    - CM1 holds at p = 0 (m^0 = m), and at p + s if it holds at p and s:
+      delta(m^(p+s)) = delta((m^p)^s) = -s + delta(m^p) + s = -(p+s) + delta(m) + (p+s).
+    - CM2 holds for n = 0 (delta(0) = 0 and m^0 = m), and for n + s if it
+      holds for n and s: m^delta(n+s) = (m^delta(n))^delta(s)
+      = -s + (-n + m + n) + s = -(n+s) + m + (n+s).
+    So s runs over P's generators for CM1 and M's for CM2.  Without the
+    premises both laws are scanned in full.
+    """
+    def cm1(m, p) -> bool:
+        return delta[act[(m, p)]] == P.conj(delta[m], p)
+
+    def cm2(m, n) -> bool:
+        return M.conj(m, n) == act[(m, delta[n])]
+
+    for m, p in _failures(cm1, product(M, P), product(M, P.generators) if premises else None):
+        yield CM1Violation(m, p)
+    for m, n in _failures(cm2, product(M, M), product(M, M.generators) if premises else None):
+        yield CM2Violation(m, n)

@@ -20,6 +20,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bruteforce import (
+    _action_failures,
+    _homomorphism_failures,
     check_written_morphism,
     make_groupoid,
     make_written_gxm,
@@ -37,9 +39,7 @@ from test_orbit_properties import (
 from xmodloop.errors import XModError
 from xmodloop.groupoids import as_groupoid_xmod, check_morphism, make_gxm
 from xmodloop.groups import (
-    _action_failures,
     _failures,
-    _homomorphism_failures,
     group_action,
     homomorphism,
     make_group,

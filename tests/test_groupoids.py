@@ -239,6 +239,34 @@ def test_restrict_to_object_is_always_a_valid_crossed_module(any_xmod):
         make_written_gxm(restricted.base, form.fibres, form.boundary, form.action)
 
 
+def test_restrict_to_every_element_of_m_keeps_m_without_a_cut(any_xmod):
+    # theta passes all of M at every base: the piece's fibre is M itself,
+    # its action rows are the whole's, and a duplicate label changes nothing
+    x = any_xmod
+    gxm = loop_gpd_xmod(x)
+    M = gxm.fibre
+    for fibre in (x.M, list(reversed(M.elements)), [*M.elements, M.identity]):
+        for a in gxm.base.objects:
+            piece = restrict(gxm, gxm.base.stabiliser(a), (a,), fibre)
+            assert piece.fibre is M
+            parent = [gxm.base.group.index(g) for g in piece.base.group]
+            assert piece.act == [gxm.act[i] for i in parent]
+
+
+def test_restrict_to_all_of_m_still_refuses_a_partial_or_unknown_fibre():
+    x = fixture("inn3")  # M = C3, so a two-element fibre is not closed
+    gxm = loop_gpd_xmod(x)
+    a = x.P.identity
+    with pytest.raises(NotClosed):
+        restrict(gxm, gxm.base.stabiliser(a), (a,), x.M.elements[:2])
+    with pytest.raises(UnknownElement) as info:
+        restrict(gxm, gxm.base.stabiliser(a), (a,), [*x.M.elements, "zz"])
+    assert info.value.witness == ("zz",)
+    with pytest.raises(UnknownElement) as info:
+        restrict(gxm, gxm.base.stabiliser(a), (a,), ["zz", *x.M.elements[1:]])
+    assert info.value.witness == ("zz",)
+
+
 def test_restrict_rejects_a_morphism_set_not_closed_under_composition():
     # the arrows of (0, 0) and (0, 1) at 0: (0, 1) has no inverse among them
     gxm = loop_gpd_xmod(fixture("inc24"))

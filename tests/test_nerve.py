@@ -5,7 +5,6 @@ import pytest
 from bruteforce import brute_is_simplex3, brute_k2, brute_k3
 from conftest import fixture
 from xmodloop.errors import IndexOutOfRange, InternalInvariantBroken
-from xmodloop.groups import GroupAction
 from xmodloop.nerve import (
     Simplex2,
     is_simplex2,
@@ -132,12 +131,14 @@ def _with_one_action_entry_moved(x):
 
     The result is not a crossed module: CM1 fails at (m, p).
     """
-    table = dict(x.action.table)
-    for (m, p), value in table.items():
-        other = next((w for w in x.M if x.delta(w) != x.delta(value)), None)
-        if other is not None:
-            table[(m, p)] = other
-            return CrossedModule(x.M, x.P, x.delta, GroupAction(x.P, x.M, table), name=x.name)
+    rows = [list(row) for row in x.act_table]
+    for row in rows:
+        for i, value in enumerate(row):
+            other = next((w for w in range(len(x.M)) if x.boundary[w] != x.boundary[value]),
+                         None)
+            if other is not None:
+                row[i] = other
+                return CrossedModule(x.M, x.P, rows, x.boundary, name=x.name)
     raise AssertionError("delta is trivial")
 
 

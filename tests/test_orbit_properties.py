@@ -10,7 +10,8 @@ loop groupoid and of P(a) against label arithmetic, in order, and P(a)
 against its defining filter and the paper's order identity for pi1 at
 every base.  The nerve's count and listing agree with |M|^3 |P|^3.  The
 sizes of the loop groupoid, of theta's source at every base and of psi's
-fibre do not change when the elements are renamed and listed in another
+fibre, and every order that ``pi``, ``loop``, ``components`` and ``exact``
+print, do not change when the elements are renamed and listed in another
 order.
 """
 
@@ -19,13 +20,15 @@ from hypothesis import strategies as st
 
 from bruteforce import brute_components, brute_pa
 from conftest import assert_loop_tables_match_brute_force
-from xmodloop.exactseq import coinvariants, fibration_psi
+from xmodloop.exactseq import coinvariants, exact_sequence, fibration_psi
 from xmodloop.groupoids import pi0
 from xmodloop.groups import (
     centralizer,
     conjugacy_classes,
     group_action,
     homomorphism,
+    image,
+    kernel,
     make_group,
     quotient,
     subgroup,
@@ -247,3 +250,29 @@ def test_loop_sizes_are_invariant_under_relabelling(x, data):
     expected["theta"] = {p_name[a]: sizes for a, sizes in expected["theta"].items()}
     assert loop_sizes(y) == expected
     assert all(iso for _, iso in expected["theta"].values())
+
+
+def printed_orders(x):
+    """The orders that pi --space base|loop, loop, components and exact print, by base."""
+    base = homotopy(x)
+    at = {}
+    for a in x.P:
+        loop_h, seq = pi_loop(x, a), exact_sequence(x, a)
+        at[a] = {"pi-loop": (len(loop_h.pi1), len(loop_h.pi2)),
+                 "loop": len(loop_data(x, a).Pa),
+                 "exact": (seq.term_orders(), [(len(image(f)), len(kernel(f))) for f in seq.maps],
+                           len(seq.coinvariants))}
+    return {"pi-base": (len(base.pi1), len(base.pi2)),
+            "components": sorted(map(len, components(x))), "at": at}
+
+
+@PROPERTY_SETTINGS
+@given(crossed_modules(), st.data())
+def test_printed_orders_are_invariant_under_relabelling(x, data):
+    assume(len(x.M) * len(x.P) ** 2 <= 300)
+    y, p_name = data.draw(relabelled(x))
+    expected = printed_orders(x)
+    expected["at"] = {p_name[a]: orders for a, orders in expected["at"].items()}
+    assert printed_orders(y) == expected
+    assert {frozenset(map(p_name.get, c)) for c in components(x)} == set(map(frozenset,
+                                                                              components(y)))
