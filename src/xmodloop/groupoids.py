@@ -19,8 +19,8 @@ What is left is the action law (h + g) . x = h . (g . x), which makes
 each composite start where its first factor does, and 0 . x = x.
 ``action_groupoid`` checks 0 . x = x at every object and proves the
 action law from G's generators S_G through ``groups._failures``: |S_G|
-|G| rows of |X| entries.  Only when that proof fails does it scan every
-(h, g, x).  It is the only groupoid constructor.
+|G| rows of |X| entries.  Only when that proof fails does it compare
+every row (h, g), reporting the first failure in (h, g, x) order.  It is the only groupoid constructor.
 
 Crossed modules.  The fibre at every object is one group M, and the
 arrow (g, x) acts on it by m -> m^g whatever x is.  So a ``GroupoidXMod``
@@ -34,9 +34,9 @@ is m_t^(g_i)) and the boundary as a |X| x |M| table of positions in G
 - the action: m^0 = m, then ``composition`` (m^g)^h = m^(g + h).  The h
   for which it holds contain 0 and are closed under +, since
   (m^g)^(h1 + h2) = ((m^g)^h1)^h2 = (m^(g + h1))^h2 = m^(g + h1 + h2), so
-  h in S_G suffices: |S_G| |G| rows of |M|.  Then ``additivity``: given
-  composition, m -> m^(g + s) is m -> m^g then m -> m^s, so it is
-  checked for g in S_G;
+  h in S_G suffices: |S_G| |G| rows of |M|.  Then ``additivity``
+  (m + n)^g = m^g + n^g, given composition, at n in 0 and S_M and g in
+  S_G: (|S_M| + 1) |S_G| rows of |M|;
 - CM1, d_x(m^g) = -g + d_(g.x)(m) + g: it holds at g = 0, and at g + s if
   at g and s, by composition and the action law on X:
   d_x(m^(g+s)) = -s + d_(s.x)(m^g) + s = -(g+s) + d_((g+s).x)(m) + (g+s),
@@ -44,8 +44,11 @@ is m_t^(g_i)) and the boundary as a |X| x |M| table of positions in G
 - CM2, m^d_x(n) = -n + m + n: it holds for n = 0, and for n + s if for n
   and s, by boundary-hom and composition: m^d(n+s) = (m^d(n))^d(s) =
   -s + (-n + m + n) + s, so it is proved for each object at S_M: |X| |S_M|
-  rows.  Each proof runs after the laws it uses; only a failing proof runs
-  the full scan that picks the first witness (``groups._failures``).
+  rows.  Each proof runs after the laws it uses; only a failing proof
+  compares every row, and the first failure in scan order is raised
+  (``groups._failures``).  The action and CM rows are the ones a crossed
+  module of groups is checked by (``groups._composition``,
+  ``groups._additivity``, ``xmod._cm1``, ``xmod._cm2``).
 
 Restriction.  ``restrict`` cuts out a subgroup H of G, objects X' and a
 subgroup N of M.  Each law of the piece is a law of the whole at
@@ -71,9 +74,10 @@ star at f0(a) exactly when f is onto G', and f2 must be onto M'.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
+from operator import itemgetter
 
 from .errors import (
     CM1Violation,
@@ -90,6 +94,8 @@ from .groups import (
     FiniteGroup,
     Homomorphism,
     _additive_failures,
+    _additivity,
+    _composition,
     _cut,
     _failures,
     _partition,
@@ -99,7 +105,7 @@ from .groups import (
     make_group,
     quotient,
 )
-from .xmod import CrossedModule
+from .xmod import CrossedModule, _cm1, _cm2
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,17 +183,6 @@ class FiniteGroupoid:
         return [self.morphisms[i * n + k] for i, row in enumerate(self.act) if row[k] == k]
 
 
-def _first_failure(sides, scan, proof):
-    """(t, i): the first tuple t of scan whose rows sides(*t) differ, and where; or None.
-
-    Nothing is scanned when the rows agree at every tuple of ``proof``
-    (``groups._failures``).
-    """
-    for t in _failures(lambda *t: operator.eq(*sides(*t)), scan, proof):
-        return t, next(i for i, (a, b) in enumerate(zip(*sides(*t))) if a != b)
-    return None
-
-
 def _groupoid(group: FiniteGroup, objects: tuple, act: list, morphisms: tuple) -> FiniteGroupoid:
     """The action groupoid on tables whose laws already hold."""
     n, nx = len(group), len(objects)
@@ -207,8 +202,8 @@ def action_groupoid(group: FiniteGroup, objects, act, morphisms) -> FiniteGroupo
     identity must fix every object (``identity-missing``).  The action law
     (h + g) . x = h . (g . x) holds for h = 0, and for h1 + h2 once it
     holds for h1 and h2 (G is associative); so it is proved for h in G's
-    generators and scanned over every (h, g, x), in that order, only
-    when that proof fails.  A failure at (h, g, x) is the composite w of
+    generators, and every row (h, g) is compared, failures reported in
+    (h, g, x) order, only when that proof fails.  A failure at (h, g, x) is the composite w of
     u = (h, g . x) and v = (g, x) starting elsewhere than u:
     ``composition-endpoints`` with witness (u, v, w).
     """
@@ -237,9 +232,7 @@ def action_groupoid(group: FiniteGroup, objects, act, morphisms) -> FiniteGroupo
         return list(map(act[h].__getitem__, act[g])), act[table[h][g]]
 
     gens = [group._index[s] for s in group.generators]
-    failure = _first_failure(acts, product(range(n), range(n)), product(gens, range(n)))
-    if failure:
-        (h, g), z = failure
+    for h, g, z in _failures(acts, product(range(n), range(n)), product(gens, range(n))):
         raise InvalidGroupoid("composition-endpoints", (morphisms[h * nx + act[g][z]],
                               morphisms[g * nx + z], morphisms[table[h][g] * nx + z]))
     return _groupoid(group, objects, act, morphisms)
@@ -280,7 +273,7 @@ def make_gxm(base: FiniteGroupoid, fibre: FiniteGroup, act, boundary) -> Groupoi
     their proofs are in the module docstring.
     """
     G, M, objects, ms = base.group, fibre, base.objects, base.morphisms
-    gt, xact, mt, minv = G._table, base.act, M._table, M._inv
+    gt, xact, mt = G._table, base.act, M._table
     n, nx, nm = len(G), len(objects), len(M)
     mlabel, glabel, arrows = M.elements, G.elements, range(len(G))
     boundary = [list(row) for row in boundary]
@@ -305,40 +298,25 @@ def make_gxm(base: FiniteGroupoid, fibre: FiniteGroup, act, boundary) -> Groupoi
         if v != t:
             raise InvalidAction("identity", (mlabel[t],))
     gens, every = [G._index[s] for s in G.generators], range(nm)
-
-    def composition(g, h):  # (m^g)^h and m^(g + h), for every m
-        return list(map(act[h].__getitem__, act[g])), act[gt[g][h]]
-
-    failure = _first_failure(composition, product(arrows, arrows), product(arrows, gens))
-    if failure:
-        (g, h), t = failure
+    for g, h, t in _failures(partial(_composition, act, gt), product(arrows, arrows),
+                             product(arrows, gens)):
         raise InvalidAction("composition", (mlabel[t], glabel[g], glabel[h]))
-
-    def additivity(g, t):  # (m_t + n)^g and m_t^g + n^g, for every n
-        return list(map(act[g].__getitem__, mt[t])), list(map(mt[act[g][t]].__getitem__, act[g]))
-
-    failure = _first_failure(additivity, product(arrows, every), product(gens, every))
-    if failure:
-        (g, t), u = failure
+    zero_and_gens = [M._index[s] for s in (M.identity, *M.generators)]
+    for u, g, t in _failures(partial(_additivity, act, mt), product(every, arrows),
+                             product(zero_and_gens, gens), itemgetter(1, 2, 0)):
         raise InvalidAction("additivity", (mlabel[t], mlabel[u], glabel[g]))
 
-    def cm1(g, k):  # d_x(m^g) and -g + d_(g.x)(m) + g at x = x_k, for every m
-        neg = gt[G._inv[g]]
-        return (list(map(boundary[k].__getitem__, act[g])),
-                [gt[neg[b]][g] for b in boundary[xact[g][k]]])
+    def cm1(g, k):  # at x = x_k, for every m
+        return _cm1(G, act, boundary[k], boundary[xact[g][k]], g)
 
-    failure = _first_failure(cm1, product(arrows, range(nx)), product(gens, range(nx)))
-    if failure:
-        (g, k), t = failure
+    for g, k, t in _failures(cm1, product(arrows, range(nx)), product(gens, range(nx))):
         raise CM1Violation(mlabel[t], ms[g * nx + k])
 
-    def cm2(k, u):  # m^d_x(n) and -n + m + n at x = x_k and n = m_u, for every m
-        return act[boundary[k][u]], [mt[v][u] for v in mt[minv[u]]]
+    def cm2(k, u):  # at x = x_k and n = m_u, for every m
+        return _cm2(M, act, boundary[k], u)
 
     gens_m = [M._index[s] for s in M.generators]
-    failure = _first_failure(cm2, product(range(nx), every), product(range(nx), gens_m))
-    if failure:
-        (_, u), t = failure
+    for _, u, t in _failures(cm2, product(range(nx), every), product(range(nx), gens_m)):
         raise CM2Violation(mlabel[t], mlabel[u])
     return GroupoidXMod(base, M, act, boundary)
 
@@ -469,8 +447,9 @@ def check_morphism(source: GroupoidXMod, target: GroupoidXMod,
     position of the target), ``endpoints`` (each arrow whose image starts
     elsewhere: f0 not equivariant), ``identity`` (at each object, when
     f(0) != 0), ``composition``, ``dim2-map``, ``dim2-hom`` and
-    ``boundary-square``, and on an empty report ``action-square``.  A law
-    is scanned in full only when its proof or a premise fails.
+    ``boundary-square``, and on an empty report ``action-square``.  Each
+    law is stated as a row function; every row is compared only when its
+    proof or a premise fails (``groups._failures``).
     """
     report: list[Violation] = []
     sb, tb, M = source.base, target.base, source.fibre
@@ -484,28 +463,21 @@ def check_morphism(source: GroupoidXMod, target: GroupoidXMod,
                          (G.elements[i],)) for i in _unmapped(group_map, len(G), len(H))]
     if report:
         return report
-    f, f0, gt, ht = group_map, obj_map, G._table, H._table
+    f, f0, ht = group_map, obj_map, H._table
     arrows = range(len(G))
     gens = [G._index[s] for s in G.generators]
     identity_kept = f[G._index[G.identity]] == H._index[H.identity]
 
-    def additive(g, h) -> bool:
-        return f[gt[g][h]] == ht[f[g]][f[h]]
+    unadditive = list(_additive_failures(G, f, ht))
 
-    unadditive = list(_failures(additive, product(arrows, arrows),
-                                product(arrows, gens) if identity_kept else None))
-
-    def equivariant(g) -> bool:
-        """f0(g . x) = f(g) . f0(x) for every x."""
+    def equivariant(g):  # f0(g . x) and f(g) . f0(x), for every x
         image = tb.act[f[g]]
-        return [f0[y] for y in sb.act[g]] == [image[z] for z in f0]
+        return [f0[y] for y in sb.act[g]], [image[z] for z in f0]
 
-    proof = ((s,) for s in gens) if identity_kept and not unadditive else None
-    for (g,) in _failures(equivariant, ((g,) for g in arrows), proof):
-        image = tb.act[f[g]]
-        report += [Violation("endpoints", f"image of {u} has wrong endpoints", (u,))
-                   for u, y, z in zip(sb.morphisms[g * nx:(g + 1) * nx], sb.act[g], f0)
-                   if f0[y] != image[z]]
+    proof = product(gens) if identity_kept and not unadditive else None
+    report += [Violation("endpoints", f"image of {u} has wrong endpoints", (u,))
+               for u in (sb.morphisms[g * nx + k]
+                         for g, k in _failures(equivariant, product(arrows), proof))]
     if report:
         return report
     if not identity_kept:
@@ -524,24 +496,29 @@ def check_morphism(source: GroupoidXMod, target: GroupoidXMod,
         report += [Violation("dim2-hom", f"f2({m} + {n}) != f2({m}) + f2({n})", (m, n))
                    for m, n in unhom]
 
-        def squares(k, t) -> bool:
-            return f[source.boundary[k][t]] == target.boundary[f0[k]][f2[t]]
+        targets = [target.boundary[z] for z in f0]
+
+        def squares(t):  # f(d_x(m)) and d'_(f0 x)(f2 m), for every x, at m = m_t
+            f2t = f2[t]
+            return [f[b[t]] for b in source.boundary], [b[f2t] for b in targets]
 
         premises = identity_kept and not unadditive and not unhom
         gens_m = [M._index[s] for s in M.generators]
         report += [Violation("boundary-square", f"f1(delta {mlabel[t]}) != delta(f2 "
                              f"{mlabel[t]}) at {objects[k]}", (objects[k], mlabel[t]))
-                   for k, t in _failures(squares, product(range(nx), range(nm)),
-                                         product(range(nx), gens_m) if premises else None)]
+                   for t, k in _failures(squares, product(range(nm)),
+                                         product(gens_m) if premises else None,
+                                         itemgetter(1, 0))]
     if report:
         return report
 
-    def acts(g, t) -> bool:
-        return f2[source.act[g][t]] == target.act[f[g]][f2[t]]
+    def acts(g):  # f2(m^g) and f2(m)^f(g), for every m
+        image = target.act[f[g]]
+        return [f2[v] for v in source.act[g]], [image[w] for w in f2]
 
     return [Violation("action-square", f"f2({mlabel[t]}^{G.elements[g]}) != "
                       f"f2({mlabel[t]})^f1({G.elements[g]})", (mlabel[t], G.elements[g]))
-            for g, t in _failures(acts, product(arrows, range(nm)), product(gens, range(nm)))]
+            for g, t in _failures(acts, product(arrows), product(gens))]
 
 
 def make_gxm_morphism(source: GroupoidXMod, target: GroupoidXMod,

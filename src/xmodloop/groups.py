@@ -24,20 +24,27 @@ whole row at a time, with S the generators of the group named:
 - an action of P on M, given m^0 = m: composition (m^p)^s = m^(p + s),
   |P| |S_P| rows of |M|; then, given composition, additivity
   (m + n)^s = m^s + n^s, (|S_M| + 1) |S_P| rows of |M|, for n in 0 and
-  S_M and s in S_P.
+  S_M and s in S_P;
+- normality of a subgroup N in ``quotient``, -g + x + g in N for x in N:
+  |S| rows of |N|.
 
-``_failures`` is the one place where such a proof gates a scan: when a
-row of the proof fails, or one of its premises does, the full scan runs
-over single elements in the order it always had and reports exactly
-what it always reported, each witness written in labels.
+Each law is stated once, as a function that returns its two sides along
+one row of positions (``_composition``, ``_additivity``, the
+``associates``, ``additive`` and ``normal`` rows here, ``xmod._cm1`` and
+``xmod._cm2``).  ``_failures`` is the one place where a proof gates the
+rest: when a row of the proof fails, or one of its premises does, every
+row is compared, and the failures are reported in the order of the scan
+over single elements that named them before, each witness written in
+labels.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product, starmap
-from operator import itemgetter
+from functools import partial
+from itertools import product
+from operator import eq, itemgetter
 
 from .errors import (
     CodomainViolation,
@@ -123,19 +130,31 @@ def _generators(table: list, e: int) -> list[int]:
     return _right_generators(by_order, (e,), lambda i, j: table[i][j])
 
 
-def _failures(law, scan, proof=None, row=None):
-    """The tuples of ``scan`` at which ``law`` fails, in scan order, as an iterator.
+def _failures(sides, keys, proof=None, order=None):
+    """Where a law stated a row at a time fails: the tuples (*key, i), as an iterator.
 
-    ``proof`` lists the tuples from which a generator argument (see
-    ``_right_generators``) proves the law everywhere: when ``row`` (by
-    default ``law`` itself) holds at each of them, nothing is scanned and
-    nothing returned.  A ``row`` checks the law along a whole row of
-    positions at once.  ``None`` means a premise of that argument failed,
-    so the scan always runs.
+    ``sides(*key)`` returns the law's two sides along one row, one entry
+    per column i; the law fails at (*key, i) when the entries differ.
+    ``proof`` lists the keys from which a generator argument (see
+    ``_right_generators``) proves the law everywhere: when both sides
+    agree at each of them, nothing else is computed and nothing
+    returned.  ``None`` means a premise of that argument failed, so the
+    rows of ``keys`` are always compared.  Each row is computed once, and
+    the failures come row by row, or sorted by ``order(t)``: the order of
+    the scan over single elements that names each witness, so a law
+    reports exactly what it reported one element at a time.
     """
-    if proof is not None and all(starmap(row or law, proof)):
+    if proof is not None and all(eq(*sides(*key)) for key in proof):
         return iter(())
-    return (t for t in scan if not law(*t))
+    found = _differences(sides, keys)
+    return iter(sorted(found, key=order)) if order else found
+
+
+def _differences(sides, keys):
+    for key in keys:
+        a, b = sides(*key)
+        if a != b:
+            yield from ((*key, i) for i, (u, v) in enumerate(zip(a, b)) if u != v)
 
 
 def _strict(failures):
@@ -161,16 +180,13 @@ def _additive_failures(source: FiniteGroup, images: list, target_table: list):
     """
     st, f, tt = source._table, images, target_table
 
-    def additive(x, y) -> bool:
-        return f[st[x][y]] == tt[f[x]][f[y]]
-
-    def column(y) -> bool:
+    def additive(y):  # f(x + y) and f(x) + f(y), for every x
         fy = f[y]
-        return [f[r[y]] for r in st] == [tt[v][fy] for v in f]
+        return [f[r[y]] for r in st], [tt[v][fy] for v in f]
 
-    every = range(len(st))
     proof = [(y,) for y in _indices(source, (source.identity, *source.generators))]
-    return _failures(additive, product(every, every), proof, column)
+    for y, x in _failures(additive, product(range(len(st))), proof, itemgetter(1, 0)):
+        yield x, y
 
 
 class FiniteGroup:
@@ -296,21 +312,13 @@ def _prove(group: FiniteGroup, table: list, e: int) -> None:
     gens = _generators(table, e)
     group.generators = tuple(elements[s] for s in gens)
 
-    def associates(i, j) -> bool:
-        """(i + j) + k = i + (j + k) for every k, one whole row at a time."""
-        row_i = table[i]
-        return [row_i[k] for k in table[j]] == table[row_i[j]]
+    def associates(i, j):  # i + (j + k) and (i + j) + k, for every k, as tuples
+        return itemgetter(*table[j])(table[i]), tuple(table[table[i][j]])
 
-    def associates_at(s) -> bool:
-        """associates(i, s) for every i; i + (s + k) is read from row i by one itemgetter."""
-        after_s = itemgetter(*table[s])
-        return all(after_s(row) == tuple(table[row[s]]) for row in table)
-
-    # Light's test: the pairs (i, s) for the generators s prove every pair
-    for i, j in _failures(associates, product(range(n), range(n)), [(s,) for s in gens],
-                          associates_at):
-        ij, row_i = table[i][j], table[i]
-        k = next(k for k, jk in enumerate(table[j]) if table[ij][k] != row_i[jk])
+    # Light's test: the pairs (i, s) for the generators s prove every pair.  A group
+    # of order 1 has no generators, so no row of one entry (not a tuple) is compared.
+    every = range(n)
+    for i, j, k in _failures(associates, product(every, every), product(every, gens)):
         raise NotAssociative(elements[i], elements[j], elements[k])
 
 
@@ -459,9 +467,9 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> tuple[FiniteGroup, Homomor
     Returns the quotient group together with the projection homomorphism.
     Normality, -g + N + g in N, is proved for g in the generators, one
     row of N each: if it holds at g and at s, N^(g + s) = (N^g)^s lies in
-    N^s, inside N.  It is scanned over every (g, x) only when that proof
-    fails.  The coset
-    table is then well defined, and it inherits the identity, inverse
+    N^s, inside N.  Every row is compared, and the first (g, x) that
+    fails raised, only when that proof fails.  The coset table is then
+    well defined, and it inherits the identity, inverse
     and associativity laws from the group's, so it is not validated
     again; the projection is a homomorphism by the table's definition.
     """
@@ -471,17 +479,15 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> tuple[FiniteGroup, Homomor
     members = _indices(group, normal.members)
     inside = set(members)
 
-    def normal_at(g, x) -> bool:
-        return t[t[inv[g]][x]][g] in inside
+    holds = [True] * len(members)
 
-    def normal_row(g) -> bool:
+    def normal(g):  # -g + x + g in N, for every x in N
         neg = t[inv[g]]
-        return inside.issuperset([t[neg[x]][g] for x in members])
+        return [t[neg[x]][g] in inside for x in members], holds
 
     every = range(len(elements))
-    for g, x in _failures(normal_at, product(every, members),
-                          [(s,) for s in _indices(group, group.generators)], normal_row):
-        raise NotNormal(elements[g], elements[x])
+    for g, i in _failures(normal, product(every), product(_indices(group, group.generators))):
+        raise NotNormal(elements[g], elements[members[i]])
     cosets = _partition(every, lambda g: {t[g][x] for x in members})
     reps = [coset[0] for coset in cosets]
     coset_of = [0] * len(elements)
@@ -502,11 +508,6 @@ class Homomorphism:
     source: FiniteGroup
     target: FiniteGroup
     images: list
-
-    @property
-    def mapping(self) -> dict:
-        """The map written in labels, x -> f(x), in source order."""
-        return dict(zip(self.source.elements, map(self.target.elements.__getitem__, self.images)))
 
     def __call__(self, x: str) -> str:
         i = self.source._index.get(x)
@@ -572,13 +573,6 @@ class GroupAction:
     space: FiniteGroup
     rows: list
 
-    @property
-    def table(self) -> dict:
-        """The action written in labels, (m, p) -> m^p, space-major."""
-        space, actor = self.space.elements, self.actor.elements
-        return {(m, p): space[row[i]] for i, m in enumerate(space)
-                for p, row in zip(actor, self.rows)}
-
     def act(self, m: str, p: str) -> str:
         try:
             return self.space.elements[self.rows[self.actor._index[p]][self.space._index[m]]]
@@ -608,6 +602,18 @@ def _read_action(actor: FiniteGroup, space: FiniteGroup, entries):
     return rows if total else None
 
 
+def _composition(rows: list, actor_table: list, p: int, s: int):
+    """(m^p)^s and m^(p + s), for every m: the composition law along one row."""
+    return list(map(rows[s].__getitem__, rows[p])), rows[actor_table[p][s]]
+
+
+def _additivity(rows: list, space_table: list, n: int, p: int):
+    """(m + n)^p and m^p + n^p, for every m: the additivity law along one row."""
+    row = rows[p]
+    row_n = row[n]
+    return [row[r[n]] for r in space_table], [space_table[v][row_n] for v in row]
+
+
 def _action_law_failures(actor: FiniteGroup, space: FiniteGroup, rows: list):
     """Yield each broken action law of total rows, in the order m^0 = m,
     (m^p)^q = m^(p+q), (m+n)^p = m^p + n^p.
@@ -616,41 +622,25 @@ def _action_law_failures(actor: FiniteGroup, space: FiniteGroup, rows: list):
     actor's generators; given composition, additivity is proved at the
     rows (n, s) for n in 0 and the space's generators (see
     ``_right_generators`` and the module docstring).  A law whose proof
-    fails, or whose premise does, is scanned over every (m, p, q),
-    respectively (m, n, p), space-major.
+    fails, or whose premise does, is reported in the order of a scan
+    over every (m, p, q), respectively (m, n, p), space-major.
     """
-    ml, pl, mt, pt = space.elements, actor.elements, space._table, actor._table
+    ml, pl = space.elements, actor.elements
     ms, ps = range(len(ml)), range(len(pl))
     unfixed = [m for m, v in enumerate(rows[actor._index[actor.identity]]) if v != m]
     for m in unfixed:
         yield InvalidAction("identity", (ml[m],))
     gens = _indices(actor, actor.generators)
-
-    def composes(m, p, q) -> bool:
-        return rows[q][rows[p][m]] == rows[pt[p][q]][m]
-
-    def composes_row(p, s) -> bool:  # (m^p)^s and m^(p + s), for every m
-        return list(map(rows[s].__getitem__, rows[p])) == rows[pt[p][s]]
-
     composition_holds = not unfixed
-    for m, p, q in _failures(composes, product(ms, ps, ps),
-                             product(ps, gens) if composition_holds else None, composes_row):
+    for p, q, m in _failures(partial(_composition, rows, actor._table), product(ps, ps),
+                             product(ps, gens) if composition_holds else None,
+                             itemgetter(2, 0, 1)):
         composition_holds = False
         yield InvalidAction("composition", (ml[m], pl[p], pl[q]))
-
-    def additive(m, n, p) -> bool:
-        row = rows[p]
-        return row[mt[m][n]] == mt[row[m]][row[n]]
-
-    def additive_row(n, s) -> bool:  # (m + n)^s and m^s + n^s, for every m
-        row = rows[s]
-        row_n = row[n]
-        return [row[r[n]] for r in mt] == [mt[v][row_n] for v in row]
-
     zero_and_gens = _indices(space, (space.identity, *space.generators))
-    for m, n, p in _failures(additive, product(ms, ms, ps),
+    for n, p, m in _failures(partial(_additivity, rows, space._table), product(ms, ps),
                              product(zero_and_gens, gens) if composition_holds else None,
-                             additive_row):
+                             itemgetter(2, 0, 1)):
         yield InvalidAction("additivity", (ml[m], ml[n], pl[p]))
 
 

@@ -26,7 +26,6 @@ from .documents import _render
 from .errors import InternalInvariantBroken
 from .groups import (
     FiniteGroup,
-    GroupAction,
     Homomorphism,
     _action_law_failures,
     _hom_failures,
@@ -60,14 +59,6 @@ class LoopData:
     @property
     def Pa(self) -> FiniteGroup:
         return self.xmod.P
-
-    @property
-    def delta_a(self) -> Homomorphism:
-        return self.xmod.delta
-
-    @property
-    def action(self) -> GroupAction:
-        return self.xmod.action
 
 
 @lru_cache(maxsize=None)

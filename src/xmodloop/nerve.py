@@ -157,13 +157,14 @@ def _k3_rows(x: CrossedModule):
     pt, pinv, mt, minv, act, delta, _ = tables
     holds = _rules3(tables)
     ps, ms = range(len(pt)), range(len(mt))
+    columns = list(zip(*act))  # columns[m][p] = m^p
     for a in ps:
         row_a, row_na = pt[a], pt[pinv[a]]
         for b in ps:
             row_ab = pt[row_a[b]]
             for m3 in ms:
                 c = row_ab[pinv[delta[m3]]]  # c = a + b - delta(m3)
-                row_nc, act_m3 = pt[pinv[c]], [row[m3] for row in act]
+                row_nc, act_m3 = pt[pinv[c]], columns[m3]
                 for d in ps:
                     row_nad, row_ncd = pt[row_na[d]], pt[row_nc[d]]
                     for m2 in ms:

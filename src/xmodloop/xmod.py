@@ -27,29 +27,35 @@ rows, then
   m^delta(n+s) = (m^delta(n))^delta(s) = -s + (-n + m + n) + s = -(n+s) + m + (n+s).
 
 Each proof's premises are that delta is a homomorphism and the action
-satisfies every action law.  Only when a proof or a premise fails is the
-law scanned over every pair, in the order (m, p), respectively (m, n),
-that names each witness in labels.
+satisfies every action law.  Only when a proof or a premise fails is
+every row compared, and the failures are reported in the order (m, p),
+respectively (m, n), that names each witness in labels.
 
-Each law is stated once, as a generator of the errors that name its
-failures (``_map_failures`` and ``_group_action_failures`` in ``groups``,
-``_cm_failures`` here).  The strict constructors raise the first
-failure; ``check_axioms`` lists them all, in the same order, as
-``Violation`` records.  Unvalidated data has one shape,
-``XModCandidate``, which is also what a JSON document loads into.
+Each law is stated once, as a function that returns its two sides along
+one row of positions: CM1 in ``_cm1`` and CM2 in ``_cm2``, shared with
+``groupoids.make_gxm``, whose crossed modules over one object are these;
+the map and action laws are in ``groups``.  Generators of the errors
+that name the failures (``_map_failures`` and ``_group_action_failures``
+in ``groups``, ``_cm_failures`` here) read them through
+``groups._failures``.  The strict constructors raise the first failure;
+``check_axioms`` lists them all, in the same order, as ``Violation``
+records.  Unvalidated data has one shape, ``XModCandidate``, which is
+also what a JSON document loads into.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
+from operator import itemgetter
 
 from .errors import (
     CM1Violation,
     CM2Violation,
     InternalInvariantBroken,
     NotNormal,
+    UnknownElement,
     Violation,
     XModError,
 )
@@ -89,10 +95,30 @@ class CrossedModule:
         return GroupAction(self.P, self.M, self.act_table)
 
     def act(self, m: str, p: str) -> str:
-        return self.action.act(m, p)
+        try:
+            return self.M.elements[self.act_table[self.P._index[p]][self.M._index[m]]]
+        except KeyError:
+            raise UnknownElement((m, p)) from None
 
     def to_candidate(self) -> XModCandidate:
         return XModCandidate.from_xmod(self)
+
+
+def _cm1(G: FiniteGroup, act: list, d_x: list, d_gx: list, g: int):
+    """delta_x(m^g) and -g + delta_(g.x)(m) + g, for every m: CM1 along one row.
+
+    ``act[g]`` is the row m -> m^g, and ``d_x``, ``d_gx`` the boundaries
+    at x and g . x as positions in G; over a group x = g . x.
+    """
+    gt = G._table
+    neg = gt[G._inv[g]]
+    return list(map(d_x.__getitem__, act[g])), [gt[neg[b]][g] for b in d_gx]
+
+
+def _cm2(M: FiniteGroup, act: list, d: list, n: int):
+    """m^delta(n) and -n + m + n, for every m: CM2 along one row."""
+    mt = M._table
+    return act[d[n]], [mt[v][n] for v in mt[M._inv[n]]]
 
 
 def _cm_failures(M: FiniteGroup, P: FiniteGroup, rows: list, d: list, premises: bool = True):
@@ -101,30 +127,17 @@ def _cm_failures(M: FiniteGroup, P: FiniteGroup, rows: list, d: list, premises: 
     ``rows[j][i]`` is the position of m_i^(p_j) and ``d[i]`` that of
     delta(m_i).  When ``premises`` holds, CM1 is proved at the rows of P's
     generators and CM2 at those of M's (the module docstring gives the
-    proofs); each is scanned in full only when its proof fails
-    (``groups._failures``).  Without the premises both laws are scanned.
+    proofs).  A law whose proof fails, or whose premises do, is reported
+    in the order of a scan over every (m, p), respectively (m, n).
     """
-    ml, pl, mt, minv, pt, pinv = M.elements, P.elements, M._table, M._inv, P._table, P._inv
-    ms, ps = range(len(ml)), range(len(pl))
-
-    def cm1(m, p) -> bool:
-        return d[rows[p][m]] == pt[pt[pinv[p]][d[m]]][p]
-
-    def cm1_row(s) -> bool:  # delta(m^s) and -s + delta(m) + s, for every m
-        neg = pt[pinv[s]]
-        return [d[v] for v in rows[s]] == [pt[neg[b]][s] for b in d]
-
-    def cm2(m, n) -> bool:
-        return mt[mt[minv[n]][m]][n] == rows[d[n]][m]
-
-    def cm2_row(s) -> bool:  # m^delta(s) and -s + m + s, for every m
-        return rows[d[s]] == [mt[v][s] for v in mt[minv[s]]]
-
-    gens_p = [(s,) for s in _indices(P, P.generators)]
-    for m, p in _failures(cm1, product(ms, ps), gens_p if premises else None, cm1_row):
+    ml, pl = M.elements, P.elements
+    proof = product(_indices(P, P.generators)) if premises else None
+    for p, m in _failures(partial(_cm1, P, rows, d, d), product(range(len(pl))), proof,
+                          itemgetter(1, 0)):
         yield CM1Violation(ml[m], pl[p])
-    gens_m = [(s,) for s in _indices(M, M.generators)]
-    for m, n in _failures(cm2, product(ms, ms), gens_m if premises else None, cm2_row):
+    proof = product(_indices(M, M.generators)) if premises else None
+    for n, m in _failures(partial(_cm2, M, rows, d), product(range(len(ml))), proof,
+                          itemgetter(1, 0)):
         yield CM2Violation(ml[m], ml[n])
 
 

@@ -28,7 +28,29 @@ from xmodloop.errors import (
     UnknownElement,
     Violation,
 )
-from xmodloop.groups import FiniteGroup, _failures, _right_generators, make_group
+from xmodloop.groups import FiniteGroup, _right_generators, make_group
+
+
+def _failures(law, scan, proof=None):
+    """The tuples of ``scan`` at which ``law`` fails, in scan order, as an iterator.
+
+    When ``law`` holds at every tuple of ``proof`` (a generator argument,
+    see ``groups._right_generators``), nothing is scanned and nothing
+    returned; ``None`` means a premise of that argument failed.
+    """
+    if proof is not None and all(law(*t) for t in proof):
+        return iter(())
+    return (t for t in scan if not law(*t))
+
+
+def label_map(f):
+    """A validated homomorphism written in labels, x -> f(x), in source order."""
+    return {x: f(x) for x in f.source}
+
+
+def label_action(action):
+    """A validated action written in labels, (m, p) -> m^p, space-major."""
+    return {(m, p): action.act(m, p) for m in action.space for p in action.actor}
 
 
 def brute_k2(x):

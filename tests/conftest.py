@@ -11,6 +11,8 @@ from bruteforce import (
     brute_loop_fibre_tables,
     brute_loop_gpd_tables,
     brute_loop_group,
+    label_action,
+    label_map,
     make_groupoid,
     make_written_gxm,
     written_out_gxm,
@@ -141,8 +143,8 @@ def assert_loop_tables_match_brute_force(x):
     for a in x.P:
         data, group = loop_data(x, a), brute_loop_group(x, a)
         assert group_table(data.Pa) == (group["elements"], group["table"]), a
-        assert list(data.delta_a.mapping.items()) == list(group["delta_a"].items()), a
-        assert list(data.action.table.items()) == list(group["action"].items()), a
+        assert list(label_map(data.xmod.delta).items()) == list(group["delta_a"].items()), a
+        assert list(label_action(data.xmod.action).items()) == list(group["action"].items()), a
 
 
 def assert_written_fibre_tables(x, expected=None):

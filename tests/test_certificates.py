@@ -15,6 +15,7 @@ written out by object and by arrow.
 """
 
 import math
+from operator import itemgetter
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,8 @@ from bruteforce import (
     _action_failures,
     _homomorphism_failures,
     check_written_morphism,
+    label_action,
+    label_map,
     make_groupoid,
     make_written_gxm,
     written_out_gxm,
@@ -318,8 +321,8 @@ def test_valid_modules_pass_every_certificate(x):
     form = written(gxm)
     assert scan_gxm(base, form.fibres, form.boundary, form.action) is None
     assert scan_tables(base, gxm.fibre, gxm.act, gxm.boundary) is None
-    assert list(_action_failures(x.P, x.M, x.action.table)) == []
-    assert list(_homomorphism_failures(x.M, x.P, x.delta.mapping)) == []
+    assert list(_action_failures(x.P, x.M, label_action(x.action))) == []
+    assert list(_homomorphism_failures(x.M, x.P, label_map(x.delta))) == []
     assert check_morphism(gxm, gxm, *identity_maps(gxm)) == []
     assert check_written_morphism(form, form, *written_out_maps(form, form,
                                                                *identity_maps(gxm))) == []
@@ -409,7 +412,7 @@ def test_gxm_boundary_mutant_matches_full_scan(x, data, one_object):
 @MUTANT_SETTINGS
 @given(crossed_modules(), st.data())
 def test_group_action_mutant_report_matches_full_scan(x, data):
-    table = dict(x.action.table)
+    table = dict(label_action(x.action))
     m, p = data.draw(st.sampled_from(sorted(table, key=repr)))
     table[(m, p)] = other(data.draw, x.M.elements, table[(m, p)])
     expected = scan_action(x.P, x.M, table)
@@ -420,7 +423,7 @@ def test_group_action_mutant_report_matches_full_scan(x, data):
 @MUTANT_SETTINGS
 @given(crossed_modules(), st.data())
 def test_homomorphism_mutant_report_matches_full_scan(x, data):
-    mapping = dict(x.delta.mapping)
+    mapping = dict(label_map(x.delta))
     m = data.draw(st.sampled_from(x.M.elements))
     mapping[m] = other(data.draw, x.P.elements, mapping[m])
     expected = scan_homomorphism(x.M, x.P, mapping)  # may be empty: 0 -> 1 in C2 -> C2
@@ -540,21 +543,23 @@ def untouchable():
 
 
 def test_failures_with_a_passing_proof_never_scans():
-    def law(x):
-        return x % 3 != 0
+    def sides(x):
+        return [x % 3 != 0] * 2, [True, True]
 
-    assert list(_failures(law, untouchable(), [(1,), (2,), (4,)])) == []
+    assert list(_failures(sides, untouchable(), [(1,), (2,), (4,)])) == []
 
 
 def test_failures_with_a_failing_or_missing_proof_reports_every_failure_in_scan_order():
-    def law(x, y):
-        return (x + y) % 3 != 0
+    def sides(x):  # row x, column y: the law (x + y) % 3 != 0
+        return [(x + y) % 3 != 0 for y in range(4)], [True] * 4
 
-    scan = [(x, y) for x in range(4) for y in range(4)]
+    rows = [(x,) for x in range(4)]
     expected = [(0, 0), (0, 3), (1, 2), (2, 1), (3, 0), (3, 3)]
-    assert list(_failures(law, iter(scan), [(1, 1), (1, 2)])) == expected
-    assert list(_failures(law, iter(scan), None)) == expected
-    assert list(_failures(law, iter(scan))) == expected
+    assert list(_failures(sides, iter(rows), [(1,), (2,)])) == expected
+    assert list(_failures(sides, iter(rows), None)) == expected
+    assert list(_failures(sides, iter(rows))) == expected
+    by_column = sorted(expected, key=lambda t: (t[1], t[0]))
+    assert list(_failures(sides, iter(rows), [(1,)], itemgetter(1, 0))) == by_column
 
 
 # -- boundaries that keep boundary-hom and the action laws -------------------

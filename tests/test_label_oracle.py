@@ -17,7 +17,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from bruteforce import _action_failures, _crossed_module_failures, _homomorphism_failures
+from bruteforce import (
+    _action_failures,
+    _crossed_module_failures,
+    _homomorphism_failures,
+    label_action,
+    label_map,
+)
 from test_certificates import MUTANT_SETTINGS, involution, other
 from test_orbit_properties import crossed_modules
 from xmodloop.errors import CM1Violation, XModError
@@ -119,6 +125,6 @@ def test_check_axioms_and_strict_constructors_match_the_label_oracle(where, x, d
     if first(_homomorphism_failures(M, P, c.delta)) or first(_action_failures(P, M, act)):
         return
     delta, action = homomorphism(M, P, c.delta), group_action(P, M, act)
-    assert delta.mapping == c.delta and action.table == act
+    assert label_map(delta) == c.delta and label_action(action) == act
     assert raised(lambda: make_xmod(M, P, delta, action)) == first(
         _crossed_module_failures(M, P, c.delta, act))

@@ -88,11 +88,11 @@ def test_pa_identity_and_inverse_formula():
 
 def test_delta_a_values():
     mod32, inc24 = fixture("mod32"), fixture("inc24")
-    assert loop_data(mod32, "1").delta_a("1") == ("2", "0")
-    assert loop_data(inc24, "1").delta_a("1") == ("0", "2")
+    assert loop_data(mod32, "1").xmod.delta("1") == ("2", "0")
+    assert loop_data(inc24, "1").xmod.delta("1") == ("0", "2")
     for name, a in all_base_pairs():
         x = fixture(name)
-        assert loop_data(x, a).delta_a(x.M.identity) == loop_data(x, a).Pa.identity
+        assert loop_data(x, a).xmod.delta(x.M.identity) == loop_data(x, a).Pa.identity
 
 
 def test_loop_xmod_axioms_hold_at_every_base_point():
@@ -227,7 +227,7 @@ def test_delta_a_image_is_normal_in_pa():
     for name, a in all_base_pairs():
         x = fixture(name)
         data = loop_data(x, a)
-        img = set(image(data.delta_a))
+        img = set(image(data.xmod.delta))
         for g in data.Pa:
             for d in img:
                 assert data.Pa.conj(d, g) in img
