@@ -6,8 +6,9 @@ internals beyond the group arithmetic itself.  Tests compare the library
 against these and against frozen regression values.
 
 ``make_groupoid`` is the exception: it validates a groupoid written out
-as a full composition table, and proves associativity by the library's
-Light's test (``groups._right_generators`` and ``groups._failures``).
+as a full composition table, and proves associativity by Light's test
+on the library's generators (``groups._right_generators``), gating a
+scan over single elements (``_failures`` below).
 So are ``make_written_gxm`` and ``check_written_morphism``, the validators
 of crossed modules over groupoids written out by object and by arrow
 (``written_out_gxm``), which the library used until it stored one fibre
@@ -613,7 +614,7 @@ def _crossed_module_failures(M: FiniteGroup, P: FiniteGroup, delta: dict, act: d
     ``delta`` maps m -> delta(m) and ``act`` maps (m, p) -> m^p.  When
     ``premises`` holds (delta is a homomorphism and the action satisfies
     every action law), each law is proved from generators and scanned in
-    full only when that proof fails (``groups._failures``):
+    full only when that proof fails (``_failures``):
 
     - CM1 holds at p = 0 (m^0 = m), and at p + s if it holds at p and s:
       delta(m^(p+s)) = delta((m^p)^s) = -s + delta(m^p) + s = -(p+s) + delta(m) + (p+s).

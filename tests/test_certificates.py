@@ -1,7 +1,7 @@
 """Laws proved from generators give the same verdicts as plain full scans.
 
 Associativity, the action laws, the homomorphism laws and CM1 and CM2
-over a groupoid are certified on generators (Light's test) and scanned
+over a groupoid are certified on generators (Light's test) and compared
 in full only when a certificate fails (``groups._failures``).  On
 generated valid modules, on single-entry mutants of group tables,
 groupoid composition, groupoid and group action tables, homomorphism
