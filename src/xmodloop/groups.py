@@ -151,6 +151,7 @@ def _failures(sides, keys, proof=None, order=None):
 
 
 def _differences(sides, keys):
+    """The places (*key, i) where the two sides of each row differ, row by row."""
     for key in keys:
         a, b = sides(*key)
         if a != b:
