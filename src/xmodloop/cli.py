@@ -14,7 +14,7 @@ from pathlib import Path
 from . import exactseq, loop, nerve
 from .documents import _render, dumps, load_document, parse_xmod, serialize_xmod
 from .errors import PreconditionFailed, XModError
-from .groups import DEFAULT_MAX_ISO_ORDER, FiniteGroup, conjugacy_classes, image, kernel
+from .groups import DEFAULT_MAX_ISO_ORDER, FiniteGroup, _orders, conjugacy_classes, image, kernel
 from .xmod import CrossedModule, check_axioms, homotopy
 
 
@@ -22,11 +22,15 @@ def describe_group(group: FiniteGroup) -> str:
     n = len(group)
     if n == 1:
         return "trivial"
-    if any(group.element_order(x) == n for x in group):
+    if n in _orders(group):
         return f"C{n}"
     if group.is_abelian():
         return f"abelian of order {n}"
     return f"nonabelian of order {n}"
+
+
+def _order_line(name: str, group: FiniteGroup) -> str:
+    return f"{name}: order {len(group)} ({describe_group(group)})"
 
 
 def _group_summary(group: FiniteGroup) -> dict:
@@ -81,25 +85,13 @@ def _cmd_check(args) -> int:
 def _cmd_pi(args) -> int:
     x = _load(args)
     if args.space == "base":
-        data = homotopy(x)
-        payload = {"command": "pi", "space": "base",
-                   "pi1": _group_summary(data.pi1), "pi2": _group_summary(data.pi2)}
-        lines = [
-            "space: base",
-            f"pi1: order {len(data.pi1)} ({describe_group(data.pi1)})",
-            f"pi2: order {len(data.pi2)} ({describe_group(data.pi2)})",
-        ]
+        data, space, at = homotopy(x), "space: base", {}
     else:
         base = _require_base(x, args.base)
-        data = loop.pi_loop(x, base)
-        payload = {"command": "pi", "space": "loop", "base": base,
-                   "pi1": _group_summary(data.pi1), "pi2": _group_summary(data.pi2)}
-        lines = [
-            f"space: loop at base {base}",
-            f"pi1: order {len(data.pi1)} ({describe_group(data.pi1)})",
-            f"pi2: order {len(data.pi2)} ({describe_group(data.pi2)})",
-        ]
-    _emit(args, payload, lines)
+        data, space, at = loop.pi_loop(x, base), f"space: loop at base {base}", {"base": base}
+    payload = {"command": "pi", "space": args.space, **at,
+               "pi1": _group_summary(data.pi1), "pi2": _group_summary(data.pi2)}
+    _emit(args, payload, [space, _order_line("pi1", data.pi1), _order_line("pi2", data.pi2)])
     return 0
 
 
@@ -178,13 +170,8 @@ def _cmd_loop(args) -> int:
         "pi1": _group_summary(data.pi1),
         "pi2": _group_summary(data.pi2),
     }
-    lines = [
-        f"base: {base}",
-        f"P({base}): order {len(lx.P)} ({describe_group(lx.P)})",
-        f"pi1: order {len(data.pi1)} ({describe_group(data.pi1)})",
-        f"pi2: order {len(data.pi2)} ({describe_group(data.pi2)})",
-    ]
-    _emit(args, payload, lines)
+    _emit(args, payload, [f"base: {base}", _order_line(f"P({base})", lx.P),
+                          _order_line("pi1", data.pi1), _order_line("pi2", data.pi2)])
     return 0
 
 
@@ -194,13 +181,8 @@ def _cmd_exact(args) -> int:
     seq = exactseq.exact_sequence(x, base)
     term_labels = ("pi^a", "pi", "pi1(fibre)", "pi1(loop)", "centralizer")
     map_labels = ("inclusion", "connecting", "j", "q")
-    maps_payload = []
-    for label, f in zip(map_labels, seq.maps):
-        maps_payload.append({
-            "map": label,
-            "image_order": len(image(f)),
-            "kernel_order": len(kernel(f)),
-        })
+    maps_payload = [{"map": label, "image_order": len(image(f)), "kernel_order": len(kernel(f))}
+                    for label, f in zip(map_labels, seq.maps)]
     payload = {
         "command": "exact", "base": base, "class_in_pi1": seq.abar,
         "terms": [{"term": label, "order": len(term)}
@@ -261,44 +243,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Homotopy 2-types of free loop spaces of finite crossed modules.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common], help="validate a crossed module file")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_check)
+    def command(name, handler, help_text):  # a subcommand that reads one document
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.add_argument("file")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("pi", parents=[common], help="homotopy groups of the base or loop space")
-    p.add_argument("file")
+    command("check", _cmd_check, "validate a crossed module file")
+    p = command("pi", _cmd_pi, "homotopy groups of the base or loop space")
     p.add_argument("--space", choices=("base", "loop"), required=True)
     p.add_argument("--base", help="base element of P (required for --space loop)")
-    p.set_defaults(handler=_cmd_pi)
-
-    p = sub.add_parser("components", parents=[common],
-                       help="components of the free loop space")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_components)
-
-    p = sub.add_parser("nerve", parents=[common], help="nerve counts or listings")
-    p.add_argument("file")
+    command("components", _cmd_components, "components of the free loop space")
+    p = command("nerve", _cmd_nerve, "nerve counts or listings")
     p.add_argument("--dim", type=int, choices=(2, 3), required=True)
     p.add_argument("--list", action="store_true")
-    p.set_defaults(handler=_cmd_nerve)
-
-    p = sub.add_parser("loop", parents=[common], help="the loop crossed module at a base element")
-    p.add_argument("file")
+    p = command("loop", _cmd_loop, "the loop crossed module at a base element")
     p.add_argument("--base", required=True)
     p.add_argument("--emit", action="store_true",
                    help="write the loop crossed module back out as a document")
-    p.set_defaults(handler=_cmd_loop)
-
-    p = sub.add_parser("exact", parents=[common], help="the five-term exact sequence at a base")
-    p.add_argument("file")
+    p = command("exact", _cmd_exact, "the five-term exact sequence at a base")
     p.add_argument("--base", required=True)
-    p.set_defaults(handler=_cmd_exact)
-
-    p = sub.add_parser("examples", parents=[common],
-                       help="run the module/central special-case checks")
-    p.add_argument("file")
+    p = command("examples", _cmd_examples, "run the module/central special-case checks")
     p.add_argument("--base", required=True)
-    p.set_defaults(handler=_cmd_examples)
     return parser
 
 

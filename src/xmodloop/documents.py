@@ -255,20 +255,13 @@ def serialize_xmod(x: CrossedModule, name: str | None = None) -> str:
     are both "(a|b|c)"; such a module has no document, and the first
     repeated name is raised as ``MalformedGroup``.
     """
-    c = x.to_candidate()
-    for label, elements in (("P", c.p_elements), ("M", c.m_elements)):
+    c = XModCandidate.from_xmod(x, _render)
+    for label, names in (("P", c.p_elements), ("M", c.m_elements)):
         seen: set[str] = set()
-        for rendered in map(_render, elements):
+        for rendered in names:
             if rendered in seen:
                 raise MalformedGroup(
                     f"element name {rendered!r} occurs more than once in {label}", (rendered,))
             seen.add(rendered)
-    r = _render
-    return serialize_document(XModCandidate(
-        [r(m) for m in c.m_elements], [[r(v) for v in row] for row in c.m_table],
-        r(c.m_identity),
-        [r(p) for p in c.p_elements], [[r(v) for v in row] for row in c.p_table],
-        r(c.p_identity),
-        {r(m): r(v) for m, v in c.delta.items()},
-        {r(p): {r(m): r(v) for m, v in row.items()} for p, row in c.action.items()},
-        c.name if name is None else name))
+    c.name = c.name if name is None else name
+    return serialize_document(c)

@@ -11,12 +11,19 @@ sequence
 
 with connecting map x |-> -x^a + x out of the second pi; the coinvariants
 pi/{a} appear as its cokernel, injecting into pi1(loop, a).
+
+Positions.  Every map here, and every action in the two examples, is a
+list of positions validated by the row laws of ``homomorphism`` and
+``group_action`` (``groups._homomorphism``, ``groups._group_action``).
+The displacement m |-> -m^a + m is ``groups._displacements``, as in
+delta_a.  The base a is read once, as a position of P.  Labels are
+written only into ``base``, ``abar`` and failure witnesses; the examples
+read them once more, to match P(a) with a twisted product pair by pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import (
     ExactnessFailure,
@@ -30,11 +37,13 @@ from .groups import (
     FiniteGroup,
     Homomorphism,
     Subgroup,
+    _displacements,
+    _group_action,
+    _homomorphism,
+    _representatives,
     are_isomorphic,
     centralizer,
     displacement_subgroup,
-    group_action,
-    homomorphism,
     image,
     kernel,
     quotient,
@@ -87,29 +96,24 @@ def fibration_psi(x: CrossedModule) -> FibrationData:
 
 
 def fixed_points(x: CrossedModule, a: str) -> Subgroup:
-    """The subgroup of pi fixed by a, checked independent of the representative."""
-    x.P.index(a)
+    """The subgroup of pi fixed by a: by its class in pi1, as ``homotopy`` proved it acts."""
     data = homotopy(x)
-    pi = data.pi2
-    members = [k for k in pi if x.act(k, a) == k]
-    for d in image(x.delta):
-        other = x.P.add(a, d)
-        if {k for k in pi if x.act(k, other) == k} != set(members):
-            raise InternalInvariantBroken(
-                f"fixed points depend on the representative {other} of {a}", (a, other))
-    return subgroup(pi, members)
+    row = data.g_action.rows[data.projection.images[x.P.index(a)]]
+    return subgroup(data.pi2, [k for k, v in enumerate(row) if v == k])
 
 
-def _connecting_map(x: CrossedModule, a: str) -> Homomorphism:
-    pi = homotopy(x).pi2
-    mapping = {k: x.M.add(x.M.neg(x.act(k, a)), k) for k in pi}
-    return homomorphism(pi, pi, mapping)
+def _connecting_map(x: CrossedModule, ia: int) -> Homomorphism:
+    """k |-> -k^a + k on pi, for a at position ia of P."""
+    data = homotopy(x)
+    inside = data.kernel_subgroup._positions
+    local = {k: r for r, k in enumerate(inside)}
+    displaced = _displacements(x.M, x.act_table[ia])
+    return _homomorphism(data.pi2, data.pi2, [local[displaced[k]] for k in inside])
 
 
 def coinvariants(x: CrossedModule, a: str) -> FiniteGroup:
     """pi with the action of a killed: pi modulo all -k^a + k."""
-    x.P.index(a)
-    boundary = _connecting_map(x, a)
+    boundary = _connecting_map(x, x.P.index(a))
     quo, _ = quotient(boundary.source, image(boundary))
     return quo
 
@@ -129,57 +133,76 @@ class ExactSequence:
         return tuple(len(t) for t in self.terms)
 
 
-def _set_equal(node: str, left, right) -> None:
+def _set_equal(node: str, group: FiniteGroup, left, right) -> None:
+    """Raise at the node unless left and right hold the same positions of group."""
     left, right = set(left), set(right)
     if left != right:
-        raise ExactnessFailure(node, tuple(sorted(left ^ right)))
+        raise ExactnessFailure(node, tuple(sorted(group.elements[i] for i in left ^ right)))
 
 
 def exact_sequence(x: CrossedModule, a: str) -> ExactSequence:
     """Assemble the sequence at a and verify exactness at every node."""
+    P, ia = x.P, x.P.index(a)
     data = homotopy(x)
-    pi = data.pi2
-    abar = data.projection(a)
-    head = fixed_points(x, a).as_group()
-    inclusion = homomorphism(head, pi, {k: k for k in head})
-    connecting = _connecting_map(x, a)
-    loop_h = pi_loop(x, a)
-    pa_projection = loop_h.projection
-    j = homomorphism(pi, loop_h.pi1,
-                     {k: pa_projection((k, x.P.identity)) for k in pi})
-    cent = centralizer(data.pi1, abar).as_group()
-    q_mapping = {}
-    for rep in loop_h.pi1:
-        _, p = rep
-        value = data.projection(p)
-        if value not in cent:
+    pi, to_pi1 = data.pi2, data.projection.images
+    abar = data.pi1.elements[to_pi1[ia]]
+    fixed = fixed_points(x, a)
+    head = fixed.as_group()
+    inclusion = _homomorphism(head, pi, list(fixed._positions))
+    connecting = _connecting_map(x, ia)
+    loop_h, lx = pi_loop(x, a), loop_data(x, a)
+    pi1, to_loop, pairs = loop_h.pi1, loop_h.projection.images, lx._pairs
+    e = P._index[P.identity]
+    # the pairs (k, 0) of P(a) are those with k in pi, in pi's order
+    j = _homomorphism(pi, pi1, [to_loop[u] for u, (_, p) in enumerate(pairs) if p == e])
+    cent = centralizer(data.pi1, to_pi1[ia])
+    cent_group, local = cent.as_group(), {c: r for r, c in enumerate(cent._positions)}
+    q_images = [None] * len(pi1)  # q[(m, p)] = [p], set at each class's least pair
+    for u, (_, p) in enumerate(pairs):
+        value, rep = local.get(to_pi1[p]), lx.Pa.elements[u]
+        if value is None:
+            value = data.pi1.elements[to_pi1[p]]
             raise InternalInvariantBroken(
                 f"q({rep}) = {value} misses the centralizer of {abar}", (rep, value))
-        q_mapping[rep] = value
-    q = homomorphism(loop_h.pi1, cent, q_mapping)
-    for u in loop_data(x, a).Pa:
-        if q(pa_projection(u)) != data.projection(u[1]):
-            raise InternalInvariantBroken(
-                f"q is not representative-independent at {u}", (u,))
+        if q_images[to_loop[u]] not in (None, value):
+            raise InternalInvariantBroken(f"q is not representative-independent at {rep}", (rep,))
+        q_images[to_loop[u]] = value
+    q = _homomorphism(pi1, cent_group, q_images)
 
-    _set_equal("pi2-head", loop_h.pi2.elements, head.elements)
-    _set_equal("pi", kernel(connecting).members, image(inclusion).members)
-    _set_equal("pi1-fibre", kernel(j).members, image(connecting).members)
-    _set_equal("pi1-loop", kernel(q).members, image(j).members)
-    _set_equal("centralizer", image(q).members, cent.elements)
+    inside = data.kernel_subgroup._positions
+    _set_equal("pi2-head", x.M, kernel(lx.xmod.delta)._positions,
+               [inside[r] for r in fixed._positions])
+    _set_equal("pi", pi, kernel(connecting)._positions, image(inclusion)._positions)
+    _set_equal("pi1-fibre", pi, kernel(j)._positions, image(connecting)._positions)
+    _set_equal("pi1-loop", pi1, kernel(q)._positions, image(j)._positions)
+    _set_equal("centralizer", cent_group, image(q)._positions, range(len(cent_group)))
 
     coinv, coproj = quotient(pi, image(connecting))
-    induced = homomorphism(coinv, loop_h.pi1, {rep: j(rep) for rep in coinv})
-    for k in pi:
-        if induced(coproj(k)) != j(k):
-            raise ExactnessFailure("coinvariants", (k,))
+    induced = _homomorphism(coinv, pi1, [j.images[k] for k in _representatives(coproj)])
+    for k, c in enumerate(coproj.images):
+        if induced.images[c] != j.images[k]:
+            raise ExactnessFailure("coinvariants", (pi.elements[k],))
     if not induced.is_injective():
         raise ExactnessFailure("coinvariants-injection", ())
-    if len(loop_h.pi1) != len(coinv) * len(cent):
-        raise ExactnessFailure("order-compression",
-                               (len(loop_h.pi1), len(coinv), len(cent)))
-    return ExactSequence(a, abar, (head, pi, pi, loop_h.pi1, cent),
+    if len(pi1) != len(coinv) * len(cent_group):
+        raise ExactnessFailure("order-compression", (len(pi1), len(coinv), len(cent_group)))
+    return ExactSequence(a, abar, (head, pi, pi, pi1, cent_group),
                          (inclusion, connecting, j, q), coinv, induced)
+
+
+def _twisted_mismatches(pa: FiniteGroup, model: FiniteGroup, a: str, name: str,
+                        how: str) -> list[Violation]:
+    """Where P(a) differs from ``model``, the twisted product ``name``: as sets of pairs,
+    else at each sum u + v of P(a), each pair matched with the model's of its name."""
+    same = [model._index.get(u) for u in pa.elements]
+    if len(pa) != len(model) or None in same:
+        return [Violation("pa-elements", f"P({a}) is not {name} {how}",
+                          tuple(sorted(set(model.elements) ^ set(pa.elements))))]
+    mt, labels = model._table, pa.elements
+    return [Violation("pa-table", f"P({a}) and {name} disagree at {labels[u]} + {labels[v]}",
+                      (labels[u], labels[v]))
+            for u, row in enumerate(pa._table) for v, w in enumerate(row)
+            if mt[same[u]][same[v]] != same[w]]
 
 
 def example1_check(x: CrossedModule, a: str,
@@ -189,22 +212,26 @@ def example1_check(x: CrossedModule, a: str,
     Also confirms that P(a) is exactly M x C_a(P) with the twisted table.
     Returns an empty report on success; a missing isomorphism raises.
     """
-    if any(x.delta(m) != x.P.identity for m in x.M):
-        witness = next(m for m in x.M if x.delta(m) != x.P.identity)
-        raise PreconditionFailed(f"delta is not the zero map (delta({witness}) != 0)")
+    M, P, act = x.M, x.P, x.act_table
+    moved = [m for m, d in enumerate(x.boundary) if d != P._index[P.identity]]
+    if moved:
+        raise PreconditionFailed(
+            f"delta is not the zero map (delta({M.elements[moved[0]]}) != 0)")
     report: list[Violation] = []
-    cent = centralizer(x.P, a)
+    ia = P.index(a)
+    cent = centralizer(P, ia)
     cent_group = cent.as_group()
-    displaced = displacement_subgroup(x.action, a)
-    quo, proj = quotient(x.M, displaced)
-    for m in x.M:
-        for p in cent_group:
-            if proj(x.act(m, p)) != proj(x.act(proj(m), p)):
+    quo, proj = quotient(M, displacement_subgroup(x.action, ia))
+    to_quo, reps = proj.images, _representatives(proj)
+    for m in range(len(M)):
+        for p in cent._positions:
+            if to_quo[act[p][m]] != to_quo[act[p][reps[to_quo[m]]]]:
+                m_name, p_name = M.elements[m], P.elements[p]
                 report.append(Violation(
-                    "induced-action", f"action of {p} is not constant on the class of {m}",
-                    (m, p)))
-    table = {(rep, p): proj(x.act(rep, p)) for rep in quo for p in cent_group}
-    induced = group_action(cent_group, quo, table)
+                    "induced-action", f"action of {p_name} is not constant on the class of "
+                    f"{m_name}", (m_name, p_name)))
+    induced = _group_action(cent_group, quo,
+                            [[to_quo[act[p][r]] for r in reps] for p in cent._positions])
     twisted = semidirect_product(quo, cent_group, induced)
     pi1 = pi_loop(x, a).pi1
     if are_isomorphic(twisted, pi1, max_order=max_order) is None:
@@ -212,22 +239,10 @@ def example1_check(x: CrossedModule, a: str,
             f"pi1(loop, {a}) of order {len(pi1)} does not match the twisted "
             f"product of order {len(twisted)}")
 
-    restricted = group_action(cent_group, x.M,
-                              {(m, p): x.act(m, p) for m in x.M for p in cent_group})
-    model = semidirect_product(x.M, cent_group, restricted)
-    pa = loop_data(x, a).Pa
-    if set(model.elements) != set(pa.elements):
-        report.append(Violation("pa-elements",
-                                f"P({a}) is not M x C_{a}(P) elementwise",
-                                tuple(sorted(set(model.elements) ^ set(pa.elements)))))
-    else:
-        for u in pa:
-            for v in pa:
-                if model.add(u, v) != pa.add(u, v):
-                    report.append(Violation(
-                        "pa-table", f"P({a}) and M x C_{a}(P) disagree at {u} + {v}",
-                        (u, v)))
-    return report
+    restricted = _group_action(cent_group, M, [act[p] for p in cent._positions])
+    model = semidirect_product(M, cent_group, restricted)
+    return report + _twisted_mismatches(loop_data(x, a).Pa, model, a, f"M x C_{a}(P)",
+                                        "elementwise")
 
 
 def example2_check(x: CrossedModule, a: str,
@@ -235,29 +250,24 @@ def example2_check(x: CrossedModule, a: str,
     """For central a: P(a) = pi x P with the twisted table, and
     pi1(loop, a) is the quotient of that product by all (-m^a + m, delta m).
     """
-    off_centre = [p for p in x.P if x.P.commutator(a, p) != x.P.identity]
+    P, ia = x.P, x.P.index(a)
+    central = set(centralizer(P, ia)._positions)
+    off_centre = [p for p in range(len(P)) if p not in central]
     if off_centre:
         raise PreconditionFailed(
-            f"{a} is not central in P (does not commute with {off_centre[0]})")
-    report: list[Violation] = []
+            f"{a} is not central in P (does not commute with {P.elements[off_centre[0]]})")
     data = homotopy(x)
-    pi = data.pi2
-    pa = loop_data(x, a).Pa
-    expected = set(product(pi, x.P))
-    if set(pa.elements) != expected:
-        report.append(Violation("pa-elements", f"P({a}) is not pi x P as a set",
-                                tuple(sorted(set(pa.elements) ^ expected))))
-        return report
-    restricted = group_action(x.P, pi, {(k, p): x.act(k, p) for k in pi for p in x.P})
-    model = semidirect_product(pi, x.P, restricted)
-    for u in pa:
-        for v in pa:
-            if model.add(u, v) != pa.add(u, v):
-                report.append(Violation(
-                    "pa-table", f"P({a}) and pi x P disagree at {u} + {v}", (u, v)))
+    pi, g_rows = data.pi2, data.g_action.rows
+    # P acts on pi through pi1
+    restricted = _group_action(P, pi, [g_rows[c] for c in data.projection.images])
+    model = semidirect_product(pi, P, restricted)
+    report = _twisted_mismatches(loop_data(x, a).Pa, model, a, "pi x P", "as a set")
     if report:
         return report
-    relators = subgroup(model, {(x.M.add(x.M.neg(x.act(m, a)), m), x.delta(m)) for m in x.M})
+    # delta_a(m) = (-m^a + m, delta m) lies in P(a), which is pi x P
+    local = {k: r for r, k in enumerate(data.kernel_subgroup._positions)}
+    displaced = _displacements(x.M, x.act_table[ia])
+    relators = subgroup(model, [local[v] * len(P) + d for v, d in zip(displaced, x.boundary)])
     presented, _ = quotient(model, relators)
     pi1 = pi_loop(x, a).pi1
     if are_isomorphic(presented, pi1, max_order=max_order) is None:

@@ -186,9 +186,8 @@ class FiniteGroupoid:
 def _groupoid(group: FiniteGroup, objects: tuple, act: list, morphisms: tuple) -> FiniteGroupoid:
     """The action groupoid on tables whose laws already hold."""
     n, nx = len(group), len(objects)
-    gens = [group._index[s] for s in group.generators]
     return FiniteGroupoid(group, objects, morphisms, act,
-                          tuple(morphisms[s * nx + z] for s in gens for z in range(nx)),
+                          tuple(morphisms[s * nx + z] for s in group.generators for z in range(nx)),
                           dict(zip(morphisms, product(range(n), range(nx)))),
                           {x: i for i, x in enumerate(objects)})
 
@@ -231,8 +230,8 @@ def action_groupoid(group: FiniteGroup, objects, act, morphisms) -> FiniteGroupo
     def acts(h: int, g: int):  # h . (g . x) and (h + g) . x, for every x
         return list(map(act[h].__getitem__, act[g])), act[table[h][g]]
 
-    gens = [group._index[s] for s in group.generators]
-    for h, g, z in _failures(acts, product(range(n), range(n)), product(gens, range(n))):
+    for h, g, z in _failures(acts, product(range(n), range(n)),
+                             product(group.generators, range(n))):
         raise InvalidGroupoid("composition-endpoints", (morphisms[h * nx + act[g][z]],
                               morphisms[g * nx + z], morphisms[table[h][g] * nx + z]))
     return _groupoid(group, objects, act, morphisms)
@@ -297,11 +296,11 @@ def make_gxm(base: FiniteGroupoid, fibre: FiniteGroup, act, boundary) -> Groupoi
     for t, v in enumerate(act[G._index[G.identity]]):
         if v != t:
             raise InvalidAction("identity", (mlabel[t],))
-    gens, every = [G._index[s] for s in G.generators], range(nm)
+    gens, every = G.generators, range(nm)
     for g, h, t in _failures(partial(_composition, act, gt), product(arrows, arrows),
                              product(arrows, gens)):
         raise InvalidAction("composition", (mlabel[t], glabel[g], glabel[h]))
-    zero_and_gens = [M._index[s] for s in (M.identity, *M.generators)]
+    zero_and_gens = (M._index[M.identity], *M.generators)
     for u, g, t in _failures(partial(_additivity, act, mt), product(every, arrows),
                              product(zero_and_gens, gens), itemgetter(1, 2, 0)):
         raise InvalidAction("additivity", (mlabel[t], mlabel[u], glabel[g]))
@@ -315,8 +314,7 @@ def make_gxm(base: FiniteGroupoid, fibre: FiniteGroup, act, boundary) -> Groupoi
     def cm2(k, u):  # at x = x_k and n = m_u, for every m
         return _cm2(M, act, boundary[k], u)
 
-    gens_m = [M._index[s] for s in M.generators]
-    for _, u, t in _failures(cm2, product(range(nx), every), product(range(nx), gens_m)):
+    for _, u, t in _failures(cm2, product(range(nx), every), product(range(nx), M.generators)):
         raise CM2Violation(mlabel[t], mlabel[u])
     return GroupoidXMod(base, M, act, boundary)
 
@@ -376,7 +374,7 @@ def restrict(gxm: GroupoidXMod, elements, objects, fibre) -> GroupoidXMod:
     H's action rows are gxm's.  No law is validated again.
     """
     base, M, nx = gxm.base, gxm.fibre, len(gxm.base.objects)
-    group, parent = _cut(base.group, elements)
+    group, parent = _cut(base.group, list(map(base.group.index, elements)))
     objects = tuple(objects)
     kept = [base._object(x) for x in objects]
     if len(set(kept)) != len(kept):
@@ -386,11 +384,11 @@ def restrict(gxm: GroupoidXMod, elements, objects, fibre) -> GroupoidXMod:
                                               (group.elements[r], base.objects[k])))
     piece = _groupoid(group, objects, act,
                       tuple(base.morphisms[i * nx + k] for i in parent for k in kept))
-    acts, fibre = [gxm.act[i] for i in parent], list(fibre)
-    if len({M.index(t) for t in fibre}) == len(M):  # the first unknown label is the witness
+    acts, inside = [gxm.act[i] for i in parent], list(map(M.index, fibre))
+    if len(set(inside)) == len(M):  # the first unknown label is the witness
         sub, inside, sub_act = M, range(len(M)), acts
     else:
-        sub, inside = _cut(M, fibre)
+        sub, inside = _cut(M, inside)
         sub_act = _slice(acts, inside, {t: r for r, t in enumerate(inside)}, lambda r, t: (
             InvalidGroupoidXMod("action-codomain", (M.elements[t], group.elements[r],
                                                     M.elements[acts[r][t]]))))
@@ -465,7 +463,7 @@ def check_morphism(source: GroupoidXMod, target: GroupoidXMod,
         return report
     f, f0, ht = group_map, obj_map, H._table
     arrows = range(len(G))
-    gens = [G._index[s] for s in G.generators]
+    gens = G.generators
     identity_kept = f[G._index[G.identity]] == H._index[H.identity]
 
     unadditive = list(_additive_failures(G, f, ht))
@@ -503,11 +501,10 @@ def check_morphism(source: GroupoidXMod, target: GroupoidXMod,
             return [f[b[t]] for b in source.boundary], [b[f2t] for b in targets]
 
         premises = identity_kept and not unadditive and not unhom
-        gens_m = [M._index[s] for s in M.generators]
         report += [Violation("boundary-square", f"f1(delta {mlabel[t]}) != delta(f2 "
                              f"{mlabel[t]}) at {objects[k]}", (objects[k], mlabel[t]))
                    for t, k in _failures(squares, product(range(nm)),
-                                         product(gens_m) if premises else None,
+                                         product(M.generators) if premises else None,
                                          itemgetter(1, 0))]
     if report:
         return report

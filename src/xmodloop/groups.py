@@ -6,12 +6,17 @@ additively (x + y, -x, 0) even for nonabelian groups.  Element order is
 the input order and all derived listings follow it, which makes every
 result deterministic.
 
-Positions.  A group keeps its table as positions (``_table``, ``_inv``);
-a ``Homomorphism`` is the list of its images' positions and a
-``GroupAction`` one row of positions per element of the actor.  Labels
-are read once, where a table, map or action enters (``make_group``,
-``homomorphism``, ``group_action``), and every law is proved on
-positions.
+Positions.  Inside the library an element is its position: a group
+keeps its table (``_table``, ``_inv``) and ``generators`` as positions,
+a ``Subgroup`` the sorted positions of its members in the parent, a
+``Homomorphism`` its images' positions and a ``GroupAction`` one row of
+positions per element of the actor; ``subgroup``, ``centralizer`` and
+the other subgroup functions take positions.  Labels are read where a
+table, map or action enters (``make_group``, ``homomorphism``,
+``group_action``) and written only into witnesses and the label views
+kept for callers (``Subgroup.members``, ``add``, ``Homomorphism.__call__``,
+``GroupAction.act``).  A group is abelian exactly when its generators
+commute pairwise (the proof is at ``FiniteGroup.is_abelian``).
 
 Cost.  Laws that are closed under composition are proved from a few
 generators instead of being enumerated (see ``_right_generators``), one
@@ -108,26 +113,32 @@ def _right_generators(points, starts, after) -> list:
     return gens
 
 
-def _generators(table: list, e: int) -> list[int]:
-    """Greedy generators of the group with this closed table and identity at e.
+def _orders(group: FiniteGroup) -> list[int]:
+    """The order of each element, in element order, counted to at most n steps, so a
+    table not yet proved associative cannot stall the count."""
+    t, e, orders = group._table, group._index[group.identity], []
+    for i in range(len(t)):
+        x, k = i, 1
+        while x != e and k <= len(t):
+            x, k = t[x][i], k + 1
+        orders.append(k)
+    return orders
+
+
+def _generators(group: FiniteGroup) -> list[int]:
+    """Greedy generators, as positions, of the group with a closed table.
 
     ``_right_generators`` tries the elements by decreasing order, and in
     input order among equal orders: a few elements of large order reach
     the whole group sooner than the first elements in input order (S5
     and S6 as permutations in lexicographic order take 2 and 3 instead
     of 4 and 5), and every proof from generators costs rows in
-    proportion to their number.  An order is counted to at most n steps,
-    so a table not yet proved associative cannot stall the count.
+    proportion to their number.
     """
-    n = len(table)
-    order = []
-    for i in range(n):
-        x, k = i, 1
-        while x != e and k <= n:
-            x, k = table[x][i], k + 1
-        order.append(k)
-    by_order = sorted(range(n), key=order.__getitem__, reverse=True)
-    return _right_generators(by_order, (e,), lambda i, j: table[i][j])
+    table = group._table
+    by_order = sorted(range(len(table)), key=_orders(group).__getitem__, reverse=True)
+    return _right_generators(by_order, (group._index[group.identity],),
+                             lambda i, j: table[i][j])
 
 
 def _failures(sides, keys, proof=None, order=None):
@@ -167,10 +178,6 @@ def _strict(failures):
     raise failure
 
 
-def _indices(group: FiniteGroup, labels) -> list[int]:
-    return [group._index[s] for s in labels]
-
-
 def _additive_failures(source: FiniteGroup, images: list, target_table: list):
     """The pairs (x, y) of positions in source, x-major, with f(x + y) != f(x) + f(y).
 
@@ -185,7 +192,7 @@ def _additive_failures(source: FiniteGroup, images: list, target_table: list):
         fy = f[y]
         return [f[r[y]] for r in st], [tt[v][fy] for v in f]
 
-    proof = [(y,) for y in _indices(source, (source.identity, *source.generators))]
+    proof = [(y,) for y in (source._index[source.identity], *source.generators)]
     for y, x in _failures(additive, product(range(len(st))), proof, itemgetter(1, 0)):
         yield x, y
 
@@ -195,8 +202,8 @@ class FiniteGroup:
 
     Construction validates closure, the declared identity, two-sided
     inverses and associativity, raising with a witness on the first
-    failure.  ``generators`` is the greedy generating set of
-    ``_generators``; associativity is proved from it.
+    failure.  ``generators`` holds the positions of the greedy generating
+    set of ``_generators``; associativity is proved from it.
     """
 
     def __init__(self, elements, table, identity):
@@ -272,16 +279,17 @@ class FiniteGroup:
         return self.add(self.add(self.add(self.neg(x), self.neg(y)), x), y)
 
     def element_order(self, x: str) -> int:
-        power = x
-        n = 1
-        while power != self.identity:
-            power = self.add(power, x)
-            n += 1
-        return n
+        return _orders(self)[self.index(x)]
 
     def is_abelian(self) -> bool:
-        return all(self.add(x, y) == self.add(y, x)
-                   for x in self.elements for y in self.elements)
+        """Whether the generators commute pairwise, which proves every pair commutes.
+
+        The centralizer of a generator is a subgroup; when it holds every
+        generator it is the whole group, so each generator is central,
+        and then the centre, a subgroup holding every generator, is too.
+        """
+        t, gens = self._table, self.generators
+        return all(t[s][u] == t[u][s] for s in gens for u in gens)
 
 
 def make_group(elements, table, identity) -> FiniteGroup:
@@ -310,8 +318,7 @@ def _prove(group: FiniteGroup, table: list, e: int) -> None:
             raise NoInverse(elements[i]) from None
         inv.append(j)
     group._inv = inv
-    gens = _generators(table, e)
-    group.generators = tuple(elements[s] for s in gens)
+    group.generators = gens = tuple(_generators(group))
 
     def associates(i, j):  # i + (j + k) and (i + j) + k, for every k, as tuples
         return itemgetter(*table[j])(table[i]), tuple(table[table[i][j]])
@@ -323,65 +330,66 @@ def _prove(group: FiniteGroup, table: list, e: int) -> None:
         raise NotAssociative(elements[i], elements[j], elements[k])
 
 
-def _bare(elements: list) -> FiniteGroup:
+def _proved_group(elements: list, table: list, e: int, inv: list | None = None) -> FiniteGroup:
+    """The group on distinct labels and a closed integer table, validated like
+    ``make_group``; given its inverses, its laws are known to hold and nothing is checked."""
     group = object.__new__(FiniteGroup)
-    group.elements = elements
+    group.elements, group.identity = elements, elements[e]
     group._index = {x: i for i, x in enumerate(elements)}
-    return group
-
-
-def _proved_group(elements: list, table: list, e: int) -> FiniteGroup:
-    """The group on distinct labels and a closed integer table, validated like ``make_group``."""
-    group = _bare(elements)
-    group.identity = elements[e]
-    _prove(group, table, e)
-    return group
-
-
-def _known_group(elements: list, table: list, inv: list, e: int) -> FiniteGroup:
-    """A group whose laws are already known to hold on its integer table; nothing is checked."""
-    group = _bare(elements)
-    group._table, group._inv, group.identity = table, inv, elements[e]
-    group.generators = tuple(elements[s] for s in _generators(table, e))
+    if inv is None:
+        _prove(group, table, e)
+    else:
+        group._table, group._inv = table, inv
+        group.generators = tuple(_generators(group))
     return group
 
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
-    """A validated subgroup, stored as a subset of the parent's elements."""
+    """A validated subgroup, stored as the sorted positions of its members in the parent."""
 
     parent: FiniteGroup
-    members: tuple[str, ...]
+    _positions: tuple[int, ...]
+
+    @property
+    def members(self) -> tuple[str, ...]:  # the members' labels, in parent order
+        return tuple(map(self.parent.elements.__getitem__, self._positions))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._positions)
 
     def __iter__(self):
         return iter(self.members)
 
-    def __contains__(self, x) -> bool:
-        return x in set(self.members)
-
     def as_group(self) -> FiniteGroup:
         """The subgroup as a standalone group on its own elements, cut from the parent's table."""
-        return _cut(self.parent, self.members)[0]
+        return _cut(self.parent, self._positions)[0]
+
+
+def _position(group: FiniteGroup, p) -> int:
+    """p, when it is a position of the group; else ``UnknownElement`` names it."""
+    if p not in range(len(group)):
+        raise UnknownElement(p)
+    return p
 
 
 def subgroup(parent: FiniteGroup, members) -> Subgroup:
-    """Validate members and 0 as a subgroup, in parent order: closed under - and + (``_cut``)."""
-    return Subgroup(parent, tuple(_cut(parent, members)[0].elements))
+    """Validate the positions members and 0 as a subgroup: closed under - and + (``_cut``)."""
+    return Subgroup(parent, tuple(_cut(parent, members)[1]))
 
 
 def _cut(parent: FiniteGroup, members) -> tuple[FiniteGroup, list[int]]:
-    """The subgroup on members and 0 as a group in parent order, and its parent positions.
+    """The subgroup on the positions members and 0 as a group in parent order, and its
+    sorted parent positions.
 
     Only closure is checked, under - and then + for each element in
     order: the identity, inverse and associativity laws of the validated
     parent hold on every subset, so the sliced table is not validated
     again.
     """
-    found = {parent.index(x) for x in members}  # in input order: the first unknown is the witness
-    positions = sorted(found | {parent._index[parent.identity]})
+    e = parent._index[parent.identity]
+    # in input order: the first member that is no position is the witness
+    positions = sorted({_position(parent, p) for p in members} | {e})
     local = {p: r for r, p in enumerate(positions)}
     elements, inv = parent.elements, parent._inv
     table = []
@@ -394,48 +402,48 @@ def _cut(parent: FiniteGroup, members) -> tuple[FiniteGroup, list[int]]:
             q = positions[cut.index(None)]
             raise NotClosed(elements[p], elements[q], elements[row[q]])
         table.append(cut)
-    group = _known_group([elements[p] for p in positions], table,
-                         [local[inv[p]] for p in positions], local[parent._index[parent.identity]])
+    group = _proved_group([elements[p] for p in positions], table, local[e],
+                          [local[inv[p]] for p in positions])
     return group, positions
 
 
-def centralizer(group: FiniteGroup, a: str) -> Subgroup:
-    """Elements p with -a + p + a = p."""
-    t, i = group._table, group.index(a)
+def centralizer(group: FiniteGroup, a: int) -> Subgroup:
+    """The positions p with -a + p + a = p, for the position a."""
+    t, i = group._table, _position(group, a)
     row = t[group._inv[i]]  # row[p] = -a + p
-    return subgroup(group, [x for p, x in enumerate(group.elements) if t[row[p]][i] == p])
+    return Subgroup(group, tuple(p for p in range(len(t)) if t[row[p]][i] == p))
 
 
 def subgroup_generated(group: FiniteGroup, generators) -> Subgroup:
-    """Least subgroup containing the generators, by breadth-first closure.
+    """Least subgroup containing the positions generators, by breadth-first closure.
 
     The elements reached from 0 by right multiplication with generators
     form the submonoid they generate, which in a finite group is already
-    the subgroup: -g is a positive power of g.
+    the subgroup: -g is a positive power of g.  So the result is closed
+    by construction and is not cut again.
     """
-    generators = list(generators)
-    for g in generators:
-        group.index(g)
-    reached = [group.identity]
-    seen = {group.identity}
+    gens = [_position(group, g) for g in generators]
+    t, e = group._table, group._index[group.identity]
+    reached, seen = [e], {e}
     for x in reached:  # grows while it is walked: each element is expanded once
-        for g in generators:
-            y = group.add(x, g)
+        row = t[x]
+        for g in gens:
+            y = row[g]
             if y not in seen:
                 seen.add(y)
                 reached.append(y)
-    return subgroup(group, reached)
+    return Subgroup(group, tuple(sorted(reached)))
 
 
 def kernel(f: Homomorphism) -> Subgroup:
     """The x with f(x) = 0, in source order: a subgroup, since f is a validated homomorphism."""
     zero = f.target._index[f.target.identity]
-    return Subgroup(f.source, tuple(x for x, v in zip(f.source.elements, f.images) if v == zero))
+    return Subgroup(f.source, tuple(x for x, v in enumerate(f.images) if v == zero))
 
 
 def image(f: Homomorphism) -> Subgroup:
     """The values of f, in target order: a subgroup, since f is a validated homomorphism."""
-    return Subgroup(f.target, tuple(map(f.target.elements.__getitem__, sorted(set(f.images)))))
+    return Subgroup(f.target, tuple(sorted(set(f.images))))
 
 
 def _partition(points, orbit) -> list[list]:
@@ -477,7 +485,7 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> tuple[FiniteGroup, Homomor
     if normal.parent is not group:
         raise ValueError("subgroup does not belong to this group")
     t, inv, elements = group._table, group._inv, group.elements
-    members = _indices(group, normal.members)
+    members = normal._positions
     inside = set(members)
 
     holds = [True] * len(members)
@@ -487,7 +495,7 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> tuple[FiniteGroup, Homomor
         return [t[neg[x]][g] in inside for x in members], holds
 
     every = range(len(elements))
-    for g, i in _failures(normal, product(every), product(_indices(group, group.generators))):
+    for g, i in _failures(normal, product(every), product(group.generators)):
         raise NotNormal(elements[g], elements[members[i]])
     cosets = _partition(every, lambda g: {t[g][x] for x in members})
     reps = [coset[0] for coset in cosets]
@@ -496,9 +504,18 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> tuple[FiniteGroup, Homomor
         for g in coset:
             coset_of[g] = r
     table = [[coset_of[t[a][b]] for b in reps] for a in reps]
-    quo = _known_group([elements[a] for a in reps], table, [coset_of[inv[a]] for a in reps],
-                       coset_of[group._index[group.identity]])
+    quo = _proved_group([elements[a] for a in reps], table,
+                        coset_of[group._index[group.identity]], [coset_of[inv[a]] for a in reps])
     return quo, Homomorphism(group, quo, coset_of)
+
+
+def _representatives(projection: Homomorphism) -> list[int]:
+    """Each element of a quotient as the position of its coset's least element, the
+    first occurrence of its value in the projection (``quotient`` lists cosets so)."""
+    first: dict = {}
+    for g, coset in enumerate(projection.images):
+        first.setdefault(coset, g)
+    return list(first.values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -548,6 +565,12 @@ def _hom_failures(source: FiniteGroup, target: FiniteGroup, images: list):
         yield InvalidHomomorphism(labels[x], labels[y])
 
 
+def _homomorphism(source: FiniteGroup, target: FiniteGroup, images: list) -> Homomorphism:
+    """The map of positions, validated for additivity as ``homomorphism`` validates one."""
+    _strict(_hom_failures(source, target, images))
+    return Homomorphism(source, target, images)
+
+
 def _map_failures(source: FiniteGroup, target: FiniteGroup, mapping: dict):
     """Yield each broken law of a candidate map; return its images when it is total.
 
@@ -562,7 +585,7 @@ def _map_failures(source: FiniteGroup, target: FiniteGroup, mapping: dict):
 
 def homomorphism(source: FiniteGroup, target: FiniteGroup, mapping: dict) -> Homomorphism:
     """Validate totality, codomain and additivity of a candidate map."""
-    return Homomorphism(source, target, _strict(_map_failures(source, target, mapping)))
+    return _homomorphism(source, target, _strict(_read_map(source, target, mapping)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -631,14 +654,14 @@ def _action_law_failures(actor: FiniteGroup, space: FiniteGroup, rows: list):
     unfixed = [m for m, v in enumerate(rows[actor._index[actor.identity]]) if v != m]
     for m in unfixed:
         yield InvalidAction("identity", (ml[m],))
-    gens = _indices(actor, actor.generators)
+    gens = actor.generators
     composition_holds = not unfixed
     for p, q, m in _failures(partial(_composition, rows, actor._table), product(ps, ps),
                              product(ps, gens) if composition_holds else None,
                              itemgetter(2, 0, 1)):
         composition_holds = False
         yield InvalidAction("composition", (ml[m], pl[p], pl[q]))
-    zero_and_gens = _indices(space, (space.identity, *space.generators))
+    zero_and_gens = (space._index[space.identity], *space.generators)
     for n, p, m in _failures(partial(_additivity, rows, space._table), product(ms, ps),
                              product(zero_and_gens, gens) if composition_holds else None,
                              itemgetter(2, 0, 1)):
@@ -657,16 +680,35 @@ def _group_action_failures(actor: FiniteGroup, space: FiniteGroup, entries):
     return rows
 
 
+def _group_action(actor: FiniteGroup, space: FiniteGroup, rows: list) -> GroupAction:
+    """The action of total rows of positions, validated as ``group_action`` validates one."""
+    _strict(_action_law_failures(actor, space, rows))
+    return GroupAction(actor, space, rows)
+
+
 def group_action(actor: FiniteGroup, space: FiniteGroup, table: dict) -> GroupAction:
     """Validate an action table (m, p) -> m^p: totality, codomain and the three action laws."""
     def entries(p):
         return [table.get((m, p)) for m in space.elements]
 
-    return GroupAction(actor, space, _strict(_group_action_failures(actor, space, entries)))
+    return _group_action(actor, space, _strict(_read_action(actor, space, entries)))
 
 
 def trivial_action(actor: FiniteGroup, space: FiniteGroup) -> GroupAction:
-    return group_action(actor, space, {(m, p): m for m in space for p in actor})
+    return _group_action(actor, space, [list(range(len(space)))] * len(actor))
+
+
+def _semidirect_table(n_table: list, h_table: list, rows: list) -> list[list[int]]:
+    """The table of the pairs (n, h) at n |H| + h, with ``rows[h'][n]`` = n^h', under
+    (n, h) + (n', h') = (n^h' + n', h + h'); each entry is one shared int object."""
+    nh = len(h_table)
+    shared = list(range(len(n_table) * nh))
+    cells = list(product(range(len(n_table)), range(nh)))
+    table = []
+    for column in zip(*rows):  # column[h'] = n^h'
+        for row_h in h_table:
+            table.append([shared[n_table[column[h2]][n2] * nh + row_h[h2]] for n2, h2 in cells])
+    return table
 
 
 def semidirect_product(n_group: FiniteGroup, h_group: FiniteGroup,
@@ -676,102 +718,82 @@ def semidirect_product(n_group: FiniteGroup, h_group: FiniteGroup,
     The twist sits on the left factor so that, for abelian N, the table
     agrees entrywise with the loop vertex group built from the same data.
     For nonabelian N it is not the group G of ``loop.loop_gpd_xmod``, whose N part is m + n^p.
+    The table is built on positions and validated as ``make_group`` validates one.
     """
     if act.actor is not h_group or act.space is not n_group:
         raise InvalidAction("wiring", ())
-    pairs = [(n, h) for n in n_group for h in h_group]
-    table = [[(n_group.add(act.act(n, h2), n2), h_group.add(h, h2)) for n2, h2 in pairs]
-             for n, h in pairs]
-    return FiniteGroup(pairs, table, (n_group.identity, h_group.identity))
+    pairs = [(n, h) for n in n_group.elements for h in h_group.elements]
+    e = n_group._index[n_group.identity] * len(h_group) + h_group._index[h_group.identity]
+    return _proved_group(pairs, _semidirect_table(n_group._table, h_group._table, act.rows), e)
 
 
-def displacement_subgroup(act: GroupAction, a: str) -> Subgroup:
-    """Subgroup of the (abelian) space generated by all -m^a + m."""
-    act.actor.index(a)
-    space = act.space
-    for m in space:
-        for n in space:
-            if space.add(m, n) != space.add(n, m):
-                raise SpaceNotAbelian(m, n)
-    displacements = {space.add(space.neg(act.act(m, a)), m) for m in space}
-    return subgroup_generated(space, displacements)
+def _displacements(space: FiniteGroup, row: list) -> list[int]:
+    """-m^a + m for every m of the space, where ``row[m]`` is the position of m^a."""
+    t, inv = space._table, space._inv
+    return [t[inv[v]][m] for m, v in enumerate(row)]
 
 
-def _order_profile(group: FiniteGroup) -> Counter:
-    return Counter(group.element_order(x) for x in group)
+def displacement_subgroup(act: GroupAction, a: int) -> Subgroup:
+    """Subgroup of the (abelian) space generated by all -m^a + m, for the position a."""
+    space, t = act.space, act.space._table
+    row = act.rows[_position(act.actor, a)]
+    for s, u in product(space.generators, repeat=2):  # see ``FiniteGroup.is_abelian``
+        if t[s][u] != t[u][s]:
+            raise SpaceNotAbelian(space.elements[s], space.elements[u])
+    return subgroup_generated(space, _displacements(space, row))
 
 
-def _close_partial(g_group: FiniteGroup, h_group: FiniteGroup, seed: dict) -> dict | None:
-    """Close a partial map under products; None on conflict or collision."""
-    known = dict(seed)
-    used = set(known.values())
-    if len(used) != len(known):
-        return None
-    frontier = list(known.items())
-    while frontier:
-        added: list[tuple[str, str]] = []
-        items = list(known.items())
-        for x, fx in frontier:
-            for y, fy in items:
-                for z, fz in ((g_group.add(x, y), h_group.add(fx, fy)),
-                              (g_group.add(y, x), h_group.add(fy, fx))):
-                    current = known.get(z)
-                    if current is None:
-                        if fz in used:
-                            return None
-                        known[z] = fz
-                        used.add(fz)
-                        added.append((z, fz))
-                    elif current != fz:
-                        return None
-        frontier = added
-    return known
+def _extend(g_table: list, h_table: list, known: dict, gens) -> dict | None:
+    """The partial map ``known`` closed under f(x + s) = f(x) + f(s), s in gens, on
+    positions: a homomorphism on the subgroup reached (``_right_generators``), or
+    None on a conflict or a collision."""
+    reached = list(known)
+    for x in reached:  # grows while it is walked
+        gx, hx = g_table[x], h_table[known[x]]
+        for s in gens:
+            y, v = gx[s], hx[known[s]]
+            if y not in known:
+                known[y] = v
+                reached.append(y)
+            elif known[y] != v:
+                return None
+    return known if len(set(known.values())) == len(known) else None
 
 
 def are_isomorphic(g_group: FiniteGroup, h_group: FiniteGroup,
                    max_order: int = DEFAULT_MAX_ISO_ORDER) -> Homomorphism | None:
     """Search for an isomorphism; None is a definitive negative.
 
-    Backtracks over generator images with element-order pruning; partial
-    maps are closed under products as they grow, so conflicts prune early.
+    Backtracks over the generators' images: the elements of the same order,
+    the one with the same label first, then in target order.  Each greedy
+    generator lies outside the subgroup of those before it, and each
+    choice is closed at once (``_extend``), so a conflict prunes early.
     """
     if len(g_group) > max_order or len(h_group) > max_order:
         raise SizeLimitExceeded(max(len(g_group), len(h_group)), max_order)
     if len(g_group) != len(h_group):
         return None
-    if _order_profile(g_group) != _order_profile(h_group):
+    g_orders, h_orders = _orders(g_group), _orders(h_group)
+    if Counter(g_orders) != Counter(h_orders):
         return None
-    gens = g_group.generators
-    gen_orders = {g: g_group.element_order(g) for g in gens}
-    by_order: dict[int, list[str]] = {}
-    for h in h_group:
-        by_order.setdefault(h_group.element_order(h), []).append(h)
+    gens, gt, ht = g_group.generators, g_group._table, h_group._table
+    by_order: dict[int, list[int]] = {}
+    for h, k in enumerate(h_orders):
+        by_order.setdefault(k, []).append(h)
 
-    def candidates(g: str) -> list[str]:
-        pool = by_order.get(gen_orders[g], [])
-        return sorted(pool, key=lambda h: (0 if h == g else 1, h_group.index(h)))
-
-    def search(i: int, mapping: dict) -> dict | None:
+    def search(i: int, known: dict) -> dict | None:
         if i == len(gens):
-            return mapping if len(mapping) == len(g_group) else None
+            return known
         g = gens[i]
-        if g in mapping:
-            return search(i + 1, mapping)
-        for h in candidates(g):
-            seed = dict(mapping)
-            seed[g] = h
-            closed = _close_partial(g_group, h_group, seed)
-            if closed is None:
-                continue
-            found = search(i + 1, closed)
-            if found is not None:
+        same = h_group._index.get(g_group.elements[g])
+        for h in sorted(by_order[g_orders[g]], key=lambda h: h != same):
+            closed = _extend(gt, ht, {**known, g: h}, gens[:i + 1])
+            found = closed and search(i + 1, closed)
+            if found:
                 return found
         return None
 
-    found = search(0, {g_group.identity: h_group.identity})
+    found = search(0, {g_group._index[g_group.identity]: h_group._index[h_group.identity]})
     if found is None:
         return None
-    witness = homomorphism(g_group, h_group, found)
-    if not witness.is_bijective():
-        return None
-    return witness
+    return _homomorphism(g_group, h_group, [found[g] for g in range(len(g_group))])

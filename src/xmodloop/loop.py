@@ -18,9 +18,9 @@ composite in a table is one of those shared tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain
 
 from .documents import _render
 from .errors import InternalInvariantBroken
@@ -28,13 +28,14 @@ from .groups import (
     FiniteGroup,
     Homomorphism,
     _action_law_failures,
+    _displacements,
     _hom_failures,
     _partition,
     _proved_group,
+    _semidirect_table,
     conjugacy_classes,
     image,
     kernel,
-    make_group,
     quotient,
 )
 from .groupoids import (
@@ -55,6 +56,7 @@ class LoopData:
 
     base: str
     xmod: CrossedModule
+    _pairs: list = field(repr=False)  # (i, j) for the element (m_i, p_j) of P(a), in order
 
     @property
     def Pa(self) -> FiniteGroup:
@@ -76,7 +78,7 @@ def loop_data(x: CrossedModule, a: str) -> LoopData:
     """
     M, P = x.M, x.P
     ia = P.index(a)
-    Me, Pe, mt, pt, minv, pinv = M.elements, P.elements, M._table, P._table, M._inv, P._inv
+    Me, Pe, mt, pt, pinv = M.elements, P.elements, M._table, P._table, P._inv
     act, d = x.act_table, x.boundary
     nP = len(P)
     # [a, p] = -a - p + a + p
@@ -95,7 +97,7 @@ def loop_data(x: CrossedModule, a: str) -> LoopData:
         table.append(row)
     Pa = _proved_group(pairs, table, position[M._index[M.identity] * nP + P._index[P.identity]])
     # delta_a(m) = (-m^a + m, delta m)
-    boundary = [position.get(mt[minv[v]][i] * nP + d[i]) for i, v in enumerate(act[ia])]
+    boundary = [position.get(v * nP + d[i]) for i, v in enumerate(_displacements(M, act[ia]))]
     if None in boundary:
         i = boundary.index(None)
         raise InternalInvariantBroken(f"delta_{a} maps {Me[i]} outside P({a})", (Me[i],))
@@ -106,7 +108,7 @@ def loop_data(x: CrossedModule, a: str) -> LoopData:
         raise InternalInvariantBroken(
             f"loop crossed module at {a} fails an axiom: {failure}", failure.witness)
     return LoopData(a, CrossedModule(M, Pa, rows, boundary,
-                                     name=f"{x.name or 'xmod'}-loop[{_render(a)}]"))
+                                     name=f"{x.name or 'xmod'}-loop[{_render(a)}]"), found)
 
 
 def components(x: CrossedModule) -> list[list[str]]:
@@ -168,23 +170,20 @@ def loop_gpd_xmod(x: CrossedModule) -> GroupoidXMod:
     ``make_gxm`` proves the crossed-module laws.
     """
     M, P = x.M, x.P
-    Me, Pe, mt, pt, minv, pinv = M.elements, P.elements, M._table, P._table, M._inv, P._inv
+    Pe, pt, pinv = P.elements, P._table, P._inv
     act, d = x.act_table, x.boundary
     nM, nP = len(M), len(P)
-    pairs = [(m, p) for m in Me for p in Pe]
-    cells = list(product(range(nM), range(nP)))
-    table = []
-    for n, row_n in enumerate(zip(*act)):  # row_n[p] = n^p
-        for q in range(nP):  # (n, q) + (m, p) = (m + n^p, q + p), on positions
-            row_q = pt[q]
-            table.append([pairs[mt[m][row_n[p]] * nP + row_q[p]] for m, p in cells])
-    G = make_group(pairs, table, (M.identity, P.identity))
+    pairs = [(m, p) for m in M.elements for p in Pe]
+    # (n, q) + (m, p) = (m + n^p, q + p): the twisted law of the opposite group of M
+    table = _semidirect_table([list(column) for column in zip(*M._table)], pt, act)
+    G = _proved_group(pairs, table, M._index[M.identity] * nP + P._index[P.identity])
     # (m, p) . a = p + a + delta(m) - p
-    moves = [[pt[pt[pt[j][k]][d[i]]][pinv[j]] for k in range(nP)] for i, j in cells]
+    moves = [[pt[pt[pt[j][k]][d[i]]][pinv[j]] for k in range(nP)]
+             for i in range(nM) for j in range(nP)]
     morphisms = [(m, p, a) for m, p in pairs for a in Pe]
     base = action_groupoid(G, Pe, moves, morphisms)
     # delta_a(m) = (-m^a + m, delta m, a)
-    boundary = [[mt[minv[v]][i] * nP + d[i] for i, v in enumerate(act[k])] for k in range(nP)]
+    boundary = [[v * nP + d[i] for i, v in enumerate(_displacements(M, row))] for row in act]
     # (n, s)^(m_i, p_j, a) = (n^p_j, a): G acts on M through row j of the action
     return make_gxm(base, M, [act[j] for _ in range(nM) for j in range(nP)], boundary)
 
@@ -226,11 +225,11 @@ def pi_loop(x: CrossedModule, a: str) -> LoopHomotopy:
     """
     lx = loop_xmod_at(x, a)
     pi1, projection = quotient(lx.P, image(lx.delta))
-    pi2 = kernel(lx.delta).as_group()
+    ker = kernel(lx.delta)
     zero, row = x.P._index[x.P.identity], x.act_table[x.P.index(a)]
-    fixed = {m for i, m in enumerate(x.M.elements) if x.boundary[i] == zero and row[i] == i}
-    if set(pi2.elements) != fixed:
+    fixed = [i for i, v in enumerate(row) if x.boundary[i] == zero and v == i]
+    if list(ker._positions) != fixed:
         raise InternalInvariantBroken(
             f"Ker(delta_{a}) differs from the fixed points of {a}",
-            tuple(sorted(set(pi2.elements) ^ fixed)))
-    return LoopHomotopy(pi1, pi2, projection)
+            tuple(sorted(x.M.elements[i] for i in set(ker._positions) ^ set(fixed))))
+    return LoopHomotopy(pi1, ker.as_group(), projection)

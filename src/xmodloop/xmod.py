@@ -64,10 +64,11 @@ from .groups import (
     GroupAction,
     Homomorphism,
     Subgroup,
-    _group_action_failures,
     _failures,
-    _indices,
+    _group_action,
+    _group_action_failures,
     _map_failures,
+    _representatives,
     _strict,
     image,
     kernel,
@@ -131,11 +132,11 @@ def _cm_failures(M: FiniteGroup, P: FiniteGroup, rows: list, d: list, premises: 
     in the order of a scan over every (m, p), respectively (m, n).
     """
     ml, pl = M.elements, P.elements
-    proof = product(_indices(P, P.generators)) if premises else None
+    proof = product(P.generators) if premises else None
     for p, m in _failures(partial(_cm1, P, rows, d, d), product(range(len(pl))), proof,
                           itemgetter(1, 0)):
         yield CM1Violation(ml[m], pl[p])
-    proof = product(_indices(M, M.generators)) if premises else None
+    proof = product(M.generators) if premises else None
     for n, m in _failures(partial(_cm2, M, rows, d), product(range(len(ml))), proof,
                           itemgetter(1, 0)):
         yield CM2Violation(ml[m], ml[n])
@@ -175,16 +176,19 @@ class XModCandidate:
     name: str | None = None
 
     @classmethod
-    def from_xmod(cls, x: CrossedModule) -> XModCandidate:
+    def from_xmod(cls, x: CrossedModule, render=None) -> XModCandidate:
+        """x's tables written in labels, or in ``render(label)`` for each element."""
         ml, pl = x.M.elements, x.P.elements
+        if render is not None:
+            ml, pl = list(map(render, ml)), list(map(render, pl))
         label_m, label_p = ml.__getitem__, pl.__getitem__
         return cls(
             m_elements=list(ml),
             m_table=[list(map(label_m, row)) for row in x.M._table],
-            m_identity=x.M.identity,
+            m_identity=ml[x.M._index[x.M.identity]],
             p_elements=list(pl),
             p_table=[list(map(label_p, row)) for row in x.P._table],
-            p_identity=x.P.identity,
+            p_identity=pl[x.P._index[x.P.identity]],
             delta=dict(zip(ml, map(label_p, x.boundary))),
             action={p: dict(zip(ml, map(label_m, row))) for p, row in zip(pl, x.act_table)},
             name=x.name,
@@ -288,7 +292,7 @@ def homotopy(x: CrossedModule) -> HomotopyData:
         raise InternalInvariantBroken(
             f"image of delta is not normal: {exc}", exc.witness) from exc
     ker = kernel(x.delta)
-    inside = _indices(M, ker.members)
+    inside = ker._positions
     for k in inside:
         row = mt[k]
         for m, r in enumerate(mt):
@@ -296,7 +300,7 @@ def homotopy(x: CrossedModule) -> HomotopyData:
                 raise InternalInvariantBroken(
                     f"kernel element {ml[k]} is not central in M", (ml[k], ml[m]))
     pi2 = ker.as_group()
-    reps = _indices(P, pi1.elements)
+    reps = _representatives(projection)
     for p, coset in enumerate(projection.images):
         row, rep_row = rows[p], rows[reps[coset]]
         for k in inside:
@@ -305,10 +309,6 @@ def homotopy(x: CrossedModule) -> HomotopyData:
                 raise InternalInvariantBroken(
                     f"pi1-action on pi2 depends on the representative of {rep}",
                     (ml[k], pl[p], rep))
-
-    def entries(rep):
-        row = rows[P._index[rep]]
-        return [ml[row[k]] for k in inside]
-
-    g_action = GroupAction(pi1, pi2, _strict(_group_action_failures(pi1, pi2, entries)))
+    local = {k: r for r, k in enumerate(inside)}  # pi2's position of each kernel element
+    g_action = _group_action(pi1, pi2, [[local[rows[p][k]] for k in inside] for p in reps])
     return HomotopyData(pi1, pi2, g_action, projection, ker)

@@ -44,6 +44,11 @@ def _failures(law, scan, proof=None):
     return (t for t in scan if not law(*t))
 
 
+def generator_labels(group):
+    """The library's generators of a group, which it holds as positions, read as labels."""
+    return [group.elements[s] for s in group.generators]
+
+
 def label_map(f):
     """A validated homomorphism written in labels, x -> f(x), in source order."""
     return {x: f(x) for x in f.source}
@@ -444,7 +449,8 @@ def make_written_gxm(base, fibres, boundary, action):
     for m, u in _failures(cm1, scan, proof):
         raise CM1Violation(m, u)
     scan = ((m, n) for x in base.objects for m, n in product(fibres[x], repeat=2))
-    proof = ((m, s) for x in base.objects for m, s in product(fibres[x], fibres[x].generators))
+    proof = ((m, s) for x in base.objects
+             for m, s in product(fibres[x], generator_labels(fibres[x])))
     for m, n in _failures(cm2, scan, proof):
         raise CM2Violation(m, n)
     return SimpleNamespace(base=base, fibres=fibres, boundary=boundary, action=action)
@@ -533,7 +539,7 @@ def _additive_failures(source: FiniteGroup, mapping, add):
 
     elements = source.elements
     return _failures(additive, ((x, y) for x in elements for y in elements),
-                     product(elements, (source.identity, *source.generators)))
+                     product(elements, (source.identity, *generator_labels(source))))
 
 
 def _homomorphism_failures(source: FiniteGroup, target: FiniteGroup, mapping: dict):
@@ -597,10 +603,12 @@ def _action_failures(actor: FiniteGroup, space: FiniteGroup, table: dict):
             yield InvalidAction("identity", (m,))
     composition_holds = identity_holds
     for witness in _failures(composes, product(space, actor, actor),
-                             product(space, actor, actor.generators) if identity_holds else None):
+                             product(space, actor, generator_labels(actor))
+                             if identity_holds else None):
         composition_holds = False
         yield InvalidAction("composition", witness)
-    additivity_proof = product(space, (space.identity, *space.generators), actor.generators)
+    additivity_proof = product(space, (space.identity, *generator_labels(space)),
+                               generator_labels(actor))
     for witness in _failures(additive, product(space, space, actor),
                              additivity_proof if composition_holds else None):
         yield InvalidAction("additivity", witness)
@@ -630,7 +638,9 @@ def _crossed_module_failures(M: FiniteGroup, P: FiniteGroup, delta: dict, act: d
     def cm2(m, n) -> bool:
         return M.conj(m, n) == act[(m, delta[n])]
 
-    for m, p in _failures(cm1, product(M, P), product(M, P.generators) if premises else None):
+    for m, p in _failures(cm1, product(M, P),
+                          product(M, generator_labels(P)) if premises else None):
         yield CM1Violation(m, p)
-    for m, n in _failures(cm2, product(M, M), product(M, M.generators) if premises else None):
+    for m, n in _failures(cm2, product(M, M),
+                          product(M, generator_labels(M)) if premises else None):
         yield CM2Violation(m, n)

@@ -24,6 +24,7 @@ from bruteforce import (
     _action_failures,
     _homomorphism_failures,
     check_written_morphism,
+    generator_labels,
     label_action,
     label_map,
     make_groupoid,
@@ -295,7 +296,7 @@ def identity_maps(gxm):
 @given(GROUPS)
 def test_group_generators_reach_every_element_and_at_most_log2_many(drawn):
     group, _ = drawn
-    reached = closure([group.identity], group.generators, group.add)
+    reached = closure([group.identity], generator_labels(group), group.add)
     assert sorted(reached, key=group.index) == group.elements
     assert len(group.generators) <= math.log2(len(group))
 
