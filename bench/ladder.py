@@ -1,6 +1,6 @@
 """Size ladder: time each stage on a fixed list of growing inputs.
 
-    python bench/ladder.py --out BENCH_17.json
+    python bench/ladder.py --out BENCH_18.json
 
 A rung names a group (``S5``) or a crossed module: ``id: G``, ``1 -> G``
 or ``N -> G``, the inclusion of a normal subgroup N of G with G acting
@@ -16,7 +16,12 @@ with ``time.perf_counter`` and reads its own peak RSS with
 ``parse_xmod`` rung times reading and validating the rung's document,
 written untimed by ``serialize_xmod``; the ``homotopy`` and
 ``components`` rungs time that call alone on a fresh module, so
-``components`` includes the ``homotopy`` it starts from.  A ``cli_*``
+``components`` includes the ``homotopy`` it starts from.  The
+``exact_sequence`` rung times ``exact_sequence`` at every base, and the
+``example_checks`` rung ``example1_check`` and ``example2_check`` at
+every base, a check whose precondition fails at a base counting as run;
+both start from a fresh module, so they include the ``homotopy`` and
+``loop_data`` they build on.  A ``cli_*``
 rung times one CLI subcommand as a whole: the child writes the rung as a
 document with ``serialize_xmod`` (untimed), then times one ``run_cli``
 call on it with standard output sent to a ``StringIO``;
@@ -61,6 +66,8 @@ RUNGS = [
       for rung in ("id: C4", "1 -> S4", "id: S3", "id: D4", "id: S4")),
     *((stage, rung, True) for stage in ("parse_xmod", "homotopy", "components")
       for rung in ("id: S4", "id: A5", "id: S5", "A5 -> S5", "1 -> S6")),
+    *((stage, rung, True) for stage in ("exact_sequence", "example_checks")
+      for rung in ("id: S4", "A4 -> S4", "1 -> S4", "1 -> S5")),
     *(("cli_nerve3_list_json", rung, True) for rung in ("id: C4", "1 -> S4", "id: S3")),
     *(("cli_components", rung, True) for rung in ("id: A4", "id: S4")),
 ]
@@ -128,8 +135,11 @@ def predicted(stage: str, rung: str) -> dict:
         return {"simplices": m ** 3 * p ** 3}
     if stage in ("cli_components", "parse_xmod"):
         return {"bases": p, "document_entries": p * p + m * m + m + m * p}
-    if stage in ("homotopy", "components"):
-        return {"order_P": p, "order_M": m}
+    if stage in ("homotopy", "components", "exact_sequence"):
+        return {"order_P": p, "order_M": m, **({"bases": p} if stage == "exact_sequence" else {})}
+    if stage == "example_checks":
+        # the twisted products M x C_a(P) and pi x P have at most |M||P| pairs
+        return {"bases": p, "twisted_product_order_at_most": m * p}
     # the loop groupoid is the group of the |M||P| pairs (m, p) acting on P
     if stage == "theta":
         return {"bases": p, "group_order": m * p}
@@ -145,7 +155,8 @@ def run_stage(stage: str, rung: str) -> float:
     sys.path.insert(0, str(ROOT / "src"))
     from xmodloop.cli import run_cli
     from xmodloop.documents import parse_xmod, serialize_xmod
-    from xmodloop.exactseq import fibration_psi
+    from xmodloop.errors import PreconditionFailed
+    from xmodloop.exactseq import example1_check, example2_check, exact_sequence, fibration_psi
     from xmodloop.groups import group_action, homomorphism, make_group, subgroup
     from xmodloop.loop import components, loop_gpd_xmod, theta
     from xmodloop.nerve import k3_count, nerve_k3
@@ -160,7 +171,7 @@ def run_stage(stage: str, rung: str) -> float:
     elements, table, identity = group_table(top)
     G = make_group(elements, table, identity)
     members = [identity] if sub == "1" else [_name(q) for q in permutation_group(sub)]
-    N = subgroup(G, members).as_group()
+    N = subgroup(G, map(G.index, members)).as_group()
     delta = homomorphism(N, G, {n: n for n in N})
     action = group_action(G, N, {(n, p): G.conj(n, p) for n in N for p in G})
     x = make_xmod(N, G, delta, action, name=rung)
@@ -183,9 +194,17 @@ def run_stage(stage: str, rung: str) -> float:
         return time.perf_counter() - start
     if stage in ("theta", "fibration_psi"):
         loop_gpd_xmod(x)
+
+    def examples(x):
+        for a in x.P:
+            for check in (example1_check, example2_check):
+                with contextlib.suppress(PreconditionFailed):
+                    check(x, a)
     call = {"loop_gpd_xmod": loop_gpd_xmod, "fibration_psi": fibration_psi,
             "homotopy": homotopy, "components": components,
             "theta": lambda x: [theta(x, a) for a in x.P],
+            "exact_sequence": lambda x: [exact_sequence(x, a) for a in x.P],
+            "example_checks": examples,
             "nerve_k3": nerve_k3, "nerve_k3_count": k3_count}[stage]
     start = time.perf_counter()
     call(x)

@@ -117,9 +117,10 @@ def _orders(group: FiniteGroup) -> list[int]:
     """The order of each element, in element order, counted to at most n steps, so a
     table not yet proved associative cannot stall the count."""
     t, e, orders = group._table, group._index[group.identity], []
-    for i in range(len(t)):
+    n = len(t)
+    for i in range(n):
         x, k = i, 1
-        while x != e and k <= len(t):
+        while x != e and k <= n:
             x, k = t[x][i], k + 1
         orders.append(k)
     return orders
@@ -285,8 +286,8 @@ class FiniteGroup:
         """Whether the generators commute pairwise, which proves every pair commutes.
 
         The centralizer of a generator is a subgroup; when it holds every
-        generator it is the whole group, so each generator is central,
-        and then the centre, a subgroup holding every generator, is too.
+        generator it is the whole group, so each generator is central, and
+        then the centre, a subgroup holding every generator, is the group.
         """
         t, gens = self._table, self.generators
         return all(t[s][u] == t[u][s] for s in gens for u in gens)

@@ -12,8 +12,8 @@ every object, on which (m, p, a) acts by n -> n^p.
 
 Both constructions compute on x's position tables: the group tables
 of M and P (``_table``, ``_inv``), the action (``act_table``) and the
-boundary.  Each morphism or element label is built once, and every
-composite in a table is one of those shared tuples.
+boundary.  Every table holds positions; each morphism or element label
+is built once, for the listings.
 """
 
 from __future__ import annotations
@@ -157,10 +157,11 @@ def loop_gpd_xmod(x: CrossedModule) -> GroupoidXMod:
     and (m, p) sends a to p + a + delta(m) - p, the source of (m, p, a).
     So the composite of u = (n, q, b) followed by v = (m, p, a) is
     (m + n^p, q + p, a), defined exactly when b is the source of v.  This
-    is not ``groups.semidirect_product``, which adds the M parts the other
-    way round.  G is validated as a group, and ``action_groupoid`` proves
-    the action law (h + g) . a = h . (g . a), which holds by CM1, from G's
-    generators; the groupoid laws follow.
+    is not ``groups.semidirect_product`` of M, which adds the M parts the
+    other way round, but that product's table for the opposite group of M
+    (``groups._semidirect_table``).  G is validated as a group, and
+    ``action_groupoid`` proves the action law (h + g) . a = h . (g . a),
+    which holds by CM1, from G's generators; the groupoid laws follow.
 
     Every table is computed on positions, from the group tables of M and
     P and x's action and boundary tables: the pair (m_i, p_j) sits at

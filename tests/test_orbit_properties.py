@@ -3,7 +3,8 @@
 The generated families are the conjugation module G -> G, normal
 inclusions N -> G and zero-boundary modules C_n -> G (trivial action, or
 inversion through the sign of G's permutations), with G among C2-C6, S3
-and D4.  Every group is built from permutations here, without the
+and D4, and G -> Inn(G) for G among C4, S3, D4 and C2 x S3, whose
+kernel is the centre of G.  Every group is built from permutations here, without the
 library's subgroup code, then relabelled with random names listed in a
 random input order.  The loop-space properties check every table of the
 loop groupoid and of P(a) against label arithmetic, in order, and P(a)
@@ -12,15 +13,31 @@ every base.  The nerve's count and listing agree with |M|^3 |P|^3.  The
 sizes of the loop groupoid, of theta's source at every base and of psi's
 fibre, and every order that ``pi``, ``loop``, ``components`` and ``exact``
 print, do not change when the elements are renamed and listed in another
-order.
+order, read from the CLI's JSON output as well as from the library.
 """
 
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bruteforce import brute_components, brute_pa
 from conftest import assert_loop_tables_match_brute_force
-from xmodloop.exactseq import coinvariants, exact_sequence, fibration_psi
+from xmodloop.cli import run_cli
+from xmodloop.documents import serialize_xmod
+from xmodloop.errors import PreconditionFailed
+from xmodloop.exactseq import (
+    coinvariants,
+    exact_sequence,
+    example1_check,
+    example2_check,
+    fibration_psi,
+)
 from xmodloop.groupoids import pi0
 from xmodloop.groups import (
     centralizer,
@@ -47,6 +64,8 @@ PERMUTATION_GENERATORS = {
     "S3": [(1, 2, 0), (1, 0, 2)],
     "D4": [(1, 2, 3, 0), (0, 3, 2, 1)],
 }
+# C2 x S3 on five points: its centre has order 2 and Inn(C2 x S3) is S3
+GENERATORS = {**PERMUTATION_GENERATORS, "D6": [(1, 2, 0, 3, 4), (1, 0, 2, 3, 4), (0, 1, 2, 4, 3)]}
 
 # Drawing an example builds and validates whole groups, so the timing
 # health check would make slow hosts flaky.
@@ -103,7 +122,7 @@ def labels(n, alphabet):
 def permutation_groups(draw, families, alphabet):
     """A group on relabelled permutations, and each label's permutation."""
     family = draw(families)
-    perms = draw(st.permutations(permutations_generated(PERMUTATION_GENERATORS[family])))
+    perms = draw(st.permutations(permutations_generated(GENERATORS[family])))
     names = dict(zip(perms, draw(labels(len(perms), alphabet))))
     table = [[names[then(p, q)] for q in perms] for p in perms]
     group = make_group([names[p] for p in perms], table, names[tuple(range(len(perms[0])))])
@@ -133,6 +152,27 @@ def crossed_modules(draw, alphabet="ab01(|)é"):
                        P.identity)
     table = {(m, p): P.conj(m, p) for m in M for p in P}
     return make_xmod(M, P, homomorphism(M, P, {m: m for m in M}), group_action(P, M, table))
+
+
+@st.composite
+def inner_automorphism_modules(draw, alphabet="ab01(|)é"):
+    """G -> Inn(G), g to conjugation by g; Inn(G) is G modulo its centre, on cosets
+    named at random and listed in a random order, acting on G through any
+    representative."""
+    G, _ = draw(permutation_groups(st.sampled_from(["C4", "S3", "D4", "D6"]), alphabet))
+    centre = [z for z in G if all(G.add(z, g) == G.add(g, z) for g in G)]
+    cosets = []
+    for g in G:
+        if all(g not in coset for coset in cosets):
+            cosets.append([G.add(g, z) for z in centre])
+    names = draw(labels(len(cosets), alphabet))
+    coset_of = {g: name for name, coset in zip(names, cosets) for g in coset}
+    rep = {name: coset[0] for name, coset in zip(names, cosets)}
+    listed = [names[i] for i in draw(st.permutations(range(len(cosets))))]
+    table = [[coset_of[G.add(rep[p], rep[q])] for q in listed] for p in listed]
+    P = make_group(listed, table, coset_of[G.identity])
+    action = group_action(P, G, {(m, p): G.conj(m, rep[p]) for m in G for p in P})
+    return make_xmod(G, P, homomorphism(G, P, coset_of), action)
 
 
 @PROPERTY_SETTINGS
@@ -276,3 +316,79 @@ def test_printed_orders_are_invariant_under_relabelling(x, data):
     assert printed_orders(y) == expected
     assert {frozenset(map(p_name.get, c)) for c in components(x)} == set(map(frozenset,
                                                                               components(y)))
+
+
+@PROPERTY_SETTINGS
+@given(inner_automorphism_modules())
+def test_inner_automorphism_sequences_match_label_counts(x):
+    """Each term order of the exact sequence, counted on labels, and both examples."""
+    M, P = x.M, x.P
+    pi = [k for k in M if x.delta(k) == P.identity]
+    assert set(pi) == {z for z in M if all(M.add(z, m) == M.add(m, z) for m in M)}
+    boundaries = {x.delta(m) for m in M}
+
+    def coset(p):
+        return frozenset(P.add(p, d) for d in boundaries)
+
+    for a in P:
+        fixed = [k for k in pi if x.act(k, a) == k]
+        centralizer_order = len({coset(p) for p in P if coset(P.add(a, p)) == coset(P.add(p, a))})
+        coinvariant_order = len(pi) // len(naive_closure(
+            M, {M.add(M.neg(x.act(k, a)), k) for k in pi}))
+        loop_pi1_order = len(brute_pa(x, a)) // len(
+            {(M.add(M.neg(x.act(m, a)), m), x.delta(m)) for m in M})
+        assert loop_pi1_order == coinvariant_order * centralizer_order
+        seq = exact_sequence(x, a)
+        assert seq.term_orders() == (len(fixed), len(pi), len(pi), loop_pi1_order,
+                                     centralizer_order)
+        assert len(seq.coinvariants) == coinvariant_order
+        if all(x.delta(m) == P.identity for m in M):
+            assert example1_check(x, a) == []
+        else:
+            with pytest.raises(PreconditionFailed):
+                example1_check(x, a)
+        if all(P.add(a, p) == P.add(p, a) for p in P):
+            assert example2_check(x, a) == []
+        else:
+            with pytest.raises(PreconditionFailed):
+                example2_check(x, a)
+
+
+def printed_by_cli(x):
+    """Every order and structure that pi, loop, components and exact print in JSON, by base."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.json"
+        path.write_text(serialize_xmod(x), encoding="utf-8")
+
+        def run(*argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert run_cli([argv[0], str(path), *argv[1:], "--format", "json"]) == 0
+            return json.loads(out.getvalue())
+
+        def summary(payload, *keys):
+            return [(payload[k]["order"], payload[k]["structure"]) for k in keys]
+
+        at = {}
+        for a in x.P:
+            exact = run("exact", "--base", a)
+            at[a] = {"pi": summary(run("pi", "--space", "loop", "--base", a), "pi1", "pi2"),
+                     "loop": summary(run("loop", "--base", a), "Pa", "pi1", "pi2"),
+                     "exact": ([t["order"] for t in exact["terms"]],
+                               [(f["image_order"], f["kernel_order"]) for f in exact["maps"]],
+                               exact["coinvariants_order"])}
+        components = run("components")
+        return {"pi": summary(run("pi", "--space", "base"), "pi1", "pi2"),
+                "components": (components["count"], components["pi1_conjugacy_classes"],
+                               sorted(len(c["elements"]) for c in components["classes"])),
+                "at": at}
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(crossed_modules(), inner_automorphism_modules()), st.data())
+def test_cli_printed_orders_are_invariant_under_relabelling(x, data):
+    assume(len(x.M) * len(x.P) ** 2 <= 300)
+    y, p_name = data.draw(relabelled(x))
+    expected = printed_by_cli(x)
+    expected["at"] = {p_name[a]: orders for a, orders in expected["at"].items()}
+    assert printed_by_cli(y) == expected
