@@ -159,12 +159,13 @@ def exact_sequence(x: CrossedModule, a: str) -> ExactSequence:
     cent_group, local = cent.as_group(), {c: r for r, c in enumerate(cent._positions)}
     q_images = [None] * len(pi1)  # q[(m, p)] = [p], set at each class's least pair
     for u, (_, p) in enumerate(pairs):
-        value, rep = local.get(to_pi1[p]), lx.Pa.elements[u]
+        value = local.get(to_pi1[p])
         if value is None:
-            value = data.pi1.elements[to_pi1[p]]
+            rep, value = lx.Pa.elements[u], data.pi1.elements[to_pi1[p]]
             raise InternalInvariantBroken(
                 f"q({rep}) = {value} misses the centralizer of {abar}", (rep, value))
         if q_images[to_loop[u]] not in (None, value):
+            rep = lx.Pa.elements[u]
             raise InternalInvariantBroken(f"q is not representative-independent at {rep}", (rep,))
         q_images[to_loop[u]] = value
     q = _homomorphism(pi1, cent_group, q_images)
