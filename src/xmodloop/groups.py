@@ -16,7 +16,9 @@ table, map or action enters (``make_group``, ``homomorphism``,
 ``group_action``) and written only into witnesses and the label views
 kept for callers (``Subgroup.members``, ``add``, ``Homomorphism.__call__``,
 ``GroupAction.act``).  A group is abelian exactly when its generators
-commute pairwise (the proof is at ``FiniteGroup.is_abelian``).
+commute pairwise: the centralizer of each generator is then a subgroup
+holding every generator, so the whole group, and so is the centre
+(``FiniteGroup.is_abelian``).
 
 Cost.  Laws that are closed under composition are proved from a few
 generators instead of being enumerated (see ``_right_generators``), one
