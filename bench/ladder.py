@@ -1,6 +1,6 @@
 """Size ladder: time each stage on a fixed list of growing inputs.
 
-    python bench/ladder.py --out BENCH_18.json
+    python bench/ladder.py --out BENCH_19.json
 
 A rung names a group (``S5``) or a crossed module: ``id: G``, ``1 -> G``
 or ``N -> G``, the inclusion of a normal subgroup N of G with G acting
@@ -8,9 +8,11 @@ by conjugation.  Each rung runs in a fresh child process, so no rung
 inherits another's caches or memory.  The child builds its input, times
 only the stage call
 with ``time.perf_counter`` and reads its own peak RSS with
-``resource.getrusage(RUSAGE_SELF)``.  The ``theta`` (at every base) and
-``fibration_psi`` rungs build the loop groupoid first, as the cached
-``loop_gpd_xmod`` they start from, and time only their own work.  The
+``resource.getrusage(RUSAGE_SELF)``, and how many full (generation 2)
+garbage collections the process made.  The ``theta`` (at every base),
+``fibration_psi``, ``pi0`` and ``vertex_group`` (at every object) rungs
+build the loop groupoid first, as the cached ``loop_gpd_xmod`` they
+start from, and time only their own work.  The
 ``nerve_k3`` rung times the sorted listing of the 3-simplices and the
 ``nerve_k3_count`` rung their count, which builds no list.  The
 ``parse_xmod`` rung times reading and validating the rung's document,
@@ -30,9 +32,10 @@ call on it with standard output sent to a ``StringIO``;
 builds the argument parser once, on that call, so these rungs show the
 cost of parsing, computing and writing JSON, not the saving of a parser
 reused across calls.  Every record holds the stage, the rung, the
-predicted size, ``wall_s`` and ``peak_rss_mb``; a rung that is too
-large to run is listed as "not run" with its predicted size.  ``--out``
-is required, so that no run overwrites a committed record by default.
+predicted size, ``wall_s``, ``peak_rss_mb`` and ``gc_gen2``; a rung
+that is too large to run is listed as "not run" with its predicted
+size.  ``--out`` is required, so that no run overwrites a committed
+record by default.
 The script exits 1 if any rung that runs fails.  Only the standard
 library and ``xmodloop`` from this checkout's ``src`` are used.
 """
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import resource
@@ -70,6 +74,8 @@ RUNGS = [
       for rung in ("id: S4", "A4 -> S4", "1 -> S4", "1 -> S5")),
     *(("cli_nerve3_list_json", rung, True) for rung in ("id: C4", "1 -> S4", "id: S3")),
     *(("cli_components", rung, True) for rung in ("id: A4", "id: S4")),
+    *((stage, rung, True) for stage in ("pi0", "vertex_group")
+      for rung in ("id: S4", "id: A5", "1 -> S6")),
 ]
 CLI_ARGS = {"cli_nerve3_list_json": ["nerve", "--dim", "3", "--list", "--format", "json"],
             "cli_components": ["components", "--format", "json"]}
@@ -141,6 +147,8 @@ def predicted(stage: str, rung: str) -> dict:
         # the twisted products M x C_a(P) and pi x P have at most |M||P| pairs
         return {"bases": p, "twisted_product_order_at_most": m * p}
     # the loop groupoid is the group of the |M||P| pairs (m, p) acting on P
+    if stage in ("pi0", "vertex_group"):
+        return {"objects": p, "group_order": m * p}
     if stage == "theta":
         return {"bases": p, "group_order": m * p}
     if stage == "fibration_psi":
@@ -157,6 +165,7 @@ def run_stage(stage: str, rung: str) -> float:
     from xmodloop.documents import parse_xmod, serialize_xmod
     from xmodloop.errors import PreconditionFailed
     from xmodloop.exactseq import example1_check, example2_check, exact_sequence, fibration_psi
+    from xmodloop.groupoids import pi0, vertex_group
     from xmodloop.groups import group_action, homomorphism, make_group, subgroup
     from xmodloop.loop import components, loop_gpd_xmod, theta
     from xmodloop.nerve import k3_count, nerve_k3
@@ -192,8 +201,8 @@ def run_stage(stage: str, rung: str) -> float:
         start = time.perf_counter()
         parse_xmod(text)
         return time.perf_counter() - start
-    if stage in ("theta", "fibration_psi"):
-        loop_gpd_xmod(x)
+    if stage in ("theta", "fibration_psi", "pi0", "vertex_group"):
+        gxm = loop_gpd_xmod(x)
 
     def examples(x):
         for a in x.P:
@@ -203,6 +212,8 @@ def run_stage(stage: str, rung: str) -> float:
     call = {"loop_gpd_xmod": loop_gpd_xmod, "fibration_psi": fibration_psi,
             "homotopy": homotopy, "components": components,
             "theta": lambda x: [theta(x, a) for a in x.P],
+            "pi0": lambda x: pi0(gxm),
+            "vertex_group": lambda x: [vertex_group(gxm.base, a) for a in gxm.base.objects],
             "exact_sequence": lambda x: [exact_sequence(x, a) for a in x.P],
             "example_checks": examples,
             "nerve_k3": nerve_k3, "nerve_k3_count": k3_count}[stage]
@@ -214,7 +225,8 @@ def run_stage(stage: str, rung: str) -> float:
 def child(stage: str, rung: str) -> None:
     wall = run_stage(stage, rung)
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # kilobytes on Linux
-    print(json.dumps({"wall_s": round(wall, 4), "peak_rss_mb": round(peak_kb / 1024, 1)}))
+    print(json.dumps({"wall_s": round(wall, 4), "peak_rss_mb": round(peak_kb / 1024, 1),
+                      "gc_gen2": gc.get_stats()[2]["collections"]}))
 
 
 def ladder() -> tuple[list[dict], bool]:

@@ -90,9 +90,9 @@ def fibration_psi(x: CrossedModule) -> FibrationData:
                                       report[0].witness)
 
     # the kernel of psi_1, the pairs (m, 0), acts on P by a -> a + delta(m)
-    G, e = gxm.base.group, P._index[P.identity]
-    kernel_pairs = [G.elements[g] for g, j in enumerate(psi.group_map) if j == e]
-    return FibrationData(psi, restrict(gxm, kernel_pairs, P, [M.identity]))
+    e = P._index[P.identity]
+    kernel_pairs = [g for g, j in enumerate(group_map) if j == e]
+    return FibrationData(psi, restrict(gxm, kernel_pairs, range(nP), [M._index[M.identity]]))
 
 
 def fixed_points(x: CrossedModule, a: str) -> Subgroup:

@@ -7,9 +7,11 @@ groupoid, and every law holds over every composable tuple.
 
 Groupoids.  A ``FiniteGroupoid`` is a validated ``FiniteGroup`` G, its
 objects X and an integer table of |G| x |X| entries: ``act[i][k]`` is
-the position of g_i . x_k.  The morphism at position i |X| + k is the
-arrow (g_i, x_k): g_i . x_k -> x_k.  Source, target, composite, identity
-and inverse are lookups in G's tables and in ``act``:
+the position of g_i . x_k.  An arrow is a pair of positions (i, k), the
+arrow (g_i, x_k): g_i . x_k -> x_k; ``morphisms`` names it at position
+i |X| + k, for witnesses and listings only.  Nothing is looked up by
+name: source, target, composite, identity and inverse are G's tables
+and ``act`` read at positions,
 
     (g, y) + (h, z) = (g + h, z)  when h . z = y,
     identity(x) = (0, x),  -(g, x) = (-g, g . x).
@@ -20,7 +22,12 @@ each composite start where its first factor does, and 0 . x = x.
 ``action_groupoid`` checks 0 . x = x at every object and proves the
 action law from G's generators S_G through ``groups._failures``: |S_G|
 |G| rows of |X| entries.  Only when that proof fails does it compare
-every row (h, g), reporting the first failure in (h, g, x) order.  It is the only groupoid constructor.
+every row (h, g), reporting the first failure in (h, g, x) order.  It
+is the only groupoid constructor.  The component of x_k (``pi0``) is
+its orbit, column k of ``act``, and the vertex group at x_k is the cut
+of G at the stabiliser of x_k (``vertex_group``), since
+(g, x) + (h, x) = (g + h, x).  Only the public entry points read a
+name, the object they are asked about.
 
 Crossed modules.  The fibre at every object is one group M, and the
 arrow (g, x) acts on it by m -> m^g whatever x is.  So a ``GroupoidXMod``
@@ -51,11 +58,11 @@ is m_t^(g_i)) and the boundary as a |X| x |M| table of positions in G
   ``groups._additivity``, ``xmod._cm1``, ``xmod._cm2``).
 
 Restriction.  ``restrict`` cuts out a subgroup H of G, objects X' and a
-subgroup N of M.  Each law of the piece is a law of the whole at
-elements of the piece, so the piece keeps every law as long as its
-tables stay inside it: H is closed under + and -, H maps X' and N into
-themselves, and each d_x(N), x in X', lies in H (and in the stabiliser
-of x, so in the piece's vertex group).  ``restrict`` checks only these
+subgroup N of M, each given as positions.  Each law of the piece is a
+law of the whole at elements of the piece, so the piece keeps every law
+as long as its tables stay inside it: H is closed under + and -, H maps
+X' and N into themselves, and each d_x(N), x in X', lies in H (and in
+the stabiliser of x, so in the piece's vertex group).  ``restrict`` checks only these
 and validates no law again.  The source of ``loop.theta`` (one object,
 its stabiliser and M) and the fibre of ``exactseq.fibration_psi`` (the
 pairs (m, 0), every object and N = 0) are restrictions.
@@ -74,7 +81,7 @@ star at f0(a) exactly when f is onto G', and f2 must be onto M'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from operator import itemgetter
@@ -86,7 +93,6 @@ from .errors import (
     InvalidGroupoid,
     InvalidGroupoidXMod,
     InvalidMorphism,
-    UnknownElement,
     UnknownObject,
     Violation,
 )
@@ -98,11 +104,11 @@ from .groups import (
     _composition,
     _cut,
     _failures,
+    _homomorphism,
     _partition,
-    homomorphism,
+    _position,
     image,
     kernel,
-    make_group,
     quotient,
 )
 from .xmod import CrossedModule, _cm1, _cm2
@@ -112,84 +118,28 @@ from .xmod import CrossedModule, _cm1, _cm2
 class FiniteGroupoid:
     """The action groupoid of a finite group on a finite set of objects.
 
-    The morphism at position i |objects| + k is the arrow (g_i, x_k) from
-    g_i . x_k to x_k, where act[i][k] is the position of g_i . x_k.
+    The arrow (g_i, x_k) from g_i . x_k to x_k is the pair of positions
+    (i, k), where act[i][k] is the position of g_i . x_k; ``morphisms``
+    names it at position i |objects| + k, for witnesses and listings.
     Build one with ``action_groupoid``, which checks every law.
     """
 
     group: FiniteGroup
     objects: tuple
-    morphisms: tuple
+    morphisms: tuple  # the name of the arrow (g_i, x_k) at position i |objects| + k
     act: list  # act[i][k] = position of g_i . x_k in objects
-    generators: tuple  # closing the identities under x -> x + s reaches every morphism
-    _arrows: dict = field(repr=False)  # morphism (g_i, x_k) -> (i, k)
-    _object_position: dict = field(repr=False)  # object -> position
 
-    def __contains__(self, u) -> bool:
-        return u in self._arrows
-
-    def _arrow(self, u) -> tuple[int, int]:
-        """(i, k) for the morphism u = (g_i, x_k)."""
-        arrow = self._arrows.get(u)
-        if arrow is None:
-            raise UnknownElement(u)
-        return arrow
-
-    def _object(self, x) -> int:
-        k = self._object_position.get(x)
-        if k is None:
-            raise UnknownObject(x)
-        return k
-
-    def source(self, u):
-        i, k = self._arrow(u)
-        return self.objects[self.act[i][k]]
-
-    def target(self, u):
-        return self.objects[self._arrow(u)[1]]
-
-    def compose(self, u, v):
-        """u + v, or None when target(u) != source(v)."""
-        arrows = self._arrows
-        if u not in arrows or v not in arrows:
-            raise UnknownElement(v if u in arrows else u)
-        (i, k), (j, z) = arrows[u], arrows[v]
-        if self.act[j][z] != k:
-            return None
-        return self.morphisms[self.group._table[i][j] * len(self.objects) + z]
-
-    def identity(self, x):
-        e = self.group._index[self.group.identity]
-        return self.morphisms[e * len(self.objects) + self._object(x)]
-
-    def inverse(self, u):
-        i, k = self._arrow(u)
-        return self.morphisms[self.group._inv[i] * len(self.objects) + self.act[i][k]]
-
-    def star(self, x) -> list:
-        """The morphisms with source x, in morphism order: the inverses of those into x."""
-        k, n, inv = self._object(x), len(self.objects), self.group._inv
-        return [self.morphisms[p] for p in sorted(inv[i] * n + row[k]
-                                                  for i, row in enumerate(self.act))]
-
-    def stabiliser(self, x) -> list:
-        """The elements g of the group with g . x = x, in group order."""
-        k = self._object(x)
-        return [g for g, row in zip(self.group.elements, self.act) if row[k] == k]
-
-    def vertex_morphisms(self, x) -> list:
-        """The morphisms x -> x, in morphism order: (g, x) for g in the stabiliser of x."""
-        k, n = self._object(x), len(self.objects)
-        return [self.morphisms[i * n + k] for i, row in enumerate(self.act) if row[k] == k]
+    def stabiliser(self, k: int) -> list[int]:
+        """The positions i with g_i . x_k = x_k, in group order."""
+        return [i for i, row in enumerate(self.act) if row[k] == k]
 
 
-def _groupoid(group: FiniteGroup, objects: tuple, act: list, morphisms: tuple) -> FiniteGroupoid:
-    """The action groupoid on tables whose laws already hold."""
-    n, nx = len(group), len(objects)
-    return FiniteGroupoid(group, objects, morphisms, act,
-                          tuple(morphisms[s * nx + z] for s in group.generators for z in range(nx)),
-                          dict(zip(morphisms, product(range(n), range(nx)))),
-                          {x: i for i, x in enumerate(objects)})
+def _object(base: FiniteGroupoid, x) -> int:
+    """The position of the object x; ``UnknownObject`` names x when it is none."""
+    try:
+        return base.objects.index(x)
+    except ValueError:
+        raise UnknownObject(x) from None
 
 
 def action_groupoid(group: FiniteGroup, objects, act, morphisms) -> FiniteGroupoid:
@@ -234,14 +184,24 @@ def action_groupoid(group: FiniteGroup, objects, act, morphisms) -> FiniteGroupo
                              product(group.generators, range(n))):
         raise InvalidGroupoid("composition-endpoints", (morphisms[h * nx + act[g][z]],
                               morphisms[g * nx + z], morphisms[table[h][g] * nx + z]))
-    return _groupoid(group, objects, act, morphisms)
+    return FiniteGroupoid(group, objects, morphisms, act)
+
+
+def _vertex(base: FiniteGroupoid, k: int) -> tuple[FiniteGroup, list[int]]:
+    """The vertex group at x_k, and the positions in G of its elements, in group order."""
+    ms, nx = base.morphisms, len(base.objects)
+    return _cut(base.group, base.stabiliser(k), lambda i: ms[i * nx + k])
 
 
 def vertex_group(groupoid: FiniteGroupoid, x: str) -> FiniteGroup:
-    """The group of morphisms x -> x under groupoid composition: the stabiliser of x."""
-    vertex = groupoid.vertex_morphisms(x)
-    table = [[groupoid.compose(u, v) for v in vertex] for u in vertex]
-    return make_group(vertex, table, groupoid.identity(x))
+    """The group of morphisms x -> x under groupoid composition, each named by its arrow.
+
+    The arrows x -> x are (g, x) for g in the stabiliser of x, and for two
+    of them (g, x) + (h, x) = (g + h, x), defined since h . x = x.  So
+    g -> (g, x) is an isomorphism from the stabiliser onto the vertex
+    group, which is the cut of G at the stabiliser (``groups._cut``).
+    """
+    return _vertex(groupoid, _object(groupoid, x))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,20 +282,23 @@ def make_gxm(base: FiniteGroupoid, fibre: FiniteGroup, act, boundary) -> Groupoi
 def pi0(gxm: GroupoidXMod) -> list[list[str]]:
     """Connected components of the base groupoid, least representative first.
 
-    The component of x is the set of targets of the morphisms leaving x,
-    its orbit: a validated groupoid is closed under composites and
-    inverses, so every object joined to x by a path is joined to it by
-    one morphism.  One pass over each star suffices.
+    The component of x_k is its orbit, the objects g . x_k: column k of
+    ``act``.  A validated groupoid is closed under composites and
+    inverses, so every object joined to x_k by a path is joined to it by
+    one arrow.  One pass over each column suffices.
     """
     base = gxm.base
-    return _partition(base.objects, lambda x: set(map(base.target, base.star(x))))
+    act, objects = base.act, base.objects
+    blocks = _partition(range(len(objects)), lambda k: {row[k] for row in act})
+    return [[objects[k] for k in block] for block in blocks]
 
 
 def _boundary_hom(gxm: GroupoidXMod, x: str) -> Homomorphism:
-    base = gxm.base
-    k, nx = base._object(x), len(base.objects)
-    mapping = {m: base.morphisms[g * nx + k] for m, g in zip(gxm.fibre, gxm.boundary[k])}
-    return homomorphism(gxm.fibre, vertex_group(base, x), mapping)
+    """d_x: M -> the vertex group at x, on positions."""
+    k = _object(gxm.base, x)
+    vertex, positions = _vertex(gxm.base, k)
+    local = {g: r for r, g in enumerate(positions)}
+    return _homomorphism(gxm.fibre, vertex, [local[g] for g in gxm.boundary[k]])
 
 
 def pi1_at(gxm: GroupoidXMod, x: str) -> FiniteGroup:
@@ -365,27 +328,33 @@ def _slice(rows, columns, local, error) -> list[list[int]]:
 def restrict(gxm: GroupoidXMod, elements, objects, fibre) -> GroupoidXMod:
     """The piece of gxm on a subgroup H of its base group, some objects and a subgroup N of M.
 
-    ``elements`` and ``fibre`` must be closed under - and + (``NotClosed``),
-    and H must map ``objects`` into themselves (``objects-invariant``), N
-    into itself (``action-codomain``) and each d_x(N) into H
-    (``boundary-vertex``).  The piece is H acting on ``objects``, in that
-    order; its morphisms keep their labels, in gxm's order.  When
-    ``fibre`` names every element of M, N is M itself: it is not cut, and
-    H's action rows are gxm's.  No law is validated again.
+    All three are given as positions: ``elements`` in G, ``objects`` in
+    the base's objects and ``fibre`` in M.  A position out of range raises
+    ``UnknownElement`` or ``UnknownObject``.  ``elements`` and ``fibre``
+    must be closed under - and + (``NotClosed``), and H must map
+    ``objects`` into themselves (``objects-invariant``), N into itself
+    (``action-codomain``) and each d_x(N) into H (``boundary-vertex``).
+    The piece is H acting on ``objects``, in that order; its morphisms
+    keep their names, in gxm's order.  When ``fibre`` holds every
+    position of M, N is M itself: it is not cut, and H's action rows are
+    gxm's.  No law is validated again.
     """
     base, M, nx = gxm.base, gxm.fibre, len(gxm.base.objects)
-    group, parent = _cut(base.group, list(map(base.group.index, elements)))
-    objects = tuple(objects)
-    kept = [base._object(x) for x in objects]
+    group, parent = _cut(base.group, elements)
+    kept = list(objects)
+    for k in kept:
+        if k not in range(nx):
+            raise UnknownObject(k)
+    names = tuple(base.objects[k] for k in kept)
     if len(set(kept)) != len(kept):
-        raise InvalidGroupoid("objects-distinct", (objects,))
+        raise InvalidGroupoid("objects-distinct", (names,))
     act = _slice([base.act[i] for i in parent], kept, {k: r for r, k in enumerate(kept)},
                  lambda r, k: InvalidGroupoid("objects-invariant",
                                               (group.elements[r], base.objects[k])))
-    piece = _groupoid(group, objects, act,
-                      tuple(base.morphisms[i * nx + k] for i in parent for k in kept))
-    acts, inside = [gxm.act[i] for i in parent], list(map(M.index, fibre))
-    if len(set(inside)) == len(M):  # the first unknown label is the witness
+    piece = FiniteGroupoid(group, names,
+                           tuple(base.morphisms[i * nx + k] for i in parent for k in kept), act)
+    acts, inside = [gxm.act[i] for i in parent], [_position(M, t) for t in fibre]
+    if len(set(inside)) == len(M):
         sub, inside, sub_act = M, range(len(M)), acts
     else:
         sub, inside = _cut(M, inside)
@@ -394,7 +363,7 @@ def restrict(gxm: GroupoidXMod, elements, objects, fibre) -> GroupoidXMod:
                                                     M.elements[acts[r][t]]))))
     bounds = [gxm.boundary[k] for k in kept]
     sub_boundary = _slice(bounds, inside, {i: r for r, i in enumerate(parent)}, lambda r, t: (
-        InvalidGroupoidXMod("boundary-vertex", (M.elements[t], objects[r],
+        InvalidGroupoidXMod("boundary-vertex", (M.elements[t], names[r],
                                                 base.morphisms[bounds[r][t] * nx + kept[r]]))))
     return GroupoidXMod(piece, sub, sub_act, sub_boundary)
 
@@ -409,7 +378,7 @@ def as_groupoid_xmod(x: CrossedModule) -> GroupoidXMod:
     so nothing is checked again.
     """
     P = x.P
-    base = _groupoid(P, ("*",), [[0] for _ in P.elements], tuple(P.elements))
+    base = FiniteGroupoid(P, ("*",), tuple(P.elements), [[0] for _ in P.elements])
     return GroupoidXMod(base, x.M, x.act_table, [x.boundary])
 
 

@@ -381,14 +381,15 @@ def subgroup(parent: FiniteGroup, members) -> Subgroup:
     return Subgroup(parent, tuple(_cut(parent, members)[1]))
 
 
-def _cut(parent: FiniteGroup, members) -> tuple[FiniteGroup, list[int]]:
+def _cut(parent: FiniteGroup, members, name=None) -> tuple[FiniteGroup, list[int]]:
     """The subgroup on the positions members and 0 as a group in parent order, and its
     sorted parent positions.
 
     Only closure is checked, under - and then + for each element in
     order: the identity, inverse and associativity laws of the validated
     parent hold on every subset, so the sliced table is not validated
-    again.
+    again.  The element at parent position p is named name(p), by default
+    its parent label.
     """
     e = parent._index[parent.identity]
     # in input order: the first member that is no position is the witness
@@ -405,7 +406,7 @@ def _cut(parent: FiniteGroup, members) -> tuple[FiniteGroup, list[int]]:
             q = positions[cut.index(None)]
             raise NotClosed(elements[p], elements[q], elements[row[q]])
         table.append(cut)
-    group = _proved_group([elements[p] for p in positions], table, local[e],
+    group = _proved_group(list(map(name or elements.__getitem__, positions)), table, local[e],
                           [local[inv[p]] for p in positions])
     return group, positions
 

@@ -41,6 +41,7 @@ from .groups import (
 from .groupoids import (
     GroupoidXMod,
     GXModMorphism,
+    _object,
     action_groupoid,
     as_groupoid_xmod,
     make_gxm,
@@ -196,14 +197,18 @@ def theta(x: CrossedModule, a: str) -> GXModMorphism:
     all of M; the cut checks only closure and invariance, so P(a) is
     validated once, by ``loop_data``.  Its target is L[a] over one object,
     read from L[a]'s tables.  theta sends a to the object of L[a],
-    (m, p, a) to (m, p) and M to M by the identity; it is validated as a
-    structure-preserving bijection in every dimension.
+    (m, p, a) to (m, p) and M to M by the identity: the pair (m_i, p_j) is
+    at i |P| + j in G and at its place in ``LoopData._pairs`` in P(a).  It
+    is validated as a structure-preserving bijection in every dimension.
     """
     gxm = loop_gpd_xmod(x)
-    src = restrict(gxm, gxm.base.stabiliser(a), (a,), x.M)
-    lx = loop_xmod_at(x, a)
-    group_map = [lx.P.index(g) for g in src.base.group]
-    f = make_gxm_morphism(src, as_groupoid_xmod(lx), group_map, [0], list(range(len(x.M))))
+    k = _object(gxm.base, a)
+    stabiliser, nM, nP = gxm.base.stabiliser(k), len(x.M), len(x.P)
+    src = restrict(gxm, stabiliser, (k,), range(nM))
+    lx = loop_data(x, a)
+    position = {i * nP + j: r for r, (i, j) in enumerate(lx._pairs)}
+    group_map = list(map(position.get, stabiliser))
+    f = make_gxm_morphism(src, as_groupoid_xmod(lx.xmod), group_map, [0], list(range(nM)))
     if not f.is_isomorphism():
         raise InternalInvariantBroken(f"theta at {a} is not bijective", (a,))
     return f

@@ -12,9 +12,13 @@ scan over single elements (``_failures`` below).
 So are ``make_written_gxm`` and ``check_written_morphism``, the validators
 of crossed modules over groupoids written out by object and by arrow
 (``written_out_gxm``), which the library used until it stored one fibre
-group acted on through G: they prove their laws the same way.
+group acted on through G: they prove their laws the same way.  They read
+a groupoid's source, target, composite, identity and inverse by arrow
+name from ``written_out``, which rebuilds them from G's table and the
+action table, since the library keeps arrows as positions only.
 """
 
+from functools import cached_property
 from itertools import product
 from types import SimpleNamespace
 
@@ -317,7 +321,7 @@ def written_out_gxm(base, fibre, act, boundary, label=lambda m, x: (m, x)):
         i, k = divmod(p, nx)
         start, end = fibres[objects[base.act[i][k]]].elements, fibres[objects[k]].elements
         written_action.update(((start[t], u), end[v]) for t, v in enumerate(act[i]))
-    return SimpleNamespace(base=base, fibres=fibres, boundary=written_boundary,
+    return SimpleNamespace(base=written_out(base), fibres=fibres, boundary=written_boundary,
                            action=written_action)
 
 
@@ -333,21 +337,76 @@ def written_out_maps(source, target, group_map, obj_map, fibre_map):
     return obj, mor, dim2
 
 
+class WrittenGroupoid:
+    """An action groupoid's lookups by morphism name, rebuilt from G's table and ``act``.
+
+    The arrow (g_i, x_k) at position i |X| + k goes from g_i . x_k to x_k,
+    (g_i, x_k) + (g_j, x_z) = (g_i + g_j, x_z) when g_j . x_z = x_k, the
+    identity at x_k is (0, x_k) and -(g_i, x_k) = (-g_i, g_i . x_k).
+    ``stars`` lists the morphisms out of each object, in morphism order;
+    ``generators`` the arrows (s, x), s among G's generators, s-major.
+    ``compose``, the composable pairs (u, v) with u in morphism order and
+    v in star order, is built on first use: it has |G|^2 |X| entries.
+    """
+
+    def __init__(self, base):
+        G, objects, ms, act = base.group, base.objects, base.morphisms, base.act
+        nx, every = len(objects), range(len(objects))
+        arrows = [(i, k) for i in range(len(G)) for k in every]  # in morphism order
+        out_of = [[] for _ in every]
+        for p, (i, k) in enumerate(arrows):
+            out_of[act[i][k]].append(p)
+        e = G._index[G.identity]
+        self._base, self.objects, self.morphisms = base, objects, ms
+        self._position = {u: p for p, u in enumerate(ms)}
+        self.source = {ms[p]: objects[act[i][k]] for p, (i, k) in enumerate(arrows)}
+        self.target = {ms[p]: objects[k] for p, (i, k) in enumerate(arrows)}
+        self.stars = {x: [ms[p] for p in out_of[k]] for k, x in enumerate(objects)}
+        self.identities = {x: ms[e * nx + k] for k, x in enumerate(objects)}
+        self.inverses = {ms[p]: ms[G._inv[i] * nx + act[i][k]] for p, (i, k) in enumerate(arrows)}
+        self.generators = tuple(ms[s * nx + z] for s in G.generators for z in every)
+
+    def composite(self, u, v):
+        """u + v, or None when target(u) != source(v)."""
+        base, nx = self._base, len(self.objects)
+        (i, k), (j, z) = divmod(self._position[u], nx), divmod(self._position[v], nx)
+        if base.act[j][z] != k:
+            return None
+        return self.morphisms[base.group._table[i][j] * nx + z]
+
+    @cached_property
+    def compose(self) -> dict:
+        return {(u, v): self.composite(u, v)
+                for u in self.morphisms for v in self.stars[self.target[u]]}
+
+    @property
+    def args(self) -> tuple:
+        """The six arguments of ``make_groupoid``."""
+        return (self.objects, self.morphisms, self.source, self.target, self.compose,
+                self.identities)
+
+
+def written_out(base) -> WrittenGroupoid:
+    """An action groupoid's lookups written out by morphism name (``WrittenGroupoid``)."""
+    return WrittenGroupoid(base)
+
+
 def before(base, v) -> list:
-    """The pairs (u, u + v) for every u with target source(v), in morphism order."""
-    return [(u, base.compose(u, v)) for u in base.morphisms
-            if base.target(u) == base.source(v)]
+    """The pairs (u, u + v) for every u with target source(v), in morphism order, on a
+    written-out base."""
+    return [(u, base.composite(u, v)) for u in base.morphisms
+            if base.target[u] == base.source[v]]
 
 
 _MISSING = object()  # what a table gives for a key it lacks; no label equals it
 
 
 def _composable(base):
-    """Every composable (u, v, u + v): u in morphism order, then v in star order."""
-    stars = {x: base.star(x) for x in base.objects}
+    """Every composable (u, v, u + v) of a written-out base: u in morphism order, then v
+    in star order."""
     for u in base.morphisms:
-        for v in stars[base.target(u)]:
-            yield u, v, base.compose(u, v)
+        for v in base.stars[base.target[u]]:
+            yield u, v, base.composite(u, v)
 
 
 def _composites_of_generators(base):
@@ -367,6 +426,7 @@ def make_written_gxm(base, fibres, boundary, action):
     proved from generators and scanned in full, to raise the first
     witness, only when that proof fails (``_failures``).
     """
+    base = written_out(base)
     if set(fibres) != set(base.objects):
         raise InvalidGroupoidXMod("fibre-per-object", (tuple(fibres),))
     object_of = {}
@@ -375,10 +435,10 @@ def make_written_gxm(base, fibres, boundary, action):
             if m in object_of:
                 raise InvalidGroupoidXMod("fibre-name-clash", (m, object_of[m], x))
             object_of[m] = x
-    source, target, compose = base.source, base.target, base.compose
+    source, target, compose = base.source.get, base.target.get, base.composite
 
     def cm1(m, u) -> bool:
-        return boundary[action[(m, u)]] == compose(compose(base.inverse(u), boundary[m]), u)
+        return boundary[action[(m, u)]] == compose(compose(base.inverses[u], boundary[m]), u)
 
     def cm2(m, n) -> bool:
         return fibres[object_of[m]].conj(m, n) == action[(m, boundary[n])]
@@ -389,7 +449,7 @@ def make_written_gxm(base, fibres, boundary, action):
             value = boundary.get(m)
             if value is None:
                 raise InvalidGroupoidXMod("boundary-missing", (m,))
-            if value not in base or source(value) != x or target(value) != x:
+            if source(value) != x or target(value) != x:
                 raise InvalidGroupoidXMod("boundary-vertex", (m, value))
         for m, n in _additive_failures(group, boundary, compose):
             raise InvalidGroupoidXMod("boundary-hom", (m, n))
@@ -418,7 +478,7 @@ def make_written_gxm(base, fibres, boundary, action):
     if len(action) != sum(map(len, rows.values())):
         raise action_error()
     for x in base.objects:
-        row = rows[base.identity(x)]
+        row = rows[base.identities[x]]
         for i in range(len(row)):
             if row[i] != i:
                 raise InvalidAction("identity", (fibres[x].elements[i], x))
@@ -476,21 +536,21 @@ def check_written_morphism(source, target, obj_map, mor_map, dim2_map) -> list:
         return report
     for u in src_base.morphisms:
         fu = mor_map.get(u)
-        if fu not in tgt_base:
+        if fu not in tgt_base.source:
             report.append(Violation("morphism-map", f"no valid image for {u}", (u,)))
             continue
-        if (tgt_base.source(fu) != obj_map[src_base.source(u)]
-                or tgt_base.target(fu) != obj_map[src_base.target(u)]):
+        if (tgt_base.source[fu] != obj_map[src_base.source[u]]
+                or tgt_base.target[fu] != obj_map[src_base.target[u]]):
             report.append(Violation("endpoints", f"image of {u} has wrong endpoints", (u,)))
     if report:
         return report
 
     def preserves(u, v, w) -> bool:
-        return mor_map[w] == tgt_base.compose(mor_map[u], mor_map[v])
+        return mor_map[w] == tgt_base.composite(mor_map[u], mor_map[v])
 
     identities_kept = True
     for x in src_base.objects:
-        if mor_map[src_base.identity(x)] != tgt_base.identity(obj_map[x]):
+        if mor_map[src_base.identities[x]] != tgt_base.identities[obj_map[x]]:
             identities_kept = False
             report.append(Violation("identity", f"identity at {x} is not preserved", (x,)))
     proof = _composites_of_generators(src_base) if identities_kept else None
@@ -515,8 +575,8 @@ def check_written_morphism(source, target, obj_map, mor_map, dim2_map) -> list:
     def squares(m, u) -> bool:
         return dim2_map[source.action[(m, u)]] == target.action[(dim2_map[m], mor_map[u])]
 
-    scan = ((m, u) for u in src_base.morphisms for m in source.fibres[src_base.source(u)])
-    proof = ((m, s) for s in src_base.generators for m in source.fibres[src_base.source(s)])
+    scan = ((m, u) for u in src_base.morphisms for m in source.fibres[src_base.source[u]])
+    proof = ((m, s) for s in src_base.generators for m in source.fibres[src_base.source[s]])
     return [Violation("action-square", f"f2({m}^{u}) != f2({m})^f1({u})", (m, u))
             for m, u in _failures(squares, scan, proof)]
 

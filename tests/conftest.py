@@ -1,7 +1,6 @@
 import sys
 from functools import lru_cache
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -15,6 +14,7 @@ from bruteforce import (
     label_map,
     make_groupoid,
     make_written_gxm,
+    written_out,
     written_out_gxm,
 )
 from xmodloop.documents import parse_xmod
@@ -71,26 +71,6 @@ def all_base_pairs():
 def group_table(group):
     """A group's elements and its composition table of labels, in input order."""
     return list(group.elements), [[group.add(x, y) for y in group] for x in group]
-
-
-def written_out(base):
-    """A groupoid's lookups written out as tables, in morphism order.
-
-    ``compose`` lists the composable pairs (u, v) with u in morphism order
-    and v in ``star`` order; ``args`` are the six arguments of
-    ``make_groupoid``.
-    """
-    ms = base.morphisms
-    source = {u: base.source(u) for u in ms}
-    target = {u: base.target(u) for u in ms}
-    stars = {x: base.star(x) for x in base.objects}
-    compose = {(u, v): base.compose(u, v) for u in ms for v in stars[target[u]]}
-    identities = {x: base.identity(x) for x in base.objects}
-    table = SimpleNamespace(objects=base.objects, morphisms=ms, source=source, target=target,
-                            compose=compose, identities=identities,
-                            inverses={u: base.inverse(u) for u in ms})
-    table.args = (base.objects, ms, source, target, compose, identities)
-    return table
 
 
 def identity_module(generators, name):

@@ -73,7 +73,8 @@ def test_two_component_groupoid_pi0():
     assert pi0(gxm) == [["x"], ["y", "z"]]
     assert vertex_group(g, "x").elements == ["ex", "tx"]
     assert vertex_group(g, "y").elements == ["ey"]
-    assert (g.source("ty"), g.target("ty"), g.compose("ty", "tz")) == ("z", "y", "ez")
+    w = written_out(g)
+    assert (w.source["ty"], w.target["ty"], w.compose[("ty", "tz")]) == ("z", "y", "ez")
 
 
 def test_groupoid_rejects_broken_composition_domain():
@@ -162,7 +163,7 @@ def test_one_object_wrap_matches_xmod_homotopy(any_xmod):
 
 def test_restrict_one_object_wrap_recovers_the_crossed_module(any_xmod):
     x = any_xmod
-    restricted = restrict(as_groupoid_xmod(x), x.P, ("*",), x.M)
+    restricted = restrict(as_groupoid_xmod(x), range(len(x.P)), (0,), range(len(x.M)))
     assert restricted.fibre is x.M
     assert restricted.base.group.elements == x.P.elements
     assert written(restricted, lambda m, a: m).boundary == {m: x.delta(m) for m in x.M}
@@ -230,8 +231,8 @@ def test_restrict_to_object_is_always_a_valid_crossed_module(any_xmod):
     # restrict checks only closure and invariance; make_gxm and the
     # written-out validator must both accept every piece it cuts
     gxm = loop_gpd_xmod(any_xmod)
-    for a in gxm.base.objects:
-        restricted = restrict(gxm, gxm.base.stabiliser(a), (a,), gxm.fibre)
+    for k, a in enumerate(gxm.base.objects):
+        restricted = restrict(gxm, gxm.base.stabiliser(k), (k,), range(len(gxm.fibre)))
         assert restricted.base.objects == (a,)
         assert restricted.fibre is gxm.fibre
         make_gxm(restricted.base, restricted.fibre, restricted.act, restricted.boundary)
@@ -241,13 +242,14 @@ def test_restrict_to_object_is_always_a_valid_crossed_module(any_xmod):
 
 def test_restrict_to_every_element_of_m_keeps_m_without_a_cut(any_xmod):
     # theta passes all of M at every base: the piece's fibre is M itself,
-    # its action rows are the whole's, and a duplicate label changes nothing
+    # its action rows are the whole's, and a duplicate position changes nothing
     x = any_xmod
     gxm = loop_gpd_xmod(x)
     M = gxm.fibre
-    for fibre in (x.M, list(reversed(M.elements)), [*M.elements, M.identity]):
-        for a in gxm.base.objects:
-            piece = restrict(gxm, gxm.base.stabiliser(a), (a,), fibre)
+    every = range(len(M))
+    for fibre in (every, list(reversed(every)), [*every, M.index(M.identity)]):
+        for k in range(len(gxm.base.objects)):
+            piece = restrict(gxm, gxm.base.stabiliser(k), (k,), fibre)
             assert piece.fibre is M
             parent = [gxm.base.group.index(g) for g in piece.base.group]
             assert piece.act == [gxm.act[i] for i in parent]
@@ -256,23 +258,25 @@ def test_restrict_to_every_element_of_m_keeps_m_without_a_cut(any_xmod):
 def test_restrict_to_all_of_m_still_refuses_a_partial_or_unknown_fibre():
     x = fixture("inn3")  # M = C3, so a two-element fibre is not closed
     gxm = loop_gpd_xmod(x)
-    a = x.P.identity
+    k = x.P.index(x.P.identity)
+    stabiliser, n = gxm.base.stabiliser(k), len(x.M)
     with pytest.raises(NotClosed):
-        restrict(gxm, gxm.base.stabiliser(a), (a,), x.M.elements[:2])
+        restrict(gxm, stabiliser, (k,), [0, 1])
     with pytest.raises(UnknownElement) as info:
-        restrict(gxm, gxm.base.stabiliser(a), (a,), [*x.M.elements, "zz"])
-    assert info.value.witness == ("zz",)
-    with pytest.raises(UnknownElement) as info:
-        restrict(gxm, gxm.base.stabiliser(a), (a,), ["zz", *x.M.elements[1:]])
-    assert info.value.witness == ("zz",)
+        restrict(gxm, stabiliser, (k,), [*range(n), n])
+    assert info.value.witness == (n,)
+    for unknown in (n, -1):  # as many positions as M has, one of them not in M
+        with pytest.raises(UnknownElement) as info:
+            restrict(gxm, stabiliser, (k,), [unknown, *range(1, n)])
+        assert info.value.witness == (unknown,)
 
 
 def test_restrict_rejects_a_morphism_set_not_closed_under_composition():
     # the arrows of (0, 0) and (0, 1) at 0: (0, 1) has no inverse among them
     gxm = loop_gpd_xmod(fixture("inc24"))
-    kept = [("0", "0"), ("0", "1")]
+    kept = [gxm.base.group.index(g) for g in (("0", "0"), ("0", "1"))]
     with pytest.raises(NotClosed) as info:
-        restrict(gxm, kept, ("0",), gxm.fibre)
+        restrict(gxm, kept, (0,), range(len(gxm.fibre)))
     assert info.value.witness == (("0", "1"), "-('0', '1')", ("0", "3"))
 
 
@@ -280,22 +284,24 @@ def test_restrict_rejects_objects_the_subgroup_moves():
     # (1, 0) sends 0 to 0 + delta(1) = 2, outside the kept objects
     gxm = loop_gpd_xmod(fixture("inc24"))
     with pytest.raises(InvalidGroupoid) as info:
-        restrict(gxm, [("1", "0")], ("0",), gxm.fibre)
+        restrict(gxm, [gxm.base.group.index(("1", "0"))], (0,), range(len(gxm.fibre)))
     assert info.value.law == "objects-invariant"
     assert info.value.witness == (("1", "0"), "0")
 
 
 def test_restrict_rejects_a_morphism_the_groupoid_lacks():
+    # every argument is positions: one out of range is named by the error
     gxm = loop_gpd_xmod(fixture("inc24"))
+    n, nx, fibre = len(gxm.base.group), len(gxm.base.objects), range(len(gxm.fibre))
     with pytest.raises(UnknownElement) as info:
-        restrict(gxm, [("0", "0"), "zz"], ("0",), gxm.fibre)
-    assert info.value.witness == ("zz",)
+        restrict(gxm, [0, n], (0,), fibre)
+    assert info.value.witness == (n,)
     with pytest.raises(UnknownObject) as info:
-        restrict(gxm, [("0", "0")], ("zz",), gxm.fibre)
-    assert info.value.witness == ("zz",)
+        restrict(gxm, [0], (nx,), fibre)
+    assert info.value.witness == (nx,)
     with pytest.raises(UnknownElement) as info:
-        restrict(gxm, [("0", "0")], ("0",), ["zz"])
-    assert info.value.witness == ("zz",)
+        restrict(gxm, [0], (0,), [len(fibre)])
+    assert info.value.witness == (len(fibre),)
 
 
 def test_restrict_rejects_a_fibre_the_subgroup_moves_or_bounds_outside_it():
@@ -306,12 +312,13 @@ def test_restrict_rejects_a_fibre_the_subgroup_moves_or_bounds_outside_it():
     gxm = loop_gpd_xmod(x)
     zero = x.M.identity
     t = next(m for m in x.M if m != zero and x.M.add(m, m) == zero)
+    k, fibre = x.P.index(zero), [x.M.index(zero), x.M.index(t)]
     with pytest.raises(InvalidGroupoidXMod) as info:
-        restrict(gxm, gxm.base.stabiliser(zero), (zero,), [zero, t])
+        restrict(gxm, gxm.base.stabiliser(k), (k,), fibre)
     assert info.value.law == "action-codomain"
     assert info.value.witness[0] == t
     with pytest.raises(InvalidGroupoidXMod) as info:
-        restrict(gxm, [(zero, zero)], (zero,), x.M)
+        restrict(gxm, [gxm.base.group.index((zero, zero))], (k,), range(len(x.M)))
     assert info.value.law == "boundary-vertex"
     m = x.M.elements[1]
     assert info.value.witness == (m, zero, (zero, m, zero))

@@ -23,15 +23,16 @@ import pytest
 from bruteforce import before, make_groupoid, make_written_gxm
 from conftest import fixture, written, written_out
 from xmodloop.errors import InvalidAction, InvalidGroupoid, InvalidGroupoidXMod
-from xmodloop.groupoids import check_morphism, make_gxm
+from xmodloop.groupoids import check_morphism, make_gxm, vertex_group
 from xmodloop.loop import loop_gpd_xmod
 
 
 def multi_object_loop_gxm():
     """The loop groupoid of C2 -> C4: 4 objects, 32 morphisms, 2 components."""
     gxm = loop_gpd_xmod(fixture("inc24"))
-    assert len(gxm.base.objects) == 4
-    assert any(gxm.base.source(u) != gxm.base.target(u) for u in gxm.base.morphisms)
+    base = written_out(gxm.base)
+    assert len(base.objects) == 4
+    assert any(base.source[u] != base.target[u] for u in base.morphisms)
     return gxm
 
 
@@ -193,19 +194,22 @@ def test_check_morphism_composition_report_matches_full_scan():
 
 
 def test_source_index_partitions_morphisms_in_order(any_xmod):
-    # star, before and vertex_morphisms are computed from the action table;
-    # each must list exactly the morphisms the plain filter finds, in order
-    base = loop_gpd_xmod(any_xmod).base
-    indexed = [u for x in base.objects for u in base.star(x)]
+    # the stars, before and the vertex group are computed from the action
+    # table; each must list exactly the morphisms the plain filter finds, in order
+    groupoid = loop_gpd_xmod(any_xmod).base
+    base = written_out(groupoid)
+    indexed = [u for x in base.objects for u in base.stars[x]]
     assert sorted(indexed) == sorted(base.morphisms)
-    for x in base.objects:
-        leaving = [u for u in base.morphisms if base.source(u) == x]
-        assert base.star(x) == leaving
-        into = [u for u in base.morphisms if base.target(u) == x]
-        for v in base.star(x):
-            assert before(base, v) == [(u, base.compose(u, v)) for u in into]
-        assert base.vertex_morphisms(x) == [u for u in leaving if base.target(u) == x]
-        assert base.stabiliser(x) == [u[:2] for u in base.vertex_morphisms(x)]
+    for k, x in enumerate(base.objects):
+        leaving = [u for u in base.morphisms if base.source[u] == x]
+        assert base.stars[x] == leaving
+        into = [u for u in base.morphisms if base.target[u] == x]
+        for v in base.stars[x]:
+            assert before(base, v) == [(u, base.compose[(u, v)]) for u in into]
+        vertex = [u for u in leaving if base.target[u] == x]
+        assert vertex_group(groupoid, x).elements == vertex
+        assert [groupoid.group.elements[i] for i in groupoid.stabiliser(k)] == [
+            u[:2] for u in vertex]
 
 
 def broken_twice(table, early, late, early_value, late_value):
@@ -272,7 +276,7 @@ def outside_fibre(gxm, form, key):
     """A fibre label that is not in the fibre of the target of key's morphism."""
     m, u = key
     return next(n for fibre in form.fibres.values() for n in fibre
-                if n not in form.fibres[gxm.base.target(u)])
+                if n not in form.fibres[form.base.target[u]])
 
 
 def test_action_value_outside_its_fibre_is_first_in_action_order():

@@ -9,7 +9,11 @@ library's subgroup code, then relabelled with random names listed in a
 random input order.  The loop-space properties check every table of the
 loop groupoid and of P(a) against label arithmetic, in order, and P(a)
 against its defining filter and the paper's order identity for pi1 at
-every base.  The nerve's count and listing agree with |M|^3 |P|^3.  The
+every base, and the groupoid's own readers (``pi0``, ``vertex_group``,
+``pi1_at``, ``pi2_at``) against P(a) and the loop groups.  The nerve's
+count and listing agree with |M|^3 |P|^3, and its listings with the
+brute-force ones; the document ``loop --emit`` writes at every base
+passes ``check``.  The
 sizes of the loop groupoid, of theta's source at every base and of psi's
 fibre, and every order that ``pi``, ``loop``, ``components`` and ``exact``
 print, do not change when the elements are renamed and listed in another
@@ -26,7 +30,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from bruteforce import brute_components, brute_pa
+from bruteforce import brute_components, brute_k2, brute_k3, brute_pa
 from conftest import assert_loop_tables_match_brute_force
 from xmodloop.cli import run_cli
 from xmodloop.documents import serialize_xmod
@@ -38,7 +42,7 @@ from xmodloop.exactseq import (
     example2_check,
     fibration_psi,
 )
-from xmodloop.groupoids import pi0
+from xmodloop.groupoids import pi0, pi1_at, pi2_at, vertex_group
 from xmodloop.groups import (
     centralizer,
     conjugacy_classes,
@@ -52,7 +56,7 @@ from xmodloop.groups import (
     subgroup_generated,
 )
 from xmodloop.loop import components, loop_data, loop_gpd_xmod, pi_loop, theta
-from xmodloop.nerve import k3_count, nerve_k3
+from xmodloop.nerve import k3_count, nerve_k2, nerve_k3
 from xmodloop.xmod import homotopy, make_xmod
 
 PERMUTATION_GENERATORS = {
@@ -189,6 +193,59 @@ def test_components_equal_brute_force(x):
 def test_pi0_of_loop_groupoid_equals_components(x):
     assume(len(x.M) * len(x.P) ** 2 <= 300)
     assert pi0(loop_gpd_xmod(x)) == components(x)
+
+
+@PROPERTY_SETTINGS
+@given(crossed_modules())
+def test_groupoid_readers_match_the_loop_groups_at_every_object(x):
+    """pi1_at and pi2_at have the orders of pi_loop, constant on each block of pi0, and
+    the vertex group at a is the arrows (g, a) with g . a = a, under the law of G."""
+    assume(len(x.M) * len(x.P) ** 2 <= 300)
+    M, P = x.M, x.P
+    gxm = loop_gpd_xmod(x)
+    orders = {}
+    for a in P:
+        loop_h = pi_loop(x, a)
+        orders[a] = (len(pi1_at(gxm, a)), len(pi2_at(gxm, a)))
+        assert orders[a] == (len(loop_h.pi1), len(loop_h.pi2)), a
+        # (m, p) . a = p + a + delta(m) - p
+        arrows = [(m, p, a) for m in M for p in P
+                  if P.sub(P.add(P.add(p, a), x.delta(m)), p) == a]
+        vertex = vertex_group(gxm.base, a)
+        assert vertex.elements == arrows
+        assert vertex.identity == (M.identity, P.identity, a)
+        assert all(vertex.add(u, v) == (M.add(v[0], x.act(u[0], v[1])), P.add(u[1], v[1]), a)
+                   for u in arrows for v in arrows)
+    for block in pi0(gxm):
+        assert len({orders[a] for a in block}) == 1, block
+
+
+@PROPERTY_SETTINGS
+@given(crossed_modules())
+def test_nerve_listings_equal_brute_force(x):
+    assume(len(x.M) ** 3 * len(x.P) ** 3 <= 50_000)
+    for listing, expected in (([(s.m, s.c, s.a, s.b) for s in nerve_k2(x)], brute_k2(x)),
+                              ([s.key() for s in nerve_k3(x)], brute_k3(x))):
+        assert len(listing) == len(set(listing))
+        assert set(listing) == expected
+
+
+# Without "|" in the alphabet no two pairs render alike ("(a|b|c)" could be
+# ("a|b", "c") or ("a", "b|c")), so every loop module has a document.
+@PROPERTY_SETTINGS
+@given(crossed_modules(alphabet="ab01()é"))
+def test_emitted_loop_documents_check_clean_at_every_base(x):
+    assume(len(x.M) * len(x.P) <= 60)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, emitted = Path(tmp) / "x.json", Path(tmp) / "loop.json"
+        path.write_text(serialize_xmod(x), encoding="utf-8")
+        for a in x.P:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert run_cli(["loop", str(path), "--base", a, "--emit"]) == 0, a
+            emitted.write_text(out.getvalue(), encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run_cli(["check", str(emitted)]) == 0, a
 
 
 @PROPERTY_SETTINGS
