@@ -1,20 +1,22 @@
 """Size ladder: time each stage on a fixed list of growing inputs.
 
-    python bench/ladder.py --out BENCH_19.json
+    python bench/ladder.py --out BENCH_20.json
 
 A rung names a group (``S5``) or a crossed module: ``id: G``, ``1 -> G``
 or ``N -> G``, the inclusion of a normal subgroup N of G with G acting
 by conjugation.  Each rung runs in a fresh child process, so no rung
-inherits another's caches or memory.  The child builds its input, times
-only the stage call
-with ``time.perf_counter`` and reads its own peak RSS with
-``resource.getrusage(RUSAGE_SELF)``, and how many full (generation 2)
-garbage collections the process made.  The ``theta`` (at every base),
-``fibration_psi``, ``pi0`` and ``vertex_group`` (at every object) rungs
-build the loop groupoid first, as the cached ``loop_gpd_xmod`` they
-start from, and time only their own work.  The
-``nerve_k3`` rung times the sorted listing of the 3-simplices and the
-``nerve_k3_count`` rung their count, which builds no list.  The
+inherits another's caches or memory.  The child builds its input, makes
+a full garbage collection, so that none left pending by the untimed
+build lands in the stage, and times only the stage call with
+``time.perf_counter``.  It reads its own peak RSS with
+``resource.getrusage(RUSAGE_SELF)`` and counts the full (generation 2)
+garbage collections made while the stage ran.  The ``theta`` (at every
+base), ``fibration_psi``, ``pi0`` and ``vertex_group`` (at every object)
+rungs build the loop groupoid first, as the cached ``loop_gpd_xmod``
+they start from, and time only their own work.  The ``nerve_k2`` and
+``nerve_k3`` rungs time the sorted listings of the 2- and 3-simplices
+and the ``nerve_k3_count`` rung the count of the 3-simplices, which
+builds no list.  The
 ``parse_xmod`` rung times reading and validating the rung's document,
 written untimed by ``serialize_xmod``; the ``homotopy`` and
 ``components`` rungs time that call alone on a fresh module, so
@@ -27,11 +29,13 @@ both start from a fresh module, so they include the ``homotopy`` and
 rung times one CLI subcommand as a whole: the child writes the rung as a
 document with ``serialize_xmod`` (untimed), then times one ``run_cli``
 call on it with standard output sent to a ``StringIO``;
-``cli_nerve3_list_json`` is ``nerve --dim 3 --list --format json`` and
+``cli_nerve3_list_json`` is ``nerve --dim 3 --list --format json``,
+``cli_nerve3_list_text`` the same listing in text,
+``cli_nerve2_list_json`` is ``nerve --dim 2 --list --format json`` and
 ``cli_components`` is ``components --format json``.  A fresh process
 builds the argument parser once, on that call, so these rungs show the
-cost of parsing, computing and writing JSON, not the saving of a parser
-reused across calls.  Every record holds the stage, the rung, the
+cost of parsing, computing and writing the output, not the saving of a
+parser reused across calls.  Every record holds the stage, the rung, the
 predicted size, ``wall_s``, ``peak_rss_mb`` and ``gc_gen2``; a rung
 that is too large to run is listed as "not run" with its predicted
 size.  ``--out`` is required, so that no run overwrites a committed
@@ -72,12 +76,17 @@ RUNGS = [
       for rung in ("id: S4", "id: A5", "id: S5", "A5 -> S5", "1 -> S6")),
     *((stage, rung, True) for stage in ("exact_sequence", "example_checks")
       for rung in ("id: S4", "A4 -> S4", "1 -> S4", "1 -> S5")),
-    *(("cli_nerve3_list_json", rung, True) for rung in ("id: C4", "1 -> S4", "id: S3")),
+    *(("nerve_k2", rung, True) for rung in ("id: C4", "1 -> S4", "id: S3", "id: S4", "1 -> S6")),
+    *((stage, rung, True)
+      for stage in ("cli_nerve3_list_json", "cli_nerve3_list_text", "cli_nerve2_list_json")
+      for rung in ("id: C4", "1 -> S4", "id: S3")),
     *(("cli_components", rung, True) for rung in ("id: A4", "id: S4")),
     *((stage, rung, True) for stage in ("pi0", "vertex_group")
       for rung in ("id: S4", "id: A5", "1 -> S6")),
 ]
 CLI_ARGS = {"cli_nerve3_list_json": ["nerve", "--dim", "3", "--list", "--format", "json"],
+            "cli_nerve3_list_text": ["nerve", "--dim", "3", "--list", "--format", "text"],
+            "cli_nerve2_list_json": ["nerve", "--dim", "2", "--list", "--format", "json"],
             "cli_components": ["components", "--format", "json"]}
 
 
@@ -137,8 +146,10 @@ def predicted(stage: str, rung: str) -> dict:
     sub, top = module_labels(rung)
     p = len(permutation_group(top))
     m = 1 if sub == "1" else len(permutation_group(sub))
-    if stage.startswith("nerve_k3") or stage == "cli_nerve3_list_json":
+    if stage.startswith(("nerve_k3", "cli_nerve3")):
         return {"simplices": m ** 3 * p ** 3}
+    if stage in ("nerve_k2", "cli_nerve2_list_json"):
+        return {"simplices": m * p ** 2}
     if stage in ("cli_components", "parse_xmod"):
         return {"bases": p, "document_entries": p * p + m * m + m + m * p}
     if stage in ("homotopy", "components", "exact_sequence"):
@@ -158,7 +169,18 @@ def predicted(stage: str, rung: str) -> dict:
             "boundary_entries": p * m}
 
 
-def run_stage(stage: str, rung: str) -> float:
+def timed(call) -> tuple[float, int]:
+    """Collect what the untimed build left behind, then time call() alone:
+    (seconds, full garbage collections made while it ran)."""
+    gc.collect()
+    full = gc.get_stats()[2]["collections"]
+    start = time.perf_counter()
+    call()
+    wall = time.perf_counter() - start
+    return wall, gc.get_stats()[2]["collections"] - full
+
+
+def run_stage(stage: str, rung: str) -> tuple[float, int]:
     """Build the rung's input, then time the stage alone."""
     sys.path.insert(0, str(ROOT / "src"))
     from xmodloop.cli import run_cli
@@ -168,14 +190,12 @@ def run_stage(stage: str, rung: str) -> float:
     from xmodloop.groupoids import pi0, vertex_group
     from xmodloop.groups import group_action, homomorphism, make_group, subgroup
     from xmodloop.loop import components, loop_gpd_xmod, theta
-    from xmodloop.nerve import k3_count, nerve_k3
+    from xmodloop.nerve import k3_count, nerve_k2, nerve_k3
     from xmodloop.xmod import homotopy, make_xmod
 
     if stage == "make_group":
         elements, table, identity = group_table(rung)
-        start = time.perf_counter()
-        make_group(elements, table, identity)
-        return time.perf_counter() - start
+        return timed(lambda: make_group(elements, table, identity))
     sub, top = module_labels(rung)
     elements, table, identity = group_table(top)
     G = make_group(elements, table, identity)
@@ -189,18 +209,15 @@ def run_stage(stage: str, rung: str) -> float:
             path = Path(tmp) / "rung.json"
             path.write_text(serialize_xmod(x), encoding="utf-8")
             argv = [CLI_ARGS[stage][0], str(path), *CLI_ARGS[stage][1:]]
+
+            def cli():
+                if run_cli(argv) != 0:
+                    raise RuntimeError(f"{' '.join(CLI_ARGS[stage])} did not exit 0")
             with contextlib.redirect_stdout(io.StringIO()):
-                start = time.perf_counter()
-                code = run_cli(argv)
-                wall = time.perf_counter() - start
-        if code != 0:
-            raise RuntimeError(f"{' '.join(CLI_ARGS[stage])} exited with {code}")
-        return wall
+                return timed(cli)
     if stage == "parse_xmod":
         text = serialize_xmod(x)
-        start = time.perf_counter()
-        parse_xmod(text)
-        return time.perf_counter() - start
+        return timed(lambda: parse_xmod(text))
     if stage in ("theta", "fibration_psi", "pi0", "vertex_group"):
         gxm = loop_gpd_xmod(x)
 
@@ -216,17 +233,15 @@ def run_stage(stage: str, rung: str) -> float:
             "vertex_group": lambda x: [vertex_group(gxm.base, a) for a in gxm.base.objects],
             "exact_sequence": lambda x: [exact_sequence(x, a) for a in x.P],
             "example_checks": examples,
-            "nerve_k3": nerve_k3, "nerve_k3_count": k3_count}[stage]
-    start = time.perf_counter()
-    call(x)
-    return time.perf_counter() - start
+            "nerve_k2": nerve_k2, "nerve_k3": nerve_k3, "nerve_k3_count": k3_count}[stage]
+    return timed(lambda: call(x))
 
 
 def child(stage: str, rung: str) -> None:
-    wall = run_stage(stage, rung)
+    wall, full = run_stage(stage, rung)
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # kilobytes on Linux
     print(json.dumps({"wall_s": round(wall, 4), "peak_rss_mb": round(peak_kb / 1024, 1),
-                      "gc_gen2": gc.get_stats()[2]["collections"]}))
+                      "gc_gen2": full}))
 
 
 def ladder() -> tuple[list[dict], bool]:

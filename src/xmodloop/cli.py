@@ -12,7 +12,16 @@ import sys
 from pathlib import Path
 
 from . import exactseq, loop, nerve
-from .documents import _render, dumps, load_document, parse_xmod, serialize_xmod
+from .documents import (
+    _render,
+    dumps,
+    dumps_listing,
+    json_strings,
+    load_document,
+    parse_xmod,
+    record_template,
+    serialize_xmod,
+)
 from .errors import PreconditionFailed, XModError
 from .groups import DEFAULT_MAX_ISO_ORDER, FiniteGroup, _orders, image, kernel
 from .xmod import CrossedModule, check_axioms, homotopy
@@ -42,11 +51,8 @@ def _group_summary(group: FiniteGroup) -> dict:
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        print(dumps(payload))
-    else:
-        for line in text_lines:
-            print(line)
+    """Write the payload as JSON, or the lines as one string."""
+    print(dumps(payload) if args.format == "json" else "\n".join(text_lines))
 
 
 def _load(args) -> CrossedModule:
@@ -116,43 +122,46 @@ def _cmd_components(args) -> int:
     return 0
 
 
+# One template per listing: a K2 line and a K3 line of ``--format text``.
+K2_LINE = "(%s; %s, %s, %s)"
+K3_LINE = "edges(a=%s, b=%s, c=%s, d=%s, e=%s, f=%s) faces(m0=%s, m1=%s, m2=%s, m3=%s)"
+
+
 def _cmd_nerve(args) -> int:
-    """Only the listing that ``--format`` prints is built."""
+    """A listing is written straight from ``nerve``'s sorted rows of positions:
+    each element is named (and in JSON escaped) once, and each simplex fills
+    one template; no simplex tuple or payload dict is built."""
     x = _load(args)
-    as_json = args.format == "json"
-    if args.dim == 2:
-        simplices = nerve.nerve_k2(x)
-        formula = nerve.k2_count_formula(x)
-        payload = {"command": "nerve", "dim": 2, "count": len(simplices),
-                   "formula": formula}
-        lines = [f"K2 count: {len(simplices)}", f"formula |M|*|P|^2: {formula}"]
-        if args.list and as_json:
-            payload["simplices"] = [
-                {"m": s.m, "c": s.c, "a": s.a, "b": s.b} for s in simplices
-            ]
-        elif args.list:
-            lines += [str(s) for s in simplices]
-    elif not args.list:
+    if args.dim == 3 and not args.list:
         count = nerve.k3_count(x)
-        payload = {"command": "nerve", "dim": 3, "count": count}
-        lines = [f"K3 count: {count}"]
+        _emit(args, {"command": "nerve", "dim": 3, "count": count}, [f"K3 count: {count}"])
+        return 0
+    rows = nerve.k2_rows(x) if args.dim == 2 else nerve.k3_rows(x)
+    payload = {"command": "nerve", "dim": args.dim, "count": len(rows)}
+    lines = [f"K{args.dim} count: {len(rows)}"]
+    if args.dim == 2:
+        payload["formula"] = formula = nerve.k2_count_formula(x)
+        lines.append(f"formula |M|*|P|^2: {formula}")
+    if not args.list:
+        _emit(args, payload, lines)
+        return 0
+    as_json = args.format == "json"
+    P, M = ((json_strings(x.P.elements), json_strings(x.M.elements)) if as_json
+            else (x.P.elements, x.M.elements))
+    if args.dim == 2:
+        template = record_template(nerve.Simplex2._fields) if as_json else K2_LINE
+        records = [template % (M[m], P[c], P[a], P[b]) for a, b, c, m in rows]
     else:
-        simplices = nerve.nerve_k3(x)
-        payload = {"command": "nerve", "dim": 3, "count": len(simplices)}
-        lines = [f"K3 count: {len(simplices)}"]
-        if as_json:
-            payload["simplices"] = [
-                {"a": s.a, "b": s.b, "c": s.c, "d": s.d, "e": s.e, "f": s.f,
-                 "m0": s.m0, "m1": s.m1, "m2": s.m2, "m3": s.m3}
-                for s in simplices
-            ]
-        else:
-            lines += [
-                f"edges(a={s.a}, b={s.b}, c={s.c}, d={s.d}, e={s.e}, f={s.f}) "
-                f"faces(m0={s.m0}, m1={s.m1}, m2={s.m2}, m3={s.m3})"
-                for s in simplices
-            ]
-    _emit(args, payload, lines)
+        template = record_template(nerve.Simplex3._fields) if as_json else K3_LINE
+        records = [template % (P[a], P[b], P[c], P[d], P[e], P[f], M[m0], M[m1], M[m2], M[m3])
+                   for a, b, c, d, e, f, m0, m1, m2, m3 in rows]
+    # The rows, then the records, are freed as soon as the next form is built,
+    # so the listing's peak is the records and one copy of its text.
+    del rows
+    text = dumps_listing(payload, "simplices", records) if as_json else "\n".join(
+        [*lines, *records])
+    del records
+    print(text)
     return 0
 
 

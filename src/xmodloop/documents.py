@@ -16,7 +16,10 @@ elements of derived groups are tuples.  Names exist only here and in the
 CLI listings: ``_render`` writes a tuple as "(x|y|...)", recursively.
 
 ``dumps`` is the one JSON writer, for documents and for the CLI's
-``--format json`` output alike.
+``--format json`` output alike.  A listing of many records with the same
+fields (the nerve's simplices) is written through ``record_template``
+and ``dumps_listing``: one %-template filled per record, with every name
+escaped once (``json_strings``), and exactly the bytes ``dumps`` writes.
 """
 
 from __future__ import annotations
@@ -224,6 +227,39 @@ def _encode(obj, nl: str, out: list, memo: dict, keys: dict, escape, ascii: bool
             out.append(nl + "}")
     else:
         out.append(json.dumps(obj, indent=2, ensure_ascii=ascii).replace("\n", nl))
+
+
+def json_strings(names) -> list[str]:
+    """Each name as ``dumps`` writes a string: escaped to ASCII by the C escaper."""
+    return list(map(encode_basestring_ascii, names))
+
+
+def record_template(fields) -> str:
+    """The %-template of one record ``{field: name, ...}`` of a listing, an
+    entry of the list under a top-level key as ``dumps`` writes it.
+
+    Fill it with names from ``json_strings``, in the order of ``fields``
+    (one or more).
+    """
+    return "{\n      " + ",\n      ".join(
+        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in fields) + "\n    }"
+
+
+def dumps_listing(head: dict, key: str, records: list[str]) -> str:
+    """Exactly ``dumps({**head, key: listed})``, given each listed record
+    written by filling ``record_template``; ``head`` must not hold ``key``.
+
+    The value of the last key is written last, so the listing takes the
+    place of a placeholder written there.  The text is joined once, with
+    the head and the tail on the first and the last record.
+    """
+    text = dumps({**head, key: None})[:-len("null\n}")]
+    if not records:
+        return text + "[]\n}"
+    records = records.copy()
+    records[0] = text + "[\n    " + records[0]
+    records[-1] += "\n  ]\n}"
+    return ",\n    ".join(records)
 
 
 def serialize_document(candidate: XModCandidate) -> str:

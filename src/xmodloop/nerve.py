@@ -16,8 +16,10 @@ Enumeration and counting compute on positions: the group tables of P
 and M (``_table``, ``_inv``) and the crossed module's action and
 boundary tables (``act_table``, ``boundary``).  The rules are stated
 once, on positions, by ``_rule2`` and ``_rules3``; ``is_simplex2`` and
-``is_simplex3`` map labels to positions and apply them.  A listing sorts
-rows of positions and builds labels only for the sorted rows.
+``is_simplex3`` map labels to positions and apply them.  ``k2_rows`` and
+``k3_rows`` are the sorted, re-checked rows of positions; ``nerve_k2`` and
+``nerve_k3`` label them, and the CLI writes its listings straight from
+them, naming each element once.
 """
 
 from __future__ import annotations
@@ -114,8 +116,8 @@ def is_simplex3(x: CrossedModule, s: Simplex3) -> bool:
     return _rules3(_tables(x))(row)
 
 
-def nerve_k2(x: CrossedModule) -> list[Simplex2]:
-    """All 2-simplices, in lexicographic (a, b, c, m) canonical order.
+def k2_rows(x: CrossedModule) -> list[tuple[int, int, int, int]]:
+    """Every 2-simplex as a row of positions (a, b, c, m), sorted.
 
     Each (a, b, m) forces c = a + b - delta(m); every row is re-checked
     against the rule, and their number against ``k2_count_formula``.
@@ -138,7 +140,14 @@ def nerve_k2(x: CrossedModule) -> list[Simplex2]:
     if expected != len(rows):
         raise CountMismatch(expected, len(rows))
     rows.sort()
-    return [Simplex2(Me[m], Pe[c], Pe[a], Pe[b]) for a, b, c, m in rows]
+    return rows
+
+
+def nerve_k2(x: CrossedModule) -> list[Simplex2]:
+    """All 2-simplices, in lexicographic (a, b, c, m) canonical order: the
+    labels of ``k2_rows``."""
+    Pe, Me = x.P.elements, x.M.elements
+    return [Simplex2(Me[m], Pe[c], Pe[a], Pe[b]) for a, b, c, m in k2_rows(x)]
 
 
 def k2_count_formula(x: CrossedModule) -> int:
@@ -146,7 +155,7 @@ def k2_count_formula(x: CrossedModule) -> int:
     return len(x.M) * len(x.P) ** 2
 
 
-def _k3_rows(x: CrossedModule):
+def _k3_solved(x: CrossedModule):
     """Every 3-simplex as a row of positions (a, b, c, d, e, f, m0, m1, m2, m3).
 
     a, b, d and m1, m2, m3 are free, then c, e, f and m0 are forced.  The
@@ -187,18 +196,24 @@ def _simplex3(x: CrossedModule, row: tuple) -> Simplex3:
     return Simplex3(Pe[a], Pe[b], Pe[c], Pe[d], Pe[e], Pe[f], Me[m0], Me[m1], Me[m2], Me[m3])
 
 
+def k3_rows(x: CrossedModule) -> list[tuple]:
+    """Every 3-simplex as a row of positions (a, b, c, d, e, f, m0, m1, m2, m3),
+    sorted; see ``_k3_solved``."""
+    return sorted(_k3_solved(x))
+
+
 def nerve_k3(x: CrossedModule) -> list[Simplex3]:
     """All 3-simplices, sorted lexicographically on the positions of
-    (a, b, c, d, e, f, m0, m1, m2, m3); see ``_k3_rows``."""
-    rows = list(_k3_rows(x))
-    rows.sort()
-    return [_simplex3(x, row) for row in rows]
+    (a, b, c, d, e, f, m0, m1, m2, m3): the labels of ``k3_rows``."""
+    Pe, Me = x.P.elements, x.M.elements
+    return [Simplex3(Pe[a], Pe[b], Pe[c], Pe[d], Pe[e], Pe[f], Me[m0], Me[m1], Me[m2], Me[m3])
+            for a, b, c, d, e, f, m0, m1, m2, m3 in k3_rows(x)]
 
 
 def k3_count(x: CrossedModule) -> int:
     """The number of 3-simplices, |M|^3 |P|^3, from the same enumeration and
     re-check as ``nerve_k3``, building and sorting no list."""
     count = 0
-    for _ in _k3_rows(x):
+    for _ in _k3_solved(x):
         count += 1
     return count

@@ -13,6 +13,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import all_fixtures
 from xmodloop import nerve
 from xmodloop.cli import run_cli
@@ -55,15 +57,21 @@ def test_cli_output_matches_golden_digests():
 
 
 def test_nerve_dim3_count_builds_no_listing(monkeypatch):
+    """Both ways to the listing raise, and a listing run shows that it takes one of them."""
     def listing(x):
-        raise AssertionError("nerve --dim 3 without --list built the listing")
+        raise AssertionError("nerve --dim 3 built the listing")
 
     monkeypatch.setattr(nerve, "nerve_k3", listing)
+    monkeypatch.setattr(nerve, "k3_rows", listing)
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    runs = [argv for argv in golden_runs()
-            if argv[0] == "nerve" and argv[3] == "3" and "--list" not in argv]
+    dim3 = [argv for argv in golden_runs() if argv[0] == "nerve" and argv[3] == "3"]
+    runs = [argv for argv in dim3 if "--list" not in argv]
     assert len(runs) == 2 * len(all_fixtures())
     assert all(digest(argv) == expected[" ".join(argv)] for argv in runs)
+    for argv in dim3[-2:]:
+        assert "--list" in argv
+        with pytest.raises(AssertionError, match="built the listing"):
+            digest(argv)
 
 
 if __name__ == "__main__":
