@@ -297,7 +297,8 @@ def run_cli(argv) -> int:
         return 2
     try:
         return args.handler(args)
-    except OSError as exc:
+    # a name that standard output cannot encode fails before anything is written
+    except (OSError, UnicodeEncodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except UnicodeDecodeError as exc:
@@ -313,3 +314,7 @@ def run_cli(argv) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -55,9 +55,6 @@ class NoInverse(XModError):
 class MalformedGroup(XModError):
     """Group data that cannot even be read as a table: empty, repeated or ragged."""
 
-    def __init__(self, message: str, witness: tuple = ()):
-        super().__init__(message, witness)
-
 
 class UnknownElement(XModError):
     def __init__(self, name):
@@ -112,9 +109,6 @@ class CodomainViolation(XModError):
 
 class InternalInvariantBroken(XModError):
     """A consequence of valid input failed; signals a bug or bad input."""
-
-    def __init__(self, message: str, witness: tuple = ()):
-        super().__init__(message, witness)
 
 
 class CountMismatch(XModError):
@@ -176,6 +170,3 @@ class UnknownIdentifier(XModError):
 
 class AxiomViolation(XModError):
     """Document-level wrapper for a validation failure, with its location."""
-
-    def __init__(self, message: str, witness: tuple = ()):
-        super().__init__(message, witness)

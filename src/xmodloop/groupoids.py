@@ -8,10 +8,10 @@ groupoid, and every law holds over every composable tuple.
 Groupoids.  A ``FiniteGroupoid`` is a validated ``FiniteGroup`` G, its
 objects X and an integer table of |G| x |X| entries: ``act[i][k]`` is
 the position of g_i . x_k.  An arrow is a pair of positions (i, k), the
-arrow (g_i, x_k): g_i . x_k -> x_k; ``morphisms`` names it at position
-i |X| + k, for witnesses and listings only.  Nothing is looked up by
-name: source, target, composite, identity and inverse are G's tables
-and ``act`` read at positions,
+arrow (g_i, x_k): g_i . x_k -> x_k; ``name(i, k)`` names it, and a name
+is built only when a witness, a vertex-group label or a listing reads
+it.  Nothing is looked up by name: source, target, composite, identity
+and inverse are G's tables and ``act`` read at positions,
 
     (g, y) + (h, z) = (g + h, z)  when h . z = y,
     identity(x) = (0, x),  -(g, x) = (-g, g . x).
@@ -81,9 +81,10 @@ star at f0(a) exactly when f is onto G', and f2 must be onto M'.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import product, starmap
 from operator import itemgetter
 
 from .errors import (
@@ -119,15 +120,19 @@ class FiniteGroupoid:
     """The action groupoid of a finite group on a finite set of objects.
 
     The arrow (g_i, x_k) from g_i . x_k to x_k is the pair of positions
-    (i, k), where act[i][k] is the position of g_i . x_k; ``morphisms``
-    names it at position i |objects| + k, for witnesses and listings.
+    (i, k), where act[i][k] is the position of g_i . x_k; ``name(i, k)``
+    names it and ``morphisms`` every arrow, at i |objects| + k, when read.
     Build one with ``action_groupoid``, which checks every law.
     """
 
     group: FiniteGroup
     objects: tuple
-    morphisms: tuple  # the name of the arrow (g_i, x_k) at position i |objects| + k
     act: list  # act[i][k] = position of g_i . x_k in objects
+    name: Callable  # name(i, k) = the name of the arrow (g_i, x_k)
+
+    @property
+    def morphisms(self) -> tuple:
+        return tuple(starmap(self.name, product(range(len(self.group)), range(len(self.objects)))))
 
     def stabiliser(self, k: int) -> list[int]:
         """The positions i with g_i . x_k = x_k, in group order."""
@@ -142,27 +147,27 @@ def _object(base: FiniteGroupoid, x) -> int:
         raise UnknownObject(x) from None
 
 
-def action_groupoid(group: FiniteGroup, objects, act, morphisms) -> FiniteGroupoid:
+def action_groupoid(group: FiniteGroup, objects, act, name) -> FiniteGroupoid:
     """The action groupoid of a validated group on objects, checking every law.
 
     ``act[i][k]`` is the position in ``objects`` of g_i . x_k, and
-    ``morphisms`` labels the arrows (g_i, x_k) at positions i |objects| + k.
-    Each entry of ``act`` must be an object (law ``source``) and the
-    identity must fix every object (``identity-missing``).  The action law
-    (h + g) . x = h . (g . x) holds for h = 0, and for h1 + h2 once it
-    holds for h1 and h2 (G is associative); so it is proved for h in G's
-    generators, and every row (h, g) is compared, failures reported in
-    (h, g, x) order, only when that proof fails.  A failure at (h, g, x) is the composite w of
+    ``name(i, k)`` names the arrow (g_i, x_k) for witnesses and listings.
+    G's labels are distinct, and the objects must be (``objects-distinct``),
+    so a name built from G's label at i and the object at k is distinct
+    by construction and no name is checked.  Each entry of ``act`` must
+    be an object (law ``source``) and the identity must fix every object
+    (``identity-missing``).  The action law (h + g) . x = h . (g . x)
+    holds for h = 0, and for h1 + h2 once it holds for h1 and h2 (G is
+    associative); so it is proved for h in G's generators, and every row
+    (h, g) is compared, failures reported in (h, g, x) order, only when
+    that proof fails.  A failure at (h, g, x) is the composite w of
     u = (h, g . x) and v = (g, x) starting elsewhere than u:
     ``composition-endpoints`` with witness (u, v, w).
     """
     objects = tuple(objects)
-    morphisms = tuple(morphisms)
     n, nx = len(group), len(objects)
     if len(set(objects)) != nx:
         raise InvalidGroupoid("objects-distinct", (objects,))
-    if len(morphisms) != n * nx or len(set(morphisms)) != n * nx:
-        raise InvalidGroupoid("morphisms-distinct", (morphisms,))
     act = [list(row) for row in act]
     if len(act) != n or any(len(row) != nx for row in act):
         raise InvalidGroupoid("action-shape", (len(act), n, nx))
@@ -170,7 +175,7 @@ def action_groupoid(group: FiniteGroup, objects, act, morphisms) -> FiniteGroupo
     for i, row in enumerate(act):
         if not points.issuperset(row):
             j = next(j for j, s in enumerate(row) if s not in points)
-            raise InvalidGroupoid("source", (morphisms[i * nx + j],))
+            raise InvalidGroupoid("source", (name(i, j),))
     table = group._table
     e = group._index[group.identity]
     for j, s in enumerate(act[e]):
@@ -182,15 +187,14 @@ def action_groupoid(group: FiniteGroup, objects, act, morphisms) -> FiniteGroupo
 
     for h, g, z in _failures(acts, product(range(n), range(n)),
                              product(group.generators, range(n))):
-        raise InvalidGroupoid("composition-endpoints", (morphisms[h * nx + act[g][z]],
-                              morphisms[g * nx + z], morphisms[table[h][g] * nx + z]))
-    return FiniteGroupoid(group, objects, morphisms, act)
+        raise InvalidGroupoid("composition-endpoints",
+                              (name(h, act[g][z]), name(g, z), name(table[h][g], z)))
+    return FiniteGroupoid(group, objects, act, name)
 
 
 def _vertex(base: FiniteGroupoid, k: int) -> tuple[FiniteGroup, list[int]]:
     """The vertex group at x_k, and the positions in G of its elements, in group order."""
-    ms, nx = base.morphisms, len(base.objects)
-    return _cut(base.group, base.stabiliser(k), lambda i: ms[i * nx + k])
+    return _cut(base.group, base.stabiliser(k), lambda i: base.name(i, k))
 
 
 def vertex_group(groupoid: FiniteGroupoid, x: str) -> FiniteGroup:
@@ -231,7 +235,7 @@ def make_gxm(base: FiniteGroupoid, fibre: FiniteGroup, act, boundary) -> Groupoi
     action entry outside M ``action-codomain``.  The laws, their order and
     their proofs are in the module docstring.
     """
-    G, M, objects, ms = base.group, fibre, base.objects, base.morphisms
+    G, M, objects, name = base.group, fibre, base.objects, base.name
     gt, xact, mt = G._table, base.act, M._table
     n, nx, nm = len(G), len(objects), len(M)
     mlabel, glabel, arrows = M.elements, G.elements, range(len(G))
@@ -242,7 +246,7 @@ def make_gxm(base: FiniteGroupoid, fibre: FiniteGroup, act, boundary) -> Groupoi
         for t, g in enumerate(row):
             if g not in arrows or xact[g][k] != k:
                 raise InvalidGroupoidXMod("boundary-vertex", (
-                    mlabel[t], objects[k], ms[g * nx + k] if g in arrows else g))
+                    mlabel[t], objects[k], name(g, k) if g in arrows else g))
         for s, t in _additive_failures(M, row, gt):
             raise InvalidGroupoidXMod("boundary-hom", (objects[k], mlabel[s], mlabel[t]))
     act = [list(row) for row in act]
@@ -269,7 +273,7 @@ def make_gxm(base: FiniteGroupoid, fibre: FiniteGroup, act, boundary) -> Groupoi
         return _cm1(G, act, boundary[k], boundary[xact[g][k]], g)
 
     for g, k, t in _failures(cm1, product(arrows, range(nx)), product(gens, range(nx))):
-        raise CM1Violation(mlabel[t], ms[g * nx + k])
+        raise CM1Violation(mlabel[t], name(g, k))
 
     def cm2(k, u):  # at x = x_k and n = m_u, for every m
         return _cm2(M, act, boundary[k], u)
@@ -334,10 +338,10 @@ def restrict(gxm: GroupoidXMod, elements, objects, fibre) -> GroupoidXMod:
     must be closed under - and + (``NotClosed``), and H must map
     ``objects`` into themselves (``objects-invariant``), N into itself
     (``action-codomain``) and each d_x(N) into H (``boundary-vertex``).
-    The piece is H acting on ``objects``, in that order; its morphisms
-    keep their names, in gxm's order.  When ``fibre`` holds every
-    position of M, N is M itself: it is not cut, and H's action rows are
-    gxm's.  No law is validated again.
+    The piece is H acting on ``objects``, in that order; each arrow keeps
+    its name in gxm, and distinct arrows of the piece are distinct there.
+    When ``fibre`` holds every position of M, N is M itself: it is not
+    cut, and H's action rows are gxm's.  No law is validated again.
     """
     base, M, nx = gxm.base, gxm.fibre, len(gxm.base.objects)
     group, parent = _cut(base.group, elements)
@@ -351,8 +355,7 @@ def restrict(gxm: GroupoidXMod, elements, objects, fibre) -> GroupoidXMod:
     act = _slice([base.act[i] for i in parent], kept, {k: r for r, k in enumerate(kept)},
                  lambda r, k: InvalidGroupoid("objects-invariant",
                                               (group.elements[r], base.objects[k])))
-    piece = FiniteGroupoid(group, names,
-                           tuple(base.morphisms[i * nx + k] for i in parent for k in kept), act)
+    piece = FiniteGroupoid(group, names, act, lambda r, c: base.name(parent[r], kept[c]))
     acts, inside = [gxm.act[i] for i in parent], [_position(M, t) for t in fibre]
     if len(set(inside)) == len(M):
         sub, inside, sub_act = M, range(len(M)), acts
@@ -364,7 +367,7 @@ def restrict(gxm: GroupoidXMod, elements, objects, fibre) -> GroupoidXMod:
     bounds = [gxm.boundary[k] for k in kept]
     sub_boundary = _slice(bounds, inside, {i: r for r, i in enumerate(parent)}, lambda r, t: (
         InvalidGroupoidXMod("boundary-vertex", (M.elements[t], names[r],
-                                                base.morphisms[bounds[r][t] * nx + kept[r]]))))
+                                                base.name(bounds[r][t], kept[r])))))
     return GroupoidXMod(piece, sub, sub_act, sub_boundary)
 
 
@@ -378,7 +381,7 @@ def as_groupoid_xmod(x: CrossedModule) -> GroupoidXMod:
     so nothing is checked again.
     """
     P = x.P
-    base = FiniteGroupoid(P, ("*",), tuple(P.elements), [[0] for _ in P.elements])
+    base = FiniteGroupoid(P, ("*",), [[0] for _ in P.elements], lambda i, k: P.elements[i])
     return GroupoidXMod(base, x.M, x.act_table, [x.boundary])
 
 
@@ -443,7 +446,7 @@ def check_morphism(source: GroupoidXMod, target: GroupoidXMod,
 
     proof = product(gens) if identity_kept and not unadditive else None
     report += [Violation("endpoints", f"image of {u} has wrong endpoints", (u,))
-               for u in (sb.morphisms[g * nx + k]
+               for u in (sb.name(g, k)
                          for g, k in _failures(equivariant, product(arrows), proof))]
     if report:
         return report
@@ -507,12 +510,12 @@ def is_fibration(f: GXModMorphism) -> list[Violation]:
     of f2.  With inverses, target-stars need no separate check.
     """
     source, target, tb = f.source, f.target, f.target.base
-    nx, H = len(tb.objects), tb.group
+    H = tb.group
     missed = sorted(set(range(len(H))).difference(f.group_map))
     report = [Violation("star-surjectivity", f"no morphism at {a} maps to {w} at "
                         f"{tb.objects[k]}", (a, w))
               for a, k in zip(source.base.objects, f.obj_map)
-              for w in (tb.morphisms[h * nx + tb.act[H._inv[h]][k]] for h in missed)]
+              for w in (tb.name(h, tb.act[H._inv[h]][k]) for h in missed)]
     missed = sorted(set(range(len(target.fibre))).difference(f.fibre_map))
     return report + [Violation("dim2-surjectivity", f"fibre element {n} at {tb.objects[k]} "
                                f"is not hit from {a}", (a, n))

@@ -182,8 +182,8 @@ def loop_gpd_xmod(x: CrossedModule) -> GroupoidXMod:
     # (m, p) . a = p + a + delta(m) - p
     moves = [[pt[pt[pt[j][k]][d[i]]][pinv[j]] for k in range(nP)]
              for i in range(nM) for j in range(nP)]
-    morphisms = [(m, p, a) for m, p in pairs for a in Pe]
-    base = action_groupoid(G, Pe, moves, morphisms)
+    # the arrow (g_i, a_k), g_i = (m, p), is named (m, p, a_k)
+    base = action_groupoid(G, Pe, moves, lambda i, k: (*pairs[i], Pe[k]))
     # delta_a(m) = (-m^a + m, delta m, a)
     boundary = [[v * nP + d[i] for i, v in enumerate(_displacements(M, row))] for row in act]
     # (n, s)^(m_i, p_j, a) = (n^p_j, a): G acts on M through row j of the action

@@ -59,7 +59,7 @@ def test_every_single_entry_action_mutant_raises_the_full_scan_witness(name):
                 act[i][k] = other
                 expected = scan_action(group, objects, act, morphisms)
                 assert expected is not None
-                assert outcome(lambda: action_groupoid(group, objects, act, morphisms)) == expected
+                assert outcome(lambda: action_groupoid(group, objects, act, base.name)) == expected
                 mutants += 1
     assert mutants == len(morphisms) * (len(objects) - 1)
 

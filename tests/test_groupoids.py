@@ -34,7 +34,7 @@ from xmodloop.xmod import homotopy
 
 
 def one_object_groupoid(group, obj="*"):
-    return action_groupoid(group, (obj,), [[0] for _ in group], group.elements)
+    return action_groupoid(group, (obj,), [[0] for _ in group], lambda i, k: group.elements[i])
 
 
 def two_component_groupoid():
@@ -43,7 +43,7 @@ def two_component_groupoid():
     The arrow (g, w) goes from g.w to w; (t, y) is "ty": z -> y.
     """
     return action_groupoid(cyclic(2), ("x", "y", "z"), [[0, 1, 2], [0, 2, 1]],
-                           ("ex", "ey", "ez", "tx", "ty", "tz"))
+                           lambda i, k: "et"[i] + "xyz"[k])
 
 
 def trivial_fibre(groupoid):
@@ -101,7 +101,7 @@ try:
     make_groupoid(("*",), "abc", ends, ends, compose, {"*": "a"})
 except XModError as exc:
     print(exc.witness)
-base = action_groupoid(c3, ("*",), [[0]] * 3, "abc")
+base = action_groupoid(c3, ("*",), [[0]] * 3, lambda i, k: "abc"[i])
 action = {(m, u): m for u in c3 for m in c2}
 for pair in (("1", "c"), ("0", "b"), ("1", "b")):
     del action[pair]
