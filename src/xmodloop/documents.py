@@ -284,7 +284,7 @@ def _render(label) -> str:
     return str(label)
 
 
-def serialize_xmod(x: CrossedModule, name: str | None = None) -> str:
+def serialize_xmod(x: CrossedModule) -> str:
     """Canonical text of a crossed module, every element label written as its name.
 
     Distinct labels can render alike, e.g. ("a|b", "c") and ("a", "b|c")
@@ -299,5 +299,4 @@ def serialize_xmod(x: CrossedModule, name: str | None = None) -> str:
                 raise MalformedGroup(
                     f"element name {rendered!r} occurs more than once in {label}", (rendered,))
             seen.add(rendered)
-    c.name = c.name if name is None else name
     return serialize_document(c)

@@ -90,9 +90,9 @@ def fibration_psi(x: CrossedModule) -> FibrationData:
                                       report[0].witness)
 
     # the kernel of psi_1, the pairs (m, 0), acts on P by a -> a + delta(m)
-    e = P._index[P.identity]
+    e = P.zero
     kernel_pairs = [g for g, j in enumerate(group_map) if j == e]
-    return FibrationData(psi, restrict(gxm, kernel_pairs, range(nP), [M._index[M.identity]]))
+    return FibrationData(psi, restrict(gxm, kernel_pairs, range(nP), [M.zero]))
 
 
 def fixed_points(x: CrossedModule, a: str) -> Subgroup:
@@ -152,7 +152,7 @@ def exact_sequence(x: CrossedModule, a: str) -> ExactSequence:
     connecting = _connecting_map(x, ia)
     loop_h, lx = pi_loop(x, a), loop_data(x, a)
     pi1, to_loop, pairs = loop_h.pi1, loop_h.projection.images, lx._pairs
-    e = P._index[P.identity]
+    e = P.zero
     # the pairs (k, 0) of P(a) are those with k in pi, in pi's order
     j = _homomorphism(pi, pi1, [to_loop[u] for u, (_, p) in enumerate(pairs) if p == e])
     cent = centralizer(data.pi1, to_pi1[ia])
@@ -214,7 +214,7 @@ def example1_check(x: CrossedModule, a: str,
     Returns an empty report on success; a missing isomorphism raises.
     """
     M, P, act = x.M, x.P, x.act_table
-    moved = [m for m, d in enumerate(x.boundary) if d != P._index[P.identity]]
+    moved = [m for m, d in enumerate(x.boundary) if d != P.zero]
     if moved:
         raise PreconditionFailed(
             f"delta is not the zero map (delta({M.elements[moved[0]]}) != 0)")

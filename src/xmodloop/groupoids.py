@@ -177,7 +177,7 @@ def action_groupoid(group: FiniteGroup, objects, act, name) -> FiniteGroupoid:
             j = next(j for j, s in enumerate(row) if s not in points)
             raise InvalidGroupoid("source", (name(i, j),))
     table = group._table
-    e = group._index[group.identity]
+    e = group.zero
     for j, s in enumerate(act[e]):
         if s != j:
             raise InvalidGroupoid("identity-missing", (objects[j],))
@@ -257,14 +257,14 @@ def make_gxm(base: FiniteGroupoid, fibre: FiniteGroup, act, boundary) -> Groupoi
         if not points.issuperset(row):
             t = next(t for t, v in enumerate(row) if v not in points)
             raise InvalidGroupoidXMod("action-codomain", (mlabel[t], glabel[i], row[t]))
-    for t, v in enumerate(act[G._index[G.identity]]):
+    for t, v in enumerate(act[G.zero]):
         if v != t:
             raise InvalidAction("identity", (mlabel[t],))
     gens, every = G.generators, range(nm)
     for g, h, t in _failures(partial(_composition, act, gt), product(arrows, arrows),
                              product(arrows, gens)):
         raise InvalidAction("composition", (mlabel[t], glabel[g], glabel[h]))
-    zero_and_gens = (M._index[M.identity], *M.generators)
+    zero_and_gens = (M.zero, *M.generators)
     for u, g, t in _failures(partial(_additivity, act, mt), product(every, arrows),
                              product(zero_and_gens, gens), itemgetter(1, 2, 0)):
         raise InvalidAction("additivity", (mlabel[t], mlabel[u], glabel[g]))
@@ -436,7 +436,7 @@ def check_morphism(source: GroupoidXMod, target: GroupoidXMod,
     f, f0, ht = group_map, obj_map, H._table
     arrows = range(len(G))
     gens = G.generators
-    identity_kept = f[G._index[G.identity]] == H._index[H.identity]
+    identity_kept = f[G.zero] == H.zero
 
     unadditive = list(_additive_failures(G, f, ht))
 

@@ -7,12 +7,15 @@ the input order and all derived listings follow it, which makes every
 result deterministic.
 
 Positions.  Inside the library an element is its position: a group
-keeps its table (``_table``, ``_inv``) and ``generators`` as positions,
-a ``Subgroup`` the sorted positions of its members in the parent, a
-``Homomorphism`` its images' positions and a ``GroupAction`` one row of
-positions per element of the actor; ``subgroup``, ``centralizer`` and
-the other subgroup functions take positions.  Labels are read where a
-table, map or action enters (``make_group``, ``homomorphism``,
+keeps its table (``_table``, ``_inv``), its identity (``zero``) and
+``generators`` as positions, a ``Subgroup`` the sorted positions of its
+members in the parent, a ``Homomorphism`` its images' positions and a
+``GroupAction`` one row of positions per element of the actor;
+``subgroup``, ``centralizer`` and the other subgroup functions take
+positions.  Every group, read or derived, is built by the one
+constructor ``FiniteGroup(elements, table, zero, inv)`` on positions.
+Labels are read where a table, map or action enters (``make_group``,
+the only reader of a table of labels, ``homomorphism``,
 ``group_action``) and written only into witnesses and the label views
 kept for callers (``Subgroup.members``, ``add``, ``Homomorphism.__call__``,
 ``GroupAction.act``).  A group is abelian exactly when its generators
@@ -118,7 +121,7 @@ def _right_generators(points, starts, after) -> list:
 def _orders(group: FiniteGroup) -> list[int]:
     """The order of each element, in element order, counted to at most n steps, so a
     table not yet proved associative cannot stall the count."""
-    t, e, orders = group._table, group._index[group.identity], []
+    t, e, orders = group._table, group.zero, []
     n = len(t)
     for i in range(n):
         x, k = i, 1
@@ -140,8 +143,7 @@ def _generators(group: FiniteGroup) -> list[int]:
     """
     table = group._table
     by_order = sorted(range(len(table)), key=_orders(group).__getitem__, reverse=True)
-    return _right_generators(by_order, (group._index[group.identity],),
-                             lambda i, j: table[i][j])
+    return _right_generators(by_order, (group.zero,), lambda i, j: table[i][j])
 
 
 def _failures(sides, keys, proof=None, order=None):
@@ -195,49 +197,61 @@ def _additive_failures(source: FiniteGroup, images: list, target_table: list):
         fy = f[y]
         return [f[r[y]] for r in st], [tt[v][fy] for v in f]
 
-    proof = [(y,) for y in (source._index[source.identity], *source.generators)]
+    proof = [(y,) for y in (source.zero, *source.generators)]
     for y, x in _failures(additive, product(range(len(st))), proof, itemgetter(1, 0)):
         yield x, y
 
 
 class FiniteGroup:
-    """A finite group on hashable element labels, defined by its composition table.
+    """A finite group on distinct element labels: its table of positions and the
+    position ``zero`` of its identity.
 
-    Construction validates closure, the declared identity, two-sided
-    inverses and associativity, raising with a witness on the first
-    failure.  ``generators`` holds the positions of the greedy generating
-    set of ``_generators``; associativity is proved from it.
+    ``table[i][j]`` is the position of elements[i] + elements[j], every
+    entry a position; ``make_group`` reads a table of labels into this
+    form.  Without ``inv``, construction checks the identity law at
+    ``zero``, finds the first two-sided inverse of each element and
+    proves associativity from ``generators``, the greedy generating set
+    of ``_generators``, raising with a label witness on the first failure.
+    Given ``inv``, as for a cut or a quotient of a validated group, the
+    laws are known to hold and only the generators are found.
     """
 
-    def __init__(self, elements, table, identity):
-        elements = list(elements)
-        if not elements:
-            raise MalformedGroup("a group needs at least one element")
-        self.elements: list[str] = elements
-        self._index: dict[str, int] = {e: i for i, e in enumerate(elements)}
-        n = len(elements)
-        if len(self._index) != n:
-            repeated = next(e for i, e in enumerate(elements) if self._index[e] != i)
-            raise MalformedGroup(f"element identifier {repeated!r} occurs more than once",
-                                 (repeated,))
-        if identity not in self._index:
-            raise UnknownElement(identity)
-        if len(table) != n:
-            raise MalformedGroup(f"composition table has {len(table)} rows, not {n}",
-                                 (len(table),))
-        for x, row in zip(elements, table):
-            if len(row) != n:
-                raise MalformedGroup(f"table row of {x} has {len(row)} entries, not {n}",
-                                     (x, len(row)))
-        idx_table: list[list[int]] = []
-        for i, row in enumerate(table):
-            idx_row = list(map(self._index.get, row))
-            if None in idx_row:
-                j = idx_row.index(None)
-                raise NotClosed(elements[i], elements[j], row[j])
-            idx_table.append(idx_row)
-        self.identity = identity
-        _prove(self, idx_table, self._index[identity])
+    def __init__(self, elements, table, zero, inv=None):
+        self.elements: list = elements
+        self._index: dict = {x: i for i, x in enumerate(elements)}
+        self._table: list[list[int]] = table
+        self.zero: int = zero
+        proved, n = inv is not None, len(table)
+        if not proved:
+            for i in range(n):
+                if table[zero][i] != i or table[i][zero] != i:
+                    raise NoIdentity(elements[i])
+            inv = []
+            for i, row in enumerate(table):
+                j = -1
+                try:  # the first j with i + j = 0 = j + i; list.index finds each candidate
+                    while j < 0 or table[j][i] != zero:
+                        j = row.index(zero, j + 1)
+                except ValueError:
+                    raise NoInverse(elements[i]) from None
+                inv.append(j)
+        self._inv: list[int] = inv
+        self.generators = gens = tuple(_generators(self))
+        if proved:
+            return
+
+        def associates(i, j):  # i + (j + k) and (i + j) + k, for every k, as tuples
+            return itemgetter(*table[j])(table[i]), tuple(table[table[i][j]])
+
+        # Light's test: the pairs (i, s) for the generators s prove every pair.  A group
+        # of order 1 has no generators, so no row of one entry (not a tuple) is compared.
+        every = range(n)
+        for i, j, k in _failures(associates, product(every, every), product(every, gens)):
+            raise NotAssociative(elements[i], elements[j], elements[k])
+
+    @property
+    def identity(self):
+        return self.elements[self.zero]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -296,55 +310,38 @@ class FiniteGroup:
 
 
 def make_group(elements, table, identity) -> FiniteGroup:
-    """Build and fully validate a finite group from its table."""
-    return FiniteGroup(elements, table, identity)
+    """The group of a table of labels, read into positions and validated by ``FiniteGroup``.
 
-
-def _prove(group: FiniteGroup, table: list, e: int) -> None:
-    """Check the identity at e, find inverses and prove associativity on an integer table.
-
-    Sets ``_table``, ``_inv`` and ``generators``; raises with a label
-    witness on the first failure, as ``FiniteGroup`` documents.
+    The labels are checked first, raising on the first of: no element, a
+    repeated label, an unknown identity, a wrong number of rows, a row of
+    the wrong length, and (``NotClosed``) an entry that is no element.
     """
-    elements, n = group.elements, len(table)
-    group._table = table
-    for i in range(n):
-        if table[e][i] != i or table[i][e] != i:
-            raise NoIdentity(elements[i])
-    inv: list[int] = []
+    elements = list(elements)
+    if not elements:
+        raise MalformedGroup("a group needs at least one element")
+    index = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    if len(index) != n:
+        repeated = next(e for i, e in enumerate(elements) if index[e] != i)
+        raise MalformedGroup(f"element identifier {repeated!r} occurs more than once",
+                             (repeated,))
+    if identity not in index:
+        raise UnknownElement(identity)
+    if len(table) != n:
+        raise MalformedGroup(f"composition table has {len(table)} rows, not {n}",
+                             (len(table),))
+    for x, row in zip(elements, table):
+        if len(row) != n:
+            raise MalformedGroup(f"table row of {x} has {len(row)} entries, not {n}",
+                                 (x, len(row)))
+    positions: list[list[int]] = []
     for i, row in enumerate(table):
-        j = -1
-        try:  # the first j with i + j = 0 = j + i; list.index finds each candidate
-            while j < 0 or table[j][i] != e:
-                j = row.index(e, j + 1)
-        except ValueError:
-            raise NoInverse(elements[i]) from None
-        inv.append(j)
-    group._inv = inv
-    group.generators = gens = tuple(_generators(group))
-
-    def associates(i, j):  # i + (j + k) and (i + j) + k, for every k, as tuples
-        return itemgetter(*table[j])(table[i]), tuple(table[table[i][j]])
-
-    # Light's test: the pairs (i, s) for the generators s prove every pair.  A group
-    # of order 1 has no generators, so no row of one entry (not a tuple) is compared.
-    every = range(n)
-    for i, j, k in _failures(associates, product(every, every), product(every, gens)):
-        raise NotAssociative(elements[i], elements[j], elements[k])
-
-
-def _proved_group(elements: list, table: list, e: int, inv: list | None = None) -> FiniteGroup:
-    """The group on distinct labels and a closed integer table, validated like
-    ``make_group``; given its inverses, its laws are known to hold and nothing is checked."""
-    group = object.__new__(FiniteGroup)
-    group.elements, group.identity = elements, elements[e]
-    group._index = {x: i for i, x in enumerate(elements)}
-    if inv is None:
-        _prove(group, table, e)
-    else:
-        group._table, group._inv = table, inv
-        group.generators = tuple(_generators(group))
-    return group
+        idx_row = list(map(index.get, row))
+        if None in idx_row:
+            j = idx_row.index(None)
+            raise NotClosed(elements[i], elements[j], row[j])
+        positions.append(idx_row)
+    return FiniteGroup(elements, positions, index[identity])
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,7 +388,7 @@ def _cut(parent: FiniteGroup, members, name=None) -> tuple[FiniteGroup, list[int
     again.  The element at parent position p is named name(p), by default
     its parent label.
     """
-    e = parent._index[parent.identity]
+    e = parent.zero
     # in input order: the first member that is no position is the witness
     positions = sorted({_position(parent, p) for p in members} | {e})
     local = {p: r for r, p in enumerate(positions)}
@@ -406,8 +403,8 @@ def _cut(parent: FiniteGroup, members, name=None) -> tuple[FiniteGroup, list[int
             q = positions[cut.index(None)]
             raise NotClosed(elements[p], elements[q], elements[row[q]])
         table.append(cut)
-    group = _proved_group(list(map(name or elements.__getitem__, positions)), table, local[e],
-                          [local[inv[p]] for p in positions])
+    group = FiniteGroup(list(map(name or elements.__getitem__, positions)), table, local[e],
+                        [local[inv[p]] for p in positions])
     return group, positions
 
 
@@ -427,7 +424,7 @@ def subgroup_generated(group: FiniteGroup, generators) -> Subgroup:
     by construction and is not cut again.
     """
     gens = [_position(group, g) for g in generators]
-    t, e = group._table, group._index[group.identity]
+    t, e = group._table, group.zero
     reached, seen = [e], {e}
     for x in reached:  # grows while it is walked: each element is expanded once
         row = t[x]
@@ -441,7 +438,7 @@ def subgroup_generated(group: FiniteGroup, generators) -> Subgroup:
 
 def kernel(f: Homomorphism) -> Subgroup:
     """The x with f(x) = 0, in source order: a subgroup, since f is a validated homomorphism."""
-    zero = f.target._index[f.target.identity]
+    zero = f.target.zero
     return Subgroup(f.source, tuple(x for x, v in enumerate(f.images) if v == zero))
 
 
@@ -508,8 +505,8 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> tuple[FiniteGroup, Homomor
         for g in coset:
             coset_of[g] = r
     table = [[coset_of[t[a][b]] for b in reps] for a in reps]
-    quo = _proved_group([elements[a] for a in reps], table,
-                        coset_of[group._index[group.identity]], [coset_of[inv[a]] for a in reps])
+    quo = FiniteGroup([elements[a] for a in reps], table, coset_of[group.zero],
+                      [coset_of[inv[a]] for a in reps])
     return quo, Homomorphism(group, quo, coset_of)
 
 
@@ -655,7 +652,7 @@ def _action_law_failures(actor: FiniteGroup, space: FiniteGroup, rows: list):
     """
     ml, pl = space.elements, actor.elements
     ms, ps = range(len(ml)), range(len(pl))
-    unfixed = [m for m, v in enumerate(rows[actor._index[actor.identity]]) if v != m]
+    unfixed = [m for m, v in enumerate(rows[actor.zero]) if v != m]
     for m in unfixed:
         yield InvalidAction("identity", (ml[m],))
     gens = actor.generators
@@ -665,7 +662,7 @@ def _action_law_failures(actor: FiniteGroup, space: FiniteGroup, rows: list):
                              itemgetter(2, 0, 1)):
         composition_holds = False
         yield InvalidAction("composition", (ml[m], pl[p], pl[q]))
-    zero_and_gens = (space._index[space.identity], *space.generators)
+    zero_and_gens = (space.zero, *space.generators)
     for n, p, m in _failures(partial(_additivity, rows, space._table), product(ms, ps),
                              product(zero_and_gens, gens) if composition_holds else None,
                              itemgetter(2, 0, 1)):
@@ -722,13 +719,13 @@ def semidirect_product(n_group: FiniteGroup, h_group: FiniteGroup,
     The twist sits on the left factor so that, for abelian N, the table
     agrees entrywise with the loop vertex group built from the same data.
     For nonabelian N it is not the group G of ``loop.loop_gpd_xmod``, whose N part is m + n^p.
-    The table is built on positions and validated as ``make_group`` validates one.
+    The table is built on positions and validated by ``FiniteGroup``, as every table is.
     """
     if act.actor is not h_group or act.space is not n_group:
         raise InvalidAction("wiring", ())
     pairs = [(n, h) for n in n_group.elements for h in h_group.elements]
-    e = n_group._index[n_group.identity] * len(h_group) + h_group._index[h_group.identity]
-    return _proved_group(pairs, _semidirect_table(n_group._table, h_group._table, act.rows), e)
+    e = n_group.zero * len(h_group) + h_group.zero
+    return FiniteGroup(pairs, _semidirect_table(n_group._table, h_group._table, act.rows), e)
 
 
 def _displacements(space: FiniteGroup, row: list) -> list[int]:
@@ -797,7 +794,7 @@ def are_isomorphic(g_group: FiniteGroup, h_group: FiniteGroup,
                 return found
         return None
 
-    found = search(0, {g_group._index[g_group.identity]: h_group._index[h_group.identity]})
+    found = search(0, {g_group.zero: h_group.zero})
     if found is None:
         return None
     return _homomorphism(g_group, h_group, [found[g] for g in range(len(g_group))])

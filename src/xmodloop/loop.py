@@ -31,7 +31,6 @@ from .groups import (
     _displacements,
     _hom_failures,
     _partition,
-    _proved_group,
     _semidirect_table,
     conjugacy_classes,
     image,
@@ -70,7 +69,7 @@ def loop_data(x: CrossedModule, a: str) -> LoopData:
 
     P(a) is the pairs (m_i, p_j) with delta(m_i) = [a, p_j], in (i, j)
     order; its table is computed on positions and validated as a group
-    (``groups._proved_group``).  The pair (m, p) acts on M by column p of
+    (``groups.FiniteGroup``).  The pair (m, p) acts on M by column p of
     x's action, so each action row of L[a] is a row of ``x.act_table``,
     shared, not copied.  delta_a's additivity, the action laws, CM1 and
     CM2 are then proved on these tables, as for any crossed module; they
@@ -96,7 +95,7 @@ def loop_data(x: CrossedModule, a: str) -> LoopData:
             raise InternalInvariantBroken(
                 f"P({a}) is not closed under composition", (Me[n], Pe[q], Me[m], Pe[p]))
         table.append(row)
-    Pa = _proved_group(pairs, table, position[M._index[M.identity] * nP + P._index[P.identity]])
+    Pa = FiniteGroup(pairs, table, position[M.zero * nP + P.zero])
     # delta_a(m) = (-m^a + m, delta m)
     boundary = [position.get(v * nP + d[i]) for i, v in enumerate(_displacements(M, act[ia]))]
     if None in boundary:
@@ -178,7 +177,7 @@ def loop_gpd_xmod(x: CrossedModule) -> GroupoidXMod:
     pairs = [(m, p) for m in M.elements for p in Pe]
     # (n, q) + (m, p) = (m + n^p, q + p): the twisted law of the opposite group of M
     table = _semidirect_table([list(column) for column in zip(*M._table)], pt, act)
-    G = _proved_group(pairs, table, M._index[M.identity] * nP + P._index[P.identity])
+    G = FiniteGroup(pairs, table, M.zero * nP + P.zero)
     # (m, p) . a = p + a + delta(m) - p
     moves = [[pt[pt[pt[j][k]][d[i]]][pinv[j]] for k in range(nP)]
              for i in range(nM) for j in range(nP)]
@@ -232,7 +231,7 @@ def pi_loop(x: CrossedModule, a: str) -> LoopHomotopy:
     lx = loop_xmod_at(x, a)
     pi1, projection = quotient(lx.P, image(lx.delta))
     ker = kernel(lx.delta)
-    zero, row = x.P._index[x.P.identity], x.act_table[x.P.index(a)]
+    zero, row = x.P.zero, x.act_table[x.P.index(a)]
     fixed = [i for i, v in enumerate(row) if x.boundary[i] == zero and v == i]
     if list(ker._positions) != fixed:
         raise InternalInvariantBroken(

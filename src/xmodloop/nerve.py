@@ -71,28 +71,20 @@ class Simplex3(NamedTuple):
         return tuple(self)
 
 
-def _tables(x: CrossedModule) -> tuple:
-    """(P's table, P's inverses, M's table, M's inverses, act, delta, M's zero), on positions.
-
-    act[p][m] is the position of m^p and delta[m] that of delta(m)."""
-    return (x.P._table, x.P._inv, x.M._table, x.M._inv, x.act_table, x.boundary,
-            x.M._index[x.M.identity])
-
-
-def _rule2(tables: tuple):
+def _rule2(x: CrossedModule):
     """The boundary rule delta(m) = -c + a + b of a 2-simplex (m; c, a, b), on positions."""
-    pt, pinv, _, _, _, delta, _ = tables
+    pt, pinv, delta = x.P._table, x.P._inv, x.boundary
 
     def holds(m: int, c: int, a: int, b: int) -> bool:
         return delta[m] == pt[pt[pinv[c]][a]][b]
     return holds
 
 
-def _rules3(tables: tuple):
+def _rules3(x: CrossedModule):
     """The boundary rule on each face and the closure rule, on rows of positions
-    (a, b, c, d, e, f, m0, m1, m2, m3)."""
-    _, _, mt, minv, act, _, zero = tables
-    face = _rule2(tables)
+    (a, b, c, d, e, f, m0, m1, m2, m3); act[p][m] is the position of m^p."""
+    mt, minv, act, zero = x.M._table, x.M._inv, x.act_table, x.M.zero
+    face = _rule2(x)
 
     def holds(row: tuple) -> bool:
         a, b, c, d, e, f, m0, m1, m2, m3 = row
@@ -106,14 +98,14 @@ def is_simplex2(x: CrossedModule, s: Simplex2) -> bool:
     """The boundary rule, on the positions of s's labels."""
     m, c, a, b = s
     P = x.P
-    return _rule2(_tables(x))(x.M.index(m), P.index(c), P.index(a), P.index(b))
+    return _rule2(x)(x.M.index(m), P.index(c), P.index(a), P.index(b))
 
 
 def is_simplex3(x: CrossedModule, s: Simplex3) -> bool:
     """All four boundary equations plus the closure rule, on the positions of
     s's labels: the predicate that re-checks every enumerated 3-simplex."""
     row = (*map(x.P.index, s[:6]), *map(x.M.index, s[6:]))
-    return _rules3(_tables(x))(row)
+    return _rules3(x)(row)
 
 
 def k2_rows(x: CrossedModule) -> list[tuple[int, int, int, int]]:
@@ -122,9 +114,8 @@ def k2_rows(x: CrossedModule) -> list[tuple[int, int, int, int]]:
     Each (a, b, m) forces c = a + b - delta(m); every row is re-checked
     against the rule, and their number against ``k2_count_formula``.
     """
-    tables = _tables(x)
-    pt, pinv, _, _, _, d, _ = tables
-    holds = _rule2(tables)
+    pt, pinv, d = x.P._table, x.P._inv, x.boundary
+    holds = _rule2(x)
     Pe, Me = x.P.elements, x.M.elements
     rows = []
     for a in range(len(pt)):
@@ -162,9 +153,9 @@ def _k3_solved(x: CrossedModule):
     boundary equation for m0 holds by CM1 and the closure rule by the
     choice of m0; every row is still re-checked against all five rules.
     """
-    tables = _tables(x)
-    pt, pinv, mt, minv, act, delta, _ = tables
-    holds = _rules3(tables)
+    pt, pinv, mt, minv = x.P._table, x.P._inv, x.M._table, x.M._inv
+    act, delta = x.act_table, x.boundary
+    holds = _rules3(x)
     ps, ms = range(len(pt)), range(len(mt))
     columns = list(zip(*act))  # columns[m][p] = m^p
     for a in ps:

@@ -185,10 +185,10 @@ class XModCandidate:
         return cls(
             m_elements=list(ml),
             m_table=[list(map(label_m, row)) for row in x.M._table],
-            m_identity=ml[x.M._index[x.M.identity]],
+            m_identity=ml[x.M.zero],
             p_elements=list(pl),
             p_table=[list(map(label_p, row)) for row in x.P._table],
-            p_identity=pl[x.P._index[x.P.identity]],
+            p_identity=pl[x.P.zero],
             delta=dict(zip(ml, map(label_p, x.boundary))),
             action={p: dict(zip(ml, map(label_m, row))) for p, row in zip(pl, x.act_table)},
             name=x.name,
