@@ -39,7 +39,12 @@ parser reused across calls.  Every record holds the stage, the rung, the
 predicted size, ``wall_s``, ``peak_rss_mb`` and ``gc_gen2``; a rung
 that is too large to run is listed as "not run" with its predicted
 size.  ``--out`` is required, so that no run overwrites a committed
-record by default.
+record by default.  The children share one bytecode cache, a
+``PYTHONPYCACHEPREFIX`` under the run's temporary directory, which one
+import of the library fills before the first rung; they write bytecode
+even where ``PYTHONDONTWRITEBYTECODE`` is set, so that no child's peak
+RSS holds the compiling of every module, and nothing is written into
+``src``.
 The script exits 1 if any rung that runs fails.  Only the standard
 library and ``xmodloop`` from this checkout's ``src`` are used.
 """
@@ -51,6 +56,7 @@ import contextlib
 import gc
 import io
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -244,23 +250,34 @@ def child(stage: str, rung: str) -> None:
                       "gc_gen2": full}))
 
 
+def warm() -> None:
+    """Import the library, as every child does before its stage."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import xmodloop.cli  # noqa: F401  (the package imports every other module)
+
+
 def ladder() -> tuple[list[dict], bool]:
     records, ok = [], True
-    for stage, rung, runs in RUNGS:
-        record = {"stage": stage, "rung": rung, "predicted": predicted(stage, rung)}
-        if not runs:
-            record["status"] = "not run"
-        else:
-            done = subprocess.run([sys.executable, __file__, "--child", stage, rung],
-                                  capture_output=True, text=True)
-            if done.returncode == 0:
-                record.update(json.loads(done.stdout.splitlines()[-1]))
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=str(Path(tmp) / "pycache"))
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        subprocess.run([sys.executable, __file__, "--warm"], env=env, check=True)
+        for stage, rung, runs in RUNGS:
+            record = {"stage": stage, "rung": rung, "predicted": predicted(stage, rung)}
+            if not runs:
+                record["status"] = "not run"
             else:
-                ok = False
-                record["status"] = "failed"
-                record["error"] = (done.stderr.strip().splitlines() or [""])[-1]
-        print(f"{stage:20} {rung:9} {record.get('wall_s', record.get('status'))}", flush=True)
-        records.append(record)
+                done = subprocess.run([sys.executable, __file__, "--child", stage, rung],
+                                      capture_output=True, text=True, env=env)
+                if done.returncode == 0:
+                    record.update(json.loads(done.stdout.splitlines()[-1]))
+                else:
+                    ok = False
+                    record["status"] = "failed"
+                    record["error"] = (done.stderr.strip().splitlines() or [""])[-1]
+            print(f"{stage:20} {rung:9} {record.get('wall_s', record.get('status'))}",
+                  flush=True)
+            records.append(record)
     return records, ok
 
 
@@ -268,9 +285,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="where to write the JSON records (required)")
     parser.add_argument("--child", nargs=2, metavar=("STAGE", "RUNG"), help=argparse.SUPPRESS)
+    parser.add_argument("--warm", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         child(*args.child)
+        return 0
+    if args.warm:
+        warm()
         return 0
     if args.out is None:
         parser.error("the following arguments are required: --out")

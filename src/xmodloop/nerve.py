@@ -15,15 +15,23 @@ subject to the closure rule (m3)^f - m0 - m2 + m1 = 0.
 Enumeration and counting compute on positions: the group tables of P
 and M (``_table``, ``_inv``) and the crossed module's action and
 boundary tables (``act_table``, ``boundary``).  The rules are stated
-once, on positions, by ``_rule2`` and ``_rules3``; ``is_simplex2`` and
-``is_simplex3`` map labels to positions and apply them.  ``k2_rows`` and
-``k3_rows`` are the sorted, re-checked rows of positions; ``nerve_k2`` and
-``nerve_k3`` label them, and the CLI writes its listings straight from
-them, naming each element once.
+once, in row form, by ``_rules``: ``face(c, a)`` is the row of -c + a in
+P's table, so (m; c, a, b) is a 2-simplex exactly when
+delta(m) = face(c, a)[b], and ``closure(v, m0, m2)`` is the row of
+v - m0 - m2 in M's table, read at m1 with v = m3^f.  ``is_simplex2`` and
+``is_simplex3`` map labels to positions and read them; so do the two
+solvers, ``k2_rows`` and ``_k3_solved``, which evaluate each rule at the
+outermost loop level where its inputs are fixed and re-check every row
+they emit.  They walk M in the order of the edge each element forces, so
+``k2_rows`` emits its rows sorted and ``_k3_solved`` in nearly sorted
+runs.  ``k2_rows`` and ``k3_rows`` are the sorted, re-checked rows of
+positions; ``nerve_k2`` and ``nerve_k3`` label them, and the CLI writes
+its listings straight from them, naming each element once.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import CountMismatch, IndexOutOfRange, InternalInvariantBroken
@@ -71,62 +79,77 @@ class Simplex3(NamedTuple):
         return tuple(self)
 
 
-def _rule2(x: CrossedModule):
-    """The boundary rule delta(m) = -c + a + b of a 2-simplex (m; c, a, b), on positions."""
-    pt, pinv, delta = x.P._table, x.P._inv, x.boundary
+def _rules(x: CrossedModule):
+    """The nerve's rules in row form, on positions: ``face`` and ``closure``.
 
-    def holds(m: int, c: int, a: int, b: int) -> bool:
-        return delta[m] == pt[pt[pinv[c]][a]][b]
-    return holds
+    ``face(c, a)`` is the row of -c + a in P's table, so (m; c, a, b) is a
+    2-simplex exactly when ``delta[m] == face(c, a)[b]``.
+    ``closure(v, m0, m2)`` is the row of v - m0 - m2 in M's table; with
+    v = m3^f, the closure rule of a 3-simplex is
+    ``closure(v, m0, m2)[m1] == zero``.
+    """
+    pt, pinv, mt, minv = x.P._table, x.P._inv, x.M._table, x.M._inv
+
+    def face(c: int, a: int) -> list:
+        return pt[pt[pinv[c]][a]]
+
+    def closure(v: int, m0: int, m2: int) -> list:
+        return mt[mt[mt[v][minv[m0]]][minv[m2]]]
+    return face, closure
 
 
-def _rules3(x: CrossedModule):
-    """The boundary rule on each face and the closure rule, on rows of positions
-    (a, b, c, d, e, f, m0, m1, m2, m3); act[p][m] is the position of m^p."""
-    mt, minv, act, zero = x.M._table, x.M._inv, x.act_table, x.M.zero
-    face = _rule2(x)
-
-    def holds(row: tuple) -> bool:
-        a, b, c, d, e, f, m0, m1, m2, m3 = row
-        return (face(m0, e, b, f) and face(m1, d, c, f) and face(m2, d, a, e)
-                and face(m3, c, a, b)
-                and mt[mt[mt[act[f][m3]][minv[m0]]][minv[m2]]][m1] == zero)
-    return holds
+def _walks(pt: list, values: list) -> list:
+    """For each t in P, the pairs (m, t + values[m]) of M, stably sorted by
+    t + values[m]: ties keep m ascending."""
+    return [sorted(enumerate(map(row.__getitem__, values)), key=itemgetter(1)) for row in pt]
 
 
 def is_simplex2(x: CrossedModule, s: Simplex2) -> bool:
     """The boundary rule, on the positions of s's labels."""
     m, c, a, b = s
     P = x.P
-    return _rule2(x)(x.M.index(m), P.index(c), P.index(a), P.index(b))
+    face, _ = _rules(x)
+    return x.boundary[x.M.index(m)] == face(P.index(c), P.index(a))[P.index(b)]
 
 
 def is_simplex3(x: CrossedModule, s: Simplex3) -> bool:
-    """All four boundary equations plus the closure rule, on the positions of
-    s's labels: the predicate that re-checks every enumerated 3-simplex."""
-    row = (*map(x.P.index, s[:6]), *map(x.M.index, s[6:]))
-    return _rules3(x)(row)
+    """The boundary rule of each face and the closure rule, on the positions
+    of s's labels: the rules that every solved 3-simplex is re-checked against."""
+    a, b, c, d, e, f = map(x.P.index, s[:6])
+    m0, m1, m2, m3 = map(x.M.index, s[6:])
+    face, closure = _rules(x)
+    delta = x.boundary
+    return (delta[m0] == face(e, b)[f] and delta[m1] == face(d, c)[f]
+            and delta[m2] == face(d, a)[e] and delta[m3] == face(c, a)[b]
+            and closure(x.act_table[f][m3], m0, m2)[m1] == x.M.zero)
 
 
 def k2_rows(x: CrossedModule) -> list[tuple[int, int, int, int]]:
     """Every 2-simplex as a row of positions (a, b, c, m), sorted.
 
-    Each (a, b, m) forces c = a + b - delta(m); every row is re-checked
-    against the rule, and their number against ``k2_count_formula``.
+    Each (a, b, m) forces c = a + b - delta(m).  For each (a, b), m is
+    walked in the stable order of a + b - delta(m), so c never decreases
+    and ties keep m ascending: the rows come out sorted, and the closing
+    sort is one linear pass that keeps the order a contract.  Every row is
+    re-checked against the boundary rule, read through ``face(c, a)``,
+    which is looked up once per (a, c); their number is checked against
+    ``k2_count_formula``.
     """
-    pt, pinv, d = x.P._table, x.P._inv, x.boundary
-    holds = _rule2(x)
+    pt, pinv, delta = x.P._table, x.P._inv, x.boundary
+    face, _ = _rules(x)
+    ps = range(len(pt))
+    minus = _walks(pt, [pinv[p] for p in delta])  # minus[t]: (m, t - delta(m))
     Pe, Me = x.P.elements, x.M.elements
     rows = []
-    for a in range(len(pt)):
-        for b in range(len(pt)):
-            row_ab = pt[pt[a][b]]
-            for m in range(len(Me)):
-                c = row_ab[pinv[d[m]]]
-                if not holds(m, c, a, b):
+    append = rows.append
+    for a in ps:
+        row_a, left = pt[a], [face(c, a) for c in ps]
+        for b in ps:
+            for m, c in minus[row_a[b]]:  # c = a + b - delta(m)
+                if delta[m] != left[c][b]:
                     raise InternalInvariantBroken(
                         "solved 2-simplex fails its boundary rule", (Me[m], Pe[c], Pe[a], Pe[b]))
-                rows.append((a, b, c, m))
+                append((a, b, c, m))
     expected = k2_count_formula(x)
     if expected != len(rows):
         raise CountMismatch(expected, len(rows))
@@ -149,32 +172,52 @@ def k2_count_formula(x: CrossedModule) -> int:
 def _k3_solved(x: CrossedModule):
     """Every 3-simplex as a row of positions (a, b, c, d, e, f, m0, m1, m2, m3).
 
-    a, b, d and m1, m2, m3 are free, then c, e, f and m0 are forced.  The
-    boundary equation for m0 holds by CM1 and the closure rule by the
-    choice of m0; every row is still re-checked against all five rules.
+    a, b, d and m1, m2, m3 are free, then c = a + b - delta(m3),
+    e = -a + d + delta(m2), f = -c + d + delta(m1) and m0 = -m2 + m1 + m3^f
+    are forced.  The boundary equation for m0 holds by CM1 and the closure
+    rule by the choice of m0; still, every yielded row satisfies all five
+    rules, each evaluated at the outermost loop level where its inputs are
+    fixed:
+
+    - face 3, (m3; c, a, b), once per (a, b, m3), and face 2, (m2; d, a, e),
+      once per (a, d, m2), before b is walked; both read face(., a) rows
+      looked up once per a;
+    - face 1, (m1; d, c, f), face 0, (m0; e, b, f), and the closure rule per
+      row, with the rows face(d, c) and face(e, b) looked up where d and e
+      are fixed.
+
+    The verdicts of faces 3 and 2 are read with the row's own three, so the
+    row that raises is the first failing row in scan order, whichever rule
+    it fails, and the count and the listing report the same one.  m3 is
+    walked in the order of a + b - delta(m3), and m2 and m1 in the order of
+    their e and f (``_walks``), so c, e and f never decrease where their
+    prefix is fixed and the rows come out in nearly sorted runs.
     """
     pt, pinv, mt, minv = x.P._table, x.P._inv, x.M._table, x.M._inv
-    act, delta = x.act_table, x.boundary
-    holds = _rules3(x)
-    ps, ms = range(len(pt)), range(len(mt))
-    columns = list(zip(*act))  # columns[m][p] = m^p
+    delta, zero = x.boundary, x.M.zero
+    face, closure = _rules(x)
+    ps = range(len(pt))
+    columns = list(zip(*x.act_table))  # columns[m][p] = m^p
+    minus = _walks(pt, [pinv[p] for p in delta])  # minus[t]: (m, t - delta(m))
+    plus = _walks(pt, delta)  # plus[t]: (m, t + delta(m))
     for a in ps:
-        row_a, row_na = pt[a], pt[pinv[a]]
+        row_a, row_na, left = pt[a], pt[pinv[a]], [face(d, a) for d in ps]
+        # face 2 at every (d, m2), with e = -a + d + delta(m2)
+        walk2 = [[(m2, e, delta[m2] == left[d][e]) for m2, e in plus[row_na[d]]] for d in ps]
         for b in ps:
-            row_ab = pt[row_a[b]]
-            for m3 in ms:
-                c = row_ab[pinv[delta[m3]]]  # c = a + b - delta(m3)
+            for m3, c in minus[row_a[b]]:  # c = a + b - delta(m3)
+                ok3 = delta[m3] == left[c][b]
                 row_nc, act_m3 = pt[pinv[c]], columns[m3]
                 for d in ps:
-                    row_nad, row_ncd = pt[row_na[d]], pt[row_nc[d]]
-                    for m2 in ms:
-                        e = row_nad[delta[m2]]  # e = -a + d + delta(m2)
-                        row_nm2 = mt[minv[m2]]
-                        for m1 in ms:
-                            f = row_ncd[delta[m1]]  # f = -c + d + delta(m1)
-                            # m0 = -m2 + m1 + m3^f
-                            row = (a, b, c, d, e, f, mt[row_nm2[m1]][act_m3[f]], m1, m2, m3)
-                            if not holds(row):
+                    face_dc, walk1 = face(d, c), plus[row_nc[d]]  # f = -c + d + delta(m1)
+                    for m2, e, ok2 in walk2[d]:
+                        face_eb, row_nm2, ok = face(e, b), mt[minv[m2]], ok2 and ok3
+                        for m1, f in walk1:
+                            v = act_m3[f]
+                            m0 = mt[row_nm2[m1]][v]  # m0 = -m2 + m1 + m3^f
+                            row = (a, b, c, d, e, f, m0, m1, m2, m3)
+                            if not (ok and delta[m1] == face_dc[f] and delta[m0] == face_eb[f]
+                                    and closure(v, m0, m2)[m1] == zero):
                                 raise InternalInvariantBroken(
                                     "solved 3-simplex fails a boundary or closure rule",
                                     _simplex3(x, row).key())
@@ -189,7 +232,12 @@ def _simplex3(x: CrossedModule, row: tuple) -> Simplex3:
 
 def k3_rows(x: CrossedModule) -> list[tuple]:
     """Every 3-simplex as a row of positions (a, b, c, d, e, f, m0, m1, m2, m3),
-    sorted; see ``_k3_solved``."""
+    sorted; see ``_k3_solved``.
+
+    The solver's rows come out in nearly sorted runs, not sorted: ties in
+    c, e or f interleave the rows of different m3, m2 or m1.  ``sorted``
+    merges the runs; the rows are distinct, so its output does not depend
+    on the order they arrive in."""
     return sorted(_k3_solved(x))
 
 

@@ -101,15 +101,22 @@ def brute_k3(x):
     return found
 
 
-def brute_is_simplex3(x, t):
-    """The four boundary rules and the closure rule on a label 10-tuple, in label arithmetic."""
+def brute_failed_rules3(x, t):
+    """The rules that a label 10-tuple fails, in label arithmetic: a set of
+    "face0" .. "face3" (the boundary rule of each face) and "closure"."""
     P, M = x.P, x.M
     a, b, c, d, e, f, m0, m1, m2, m3 = t
-    return (x.delta(m0) == P.add(P.add(P.neg(e), b), f)
-            and x.delta(m1) == P.add(P.add(P.neg(d), c), f)
-            and x.delta(m2) == P.add(P.add(P.neg(d), a), e)
-            and x.delta(m3) == P.add(P.add(P.neg(c), a), b)
-            and M.add(M.add(M.add(x.act(m3, f), M.neg(m0)), M.neg(m2)), m1) == M.identity)
+    holds = {"face0": x.delta(m0) == P.add(P.add(P.neg(e), b), f),
+             "face1": x.delta(m1) == P.add(P.add(P.neg(d), c), f),
+             "face2": x.delta(m2) == P.add(P.add(P.neg(d), a), e),
+             "face3": x.delta(m3) == P.add(P.add(P.neg(c), a), b),
+             "closure": M.add(M.add(M.add(x.act(m3, f), M.neg(m0)), M.neg(m2)), m1) == M.identity}
+    return {rule for rule, ok in holds.items() if not ok}
+
+
+def brute_is_simplex3(x, t):
+    """The four boundary rules and the closure rule on a label 10-tuple, in label arithmetic."""
+    return not brute_failed_rules3(x, t)
 
 
 def brute_components(x):

@@ -2,15 +2,18 @@ import random
 
 import pytest
 
-from bruteforce import brute_is_simplex3, brute_k2, brute_k3
+from bruteforce import brute_failed_rules3, brute_is_simplex3, brute_k2, brute_k3
 from conftest import fixture
 from xmodloop.errors import IndexOutOfRange, InternalInvariantBroken
+from xmodloop.groups import FiniteGroup, make_group
 from xmodloop.nerve import (
     Simplex2,
     is_simplex2,
     is_simplex3,
     k2_count_formula,
+    k2_rows,
     k3_count,
+    k3_rows,
     nerve_k2,
     nerve_k3,
 )
@@ -142,10 +145,90 @@ def _with_one_action_entry_moved(x):
     raise AssertionError("delta is trivial")
 
 
+def _raises_at_one_first_failing_row(x, rules):
+    """The listing and the count raise at the same row, which label arithmetic
+    rejects for exactly ``rules``; returns that row."""
+    with pytest.raises(InternalInvariantBroken, match="solved 3-simplex") as listing:
+        k3_rows(x)
+    with pytest.raises(InternalInvariantBroken, match="solved 3-simplex") as count:
+        k3_count(x)
+    witness = listing.value.witness
+    assert count.value.witness == witness
+    assert not brute_is_simplex3(x, witness)
+    assert brute_failed_rules3(x, witness) == rules
+    return witness
+
+
 @pytest.mark.parametrize("name", ["inc24", "inn3"])
 def test_k3_recheck_is_live_on_the_listing_and_the_count(name):
     broken = _with_one_action_entry_moved(fixture(name))
     with pytest.raises(InternalInvariantBroken, match="solved 3-simplex"):
         nerve_k3(broken)
-    with pytest.raises(InternalInvariantBroken, match="solved 3-simplex"):
-        k3_count(broken)
+    _raises_at_one_first_failing_row(broken, {"face0"})
+    assert len(k2_rows(broken)) == k2_count_formula(broken)  # K2 reads no action
+
+
+def _with_p_entries_swapped(x, i, j, k):
+    """x with P's entries i + j and i + k swapped: identity and inverses are kept,
+    so construction given ``inv`` skips the proof, but the table is not associative."""
+    P = x.P
+    table = [list(row) for row in P._table]
+    table[i][j], table[i][k] = table[i][k], table[i][j]
+    return CrossedModule(x.M, FiniteGroup(P.elements, table, P.zero, P._inv), x.act_table,
+                         x.boundary, name=x.name)
+
+
+def _over_a_loop():
+    """1 -> L, L a loop of order 6: a Latin square with identity 0 and two-sided
+    inverses, not associative ((1 + 2) + 2 = 4, 1 + (2 + 2) = 1)."""
+    table = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 4, 0, 5, 3, 1],
+             [3, 5, 4, 1, 0, 2], [4, 2, 5, 0, 1, 3], [5, 3, 1, 4, 2, 0]]
+    L = FiniteGroup([str(i) for i in range(6)], table, 0, [0, 1, 2, 4, 3, 5])
+    return CrossedModule(make_group(["0"], [["0"]], "0"), L, [[0]] * 6, [0], name="loop6")
+
+
+def _with_m_entries_swapped(x, i, j, k):
+    """x with M's entries i + j and i + k swapped, identity and inverses kept."""
+    M = x.M
+    table = [list(row) for row in M._table]
+    table[i][j], table[i][k] = table[i][k], table[i][j]
+    return CrossedModule(FiniteGroup(M.elements, table, M.zero, M._inv), x.P, x.act_table,
+                         x.boundary, name=x.name)
+
+
+def _with_boundary_moved(x, m, p):
+    """x with delta(m) replaced by p."""
+    boundary = list(x.boundary)
+    boundary[m] = p
+    return CrossedModule(x.M, x.P, x.act_table, boundary, name=x.name)
+
+
+# (mutant, the rules its first failing row fails, whether k2_rows's rule reads what it
+# breaks).  Faces 1 and 2 state one identity, -d + x + (-x + d + y) = y, at x = c and
+# x = a; the first row that fails it fails both.
+MUTANTS = {
+    "p-swapped-inc24": (lambda: _with_p_entries_swapped(fixture("inc24"), 1, 2, 3),
+                        {"face1", "face2"}, True),
+    "p-swapped-inn3": (lambda: _with_p_entries_swapped(fixture("inn3"), 3, 1, 3),
+                       {"face1", "face2"}, True),
+    "p-loop6": (_over_a_loop, {"face3"}, True),
+    "m-swapped-mod32": (lambda: _with_m_entries_swapped(fixture("mod32"), 1, 1, 2),
+                        {"closure"}, False),
+    "boundary-moved-inn3": (lambda: _with_boundary_moved(fixture("inn3"), 1, 3),
+                            {"face0"}, False),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_every_hoisted_check_is_live(name):
+    """Each mutant breaks a rule that the solvers check at a different loop level."""
+    build, rules, k2_breaks = MUTANTS[name]
+    x = build()
+    _raises_at_one_first_failing_row(x, rules)
+    if k2_breaks:
+        with pytest.raises(InternalInvariantBroken, match="solved 2-simplex") as k2:
+            k2_rows(x)
+        m, c, a, b = k2.value.witness
+        assert x.delta(m) != x.P.add(x.P.add(x.P.neg(c), a), b)
+    else:
+        assert len(k2_rows(x)) == k2_count_formula(x)
