@@ -1,6 +1,6 @@
 """Size ladder: time each stage on a fixed list of growing inputs.
 
-    python bench/ladder.py --out BENCH_20.json
+    python bench/ladder.py --out BENCH_24.json
 
 A rung names a group (``S5``) or a crossed module: ``id: G``, ``1 -> G``
 or ``N -> G``, the inclusion of a normal subgroup N of G with G acting
@@ -21,11 +21,12 @@ builds no list.  The
 written untimed by ``serialize_xmod``; the ``homotopy`` and
 ``components`` rungs time that call alone on a fresh module, so
 ``components`` includes the ``homotopy`` it starts from.  The
-``exact_sequence`` rung times ``exact_sequence`` at every base, and the
+``pi_loop`` rung times ``pi_loop`` at every base, the
+``exact_sequence`` rung ``exact_sequence`` at every base, and the
 ``example_checks`` rung ``example1_check`` and ``example2_check`` at
 every base, a check whose precondition fails at a base counting as run;
-both start from a fresh module, so they include the ``homotopy`` and
-``loop_data`` they build on.  A ``cli_*``
+all three start from a fresh module, so they include the ``loop_data``
+they build on, and the last two the ``homotopy`` too.  A ``cli_*``
 rung times one CLI subcommand as a whole: the child writes the rung as a
 document with ``serialize_xmod`` (untimed), then times one ``run_cli``
 call on it with standard output sent to a ``StringIO``;
@@ -80,7 +81,7 @@ RUNGS = [
       for rung in ("id: C4", "1 -> S4", "id: S3", "id: D4", "id: S4")),
     *((stage, rung, True) for stage in ("parse_xmod", "homotopy", "components")
       for rung in ("id: S4", "id: A5", "id: S5", "A5 -> S5", "1 -> S6")),
-    *((stage, rung, True) for stage in ("exact_sequence", "example_checks")
+    *((stage, rung, True) for stage in ("pi_loop", "exact_sequence", "example_checks")
       for rung in ("id: S4", "A4 -> S4", "1 -> S4", "1 -> S5")),
     *(("nerve_k2", rung, True) for rung in ("id: C4", "1 -> S4", "id: S3", "id: S4", "1 -> S6")),
     *((stage, rung, True)
@@ -158,8 +159,9 @@ def predicted(stage: str, rung: str) -> dict:
         return {"simplices": m * p ** 2}
     if stage in ("cli_components", "parse_xmod"):
         return {"bases": p, "document_entries": p * p + m * m + m + m * p}
-    if stage in ("homotopy", "components", "exact_sequence"):
-        return {"order_P": p, "order_M": m, **({"bases": p} if stage == "exact_sequence" else {})}
+    if stage in ("homotopy", "components", "pi_loop", "exact_sequence"):
+        bases = {"bases": p} if stage in ("pi_loop", "exact_sequence") else {}
+        return {"order_P": p, "order_M": m, **bases}
     if stage == "example_checks":
         # the twisted products M x C_a(P) and pi x P have at most |M||P| pairs
         return {"bases": p, "twisted_product_order_at_most": m * p}
@@ -195,7 +197,7 @@ def run_stage(stage: str, rung: str) -> tuple[float, int]:
     from xmodloop.exactseq import example1_check, example2_check, exact_sequence, fibration_psi
     from xmodloop.groupoids import pi0, vertex_group
     from xmodloop.groups import group_action, homomorphism, make_group, subgroup
-    from xmodloop.loop import components, loop_gpd_xmod, theta
+    from xmodloop.loop import components, loop_gpd_xmod, pi_loop, theta
     from xmodloop.nerve import k3_count, nerve_k2, nerve_k3
     from xmodloop.xmod import homotopy, make_xmod
 
@@ -235,6 +237,7 @@ def run_stage(stage: str, rung: str) -> tuple[float, int]:
     call = {"loop_gpd_xmod": loop_gpd_xmod, "fibration_psi": fibration_psi,
             "homotopy": homotopy, "components": components,
             "theta": lambda x: [theta(x, a) for a in x.P],
+            "pi_loop": lambda x: [pi_loop(x, a) for a in x.P],
             "pi0": lambda x: pi0(gxm),
             "vertex_group": lambda x: [vertex_group(gxm.base, a) for a in gxm.base.objects],
             "exact_sequence": lambda x: [exact_sequence(x, a) for a in x.P],

@@ -56,7 +56,6 @@ from .nerve import (
 )
 from .loop import (
     LoopData,
-    LoopHomotopy,
     components,
     loop_data,
     loop_gpd_xmod,

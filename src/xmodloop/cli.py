@@ -60,9 +60,7 @@ def _load(args) -> CrossedModule:
     return parse_xmod(text)
 
 
-def _require_base(x: CrossedModule, base: str | None) -> str:
-    if base is None:
-        raise PreconditionFailed("--base is required for this command")
+def _require_base(x: CrossedModule, base: str) -> str:
     if base not in x.P:
         raise XModError(f"base element {base!r} is not an element of P")
     return base
@@ -89,6 +87,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_pi(args) -> int:
+    if args.space == "loop" and args.base is None:
+        raise PreconditionFailed("--base is required with --space loop")
     x = _load(args)
     if args.space == "base":
         data, space, at = homotopy(x), "space: base", {}
@@ -292,9 +292,6 @@ def run_cli(argv) -> int:
     except SystemExit as exc:
         code = exc.code
         return 0 if code in (None, 0) else int(code)
-    if getattr(args, "space", None) == "loop" and getattr(args, "base", None) is None:
-        print("error: --base is required with --space loop", file=sys.stderr)
-        return 2
     try:
         return args.handler(args)
     # a name that standard output cannot encode fails before anything is written

@@ -171,7 +171,7 @@ def exact_sequence(x: CrossedModule, a: str) -> ExactSequence:
     q = _homomorphism(pi1, cent_group, q_images)
 
     inside = data.kernel_subgroup._positions
-    _set_equal("pi2-head", x.M, kernel(lx.xmod.delta)._positions,
+    _set_equal("pi2-head", x.M, loop_h.kernel_subgroup._positions,
                [inside[r] for r in fixed._positions])
     _set_equal("pi", pi, kernel(connecting)._positions, image(inclusion)._positions)
     _set_equal("pi1-fibre", pi, kernel(j)._positions, image(connecting)._positions)

@@ -67,6 +67,11 @@ and validates no law again.  The source of ``loop.theta`` (one object,
 its stabiliser and M) and the fibre of ``exactseq.fibration_psi`` (the
 pairs (m, 0), every object and N = 0) are restrictions.
 
+Homotopy.  At x, d_x maps M into the vertex group, whose arrows act on
+M; this is a crossed module of groups (``_vertex_xmod``), each law of it
+a law of the whole at x, so it is not validated again.  ``pi1_at`` and
+``pi2_at`` read it with ``xmod.homotopy``, as the base and each L[a] are.
+
 Morphisms.  A ``GXModMorphism`` is three maps of positions: f: G -> G',
 f0: X -> X' and f2: M -> M', sending (g, x) to (f(g), f0(x)).
 ``check_morphism`` proves f and f2 homomorphisms from generators, then
@@ -99,20 +104,15 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
-    Homomorphism,
     _additive_failures,
     _additivity,
     _composition,
     _cut,
     _failures,
-    _homomorphism,
     _partition,
     _position,
-    image,
-    kernel,
-    quotient,
 )
-from .xmod import CrossedModule, _cm1, _cm2
+from .xmod import CrossedModule, _cm1, _cm2, _homotopy
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,25 +297,23 @@ def pi0(gxm: GroupoidXMod) -> list[list[str]]:
     return [[objects[k] for k in block] for block in blocks]
 
 
-def _boundary_hom(gxm: GroupoidXMod, x: str) -> Homomorphism:
-    """d_x: M -> the vertex group at x, on positions."""
+def _vertex_xmod(gxm: GroupoidXMod, x: str) -> CrossedModule:
+    """d_x: M -> the vertex group at x, acted on by its arrows (module docstring)."""
     k = _object(gxm.base, x)
     vertex, positions = _vertex(gxm.base, k)
     local = {g: r for r, g in enumerate(positions)}
-    return _homomorphism(gxm.fibre, vertex, [local[g] for g in gxm.boundary[k]])
+    return CrossedModule(gxm.fibre, vertex, [gxm.act[g] for g in positions],
+                         [local[g] for g in gxm.boundary[k]])
 
 
 def pi1_at(gxm: GroupoidXMod, x: str) -> FiniteGroup:
-    """Cokernel of the boundary at x."""
-    delta = _boundary_hom(gxm, x)
-    quo, _ = quotient(delta.target, image(delta))
-    return quo
+    """Cokernel of the boundary at x: pi1 of ``xmod.homotopy`` of the vertex module."""
+    return _homotopy(_vertex_xmod(gxm, x)).pi1
 
 
 def pi2_at(gxm: GroupoidXMod, x: str) -> FiniteGroup:
-    """Kernel of the boundary at x, a subgroup of M."""
-    delta = _boundary_hom(gxm, x)
-    return kernel(delta).as_group()
+    """Kernel of the boundary at x, a subgroup of M: pi2 of the vertex module."""
+    return _homotopy(_vertex_xmod(gxm, x)).pi2
 
 
 def _slice(rows, columns, local, error) -> list[list[int]]:

@@ -8,7 +8,8 @@ For a base element a of P, the vertex group P(a) consists of the pairs
 
 The groupoid-level model has objects P, morphisms all triples (m, p, a)
 with source p + a + delta(m) - p and target a, and M as the fibre over
-every object, on which (m, p, a) acts by n -> n^p.
+every object, on which (m, p, a) acts by n -> n^p.  ``pi_loop`` reads
+the 2-type of the component of a as ``xmod.homotopy`` of L[a].
 
 Both constructions compute on x's position tables: the group tables
 of M and P (``_table``, ``_inv``), the action (``act_table``) and the
@@ -26,16 +27,12 @@ from .documents import _render
 from .errors import InternalInvariantBroken
 from .groups import (
     FiniteGroup,
-    Homomorphism,
     _action_law_failures,
     _displacements,
     _hom_failures,
     _partition,
     _semidirect_table,
     conjugacy_classes,
-    image,
-    kernel,
-    quotient,
 )
 from .groupoids import (
     GroupoidXMod,
@@ -47,7 +44,7 @@ from .groupoids import (
     make_gxm_morphism,
     restrict,
 )
-from .xmod import CrossedModule, _cm_failures, homotopy
+from .xmod import CrossedModule, HomotopyData, _cm_failures, _homotopy, homotopy
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,45 +193,35 @@ def theta(x: CrossedModule, a: str) -> GXModMorphism:
     all of M; the cut checks only closure and invariance, so P(a) is
     validated once, by ``loop_data``.  Its target is L[a] over one object,
     read from L[a]'s tables.  theta sends a to the object of L[a],
-    (m, p, a) to (m, p) and M to M by the identity: the pair (m_i, p_j) is
-    at i |P| + j in G and at its place in ``LoopData._pairs`` in P(a).  It
-    is validated as a structure-preserving bijection in every dimension.
+    (m, p, a) to (m, p) and M to M by the identity: the stabiliser and
+    ``LoopData._pairs`` both list (m_i, p_j) at ascending i |P| + j, and
+    the two scans must agree, so each map is the identity on positions.
     """
     gxm = loop_gpd_xmod(x)
     k = _object(gxm.base, a)
     stabiliser, nM, nP = gxm.base.stabiliser(k), len(x.M), len(x.P)
     src = restrict(gxm, stabiliser, (k,), range(nM))
     lx = loop_data(x, a)
-    position = {i * nP + j: r for r, (i, j) in enumerate(lx._pairs)}
-    group_map = list(map(position.get, stabiliser))
-    f = make_gxm_morphism(src, as_groupoid_xmod(lx.xmod), group_map, [0], list(range(nM)))
-    if not f.is_isomorphism():
-        raise InternalInvariantBroken(f"theta at {a} is not bijective", (a,))
-    return f
+    if stabiliser != [i * nP + j for i, j in lx._pairs]:
+        raise InternalInvariantBroken(f"the stabiliser of {a} is not P({a})", (a,))
+    return make_gxm_morphism(src, as_groupoid_xmod(lx.xmod), range(len(stabiliser)), [0],
+                             range(nM))
 
 
-@dataclass(frozen=True, eq=False)
-class LoopHomotopy:
-    """pi1 and pi2 of the loop-space component at a."""
+def pi_loop(x: CrossedModule, a: str) -> HomotopyData:
+    """The homotopy of L[a]: pi1 = Cok(delta_a), pi2 = Ker(delta_a) and the action.
 
-    pi1: FiniteGroup
-    pi2: FiniteGroup
-    projection: Homomorphism  # P(a) -> pi1
-
-
-def pi_loop(x: CrossedModule, a: str) -> LoopHomotopy:
-    """Cok and Ker of delta_a; the kernel is checked to equal the fixed points.
-
-    The fixed-point identity Ker(delta_a) = {k in Ker(delta) : k^a = k}
+    ``xmod.homotopy`` reads them, with every check it makes; its body is
+    called uncached, since ``loop_data`` already holds L[a].  The
+    fixed-point identity Ker(delta_a) = {k in Ker(delta) : k^a = k}
     holds elementwise and is asserted, not assumed.
     """
-    lx = loop_xmod_at(x, a)
-    pi1, projection = quotient(lx.P, image(lx.delta))
-    ker = kernel(lx.delta)
+    data = _homotopy(loop_xmod_at(x, a))
+    inside = data.kernel_subgroup._positions
     zero, row = x.P.zero, x.act_table[x.P.index(a)]
     fixed = [i for i, v in enumerate(row) if x.boundary[i] == zero and v == i]
-    if list(ker._positions) != fixed:
+    if list(inside) != fixed:
         raise InternalInvariantBroken(
             f"Ker(delta_{a}) differs from the fixed points of {a}",
-            tuple(sorted(x.M.elements[i] for i in set(ker._positions) ^ set(fixed))))
-    return LoopHomotopy(pi1, ker.as_group(), projection)
+            tuple(sorted(x.M.elements[i] for i in set(inside) ^ set(fixed))))
+    return data

@@ -279,6 +279,10 @@ class HomotopyData:
 def homotopy(x: CrossedModule) -> HomotopyData:
     """Homotopy groups of the classifying space: Cok and Ker of delta.
 
+    The one reader of pi1 and pi2: of x, of each L[a] (``loop.pi_loop``)
+    and of the vertex module at each object (``groupoids.pi1_at``,
+    ``pi2_at``); those call the uncached body, ``_homotopy``.
+
     Normality of the image, centrality of the kernel and representative
     independence of the induced action are consequences of the axioms;
     each is re-verified on x's tables and a failure raises
@@ -312,3 +316,8 @@ def homotopy(x: CrossedModule) -> HomotopyData:
     local = {k: r for r, k in enumerate(inside)}  # pi2's position of each kernel element
     g_action = _group_action(pi1, pi2, [[local[rows[p][k]] for k in inside] for p in reps])
     return HomotopyData(pi1, pi2, g_action, projection, ker)
+
+
+# The uncached body, read here once: a wrapper put around ``homotopy`` later, such
+# as perfbench's tracer, has the cached function as its ``__wrapped__``.
+_homotopy = homotopy.__wrapped__

@@ -8,9 +8,10 @@ kernel is the centre of G.  Every group is built from permutations here, without
 library's subgroup code, then relabelled with random names listed in a
 random input order.  The loop-space properties check every table of the
 loop groupoid and of P(a) against label arithmetic, in order, and P(a)
-against its defining filter and the paper's order identity for pi1 at
-every base, and the groupoid's own readers (``pi0``, ``vertex_group``,
-``pi1_at``, ``pi2_at``) against P(a) and the loop groups.  The nerve's
+against its defining filter, the paper's order identity for pi1 and the
+action of P on M for pi1's action on pi2 at every base, and the
+groupoid's own readers (``pi0``, ``vertex_group``, ``pi1_at``,
+``pi2_at``) against P(a) and the loop groups.  The nerve's
 count and listing agree with |M|^3 |P|^3, and its listings with the
 brute-force ones; the document ``loop --emit`` writes at every base
 passes ``check``.  The
@@ -305,10 +306,16 @@ def test_loop_groups_at_every_base_match_filter_and_order_identity(x):
     assume(len(x.M) * len(x.P) ** 2 <= 300)
     base = homotopy(x)
     for a in x.P:
-        assert set(loop_data(x, a).Pa.elements) == brute_pa(x, a)
+        pa = loop_data(x, a).Pa
+        assert set(pa.elements) == brute_pa(x, a)
         abar = base.projection.images[x.P.index(a)]
-        assert len(pi_loop(x, a).pi1) == (len(coinvariants(x, a))
-                                          * len(centralizer(base.pi1, abar)))
+        loop_h = pi_loop(x, a)
+        assert len(loop_h.pi1) == (len(coinvariants(x, a))
+                                   * len(centralizer(base.pi1, abar)))
+        # pi1's action on pi2 of L[a]: (m, p) acts on Ker(delta_a) as p acts on M
+        for u in pa:
+            for k in loop_h.pi2:
+                assert loop_h.g_action.act(k, loop_h.projection(u)) == x.act(k, u[1]), (a, u, k)
 
 
 def loop_sizes(x):
