@@ -1,6 +1,6 @@
 """Size ladder: time each stage on a fixed list of growing inputs.
 
-    python bench/ladder.py --out BENCH_24.json
+    python bench/ladder.py --out BENCH_25.json
 
 A rung names a group (``S5``) or a crossed module: ``id: G``, ``1 -> G``
 or ``N -> G``, the inclusion of a normal subgroup N of G with G acting
@@ -11,9 +11,9 @@ build lands in the stage, and times only the stage call with
 ``time.perf_counter``.  It reads its own peak RSS with
 ``resource.getrusage(RUSAGE_SELF)`` and counts the full (generation 2)
 garbage collections made while the stage ran.  The ``theta`` (at every
-base), ``fibration_psi``, ``pi0`` and ``vertex_group`` (at every object)
-rungs build the loop groupoid first, as the cached ``loop_gpd_xmod``
-they start from, and time only their own work.  The ``nerve_k2`` and
+base), ``fibration_psi``, ``pi0``, ``vertex_group`` and ``homotopy_at``
+(both at every object) rungs build the loop groupoid first, as the cached
+``loop_gpd_xmod`` they start from, and time only their own work.  The ``nerve_k2`` and
 ``nerve_k3`` rungs time the sorted listings of the 2- and 3-simplices
 and the ``nerve_k3_count`` rung the count of the 3-simplices, which
 builds no list.  The
@@ -88,7 +88,7 @@ RUNGS = [
       for stage in ("cli_nerve3_list_json", "cli_nerve3_list_text", "cli_nerve2_list_json")
       for rung in ("id: C4", "1 -> S4", "id: S3")),
     *(("cli_components", rung, True) for rung in ("id: A4", "id: S4")),
-    *((stage, rung, True) for stage in ("pi0", "vertex_group")
+    *((stage, rung, True) for stage in ("pi0", "vertex_group", "homotopy_at")
       for rung in ("id: S4", "id: A5", "1 -> S6")),
 ]
 CLI_ARGS = {"cli_nerve3_list_json": ["nerve", "--dim", "3", "--list", "--format", "json"],
@@ -166,7 +166,7 @@ def predicted(stage: str, rung: str) -> dict:
         # the twisted products M x C_a(P) and pi x P have at most |M||P| pairs
         return {"bases": p, "twisted_product_order_at_most": m * p}
     # the loop groupoid is the group of the |M||P| pairs (m, p) acting on P
-    if stage in ("pi0", "vertex_group"):
+    if stage in ("pi0", "vertex_group", "homotopy_at"):
         return {"objects": p, "group_order": m * p}
     if stage == "theta":
         return {"bases": p, "group_order": m * p}
@@ -195,7 +195,7 @@ def run_stage(stage: str, rung: str) -> tuple[float, int]:
     from xmodloop.documents import parse_xmod, serialize_xmod
     from xmodloop.errors import PreconditionFailed
     from xmodloop.exactseq import example1_check, example2_check, exact_sequence, fibration_psi
-    from xmodloop.groupoids import pi0, vertex_group
+    from xmodloop.groupoids import homotopy_at, pi0, vertex_group
     from xmodloop.groups import group_action, homomorphism, make_group, subgroup
     from xmodloop.loop import components, loop_gpd_xmod, pi_loop, theta
     from xmodloop.nerve import k3_count, nerve_k2, nerve_k3
@@ -226,7 +226,7 @@ def run_stage(stage: str, rung: str) -> tuple[float, int]:
     if stage == "parse_xmod":
         text = serialize_xmod(x)
         return timed(lambda: parse_xmod(text))
-    if stage in ("theta", "fibration_psi", "pi0", "vertex_group"):
+    if stage in ("theta", "fibration_psi", "pi0", "vertex_group", "homotopy_at"):
         gxm = loop_gpd_xmod(x)
 
     def examples(x):
@@ -240,6 +240,7 @@ def run_stage(stage: str, rung: str) -> tuple[float, int]:
             "pi_loop": lambda x: [pi_loop(x, a) for a in x.P],
             "pi0": lambda x: pi0(gxm),
             "vertex_group": lambda x: [vertex_group(gxm.base, a) for a in gxm.base.objects],
+            "homotopy_at": lambda x: [homotopy_at(gxm, a) for a in gxm.base.objects],
             "exact_sequence": lambda x: [exact_sequence(x, a) for a in x.P],
             "example_checks": examples,
             "nerve_k2": nerve_k2, "nerve_k3": nerve_k3, "nerve_k3_count": k3_count}[stage]

@@ -39,9 +39,8 @@ from .groupoids import (
     is_fibration,
     make_gxm,
     make_gxm_morphism,
+    homotopy_at,
     pi0,
-    pi1_at,
-    pi2_at,
     vertex_group,
 )
 from .nerve import (
@@ -59,7 +58,6 @@ from .loop import (
     components,
     loop_data,
     loop_gpd_xmod,
-    loop_xmod_at,
     pi_loop,
     theta,
 )

@@ -168,7 +168,7 @@ def _cmd_nerve(args) -> int:
 def _cmd_loop(args) -> int:
     x = _load(args)
     base = _require_base(x, args.base)
-    lx = loop.loop_xmod_at(x, base)
+    lx = loop.loop_data(x, base).xmod
     if args.emit:
         sys.stdout.write(serialize_xmod(lx))
         return 0

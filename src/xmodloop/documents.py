@@ -136,14 +136,6 @@ def load_document(text: str) -> XModCandidate:
             for m in m_elements:
                 _require(m in action[p], f"action[{p!r}] is missing an entry for {m!r}")
 
-    # the candidate lists every entry in element order; a document already in that order is kept
-    if list(delta) != m_elements:
-        delta = {m: delta[m] for m in m_elements}
-    if list(action) != p_elements:
-        action = {p: action[p] for p in p_elements}
-    for p, row in action.items():
-        if list(row) != m_elements:
-            action[p] = {m: row[m] for m in m_elements}
     return XModCandidate(
         m_elements=m_elements,
         m_table=m_table,

@@ -161,11 +161,11 @@ def exact_sequence(x: CrossedModule, a: str) -> ExactSequence:
     for u, (_, p) in enumerate(pairs):
         value = local.get(to_pi1[p])
         if value is None:
-            rep, value = lx.Pa.elements[u], data.pi1.elements[to_pi1[p]]
+            rep, value = lx.xmod.P.elements[u], data.pi1.elements[to_pi1[p]]
             raise InternalInvariantBroken(
                 f"q({rep}) = {value} misses the centralizer of {abar}", (rep, value))
         if q_images[to_loop[u]] not in (None, value):
-            rep = lx.Pa.elements[u]
+            rep = lx.xmod.P.elements[u]
             raise InternalInvariantBroken(f"q is not representative-independent at {rep}", (rep,))
         q_images[to_loop[u]] = value
     q = _homomorphism(pi1, cent_group, q_images)
@@ -242,7 +242,7 @@ def example1_check(x: CrossedModule, a: str,
 
     restricted = _group_action(cent_group, M, [act[p] for p in cent._positions])
     model = semidirect_product(M, cent_group, restricted)
-    return report + _twisted_mismatches(loop_data(x, a).Pa, model, a, f"M x C_{a}(P)",
+    return report + _twisted_mismatches(loop_data(x, a).xmod.P, model, a, f"M x C_{a}(P)",
                                         "elementwise")
 
 
@@ -262,7 +262,7 @@ def example2_check(x: CrossedModule, a: str,
     # P acts on pi through pi1
     restricted = _group_action(P, pi, [g_rows[c] for c in data.projection.images])
     model = semidirect_product(pi, P, restricted)
-    report = _twisted_mismatches(loop_data(x, a).Pa, model, a, "pi x P", "as a set")
+    report = _twisted_mismatches(loop_data(x, a).xmod.P, model, a, "pi x P", "as a set")
     if report:
         return report
     # delta_a(m) = (-m^a + m, delta m) lies in P(a), which is pi x P

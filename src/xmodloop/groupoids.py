@@ -69,8 +69,8 @@ pairs (m, 0), every object and N = 0) are restrictions.
 
 Homotopy.  At x, d_x maps M into the vertex group, whose arrows act on
 M; this is a crossed module of groups (``_vertex_xmod``), each law of it
-a law of the whole at x, so it is not validated again.  ``pi1_at`` and
-``pi2_at`` read it with ``xmod.homotopy``, as the base and each L[a] are.
+a law of the whole at x, so it is not validated again.  ``homotopy_at``
+reads it with ``xmod.homotopy``, as the base and each L[a] are.
 
 Morphisms.  A ``GXModMorphism`` is three maps of positions: f: G -> G',
 f0: X -> X' and f2: M -> M', sending (g, x) to (f(g), f0(x)).
@@ -112,7 +112,7 @@ from .groups import (
     _partition,
     _position,
 )
-from .xmod import CrossedModule, _cm1, _cm2, _homotopy
+from .xmod import CrossedModule, HomotopyData, _cm1, _cm2, _homotopy
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,14 +306,9 @@ def _vertex_xmod(gxm: GroupoidXMod, x: str) -> CrossedModule:
                          [local[g] for g in gxm.boundary[k]])
 
 
-def pi1_at(gxm: GroupoidXMod, x: str) -> FiniteGroup:
-    """Cokernel of the boundary at x: pi1 of ``xmod.homotopy`` of the vertex module."""
-    return _homotopy(_vertex_xmod(gxm, x)).pi1
-
-
-def pi2_at(gxm: GroupoidXMod, x: str) -> FiniteGroup:
-    """Kernel of the boundary at x, a subgroup of M: pi2 of the vertex module."""
-    return _homotopy(_vertex_xmod(gxm, x)).pi2
+def homotopy_at(gxm: GroupoidXMod, x: str) -> HomotopyData:
+    """pi1 = Cok(d_x), pi2 = Ker(d_x) and the action: ``xmod.homotopy`` of the vertex module."""
+    return _homotopy(_vertex_xmod(gxm, x))
 
 
 def _slice(rows, columns, local, error) -> list[list[int]]:

@@ -49,14 +49,13 @@ from .xmod import CrossedModule, HomotopyData, _cm_failures, _homotopy, homotopy
 
 @dataclass(frozen=True, eq=False)
 class LoopData:
-    """The loop crossed module L[a] = (delta_a: M -> P(a)) at one base element a."""
+    """L[a] = (delta_a: M -> P(a)) at one base element a: L[a] is ``xmod``, P(a) ``xmod.P``."""
 
-    base: str
     xmod: CrossedModule
     _pairs: list = field(repr=False)  # (i, j) for the element (m_i, p_j) of P(a), in order
 
     @property
-    def Pa(self) -> FiniteGroup:
+    def Pa(self) -> FiniteGroup:  # P(a) is xmod.P; perfbench's tests read it as Pa
         return self.xmod.P
 
 
@@ -71,7 +70,8 @@ def loop_data(x: CrossedModule, a: str) -> LoopData:
     shared, not copied.  delta_a's additivity, the action laws, CM1 and
     CM2 are then proved on these tables, as for any crossed module; they
     follow from x's axioms, so a failure raises InternalInvariantBroken.
-    L[a] is named "<name>-loop[<a>]", with a written as its document name.
+    L[a], read as ``loop_data(x, a).xmod``, is named "<name>-loop[<a>]", with
+    a written as its document name.
     """
     M, P = x.M, x.P
     ia = P.index(a)
@@ -104,7 +104,7 @@ def loop_data(x: CrossedModule, a: str) -> LoopData:
     if failure is not None:
         raise InternalInvariantBroken(
             f"loop crossed module at {a} fails an axiom: {failure}", failure.witness)
-    return LoopData(a, CrossedModule(M, Pa, rows, boundary,
+    return LoopData(CrossedModule(M, Pa, rows, boundary,
                                      name=f"{x.name or 'xmod'}-loop[{_render(a)}]"), found)
 
 
@@ -133,11 +133,6 @@ def components(x: CrossedModule) -> list[list[str]]:
             f"{len(classes)} components but {expected} conjugacy classes in pi1",
             (len(classes), expected))
     return classes
-
-
-def loop_xmod_at(x: CrossedModule, a: str) -> CrossedModule:
-    """The loop crossed module at a, as ``loop_data`` built and validated it."""
-    return loop_data(x, a).xmod
 
 
 @lru_cache(maxsize=None)
@@ -216,7 +211,7 @@ def pi_loop(x: CrossedModule, a: str) -> HomotopyData:
     fixed-point identity Ker(delta_a) = {k in Ker(delta) : k^a = k}
     holds elementwise and is asserted, not assumed.
     """
-    data = _homotopy(loop_xmod_at(x, a))
+    data = _homotopy(loop_data(x, a).xmod)
     inside = data.kernel_subgroup._positions
     zero, row = x.P.zero, x.act_table[x.P.index(a)]
     fixed = [i for i, v in enumerate(row) if x.boundary[i] == zero and v == i]

@@ -244,9 +244,7 @@ def k3_rows(x: CrossedModule) -> list[tuple]:
 def nerve_k3(x: CrossedModule) -> list[Simplex3]:
     """All 3-simplices, sorted lexicographically on the positions of
     (a, b, c, d, e, f, m0, m1, m2, m3): the labels of ``k3_rows``."""
-    Pe, Me = x.P.elements, x.M.elements
-    return [Simplex3(Pe[a], Pe[b], Pe[c], Pe[d], Pe[e], Pe[f], Me[m0], Me[m1], Me[m2], Me[m3])
-            for a, b, c, d, e, f, m0, m1, m2, m3 in k3_rows(x)]
+    return [_simplex3(x, row) for row in k3_rows(x)]
 
 
 def k3_count(x: CrossedModule) -> int:

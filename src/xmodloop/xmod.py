@@ -101,9 +101,6 @@ class CrossedModule:
         except KeyError:
             raise UnknownElement((m, p)) from None
 
-    def to_candidate(self) -> XModCandidate:
-        return XModCandidate.from_xmod(self)
-
 
 def _cm1(G: FiniteGroup, act: list, d_x: list, d_gx: list, g: int):
     """delta_x(m^g) and -g + delta_(g.x)(m) + g, for every m: CM1 along one row.
@@ -229,7 +226,7 @@ def check_axioms(candidate: XModCandidate | CrossedModule) -> list[Violation]:
     checked only when the boundary and the action are total.
     """
     if isinstance(candidate, CrossedModule):
-        candidate = candidate.to_candidate()
+        candidate = XModCandidate.from_xmod(candidate)
     report: list[Violation] = []
     M = _try_group(candidate.m_elements, candidate.m_table, candidate.m_identity, "M", report)
     P = _try_group(candidate.p_elements, candidate.p_table, candidate.p_identity, "P", report)
@@ -280,8 +277,8 @@ def homotopy(x: CrossedModule) -> HomotopyData:
     """Homotopy groups of the classifying space: Cok and Ker of delta.
 
     The one reader of pi1 and pi2: of x, of each L[a] (``loop.pi_loop``)
-    and of the vertex module at each object (``groupoids.pi1_at``,
-    ``pi2_at``); those call the uncached body, ``_homotopy``.
+    and of the vertex module at each object (``groupoids.homotopy_at``);
+    those call the uncached body, ``_homotopy``.
 
     Normality of the image, centrality of the kernel and representative
     independence of the induced action are consequences of the axioms;

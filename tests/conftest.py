@@ -122,7 +122,7 @@ def assert_loop_tables_match_brute_force(x):
     assert_written_fibre_tables(x, expected)
     for a in x.P:
         data, group = loop_data(x, a), brute_loop_group(x, a)
-        assert group_table(data.Pa) == (group["elements"], group["table"]), a
+        assert group_table(data.xmod.P) == (group["elements"], group["table"]), a
         assert list(label_map(data.xmod.delta).items()) == list(group["delta_a"].items()), a
         assert list(label_action(data.xmod.action).items()) == list(group["action"].items()), a
 

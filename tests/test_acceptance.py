@@ -27,13 +27,13 @@ from xmodloop.groups import (
 from xmodloop.groupoids import is_fibration, make_gxm
 from xmodloop.loop import (
     components,
+    loop_data,
     loop_gpd_xmod,
-    loop_xmod_at,
     pi_loop,
     theta,
 )
 from xmodloop.nerve import is_simplex2, nerve_k2, nerve_k3
-from xmodloop.xmod import check_axioms, homotopy
+from xmodloop.xmod import XModCandidate, check_axioms, homotopy
 
 
 @contextmanager
@@ -99,7 +99,7 @@ def test_criterion_1_axiom_soundness():
             assert check_axioms(x) == []
         assert len(MUTATIONS) == 20
         for name, kind, location, value in MUTATIONS:
-            candidate = fixture(name).to_candidate()
+            candidate = XModCandidate.from_xmod(fixture(name))
             report = check_axioms(apply_mutation(candidate, kind, location, value))
             assert report, (name, kind, location)
             assert any(v.witness for v in report), (name, kind, location)
@@ -111,7 +111,7 @@ def test_criterion_2_loop_crossed_module_axioms():
         assert len(pairs) >= 18
         for name, a in pairs:
             x = fixture(name)
-            assert check_axioms(loop_xmod_at(x, a)) == [], (name, a)
+            assert check_axioms(loop_data(x, a).xmod) == [], (name, a)
 
 
 def test_criterion_3_loop_homotopy_endpoints():

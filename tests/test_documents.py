@@ -15,7 +15,7 @@ from xmodloop.errors import (
     DocumentSyntaxError,
     UnknownIdentifier,
 )
-from xmodloop.xmod import check_axioms
+from xmodloop.xmod import XModCandidate, check_axioms
 
 
 def test_fixture_files_parse_and_validate(any_xmod, fixture_path):
@@ -107,7 +107,7 @@ def test_unexpected_top_level_key_rejected():
 
 
 def test_document_of_preserves_name():
-    doc = fixture("mod32").to_candidate()
+    doc = XModCandidate.from_xmod(fixture("mod32"))
     assert doc.name == "mod32"
     assert doc.p_identity == "0"
 

@@ -16,7 +16,7 @@ from xmodloop.groups import (
     image,
     kernel,
 )
-from xmodloop.groupoids import is_fibration, pi0, pi1_at, pi2_at
+from xmodloop.groupoids import homotopy_at, is_fibration, pi0
 from xmodloop.loop import components, loop_gpd_xmod, pi_loop
 from xmodloop.xmod import homotopy
 
@@ -78,8 +78,9 @@ def test_fibre_pi1_is_pi(any_xmod):
     data = fibration_psi(x)
     pi = homotopy(x).pi2
     for a in x.P:
-        assert are_isomorphic(pi1_at(data.fibre, a), pi) is not None
-        assert len(pi2_at(data.fibre, a)) == 1
+        h = homotopy_at(data.fibre, a)
+        assert are_isomorphic(h.pi1, pi) is not None
+        assert len(h.pi2) == 1
 
 
 def test_fixed_points_at_identity_is_all_of_pi(any_xmod):
@@ -152,7 +153,7 @@ def test_pi2_three_routes_coincide():
         from_loop = set(pi_loop(x, a).pi2.elements)
         from_fixed = set(fixed_points(x, a))
         gxm = loop_gpd_xmod(x)
-        from_gpd = set(pi2_at(gxm, a).elements)
+        from_gpd = set(homotopy_at(gxm, a).pi2.elements)
         assert from_loop == from_fixed == from_gpd
 
 

@@ -20,12 +20,11 @@ from xmodloop.groupoids import (
     action_groupoid,
     as_groupoid_xmod,
     check_morphism,
+    homotopy_at,
     is_fibration,
     make_gxm,
     make_gxm_morphism,
     pi0,
-    pi1_at,
-    pi2_at,
     restrict,
     vertex_group,
 )
@@ -157,8 +156,9 @@ def test_one_object_wrap_matches_xmod_homotopy(any_xmod):
     x = any_xmod
     gxm = as_groupoid_xmod(x)
     data = homotopy(x)
-    assert are_isomorphic(pi1_at(gxm, "*"), data.pi1) is not None
-    assert are_isomorphic(pi2_at(gxm, "*"), data.pi2) is not None
+    at = homotopy_at(gxm, "*")
+    assert are_isomorphic(at.pi1, data.pi1) is not None
+    assert are_isomorphic(at.pi2, data.pi2) is not None
 
 
 def test_restrict_one_object_wrap_recovers_the_crossed_module(any_xmod):
@@ -221,10 +221,11 @@ def test_pi_at_constant_on_components(any_xmod):
     gxm = loop_gpd_xmod(any_xmod)
     for block in pi0(gxm):
         head = block[0]
-        pi1_head, pi2_head = pi1_at(gxm, head), pi2_at(gxm, head)
+        at_head = homotopy_at(gxm, head)
         for other in block[1:]:
-            assert are_isomorphic(pi1_at(gxm, other), pi1_head) is not None
-            assert are_isomorphic(pi2_at(gxm, other), pi2_head) is not None
+            at_other = homotopy_at(gxm, other)
+            assert are_isomorphic(at_other.pi1, at_head.pi1) is not None
+            assert are_isomorphic(at_other.pi2, at_head.pi2) is not None
 
 
 def test_restrict_to_object_is_always_a_valid_crossed_module(any_xmod):

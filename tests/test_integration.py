@@ -13,7 +13,7 @@ from xmodloop.exactseq import (
     fixed_points,
 )
 from xmodloop.groups import group_action, homomorphism, make_group
-from xmodloop.loop import components, loop_xmod_at, pi_loop, theta
+from xmodloop.loop import components, loop_data, pi_loop, theta
 from xmodloop.nerve import k2_count_formula, nerve_k3
 from xmodloop.xmod import check_axioms, homotopy, make_xmod
 
@@ -68,7 +68,7 @@ def test_inner_d4_loop_structure(inner_d4):
     x = inner_d4
     fibration_psi(x)
     for a in x.P:
-        assert check_axioms(loop_xmod_at(x, a)) == []
+        assert check_axioms(loop_data(x, a).xmod) == []
         assert theta(x, a).is_isomorphism()
         seq = exact_sequence(x, a)
         assert len(seq.terms[3]) == 2
@@ -110,7 +110,7 @@ def test_sign_module_example1_everywhere(sign_module):
 def test_sign_module_loop_axioms(sign_module):
     x = sign_module
     for a in x.P:
-        assert check_axioms(loop_xmod_at(x, a)) == []
+        assert check_axioms(loop_data(x, a).xmod) == []
         assert theta(x, a).is_isomorphism()
 
 
@@ -122,4 +122,5 @@ def test_readme_library_example_runs_as_written(monkeypatch):
     names: dict = {}
     exec(compile(block, "README.md", "exec"), names)
     assert (len(names["data"].pi1), len(names["data"].pi2)) == (6, 3)
+    assert (len(names["at"].pi1), len(names["at"].pi2)) == (6, 3)
     assert check_axioms(names["lx"]) == []

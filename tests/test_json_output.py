@@ -44,7 +44,7 @@ from xmodloop.documents import (
     serialize_xmod,
 )
 from xmodloop.groups import group_action, homomorphism, make_group
-from xmodloop.loop import loop_xmod_at
+from xmodloop.loop import loop_data
 from xmodloop.nerve import k2_count_formula, nerve_k2, nerve_k3
 from xmodloop.xmod import make_xmod
 
@@ -119,10 +119,10 @@ def test_serialize_xmod_is_byte_identical_to_the_former_writer():
         text = serialize_xmod(x)
         assert text == former_serialization(text), name
         for a in x.P:
-            lx = loop_xmod_at(x, a)
+            lx = loop_data(x, a).xmod
             text = serialize_xmod(lx)
             assert text == former_serialization(text), (name, a)
-            nested = serialize_xmod(loop_xmod_at(lx, lx.P.identity))
+            nested = serialize_xmod(loop_data(lx, lx.P.identity).xmod)
             assert "|(" in nested, (name, a)
             assert nested == former_serialization(nested), (name, a)
 

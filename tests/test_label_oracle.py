@@ -28,7 +28,7 @@ from test_certificates import MUTANT_SETTINGS, involution, other
 from test_orbit_properties import crossed_modules
 from xmodloop.errors import CM1Violation, XModError
 from xmodloop.groups import group_action, homomorphism, make_group
-from xmodloop.xmod import check_axioms, make_xmod, xmod_from_candidate
+from xmodloop.xmod import XModCandidate, check_axioms, make_xmod, xmod_from_candidate
 
 MUTATIONS = ("none", "M", "P", "delta", "action", "twist", "zero-delta", "trivial-action")
 
@@ -83,7 +83,7 @@ def oracle_report(c) -> list:
 
 def mutant(draw, x, where):
     """x's candidate with the drawn change at ``where``."""
-    c = x.to_candidate()
+    c = XModCandidate.from_xmod(x)
     if where in ("M", "P"):
         elements, table = (c.m_elements, c.m_table) if where == "M" else (c.p_elements, c.p_table)
         i = draw(st.integers(0, len(elements) - 1))

@@ -24,7 +24,6 @@ from xmodloop.loop import (
     components,
     loop_data,
     loop_gpd_xmod,
-    loop_xmod_at,
     pi_loop,
     theta,
 )
@@ -58,18 +57,18 @@ def test_pa_set_matches_brute_filter():
     for name, a in all_base_pairs():
         x = fixture(name)
         data = loop_data(x, a)
-        assert set(data.Pa.elements) == brute_pa(x, a)
+        assert set(data.xmod.P.elements) == brute_pa(x, a)
 
 
 def test_pa_of_inc24_is_cyclic_four():
-    pa = loop_data(fixture("inc24"), "1").Pa
+    pa = loop_data(fixture("inc24"), "1").xmod.P
     assert len(pa) == 4
     assert {e[0] for e in pa.elements} == {"0"}
     assert are_isomorphic(pa, cyclic(4)) is not None
 
 
 def test_pa_of_mod32_at_generator_is_s3():
-    pa = loop_data(fixture("mod32"), "1").Pa
+    pa = loop_data(fixture("mod32"), "1").xmod.P
     assert len(pa) == 6
     assert are_isomorphic(pa, fixture("conj_s3").P) is not None
 
@@ -78,7 +77,7 @@ def test_pa_identity_and_inverse_formula():
     for name, a in all_base_pairs():
         x = fixture(name)
         data = loop_data(x, a)
-        pa = data.Pa
+        pa = data.xmod.P
         assert pa.identity == (x.M.identity, x.P.identity)
         for element in pa.elements:
             m, p = element
@@ -92,17 +91,17 @@ def test_delta_a_values():
     assert loop_data(inc24, "1").xmod.delta("1") == ("0", "2")
     for name, a in all_base_pairs():
         x = fixture(name)
-        assert loop_data(x, a).xmod.delta(x.M.identity) == loop_data(x, a).Pa.identity
+        assert loop_data(x, a).xmod.delta(x.M.identity) == loop_data(x, a).xmod.P.identity
 
 
 def test_loop_xmod_axioms_hold_at_every_base_point():
     for name, a in all_base_pairs():
         x = fixture(name)
-        assert check_axioms(loop_xmod_at(x, a)) == []
+        assert check_axioms(loop_data(x, a).xmod) == []
 
 
 def test_loop_xmod_of_trivial_is_trivial():
-    lx = loop_xmod_at(fixture("triv"), "0")
+    lx = loop_data(fixture("triv"), "0").xmod
     assert len(lx.M) == 1 and len(lx.P) == 1
 
 
@@ -180,7 +179,7 @@ def test_theta_matches_vertex_group_with_pa():
         x = fixture(name)
         gxm = loop_gpd_xmod(x)
         vertex = vertex_group(gxm.base, a)
-        pa = loop_data(x, a).Pa
+        pa = loop_data(x, a).xmod.P
         f = theta(x, a)
         mor_map = dict(zip(f.source.base.morphisms,
                            (f.target.base.morphisms[j] for j in f.group_map)))
@@ -230,15 +229,15 @@ def test_delta_a_image_is_normal_in_pa():
         x = fixture(name)
         data = loop_data(x, a)
         img = set(image(data.xmod.delta))
-        for g in data.Pa:
+        for g in data.xmod.P:
             for d in img:
-                assert data.Pa.conj(d, g) in img
+                assert data.xmod.P.conj(d, g) in img
 
 
 def test_loop_of_a_loop_is_named_by_rendered_base():
-    first = loop_xmod_at(fixture("mod32"), "0")
+    first = loop_data(fixture("mod32"), "0").xmod
     base = first.P.identity
     assert base == ("0", "0")
-    second = loop_xmod_at(first, base)
+    second = loop_data(first, base).xmod
     assert second.name == "mod32-loop[0]-loop[(0|0)]"
     assert json.loads(serialize_xmod(second))["name"] == "mod32-loop[0]-loop[(0|0)]"

@@ -25,7 +25,7 @@ from conftest import FIXTURE_NAMES, fixture
 from xmodloop import groups
 from xmodloop.cli import run_cli
 from xmodloop.exactseq import fibration_psi
-from xmodloop.groupoids import pi0, pi1_at, pi2_at, vertex_group
+from xmodloop.groupoids import homotopy_at, pi0, vertex_group
 from xmodloop.groups import FiniteGroup, GroupAction, Homomorphism
 from xmodloop.loop import loop_gpd_xmod, theta
 from xmodloop.xmod import CrossedModule
@@ -121,5 +121,5 @@ def test_the_groupoid_layer_reads_one_name_per_base_argument(monkeypatch):
         gxm = loop_gpd_xmod(x)
         assert names_read(pi0, gxm) == Counter()
         for a in gxm.base.objects:
-            for entry, arg in ((vertex_group, gxm.base), (pi1_at, gxm), (pi2_at, gxm)):
+            for entry, arg in ((vertex_group, gxm.base), (homotopy_at, gxm)):
                 assert names_read(entry, arg, a) <= Counter(index=1), (entry.__name__, a)

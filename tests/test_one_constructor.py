@@ -10,7 +10,7 @@ from conftest import FIXTURE_NAMES, FIXTURES_DIR
 
 from xmodloop.documents import parse_xmod
 from xmodloop.exactseq import exact_sequence, fibration_psi
-from xmodloop.groupoids import vertex_group
+from xmodloop.groupoids import homotopy_at, vertex_group
 from xmodloop.groups import FiniteGroup
 from xmodloop.loop import loop_gpd_xmod, pi_loop, theta
 
@@ -38,6 +38,9 @@ def test_every_returned_group_is_built_by_the_constructor(monkeypatch):
             sequence = exact_sequence(x, a)
             returned += [*sequence.terms, sequence.coinvariants]
         returned += [vertex_group(gxm.base, obj) for obj in gxm.base.objects]
+        for obj in gxm.base.objects:
+            h = homotopy_at(gxm, obj)
+            returned += [h.pi1, h.pi2]
         fibre = fibration_psi(x).fibre
         returned += [fibre.base.group, fibre.fibre]
     recorded = set(map(id, built))

@@ -10,8 +10,9 @@ random input order.  The loop-space properties check every table of the
 loop groupoid and of P(a) against label arithmetic, in order, and P(a)
 against its defining filter, the paper's order identity for pi1 and the
 action of P on M for pi1's action on pi2 at every base, and the
-groupoid's own readers (``pi0``, ``vertex_group``, ``pi1_at``,
-``pi2_at``) against P(a) and the loop groups.  The nerve's
+groupoid's own readers (``pi0``, ``vertex_group``, ``homotopy_at``)
+against P(a) and the loop groups, with the action at each object read
+as the action of P on M.  The nerve's
 count and listing agree with |M|^3 |P|^3, and its listings with the
 brute-force ones; the document ``loop --emit`` writes at every base
 passes ``check``.  The
@@ -43,7 +44,7 @@ from xmodloop.exactseq import (
     example2_check,
     fibration_psi,
 )
-from xmodloop.groupoids import pi0, pi1_at, pi2_at, vertex_group
+from xmodloop.groupoids import homotopy_at, pi0, vertex_group
 from xmodloop.groups import (
     centralizer,
     conjugacy_classes,
@@ -199,15 +200,17 @@ def test_pi0_of_loop_groupoid_equals_components(x):
 @PROPERTY_SETTINGS
 @given(crossed_modules())
 def test_groupoid_readers_match_the_loop_groups_at_every_object(x):
-    """pi1_at and pi2_at have the orders of pi_loop, constant on each block of pi0, and
-    the vertex group at a is the arrows (g, a) with g . a = a, under the law of G."""
+    """homotopy_at's pi1 and pi2 have the orders of pi_loop, constant on each block of pi0;
+    the vertex group at a is the arrows (g, a) with g . a = a, under the law of G; and the
+    arrow (m, p, a) acts on pi2 at a through its class in pi1 as p acts on M."""
     assume(len(x.M) * len(x.P) ** 2 <= 300)
     M, P = x.M, x.P
     gxm = loop_gpd_xmod(x)
     orders = {}
     for a in P:
         loop_h = pi_loop(x, a)
-        orders[a] = (len(pi1_at(gxm, a)), len(pi2_at(gxm, a)))
+        h = homotopy_at(gxm, a)
+        orders[a] = (len(h.pi1), len(h.pi2))
         assert orders[a] == (len(loop_h.pi1), len(loop_h.pi2)), a
         # (m, p) . a = p + a + delta(m) - p
         arrows = [(m, p, a) for m in M for p in P
@@ -217,6 +220,8 @@ def test_groupoid_readers_match_the_loop_groups_at_every_object(x):
         assert vertex.identity == (M.identity, P.identity, a)
         assert all(vertex.add(u, v) == (M.add(v[0], x.act(u[0], v[1])), P.add(u[1], v[1]), a)
                    for u in arrows for v in arrows)
+        assert all(h.g_action.act(k, h.projection(u)) == x.act(k, u[1])
+                   for u in arrows for k in h.pi2), a
     for block in pi0(gxm):
         assert len({orders[a] for a in block}) == 1, block
 
@@ -306,7 +311,7 @@ def test_loop_groups_at_every_base_match_filter_and_order_identity(x):
     assume(len(x.M) * len(x.P) ** 2 <= 300)
     base = homotopy(x)
     for a in x.P:
-        pa = loop_data(x, a).Pa
+        pa = loop_data(x, a).xmod.P
         assert set(pa.elements) == brute_pa(x, a)
         abar = base.projection.images[x.P.index(a)]
         loop_h = pi_loop(x, a)
@@ -363,7 +368,7 @@ def printed_orders(x):
     for a in x.P:
         loop_h, seq = pi_loop(x, a), exact_sequence(x, a)
         at[a] = {"pi-loop": (len(loop_h.pi1), len(loop_h.pi2)),
-                 "loop": len(loop_data(x, a).Pa),
+                 "loop": len(loop_data(x, a).xmod.P),
                  "exact": (seq.term_orders(), [(len(image(f)), len(kernel(f))) for f in seq.maps],
                            len(seq.coinvariants))}
     return {"pi-base": (len(base.pi1), len(base.pi2)),

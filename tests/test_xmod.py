@@ -23,7 +23,7 @@ def test_all_fixtures_pass_check_axioms(any_xmod):
 
 
 def test_candidate_roundtrip(any_xmod):
-    rebuilt = xmod_from_candidate(any_xmod.to_candidate())
+    rebuilt = xmod_from_candidate(XModCandidate.from_xmod(any_xmod))
     assert rebuilt.M.elements == any_xmod.M.elements
     assert rebuilt.P.elements == any_xmod.P.elements
 
@@ -38,7 +38,7 @@ def test_inn3_with_trivial_action_is_rejected():
 def test_inn3_with_trivial_action_reported_by_checker():
     # M = C3 is abelian, so trivialising the action leaves CM2 intact;
     # the scan finds the equivariance failure instead.
-    c = fixture("inn3").to_candidate()
+    c = XModCandidate.from_xmod(fixture("inn3"))
     for p in c.p_elements:
         c.action[p] = {m: m for m in c.m_elements}
     report = check_axioms(c)
@@ -124,14 +124,14 @@ def test_conj_fixture_is_valid_with_trivial_top():
 
 
 def test_checker_catches_broken_group_table():
-    c = fixture("inc24").to_candidate()
+    c = XModCandidate.from_xmod(fixture("inc24"))
     c.p_table[1][1] = "0"
     report = check_axioms(c)
     assert any(v.kind == "group:P" and v.witness for v in report)
 
 
 def test_checker_reports_missing_action_entry():
-    c = fixture("mod32").to_candidate()
+    c = XModCandidate.from_xmod(fixture("mod32"))
     del c.action["1"]["2"]
     report = check_axioms(c)
     assert any(v.kind == "action" for v in report)
