@@ -1,6 +1,6 @@
 """Size ladder: time each stage on a fixed list of growing inputs.
 
-    python bench/ladder.py --out BENCH_25.json
+    python bench/ladder.py --out BENCH_27.json
 
 A rung names a group (``S5``) or a crossed module: ``id: G``, ``1 -> G``
 or ``N -> G``, the inclusion of a normal subgroup N of G with G acting
@@ -21,11 +21,12 @@ builds no list.  The
 written untimed by ``serialize_xmod``; the ``homotopy`` and
 ``components`` rungs time that call alone on a fresh module, so
 ``components`` includes the ``homotopy`` it starts from.  The
-``pi_loop`` rung times ``pi_loop`` at every base, the
+``loop_data`` rung times building P(a) and L[a] at every base of a fresh
+module, the ``pi_loop`` rung ``pi_loop`` at every base, the
 ``exact_sequence`` rung ``exact_sequence`` at every base, and the
 ``example_checks`` rung ``example1_check`` and ``example2_check`` at
 every base, a check whose precondition fails at a base counting as run;
-all three start from a fresh module, so they include the ``loop_data``
+the last three start from a fresh module, so they include the ``loop_data``
 they build on, and the last two the ``homotopy`` too.  A ``cli_*``
 rung times one CLI subcommand as a whole: the child writes the rung as a
 document with ``serialize_xmod`` (untimed), then times one ``run_cli``
@@ -83,6 +84,7 @@ RUNGS = [
       for rung in ("id: S4", "id: A5", "id: S5", "A5 -> S5", "1 -> S6")),
     *((stage, rung, True) for stage in ("pi_loop", "exact_sequence", "example_checks")
       for rung in ("id: S4", "A4 -> S4", "1 -> S4", "1 -> S5")),
+    *(("loop_data", rung, True) for rung in ("id: S4", "1 -> S5", "id: S5", "1 -> S6")),
     *(("nerve_k2", rung, True) for rung in ("id: C4", "1 -> S4", "id: S3", "id: S4", "1 -> S6")),
     *((stage, rung, True)
       for stage in ("cli_nerve3_list_json", "cli_nerve3_list_text", "cli_nerve2_list_json")
@@ -159,8 +161,8 @@ def predicted(stage: str, rung: str) -> dict:
         return {"simplices": m * p ** 2}
     if stage in ("cli_components", "parse_xmod"):
         return {"bases": p, "document_entries": p * p + m * m + m + m * p}
-    if stage in ("homotopy", "components", "pi_loop", "exact_sequence"):
-        bases = {"bases": p} if stage in ("pi_loop", "exact_sequence") else {}
+    if stage in ("homotopy", "components", "pi_loop", "exact_sequence", "loop_data"):
+        bases = {"bases": p} if stage in ("pi_loop", "exact_sequence", "loop_data") else {}
         return {"order_P": p, "order_M": m, **bases}
     if stage == "example_checks":
         # the twisted products M x C_a(P) and pi x P have at most |M||P| pairs
@@ -197,7 +199,7 @@ def run_stage(stage: str, rung: str) -> tuple[float, int]:
     from xmodloop.exactseq import example1_check, example2_check, exact_sequence, fibration_psi
     from xmodloop.groupoids import homotopy_at, pi0, vertex_group
     from xmodloop.groups import group_action, homomorphism, make_group, subgroup
-    from xmodloop.loop import components, loop_gpd_xmod, pi_loop, theta
+    from xmodloop.loop import components, loop_data, loop_gpd_xmod, pi_loop, theta
     from xmodloop.nerve import k3_count, nerve_k2, nerve_k3
     from xmodloop.xmod import homotopy, make_xmod
 
@@ -238,6 +240,7 @@ def run_stage(stage: str, rung: str) -> tuple[float, int]:
             "homotopy": homotopy, "components": components,
             "theta": lambda x: [theta(x, a) for a in x.P],
             "pi_loop": lambda x: [pi_loop(x, a) for a in x.P],
+            "loop_data": lambda x: [loop_data(x, a) for a in x.P],
             "pi0": lambda x: pi0(gxm),
             "vertex_group": lambda x: [vertex_group(gxm.base, a) for a in gxm.base.objects],
             "homotopy_at": lambda x: [homotopy_at(gxm, a) for a in gxm.base.objects],

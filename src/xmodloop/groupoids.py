@@ -63,9 +63,8 @@ law of the whole at elements of the piece, so the piece keeps every law
 as long as its tables stay inside it: H is closed under + and -, H maps
 X' and N into themselves, and each d_x(N), x in X', lies in H (and in
 the stabiliser of x, so in the piece's vertex group).  ``restrict`` checks only these
-and validates no law again.  The source of ``loop.theta`` (one object,
-its stabiliser and M) and the fibre of ``exactseq.fibration_psi`` (the
-pairs (m, 0), every object and N = 0) are restrictions.
+and validates no law again.  Only the fibre of ``exactseq.fibration_psi``
+(the pairs (m, 0), every object and N = 0) is still a restriction.
 
 Homotopy.  At x, d_x maps M into the vertex group, whose arrows act on
 M; this is a crossed module of groups (``_vertex_xmod``), each law of it
@@ -79,9 +78,11 @@ f0 equivariant, f0(g . x) = f(g) . f0(x) (closed under + once f is, so
 checked for g in S_G), the boundary square f(d_x(m)) = d'_(f0 x)(f2 m)
 at S_M (both sides are homomorphisms in m) and the action square
 f2(m^g) = f2(m)^f(g) for g in S_G (f2(m^(g+s)) = f2(m^g)^f(s) =
-f2(m)^(f(g) + f(s))).  Only ``make_gxm_morphism`` builds one, so
-``is_fibration`` checks only surjectivity: the star at a maps onto the
-star at f0(a) exactly when f is onto G', and f2 must be onto M'.
+f2(m)^(f(g) + f(s))).  ``make_gxm_morphism`` builds one after that
+check; ``loop.theta`` builds the identity between tables it compared
+entry by entry, which proves every law above.  So ``is_fibration``
+checks only surjectivity: the star at a maps onto the star at f0(a)
+exactly when f is onto G', and f2 must be onto M'.
 """
 
 from __future__ import annotations
@@ -495,8 +496,8 @@ def make_gxm_morphism(source: GroupoidXMod, target: GroupoidXMod,
 def is_fibration(f: GXModMorphism) -> list[Violation]:
     """Fibration report: star-surjectivity, then fibrewise dim-2 surjectivity.
 
-    f was built by ``make_gxm_morphism``, which checked every morphism
-    law, so only surjectivity is checked.  By equivariance f sends the
+    f was built by ``make_gxm_morphism`` or ``loop.theta``, which prove
+    every morphism law, so only surjectivity is checked.  By equivariance f sends the
     star at a, the arrows (g, -g . a), onto the arrows (f(g), -f(g) . f0(a))
     of the star at f0(a); so at each a, each (h, -h . f0(a)) with h not in
     the image of f is reported, then each element of M' not in the image

@@ -19,7 +19,7 @@ is built once, for the listings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import chain
 
@@ -35,14 +35,13 @@ from .groups import (
     conjugacy_classes,
 )
 from .groupoids import (
+    FiniteGroupoid,
     GroupoidXMod,
     GXModMorphism,
     _object,
     action_groupoid,
     as_groupoid_xmod,
     make_gxm,
-    make_gxm_morphism,
-    restrict,
 )
 from .xmod import CrossedModule, HomotopyData, _cm_failures, _homotopy, homotopy
 
@@ -64,7 +63,8 @@ def loop_data(x: CrossedModule, a: str) -> LoopData:
     """P(a) and L[a], built from x's tables and validated once, on positions.
 
     P(a) is the pairs (m_i, p_j) with delta(m_i) = [a, p_j], in (i, j)
-    order; its table is computed on positions and validated as a group
+    order, read off the j grouped by [a, p_j] in delta's image: |M| + |P| +
+    |P(a)| steps, not |M| |P|.  Its table is computed on positions and validated as a group
     (``groups.FiniteGroup``).  The pair (m, p) acts on M by column p of
     x's action, so each action row of L[a] is a row of ``x.act_table``,
     shared, not copied.  delta_a's additivity, the action laws, CM1 and
@@ -78,9 +78,13 @@ def loop_data(x: CrossedModule, a: str) -> LoopData:
     Me, Pe, mt, pt, pinv = M.elements, P.elements, M._table, P._table, P._inv
     act, d = x.act_table, x.boundary
     nP = len(P)
-    # [a, p] = -a - p + a + p
-    commutator = [pt[pt[pt[pinv[ia]][pinv[j]]][ia]][j] for j in range(nP)]
-    found = [(i, j) for i in range(len(M)) for j in range(nP) if d[i] == commutator[j]]
+    # the j with [a, p_j] = -a - p_j + a + p_j = c, for each value c of delta
+    image, solutions = set(d), {}
+    for j in range(nP):
+        c = pt[pt[pt[pinv[ia]][pinv[j]]][ia]][j]
+        if c in image:
+            solutions.setdefault(c, []).append(j)
+    found = [(i, j) for i in range(len(M)) for j in solutions.get(d[i], ())]
     pairs = [(Me[i], Pe[j]) for i, j in found]
     position = {i * nP + j: r for r, (i, j) in enumerate(found)}
     table = []
@@ -184,23 +188,38 @@ def loop_gpd_xmod(x: CrossedModule) -> GroupoidXMod:
 def theta(x: CrossedModule, a: str) -> GXModMorphism:
     """The isomorphism from the loop groupoid restricted at a onto L[a].
 
-    Its source is ``restrict`` to a, its stabiliser, which is P(a), and
-    all of M; the cut checks only closure and invariance, so P(a) is
-    validated once, by ``loop_data``.  Its target is L[a] over one object,
-    read from L[a]'s tables.  theta sends a to the object of L[a],
-    (m, p, a) to (m, p) and M to M by the identity: the stabiliser and
-    ``LoopData._pairs`` both list (m_i, p_j) at ascending i |P| + j, and
-    the two scans must agree, so each map is the identity on positions.
+    The stabiliser of a and ``LoopData._pairs`` both list (m_i, p_j) at
+    ascending i |P| + j, and the two scans must agree; so the vertex
+    slice is L[a]'s tables lifted to G's positions by the stabiliser.
+    The comparison is the proof: G's table on stabiliser x stabiliser
+    must be P(a)'s, the boundary at a delta_a's and G's action at the
+    stabiliser L[a]'s rows, entry by entry, or InternalInvariantBroken
+    names the law (``composition``, ``boundary`` or ``action``).  Equal
+    tables make the identity on positions a homomorphism with both
+    squares, and the stabiliser closed under +.  The source is L[a] over
+    the one object a, each arrow named as in the loop groupoid; theta
+    sends a to the object of L[a], (m, p, a) to (m, p) and M to M.
     """
     gxm = loop_gpd_xmod(x)
-    k = _object(gxm.base, a)
-    stabiliser, nM, nP = gxm.base.stabiliser(k), len(x.M), len(x.P)
-    src = restrict(gxm, stabiliser, (k,), range(nM))
-    lx = loop_data(x, a)
-    if stabiliser != [i * nP + j for i, j in lx._pairs]:
+    base = gxm.base
+    k = _object(base, a)
+    stabiliser, lx = base.stabiliser(k), loop_data(x, a)
+    La = lx.xmod
+    if stabiliser != [i * len(x.P) + j for i, j in lx._pairs]:
         raise InternalInvariantBroken(f"the stabiliser of {a} is not P({a})", (a,))
-    return make_gxm_morphism(src, as_groupoid_xmod(lx.xmod), range(len(stabiliser)), [0],
-                             range(nM))
+    gt, lift = base.group._table, stabiliser.__getitem__
+    for law, here, there in (
+            ("composition", [list(map(gt[g].__getitem__, stabiliser)) for g in stabiliser],
+             [list(map(lift, row)) for row in La.P._table]),
+            ("boundary", gxm.boundary[k], list(map(lift, La.boundary))),
+            ("action", list(map(gxm.act.__getitem__, stabiliser)), La.act_table)):
+        if here != there:
+            raise InternalInvariantBroken(
+                f"the loop groupoid at {a} and L[{a}] differ in {law}", (a, law))
+    target = as_groupoid_xmod(La)
+    vertex = FiniteGroupoid(La.P, (a,), target.base.act, lambda r, _: base.name(lift(r), k))
+    return GXModMorphism(replace(target, base=vertex), target, list(range(len(La.P))), [0],
+                         list(range(len(x.M))))
 
 
 def pi_loop(x: CrossedModule, a: str) -> HomotopyData:

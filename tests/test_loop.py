@@ -1,4 +1,6 @@
+import copy
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +14,7 @@ from conftest import (
     written_out,
 )
 from xmodloop.documents import serialize_xmod
-from xmodloop.errors import UnknownElement, UnknownObject
+from xmodloop.errors import InternalInvariantBroken, UnknownElement, UnknownObject
 from xmodloop.groups import (
     are_isomorphic,
     conjugacy_classes,
@@ -205,12 +207,43 @@ def test_theta_source_is_the_vertex_slice_of_the_loop_groupoid():
         assert list(written_out(src.base).compose.items()) == [
             (pair, w) for pair, w in written_out(gxm.base).compose.items() if set(pair) <= kept]
         assert src.fibre is gxm.fibre is x.M
+        La = loop_data(x, a).xmod
+        assert src.base.group is La.P
+        assert src.act is La.act_table and src.boundary == [La.boundary]
         piece, whole = written(src), written(gxm)
         assert list(piece.fibres) == [a]
         assert list(piece.boundary.items()) == [(m, whole.boundary[m])
                                                 for m in whole.fibres[a]]
         assert list(piece.action.items()) == [
             (key, n) for key, n in whole.action.items() if key[1] in kept]
+
+
+def bumped(row, t, size):
+    """A copy of row whose entry t is the next position modulo size."""
+    return [*row[:t], (row[t] + 1) % size, *row[t + 1:]]
+
+
+@pytest.mark.parametrize("law", ["composition", "boundary", "action"])
+def test_theta_refuses_an_l_a_that_differs_at_one_entry(monkeypatch, law):
+    # each entry is at the last element, which is no generator, so a proof
+    # from generators alone would not read it
+    x = fixture("inn3")
+    a = x.P.elements[-1]
+    data = loop_data(x, a)
+    La = data.xmod
+    nM, nP = len(La.M), len(La.P)
+    if law == "composition":
+        P = copy.copy(La.P)
+        P._table = [*P._table[:-1], bumped(P._table[-1], nP - 1, nP)]
+        La = replace(La, P=P)
+    elif law == "boundary":
+        La = replace(La, boundary=bumped(La.boundary, nM - 1, nP))
+    else:
+        La = replace(La, act_table=[*La.act_table[:-1], bumped(La.act_table[-1], nM - 1, nM)])
+    monkeypatch.setattr("xmodloop.loop.loop_data", lambda *_: replace(data, xmod=La))
+    with pytest.raises(InternalInvariantBroken, match=f"differ in {law}") as info:
+        theta(x, a)
+    assert info.value.witness == (a, law)
 
 
 def test_theta_at_an_unknown_base_point_is_an_unknown_object():
